@@ -1,35 +1,50 @@
 """Exact Markov field of unit smoothness exponent on a metric graph.
 
-The global field is built from independent per-edge fields with Neumann
-boundary conditions, conditioned on being continuous at the vertices. On an
-edge with constant parameters (kappa, a) the Neumann covariance is the
-Green's function of tau^2 (kappa^2 - a d^2/dx^2) with zero endpoint
-derivatives; writing kt = kappa / sqrt(a),
+By the Markov property the field is its values at the vertices plus an
+independent bridge on every edge, whose law does not depend on the rest of
+the graph. On an edge with constant parameters (kappa, a), writing
+kt = kappa / sqrt(a) and c = tau^2 kappa sqrt(a),
 
-    N(s, t) = cosh(kt min) cosh(kt (L - max)) / (tau^2 kappa sqrt(a) sinh(kt L)).
+    u(t) = G1(t) u(start vertex) + G2(t) u(end vertex) + bridge(t),
 
-Conditioning on continuity is a Schur complement on the 2|E|-dimensional
-vector of edge endpoint values; interiors follow from the edge
-representation u(t) = bridge(t) + G1(t) u(0) + G2(t) u(L), where G1, G2
-span the homogeneous solutions of the edge operator with unit boundary
-data and the bridge is the zero-boundary remainder, independent of all
-endpoint values and of the other edges.
+where G1, G2 solve a G'' = kappa^2 G with unit boundary data and the bridge
+covariance is the Dirichlet Green's function of tau^2 (kappa^2 - a d^2/dx^2),
+
+    D(s, t) = sinh(kt min) sinh(kt (L - max)) / (c sinh(kt L)).
+
+The vertex values form a Gaussian Markov random field whose precision
+Q = sum_e A_e' Sigma_e^{-1} A_e is sparse (Bolin, Simas & Wallin, "Gaussian
+Whittle-Matern fields on metric graphs"): A_e picks edge e's two end
+vertices and Sigma_e is the endpoint covariance of the edge's Neumann field
+
+    N(s, t) = cosh(kt min) cosh(kt (L - max)) / (c sinh(kt L)).
+
+The vertex covariance S_V = Q^{-1} comes from a QR square root of Q, and the
+covariance at any points is C = Phi S_V Phi' + bridges, with Phi the sparse
+matrix of G1, G2 values at each point's two end vertices.
+
+The same law is the block-diagonal endpoint covariance of independent
+Neumann edge fields conditioned on continuity at the vertices; that dense
+route (``endpoint_prior_cov``, ``continuity_constraints``,
+``condition_on_constraints``) is kept as the reference behind
+``full_cov(..., constraints=K)``.
 
 All formulas are overflow-safe for kt * L far beyond the ~700 range where
-raw cosh/sinh overflow in double precision.
+raw cosh/sinh overflow in double precision, and use expm1 wherever
+1 - exp(-x) would cancel for small kt * L.
 
-Loops and multiple edges are supported by the same continuity-kernel
-conditioning: a loop contributes one constraint tying its two endpoint
-values together, and a loop of length L reproduces the circle field of
-length L exactly.
+Loops and multiple edges are supported: a loop adds a single vertex term,
+and a loop of length L reproduces the circle field of length L exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
+from scipy.sparse import csr_matrix
 
 from .errors import (
     ConditioningError,
@@ -38,7 +53,7 @@ from .errors import (
     UnsupportedAlphaError,
     ValidationError,
 )
-from .graph import Edge, MetricGraph, PointOnGraph
+from .graph import CACHE_SIZE, Edge, MetricGraph, PointOnGraph
 from .models import CovMatrix, FieldModel
 from .sampling import replicate_normals, safe_cholesky
 
@@ -58,6 +73,16 @@ __all__ = [
 ]
 
 
+def _one_minus_exp(x):
+    """1 - exp(-x) without cancellation for small x."""
+    return -np.expm1(-x)
+
+
+def _check_arclengths(ell: float, *xs) -> None:
+    if any(np.any(x < 0) or np.any(x > ell) for x in xs):
+        raise PointError(f"arclength outside [0, {ell}]")
+
+
 def neumann_edge_cov(kappa: float, a: float, tau: float, ell: float, s, t):
     """Covariance of the Neumann edge field at arclengths s, t in [0, ell].
 
@@ -67,8 +92,7 @@ def neumann_edge_cov(kappa: float, a: float, tau: float, ell: float, s, t):
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(s < 0) or np.any(s > ell) or np.any(t < 0) or np.any(t > ell):
-        raise PointError(f"arclength outside [0, {ell}]")
+    _check_arclengths(ell, s, t)
     kt = kappa / np.sqrt(a)
     m = np.minimum(s, t)
     M = np.maximum(s, t)
@@ -78,9 +102,41 @@ def neumann_edge_cov(kappa: float, a: float, tau: float, ell: float, s, t):
         + np.exp(-kt * (2.0 * ell - M - m))
         + np.exp(-kt * (2.0 * ell - M + m))
     )
-    den = 2.0 * tau**2 * kappa * np.sqrt(a) * (1.0 - np.exp(-2.0 * kt * ell))
+    den = 2.0 * tau**2 * kappa * np.sqrt(a) * _one_minus_exp(2.0 * kt * ell)
     out = num / den
     return float(out) if out.ndim == 0 else out
+
+
+def _basis(kt, ell, x):
+    """G1(x), G2(x), broadcasting over all arguments.
+
+    G1(x) = (e^{-kt x} - e^{-kt (2L - x)}) / (1 - e^{-2 kt L}), evaluated as
+    e^{-kt x} (1 - e^{-2 kt (L - x)}) / (1 - e^{-2 kt L}); G2(x) = G1(L - x).
+    No exponent is positive, and the endpoint values are exactly 0 and 1.
+    """
+    den = _one_minus_exp(2.0 * kt * ell)
+    g1 = np.exp(-kt * x) * _one_minus_exp(2.0 * kt * (ell - x)) / den
+    g2 = np.exp(-kt * (ell - x)) * _one_minus_exp(2.0 * kt * x) / den
+    return g1, g2
+
+
+def _dirichlet_green(kt, ell, scale, s, t):
+    """Zero-boundary bridge covariance D(s, t), broadcasting over all arguments.
+
+    D = [e^{-kt(M-m)} - e^{-kt(M+m)} - e^{-kt(2L-M-m)} + e^{-kt(2L-M+m)}]
+    / (2 c (1 - e^{-2 kt L})) with m = min(s, t), M = max(s, t), evaluated in
+    the factored form e^{-kt(M-m)} (1 - e^{-2 kt m}) (1 - e^{-2 kt (L-M)}) /
+    (2 c (1 - e^{-2 kt L})): no cancellation at small kt, and exactly zero
+    when either point is an endpoint.
+    """
+    m = np.minimum(s, t)
+    M = np.maximum(s, t)
+    return (
+        np.exp(-kt * (M - m))
+        * _one_minus_exp(2.0 * kt * m)
+        * _one_minus_exp(2.0 * kt * (ell - M))
+        / (2.0 * scale * _one_minus_exp(2.0 * kt * ell))
+    )
 
 
 @dataclass(frozen=True)
@@ -104,11 +160,7 @@ class EdgeBasis:
     def matrix(self, x) -> np.ndarray:
         """Stack [G1(x), G2(x)] along the last axis; shape x.shape + (2,)."""
         x = np.asarray(x, dtype=float)
-        kt, ell = self.kt, self.length
-        den = 1.0 - np.exp(-2.0 * kt * ell)
-        g1 = (np.exp(-kt * x) - np.exp(-kt * (2.0 * ell - x))) / den
-        g2 = (np.exp(-kt * (ell - x)) - np.exp(-kt * (ell + x))) / den
-        return np.stack([g1, g2], axis=-1)
+        return np.stack(_basis(self.kt, self.length, x), axis=-1)
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix(x)
@@ -136,19 +188,6 @@ def _edge_boundary_block(kappa, a, tau, ell) -> np.ndarray:
     return np.array([[n00, n01], [n01, n11]])
 
 
-def _bridge_block(kappa, a, tau, ell, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Zero-boundary bridge covariance matrix over row points s, column points t."""
-    basis = EdgeBasis(kappa=kappa, a=a, length=ell)
-    block = neumann_edge_cov(kappa, a, tau, ell, s[:, None], t[None, :])
-    block -= basis.matrix(s) @ _edge_boundary_block(kappa, a, tau, ell) @ basis.matrix(t).T
-    # the bridge is exactly zero at the endpoints, not just to rounding
-    ends_s = (s == 0.0) | (s == ell)
-    ends_t = (t == 0.0) | (t == ell)
-    block[ends_s, :] = 0.0
-    block[:, ends_t] = 0.0
-    return block
-
-
 def bridge_cov(m: FieldModel, e: Edge, s, t):
     """Covariance of the zero-boundary edge bridge at arclengths s, t.
 
@@ -158,18 +197,11 @@ def bridge_cov(m: FieldModel, e: Edge, s, t):
     """
     _require_alpha_one(m)
     kappa, a = m.edge_params(e)
-    ell = e.length
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    basis = EdgeBasis(kappa=kappa, a=a, length=ell)
-    out = neumann_edge_cov(kappa, a, m.tau, ell, s, t) - np.einsum(
-        "...i,ij,...j->...",
-        basis.matrix(s),
-        _edge_boundary_block(kappa, a, m.tau, ell),
-        basis.matrix(t),
-    )
-    at_end = (s == 0.0) | (s == ell) | (t == 0.0) | (t == ell)
-    out = np.where(at_end, 0.0, out)
+    _check_arclengths(e.length, s, t)
+    root_a = np.sqrt(a)
+    out = _dirichlet_green(kappa / root_a, e.length, m.tau**2 * kappa * root_a, s, t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -237,32 +269,73 @@ def condition_on_constraints(
     return 0.5 * (out + out.T)
 
 
-@lru_cache(maxsize=None)
+class _EdgeConstants(NamedTuple):
+    """Per-edge arrays in edge order: end vertices, length, kt and c."""
+
+    u: np.ndarray
+    v: np.ndarray
+    length: np.ndarray
+    kt: np.ndarray
+    scale: np.ndarray
+
+
+def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
+    kappa, a = np.array([m.edge_params(e) for e in g.edges]).T
+    root_a = np.sqrt(a)
+    return _EdgeConstants(
+        u=np.array([e.u for e in g.edges]),
+        v=np.array([e.v for e in g.edges]),
+        length=np.array([e.length for e in g.edges]),
+        kt=kappa / root_a,
+        scale=m.tau**2 * kappa * root_a,
+    )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _vertex_cov(g: MetricGraph, m: FieldModel):
-    """Conditioned vertex covariance and the endpoint -> vertex index map."""
-    sigma = endpoint_prior_cov(g, m)
-    conditioned = condition_on_constraints(sigma, continuity_constraints(g))
-    reps = np.full(g.vertex_count, -1, dtype=int)
-    end_vertex = np.empty(2 * g.edge_count, dtype=int)
-    for j, e in enumerate(g.edges):
-        end_vertex[2 * j] = e.u
-        end_vertex[2 * j + 1] = e.v
-        for coord, v in ((2 * j, e.u), (2 * j + 1, e.v)):
-            if reps[v] < 0:
-                reps[v] = coord
-    sv = conditioned[np.ix_(reps, reps)]
+    """Vertex covariance S_V = Q^{-1} and the per-edge constants behind it.
+
+    Each edge's inverse Neumann endpoint block c [[coth x, -csch x],
+    [-csch x, coth x]] (x = kt L) splits as (c/2) [tanh(x/2) (1,1)(1,1)' +
+    coth(x/2) (1,-1)(1,-1)'], so Q = B'B for the 2|E| rows
+    sqrt(c tanh(x/2) / 2) (e_u + e_v) and sqrt(c coth(x/2) / 2) (e_u - e_v).
+    With B = QR, S_V = R^{-1} R^{-T}. Factoring B instead of forming Q keeps
+    the small tanh terms, which rounding loses against the coth terms in Q
+    itself when kt L is small. B is factored in coordinates that give the
+    constant vector its own column: its precision, made of the tanh terms
+    alone, then never mixes with the coth terms, and the constant mode that
+    dominates S_V at small kt L keeps full relative accuracy.
+    """
+    ec = _edge_constants(g, m)
+    ne = g.edge_count
+    th = np.tanh(0.5 * ec.kt * ec.length)
+    w_sum = np.sqrt(0.5 * ec.scale * th)
+    w_diff = np.sqrt(0.5 * ec.scale / th)
+    rows = np.arange(ne)
+    b = np.zeros((2 * ne, g.vertex_count))
+    np.add.at(b, (rows, ec.u), w_sum)
+    np.add.at(b, (rows, ec.v), w_sum)
+    np.add.at(b, (ne + rows, ec.u), w_diff)
+    np.add.at(b, (ne + rows, ec.v), -w_diff)
+    # coordinates z with v = z_0 (1, ..., 1) + (0, z_1, ...): column 0 of B
+    # becomes B 1, which the difference rows annihilate exactly
+    b[:, 0] = 0.0
+    b[rows, 0] = 2.0 * w_sum
+    r = np.linalg.qr(b, mode="r")
+    w = scipy.linalg.solve_triangular(r, np.eye(g.vertex_count))
+    w[1:] += w[0]
+    sv = w @ w.T
     sv = 0.5 * (sv + sv.T)
-    sv.flags.writeable = False
-    end_vertex.flags.writeable = False
-    return sv, end_vertex
+    for arr in (sv, *ec):
+        arr.flags.writeable = False
+    return sv, ec
 
 
 def vertex_field_cov(g: MetricGraph, m: FieldModel) -> CovMatrix:
     """Exact covariance of the field's (deduplicated) vertex values.
 
-    One representative endpoint per vertex is kept after conditioning the
-    block-diagonal endpoint covariance on the continuity constraints; all
-    endpoints at a vertex carry the same conditioned value.
+    The inverse of the sparse vertex precision Q, one row and column per
+    vertex; every edge endpoint at a vertex carries that vertex's value.
     """
     sv, _ = _vertex_cov(g, m)
     points = tuple(g.vertex_point(v) for v in range(g.vertex_count))
@@ -271,15 +344,32 @@ def vertex_field_cov(g: MetricGraph, m: FieldModel) -> CovMatrix:
     )
 
 
-def _conditioned_endpoint_cov(
-    g: MetricGraph, m: FieldModel, constraints: np.ndarray | None
-) -> np.ndarray:
-    if constraints is None:
-        sv, end_vertex = _vertex_cov(g, m)
-        # every endpoint equals its vertex value exactly after conditioning
-        return sv[np.ix_(end_vertex, end_vertex)]
-    sigma = endpoint_prior_cov(g, m)
-    return condition_on_constraints(sigma, constraints)
+def _same_edge_pairs(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (r, c) of points on one edge, given edge indices j.
+
+    Points are grouped by a stable sort, and sorted position p pairs with
+    each member of its group: sum over edges of count^2 pairs, not n^2.
+    """
+    order = np.argsort(j, kind="stable")
+    _, first, count = np.unique(j[order], return_index=True, return_counts=True)
+    size = np.repeat(count, count)
+    rows = np.repeat(order, size)
+    within = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+    cols = order[np.repeat(np.repeat(first, count), size) + within]
+    return rows, cols
+
+
+def _symmetrize(C: np.ndarray) -> np.ndarray:
+    """(C + C') / 2 in place, 32 rows at a time: no second n x n array.
+
+    Row block i..j reads its columns of C below the diagonal before any
+    block writes there, then mirrors its finished rows into them.
+    """
+    for i in range(0, C.shape[0], 32):
+        j = i + 32
+        C[i:j, i:] = 0.5 * (C[i:j, i:] + C[i:, i:j].T)
+        C[j:, i:j] = C[i:j, j:].T
+    return C
 
 
 def full_cov(
@@ -290,47 +380,41 @@ def full_cov(
 ) -> CovMatrix:
     """Exact covariance matrix of the alpha = 1 field at arbitrary points.
 
-    Same-edge pairs combine the zero-boundary bridge with the boundary
-    term G(s)' Cov(endpoints) G(t); cross-edge pairs only carry the
-    boundary term, with endpoint covariances taken from the continuity
-    conditioning. ``constraints`` overrides the default constraint matrix
-    (any matrix with the same kernel yields the same covariance).
+    C = Phi S Phi' + bridges: row i of the sparse Phi holds G1(t_i), G2(t_i)
+    of point i's edge in the columns of that edge's two ends, and the bridge
+    term adds the Dirichlet Green's function to every same-edge pair. By
+    default S is the vertex covariance and the columns are vertices.
+    ``constraints`` selects the dense reference instead: S is the endpoint
+    covariance conditioned on K x = 0 (any matrix with the same kernel as
+    the continuity constraints yields the same covariance) and the columns
+    are the 2|E| edge endpoints.
     """
     _require_alpha_one(m)
     pts = [g.point(p.edge, p.t) for p in pts]
-    cond = _conditioned_endpoint_cov(g, m, constraints)
+    j = np.array([g.edge_index(p.edge) for p in pts], dtype=np.intp)
+    t = np.array([p.t for p in pts], dtype=float)
+    if constraints is None:
+        ends, ec = _vertex_cov(g, m)
+        col_u, col_v = ec.u, ec.v
+    else:
+        ec = _edge_constants(g, m)
+        ends = condition_on_constraints(endpoint_prior_cov(g, m), constraints)
+        col_u = 2 * np.arange(g.edge_count)
+        col_v = col_u + 1
     n = len(pts)
-    C = np.zeros((n, n))
-
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(pts):
-        groups.setdefault(g.edge_index(p.edge), []).append(i)
-
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for j, idx in groups.items():
-        e = g.edges[j]
-        kappa, a = m.edge_params(e)
-        t = np.array([pts[i].t for i in idx])
-        cache[j] = (t, EdgeBasis(kappa, a, e.length).matrix(t))
-
-    edge_ids = sorted(groups)
-    for ja in edge_ids:
-        ia = groups[ja]
-        ta, ga = cache[ja]
-        ea = g.edges[ja]
-        for jb in edge_ids:
-            if jb < ja:
-                continue
-            ib = groups[jb]
-            tb, gb = cache[jb]
-            block = ga @ cond[2 * ja : 2 * ja + 2, 2 * jb : 2 * jb + 2] @ gb.T
-            if ja == jb:
-                kappa, a = m.edge_params(ea)
-                block = block + _bridge_block(kappa, a, m.tau, ea.length, ta, tb)
-            C[np.ix_(ia, ib)] = block
-            if jb > ja:
-                C[np.ix_(ib, ia)] = block.T
-    C = 0.5 * (C + C.T)
+    phi = csr_matrix(
+        (
+            np.concatenate(_basis(ec.kt[j], ec.length[j], t)),
+            (np.tile(np.arange(n), 2), np.concatenate([col_u[j], col_v[j]])),
+        ),
+        shape=(n, ends.shape[0]),
+    )
+    C = _symmetrize(phi @ (phi @ ends).T)
+    rows, cols = _same_edge_pairs(j)
+    e = j[rows]
+    C[rows, cols] += _dirichlet_green(
+        ec.kt[e], ec.length[e], ec.scale[e], t[rows], t[cols]
+    )
     return CovMatrix(C, tuple(pts), "exact")
 
 
@@ -343,8 +427,8 @@ def sample(
 ) -> np.ndarray:
     """n zero-mean draws of the exact field at the points, (n, len(pts)).
 
-    Deterministic in ``seed``; replicate r is generated from substream
-    (seed, r), so prefixes of a larger run coincide with a smaller run.
+    Deterministic in ``seed``; the replicates are rows drawn in turn from
+    one generator, so a smaller run is a prefix of a larger one.
     """
     if n < 0:
         raise ValidationError(f"replicate count must be >= 0, got {n}")

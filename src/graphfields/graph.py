@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -47,6 +47,10 @@ __all__ = [
     "subdivide_edge",
     "vertex_distance_matrix",
 ]
+
+#: entries kept by each cache keyed on graphs or models; a long-lived
+#: process visiting many parameter values must not grow without bound
+CACHE_SIZE = 8
 
 
 class Edge(NamedTuple):
@@ -89,6 +93,10 @@ class MetricGraph:
 
     vertex_count: int
     edges: tuple[Edge, ...]
+    # derived once, outside equality: edge id -> index, and the hash that
+    # every cache keyed on the graph would otherwise recompute over all edges
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
@@ -110,6 +118,15 @@ class MetricGraph:
                     f"edge {e.id!r} has non-positive length {e.length}"
                 )
         self._check_connected()
+        object.__setattr__(self, "_index", {e.id: j for j, e in enumerate(self.edges)})
+        object.__setattr__(self, "_hash", hash((self.vertex_count, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy _hash
+        return (MetricGraph, (self.vertex_count, self.edges))
 
     def _check_connected(self) -> None:
         reached = {0}
@@ -145,7 +162,7 @@ class MetricGraph:
 
     def edge_index(self, edge_id: str) -> int:
         try:
-            return _edge_index_map(self)[edge_id]
+            return self._index[edge_id]
         except KeyError:
             raise PointError(f"unknown edge id {edge_id!r}") from None
 
@@ -213,11 +230,6 @@ class MetricGraph:
         return build_graph(doc)
 
 
-@lru_cache(maxsize=None)
-def _edge_index_map(g: MetricGraph) -> Mapping[str, int]:
-    return {e.id: j for j, e in enumerate(g.edges)}
-
-
 def build_graph(spec: Mapping) -> MetricGraph:
     """Build a validated graph from a JSON-shaped description.
 
@@ -245,7 +257,7 @@ def build_graph(spec: Mapping) -> MetricGraph:
 # -- vertex distances (used by classification and the metrics module) ------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def vertex_distance_matrix(g: MetricGraph) -> np.ndarray:
     """All-pairs geodesic distances between vertices (read-only array).
 

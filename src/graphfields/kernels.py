@@ -46,7 +46,7 @@ def circle_cov(h, kappa: float, tau: float, ell: float):
     if np.any(h < 0) or np.any(h > ell):
         raise PointError(f"distance outside [0, {ell}]")
     num = np.exp(-kappa * h) + np.exp(-kappa * (ell - h))
-    den = 2.0 * kappa * tau**2 * (1.0 - np.exp(-kappa * ell))
+    den = 2.0 * kappa * tau**2 * -np.expm1(-kappa * ell)
     out = num / den
     return float(out) if out.ndim == 0 else out
 

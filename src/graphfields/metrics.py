@@ -14,7 +14,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedGraphError
-from .graph import MetricGraph, PointOnGraph, classify, vertex_distance_matrix
+from .graph import (
+    CACHE_SIZE,
+    MetricGraph,
+    PointOnGraph,
+    classify,
+    vertex_distance_matrix,
+)
 
 __all__ = [
     "geodesic_distance",
@@ -61,7 +67,7 @@ class ResistanceStructure:
     linv: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     """Build the grounded vertex Laplacian and its inverse.
 

@@ -9,18 +9,12 @@ __all__ = ["replicate_normals", "safe_cholesky"]
 
 
 def replicate_normals(seed: int, n: int, k: int) -> np.ndarray:
-    """(n, k) standard normals; replicate r comes from substream (seed, r).
+    """(n, k) standard normals drawn row by row from one generator of ``seed``.
 
-    Each replicate owns an independent child stream of the seed, so draws
-    are reproducible per replicate and independent of how replicates are
-    scheduled across threads.
+    Row r holds replicate r, so the first m rows of a larger run at the same
+    seed and width coincide with a run of m replicates.
     """
-    out = np.empty((n, k))
-    if n == 0:
-        return out
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
-        out[r] = np.random.Generator(np.random.PCG64(child)).standard_normal(k)
-    return out
+    return np.random.default_rng(seed).standard_normal((n, k))
 
 
 def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):

@@ -197,7 +197,8 @@ def kl_sample(
     """n truncated Karhunen-Loeve draws at all mesh nodes, (n, n_dof).
 
     u = tau^{-1} sum_k lambda_k^{-alpha/2} xi_k e_k with xi i.i.d. standard
-    normal; replicate r uses substream (seed, r) as in the exact sampler.
+    normal, drawn as in the exact sampler: deterministic in ``seed``, and a
+    shorter run is a prefix of a longer one.
     """
     k = _check_alpha_truncation(op, alpha, None)
     if n < 0:

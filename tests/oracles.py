@@ -73,3 +73,16 @@ def dense_loglik(cov, y):
     quad = float(y @ np.linalg.inv(cov) @ y)
     _, logdet = np.linalg.slogdet(cov)
     return -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))
+
+
+def circle_cov_mp(d, kappa, tau, ell, dps=40):
+    """Circle Markov covariance cosh(kappa (d - ell/2)) / (2 kappa tau^2
+    sinh(kappa ell / 2)) at ``dps`` significant digits, as a float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        k, d, ell = mpmath.mpf(kappa), mpmath.mpf(d), mpmath.mpf(ell)
+        val = mpmath.cosh(k * (d - ell / 2)) / (
+            2 * k * mpmath.mpf(tau) ** 2 * mpmath.sinh(k * ell / 2)
+        )
+        return float(val)

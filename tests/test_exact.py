@@ -28,7 +28,12 @@ from graphfields.exact import (
 from graphfields.kernels import circle_cov
 from graphfields.metrics import geodesic_distance
 
-from oracles import neumann_green_oracle, schur_conditional, second_derivative
+from oracles import (
+    circle_cov_mp,
+    neumann_green_oracle,
+    schur_conditional,
+    second_derivative,
+)
 
 
 # --- Neumann edge covariance -------------------------------------------------
@@ -352,6 +357,68 @@ def test_full_cov_per_edge_parameters(fig8):
     assert cov.is_psd()
 
 
+@pytest.mark.parametrize("kappa", [1e-6, 1e-3, 1.0, 1e3, 1e5])
+def test_full_cov_circle_extreme_kappa_vs_mpmath(circle24, kappa):
+    tau, ell = 1.3, 2.0
+    pts = gf.mesh(circle24, 0.1)
+    cov = full_cov(circle24, FieldModel(kappa=kappa, tau=tau), pts).matrix
+    # edge e<j> runs from arclength 0.5 j around the circle
+    pos = [0.5 * int(p.edge[1:]) + p.t for p in pts]
+    ref = np.array(
+        [
+            [circle_cov_mp(min(abs(x - y), ell - abs(x - y)), kappa, tau, ell) for y in pos]
+            for x in pos
+        ]
+    )
+    assert np.max(np.abs(cov - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _bouquet():
+    return gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99)
+
+
+def _fig8_per_edge():
+    g = gf.figure_eight(1.0, 2.0)
+    kappa = {e.id: 0.5 + 0.3 * j for j, e in enumerate(g.edges)}
+    a = {e.id: 0.4 + 0.25 * j for j, e in enumerate(g.edges)}
+    return g, FieldModel(kappa=kappa, a=a, tau=0.8)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: (_bouquet(), FieldModel(kappa=2.0)),
+        lambda: (gf.MetricGraph(1, (gf.Edge("loop", 0, 0, 2.0),)), FieldModel(kappa=0.5)),
+        lambda: (
+            gf.MetricGraph(2, (gf.Edge("short", 0, 1, 1.0), gf.Edge("long", 0, 1, 3.0))),
+            FieldModel(kappa=3.0, tau=1.4),
+        ),
+        lambda: (gf.tadpole(2.0, 1.0), FieldModel(kappa=1.0, a=2.0, tau=0.7)),
+        _fig8_per_edge,
+    ],
+    ids=["bouquet", "loop", "double-edge", "tadpole", "fig8-per-edge"],
+)
+def test_full_cov_vertex_precision_matches_dense_reference(maker):
+    g, m = maker()
+    # the mesh, plus every vertex addressed through each incident edge end
+    pts = gf.mesh(g, 0.1) + [g.point(e.id, t) for e in g.edges for t in (0.0, e.length)]
+    fast = full_cov(g, m, pts).matrix
+    ref = full_cov(g, m, pts, constraints=continuity_constraints(g)).matrix
+    assert np.max(np.abs(fast - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_vertex_cov_cache_is_bounded(unit_star):
+    from graphfields.exact import _vertex_cov
+    from graphfields.graph import CACHE_SIZE, vertex_distance_matrix
+    from graphfields.metrics import resistance_structure
+
+    for k in range(300):
+        vertex_field_cov(unit_star, FieldModel(kappa=1.0 + 0.01 * k))
+    assert _vertex_cov.cache_info().currsize <= CACHE_SIZE
+    for cached in (resistance_structure, vertex_distance_matrix):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+
+
 # --- bridge and edge representation ------------------------------------------
 
 
@@ -415,7 +482,7 @@ def test_sample_seed_determinism_and_prefix(unit_star):
     a = sample(unit_star, m, pts, 10, 123)
     b = sample(unit_star, m, pts, 10, 123)
     np.testing.assert_array_equal(a, b)
-    # replicate substreams: a shorter run is a prefix of a longer one
+    # replicates are drawn row by row: a shorter run is a prefix of a longer one
     np.testing.assert_array_equal(sample(unit_star, m, pts, 4, 123), a[:4])
     c = sample(unit_star, m, pts, 10, 124)
     assert not np.array_equal(a, c)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -216,6 +217,22 @@ def test_mesh_spacing_never_exceeds_h(fig8):
         ts = sorted(by_edge.get(e.id, []))
         gaps = np.diff([0.0, *ts, e.length])
         assert np.all(gaps[gaps > 0] <= 0.3 + 1e-12)
+
+
+def test_equal_graphs_compare_and_hash_equal(fig8):
+    rebuilt = gf.figure_eight(1.0, 2.0)
+    assert rebuilt is not fig8
+    assert rebuilt == fig8 and hash(rebuilt) == hash(fig8)
+    assert {fig8: 1}[rebuilt] == 1
+    copied = pickle.loads(pickle.dumps(fig8))
+    assert copied == fig8 and hash(copied) == hash(fig8)
+    assert copied.edge_index("p1.e2") == fig8.edge_index("p1.e2") == 6
+    other = gf.figure_eight(1.0, 2.5)
+    assert other != fig8
+    with pytest.raises(PointError):
+        fig8.edge_index("e0")
+    with pytest.raises(PointError):
+        fig8.edge("nope")
 
 
 def test_point_validation(circle24):
