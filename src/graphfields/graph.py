@@ -93,9 +93,13 @@ class MetricGraph:
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    # derived once, outside equality: edge id -> index, and the hash that
-    # every cache keyed on the graph would otherwise recompute over all edges
+    # derived once, outside equality: edge id -> index, per-vertex incident
+    # edge ends, and the hash that every cache keyed on the graph would
+    # otherwise recompute over all edges
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _incident: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -119,6 +123,11 @@ class MetricGraph:
                 )
         self._check_connected()
         object.__setattr__(self, "_index", {e.id: j for j, e in enumerate(self.edges)})
+        ends: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for j, e in enumerate(self.edges):
+            ends[e.u].append((j, 0))
+            ends[e.v].append((j, 1))
+        object.__setattr__(self, "_incident", tuple(map(tuple, ends)))
         object.__setattr__(self, "_hash", hash((self.vertex_count, self.edges)))
 
     def __hash__(self) -> int:
@@ -171,17 +180,12 @@ class MetricGraph:
 
     def degree(self, v: int) -> int:
         """Vertex degree; a loop contributes 2."""
-        return sum((e.u == v) + (e.v == v) for e in self.edges)
+        return len(self.incident(v))
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Incident (edge index, end) pairs; end is 0 for t=0, 1 for t=length."""
-        out = []
-        for j, e in enumerate(self.edges):
-            if e.u == v:
-                out.append((j, 0))
-            if e.v == v:
-                out.append((j, 1))
-        return tuple(out)
+        """Incident (edge index, end) pairs in edge order; end is 0 for t=0,
+        1 for t=length. Empty for an index outside the graph."""
+        return self._incident[v] if 0 <= v < self.vertex_count else ()
 
     # -- points -----------------------------------------------------------
 
@@ -208,7 +212,7 @@ class MetricGraph:
         """Canonical point address of vertex ``v`` (first incident edge end)."""
         if not (0 <= v < self.vertex_count):
             raise PointError(f"vertex {v} outside [0, {self.vertex_count})")
-        j, end = self.incident(v)[0]
+        j, end = self._incident[v][0]
         e = self.edges[j]
         return PointOnGraph(e.id, e.length if end else 0.0)
 

@@ -11,31 +11,52 @@ reaction matrix against the mass matrix then give the covariance of the
 field for any exponent alpha > 1/2 through the eigenvalue powers
 lambda^{-alpha}, including fractional (non-Markov) exponents, and
 Karhunen-Loeve sampling through lambda^{-alpha/2}.
+
+The eigensolve does not depend on kappa where kappa is constant. The
+pencil is split as A + R + kappa_min^2 M, with A the a/h element
+stiffness, M the mass matrix and R = sum_e (kappa_e^2 - kappa_min^2) M_e
+the residual reaction. The eigenpairs (mu, V) of (A + R, M) give those of
+the operator as lambda = mu + kappa_min^2 with the same V. For a constant
+kappa, R = 0, so every kappa, alpha and tau on one mesh shares one basis;
+a per-edge kappa has R != 0 and a basis of its own. With R = 0 the null
+pair of (A, M) is known exactly (A 1 = 0, and 1'M1 is the total length),
+so it is pinned to mu_0 = 0 and v_0 = +-1/sqrt(1'M1), which makes
+lambda_0 = kappa^2 exact. Bases are kept read-only in an LRU cache of
+``graph.CACHE_SIZE`` entries keyed on (graph, h, n_modes, per-edge
+(a_e, kappa_e^2 - kappa_min^2)); a full-spectrum entry holds
+n_dof^2 * 8 bytes of eigenvectors (11.5 MB at 1,199 dof). Mass and
+stiffness stay dense and are assembled per call in one sparse COO build
+over all elements.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import PointError, UnsupportedAlphaError, ValidationError
-from .graph import MetricGraph, PointOnGraph
+from .graph import CACHE_SIZE, MetricGraph, PointOnGraph
 from .models import CovMatrix, FieldModel
 from .sampling import replicate_normals
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
     """Mesh, assembled matrices and generalized eigenpairs of the operator.
 
     Degrees of freedom 0 .. vertex_count-1 are the graph vertices; interior
     edge nodes follow in edge order. ``eigenvectors[:, k]`` is the k-th
     mass-orthonormal eigenvector with eigenvalue ``eigenvalues[k]``
-    (ascending). Immutable once built; safe for concurrent reads.
+    (ascending). Immutable: the fields cannot be rebound and the arrays
+    are read-only, since operators on one mesh share one cached basis.
+    Safe for concurrent reads.
     """
 
     graph: MetricGraph
@@ -76,55 +97,122 @@ class DiscreteOperator:
         return idx[k]
 
 
+class _Mesh(NamedTuple):
+    """Mesh of spacing <= h: per-edge node tuples and, over all elements,
+    end nodes (i0, i1), lengths and the element count of each edge."""
+
+    edge_nodes: tuple[tuple[int, ...], ...]
+    n_dof: int
+    i0: np.ndarray
+    i1: np.ndarray
+    he: np.ndarray
+    nel: np.ndarray
+
+
+def _mesh(g: MetricGraph, h: float) -> _Mesh:
+    if not h > 0:
+        raise ValidationError(f"mesh spacing must be positive, got {h}")
+    edge_nodes: list[tuple[int, ...]] = []
+    n_dof = g.vertex_count
+    for e in g.edges:
+        nel = max(1, math.ceil(e.length / h - 1e-12))
+        edge_nodes.append((e.u, *range(n_dof, n_dof + nel - 1), e.v))
+        n_dof += nel - 1
+    nel = np.array([len(nodes) - 1 for nodes in edge_nodes])
+    return _Mesh(
+        edge_nodes=tuple(edge_nodes),
+        n_dof=n_dof,
+        i0=np.concatenate([nodes[:-1] for nodes in edge_nodes]),
+        i1=np.concatenate([nodes[1:] for nodes in edge_nodes]),
+        he=np.repeat([e.length for e in g.edges] / nel, nel),
+        nel=nel,
+    )
+
+
+def _p1_matrix(mesh: _Mesh, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense sum of the element matrices [[diag, off], [off, diag]] in one
+    COO build over all elements (entries at shared nodes add up)."""
+    rows = np.concatenate((mesh.i0, mesh.i1, mesh.i0, mesh.i1))
+    cols = np.concatenate((mesh.i0, mesh.i1, mesh.i1, mesh.i0))
+    vals = np.concatenate((diag, diag, off, off))
+    shape = (mesh.n_dof, mesh.n_dof)
+    return scipy.sparse.coo_array((vals, (rows, cols)), shape=shape).toarray()
+
+
+def _mass(mesh: _Mesh) -> np.ndarray:
+    return _p1_matrix(mesh, mesh.he / 3.0, mesh.he / 6.0)
+
+
+def _stiffness(mesh: _Mesh, coeffs, shift: float) -> np.ndarray:
+    """A + R + shift * M, summed per element: the a/h stiffness plus the
+    reaction (kappa_e^2 - kappa_min^2 + shift) times the element mass."""
+    a, r = (np.repeat(col, mesh.nel) for col in np.array(coeffs).T)
+    react = (r + shift) * mesh.he
+    return _p1_matrix(mesh, a / mesh.he + react / 3.0, -a / mesh.he + react / 6.0)
+
+
+def _coefficients(g: MetricGraph, m: FieldModel):
+    """Per edge (a_e, kappa_e^2 - kappa_min^2), and kappa_min^2."""
+    kappa2 = [m.kappa_on(e.id) ** 2 for e in g.edges]
+    kappa2_min = min(kappa2)
+    coeffs = tuple((m.a_on(e.id), k2 - kappa2_min) for e, k2 in zip(g.edges, kappa2))
+    return coeffs, kappa2_min
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _eigenbasis(
+    g: MetricGraph, h: float, n_modes: int, coeffs: tuple[tuple[float, float], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only lowest ``n_modes`` eigenpairs (mu, V) of the kappa-free
+    pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`."""
+    mesh = _mesh(g, h)
+    mass = _mass(mesh)
+    subset = None if n_modes == mesh.n_dof else [0, n_modes - 1]
+    mu, vecs = scipy.linalg.eigh(
+        _stiffness(mesh, coeffs, 0.0), mass, subset_by_index=subset
+    )
+    if not any(r for _, r in coeffs):
+        # A 1 = 0 exactly and 1'M1 is the total length: pin the null pair,
+        # so that lambda_0 = kappa^2 holds exactly after the shift, and take
+        # the pinned constant out of the other modes (they are M-orthogonal
+        # to it in exact arithmetic, and only to rounding as computed)
+        mass_ones = mass.sum(axis=0)
+        c = math.copysign(1.0 / math.sqrt(mass_ones.sum()), vecs[:, 0].sum())
+        mu[0] = 0.0
+        vecs[:, 0] = c
+        vecs[:, 1:] -= c * ((c * mass_ones) @ vecs[:, 1:])
+    mu.flags.writeable = False
+    vecs.flags.writeable = False
+    return mu, vecs
+
+
 def assemble(
     g: MetricGraph, m: FieldModel, h: float, n_modes: int | None = None
 ) -> DiscreteOperator:
-    """Assemble mass/stiffness matrices on a mesh of spacing <= h and solve
-    the generalized eigenproblem.
+    """Assemble mass/stiffness matrices on a mesh of spacing <= h, with the
+    generalized eigenpairs taken from the mesh's cached kappa-free basis.
 
-    Per-edge constants kappa, a are taken from the model (sampled at element
-    midpoints, which is exact for constants). ``n_modes`` limits the number
+    Per-edge constants kappa, a are taken from the model (constant on each
+    edge, so the element integrals are exact). ``n_modes`` limits the number
     of computed eigenpairs; default is the full spectrum.
     """
-    if not h > 0:
-        raise ValidationError(f"mesh spacing must be positive, got {h}")
-    nv = g.vertex_count
-    edge_nodes: list[tuple[int, ...]] = []
-    n_dof = nv
-    for e in g.edges:
-        nel = max(1, math.ceil(e.length / h - 1e-12))
-        nodes = (e.u, *range(n_dof, n_dof + nel - 1), e.v)
-        n_dof += nel - 1
-        edge_nodes.append(nodes)
-
-    mass = np.zeros((n_dof, n_dof))
-    stiff = np.zeros((n_dof, n_dof))
-    for e, nodes in zip(g.edges, edge_nodes):
-        kappa, a = m.edge_params(e)
-        he = e.length / (len(nodes) - 1)
-        i0 = np.asarray(nodes[:-1])
-        i1 = np.asarray(nodes[1:])
-        m_diag, m_off = he / 3.0, he / 6.0
-        s_el = a / he
-        r_diag, r_off = kappa**2 * m_diag, kappa**2 * m_off
-        np.add.at(mass, (i0, i0), m_diag)
-        np.add.at(mass, (i1, i1), m_diag)
-        np.add.at(mass, (i0, i1), m_off)
-        np.add.at(mass, (i1, i0), m_off)
-        np.add.at(stiff, (i0, i0), s_el + r_diag)
-        np.add.at(stiff, (i1, i1), s_el + r_diag)
-        np.add.at(stiff, (i0, i1), -s_el + r_off)
-        np.add.at(stiff, (i1, i0), -s_el + r_off)
-
+    mesh = _mesh(g, h)
     if n_modes is None:
-        n_modes = n_dof
-    if not (1 <= n_modes <= n_dof):
-        raise ValidationError(f"n_modes must be in [1, {n_dof}], got {n_modes}")
-    subset = None if n_modes == n_dof else [0, n_modes - 1]
-    vals, vecs = scipy.linalg.eigh(stiff, mass, subset_by_index=subset)
+        n_modes = mesh.n_dof
+    if not (1 <= n_modes <= mesh.n_dof):
+        raise ValidationError(
+            f"n_modes must be in [1, {mesh.n_dof}], got {n_modes}"
+        )
+    coeffs, kappa2_min = _coefficients(g, m)
+    mu, vecs = _eigenbasis(g, h, n_modes, coeffs)
+    vals = mu + kappa2_min
+    mass = _mass(mesh)
+    stiff = _stiffness(mesh, coeffs, kappa2_min)
+    for arr in (vals, mass, stiff):
+        arr.flags.writeable = False
 
-    points: list[PointOnGraph | None] = [None] * n_dof
-    for e, nodes in zip(g.edges, edge_nodes):
+    points: list[PointOnGraph | None] = [None] * mesh.n_dof
+    for e, nodes in zip(g.edges, mesh.edge_nodes):
         for k, dof in enumerate(nodes):
             if points[dof] is None:
                 points[dof] = PointOnGraph(e.id, e.length * k / (len(nodes) - 1))
@@ -138,7 +226,7 @@ def assemble(
         eigenvalues=vals,
         eigenvectors=vecs,
         node_points=tuple(points),
-        edge_nodes=tuple(edge_nodes),
+        edge_nodes=mesh.edge_nodes,
     )
 
 

@@ -122,6 +122,24 @@ def test_spectral_cov_outputs(star_json, tmp_path):
     assert lam[0] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_spectral_cov_reruns_byte_identical(star_json, tmp_path):
+    from graphfields.spectral import _eigenbasis
+
+    outs = []
+    for run in range(2):
+        out, eig = tmp_path / f"spec{run}.csv", tmp_path / f"eig{run}.csv"
+        hits = _eigenbasis.cache_info().hits
+        assert main([
+            "spectral-cov", "--graph", star_json, "--alpha", "0.75",
+            "--kappa", "1.3", "--mesh-h", "0.05", "-o", str(out),
+            "--eigenvalues-out", str(eig),
+        ]) == 0
+        outs.append((out.read_bytes(), eig.read_bytes()))
+    # the second run takes its basis from the cache
+    assert _eigenbasis.cache_info().hits == hits + 1
+    assert outs[0] == outs[1]
+
+
 def test_spectral_cov_alpha_too_small_exits_2(star_json, tmp_path):
     assert main(["spectral-cov", "--graph", star_json, "--alpha", "0.4",
                  "--mesh-h", "0.2"]) == 2

@@ -235,6 +235,49 @@ def test_equal_graphs_compare_and_hash_equal(fig8):
         fig8.edge("nope")
 
 
+def _scan_incident(g, v):
+    """Reference incidence: one pass over every edge."""
+    out = []
+    for j, e in enumerate(g.edges):
+        if e.u == v:
+            out.append((j, 0))
+        if e.v == v:
+            out.append((j, 1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: MetricGraph(1, (Edge("loop", 0, 0, 2.0),)),
+        lambda: MetricGraph(2, (Edge("short", 0, 1, 1.0), Edge("long", 0, 1, 3.0))),
+        lambda: gf.tadpole(2.0, 1.0),
+        lambda: gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99),
+    ],
+    ids=["loop", "double-edge", "tadpole", "bouquet"],
+)
+def test_incidence_table_matches_edge_scan(maker):
+    g = maker()
+    for v in (-1, *range(g.vertex_count), g.vertex_count):
+        assert g.incident(v) == _scan_incident(g, v)
+        assert g.degree(v) == sum((e.u == v) + (e.v == v) for e in g.edges)
+    for v in range(g.vertex_count):
+        j, end = g.incident(v)[0]
+        e = g.edges[j]
+        assert g.vertex_point(v) == (e.id, e.length if end else 0.0)
+    copied = pickle.loads(pickle.dumps(g))
+    assert [copied.incident(v) for v in range(g.vertex_count)] == [
+        g.incident(v) for v in range(g.vertex_count)
+    ]
+
+
+def test_loop_counts_twice_in_degree():
+    tadpole_loop = MetricGraph(2, (Edge("loop", 0, 0, 2.0), Edge("tail", 0, 1, 1.0)))
+    assert tadpole_loop.degree(0) == 3
+    assert tadpole_loop.incident(0) == ((0, 0), (0, 1), (1, 0))
+    assert tadpole_loop.degree(1) == 1
+
+
 def test_point_validation(circle24):
     with pytest.raises(PointError):
         circle24.point("e0", 0.6)

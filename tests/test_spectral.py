@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import graphfields as gf
 from graphfields import FieldModel, UnsupportedAlphaError, ValidationError
 from graphfields.exact import full_cov, markov_check
+from graphfields.graph import CACHE_SIZE
 from graphfields.kernels import circle_cov
-from graphfields.spectral import assemble, kl_sample, spectral_cov
+from graphfields.spectral import _eigenbasis, assemble, kl_sample, spectral_cov
 
 
 def test_interval_neumann_spectrum_convergence():
@@ -187,3 +191,86 @@ def test_assemble_rejects_bad_mesh(unit_star):
         assemble(unit_star, FieldModel(), -0.1)
     with pytest.raises(ValidationError):
         assemble(unit_star, FieldModel(), 0.5, n_modes=0)
+
+
+def _direct_cov(op, alpha):
+    """Reference: a full generalized eigensolve of the operator's own pencil."""
+    lam, vecs = scipy.linalg.eigh(op.stiffness, op.mass)
+    return (vecs * lam ** (-alpha)) @ vecs.T
+
+
+def _relerr(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("name", ["unit_star", "fig8"])
+def test_shifted_basis_matches_direct_eigensolve(name, kappa, request):
+    g = request.getfixturevalue(name)
+    op = assemble(g, FieldModel(kappa=kappa), 0.02)
+    assert op.eigenvalues[0] == pytest.approx(kappa**2, rel=1e-12, abs=0.0)
+    if kappa >= 1.0:
+        # below kappa = 1 the direct solve itself loses lambda_0 to rounding
+        for alpha in (0.75, 1.0):
+            cov = spectral_cov(op, alpha, 1.0).matrix
+            assert _relerr(cov, _direct_cov(op, alpha)) <= 1e-9
+
+
+def test_shifted_basis_per_edge_kappa_and_a(fig8):
+    kappa = {e.id: 0.5 + 0.3 * j for j, e in enumerate(fig8.edges)}
+    a = {e.id: 0.4 + 0.25 * j for j, e in enumerate(fig8.edges)}
+    op = assemble(fig8, FieldModel(kappa=kappa, a=a), 0.02)
+    assert op.eigenvalues[0] > 0.25
+    for alpha in (0.75, 1.0):
+        cov = spectral_cov(op, alpha, 1.0).matrix
+        assert _relerr(cov, _direct_cov(op, alpha)) <= 1e-9
+
+
+def test_partial_spectrum_is_prefix_of_full():
+    g = gf.star([1.0, 1.3, 1.7])  # simple spectrum: eigenvectors unique up to sign
+    m = FieldModel(kappa=0.8, a=1.5)
+    full = assemble(g, m, 0.02)
+    part = assemble(g, m, 0.02, n_modes=5)
+    assert part.n_modes == 5
+    np.testing.assert_allclose(part.eigenvalues, full.eigenvalues[:5], rtol=1e-10)
+    signs = np.sign(np.sum(part.eigenvectors * full.eigenvectors[:, :5], axis=0))
+    np.testing.assert_allclose(
+        part.eigenvectors * signs, full.eigenvectors[:, :5], atol=1e-8
+    )
+
+
+def test_constant_kappa_shares_one_basis(fig8):
+    one = assemble(fig8, FieldModel(kappa=1.0, alpha=0.75), 0.02)
+    two = assemble(fig8, FieldModel(kappa=2.0, tau=3.0), 0.02)
+    assert two.eigenvectors is one.eigenvectors
+    # mu + 1 and mu + 4 are each rounded once
+    rounding = 2 * np.spacing(two.eigenvalues[-1])
+    np.testing.assert_allclose(
+        two.eigenvalues - one.eigenvalues, 3.0, rtol=0, atol=rounding
+    )
+    scale = np.abs(two.stiffness).max()
+    np.testing.assert_allclose(
+        two.stiffness - one.stiffness, 3.0 * one.mass, rtol=0, atol=1e-12 * scale
+    )
+
+
+def test_eigenbasis_cache_is_bounded():
+    g = gf.interval(1.0)
+    for k in range(20):
+        assemble(g, FieldModel(), 0.05 + 0.005 * k)
+    info = _eigenbasis.cache_info()
+    assert info.maxsize == CACHE_SIZE
+    assert info.currsize <= CACHE_SIZE
+
+
+def test_operator_is_immutable(unit_star):
+    op = assemble(unit_star, FieldModel(), 0.1)
+    other = assemble(unit_star, FieldModel(kappa=2.0), 0.1)
+    before = other.eigenvectors.copy()
+    for name in ("mass", "stiffness", "eigenvalues", "eigenvectors"):
+        arr = getattr(op, name)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.h = 0.5
+    np.testing.assert_array_equal(other.eigenvectors, before)
