@@ -53,7 +53,15 @@ from .errors import (
     UnsupportedAlphaError,
     ValidationError,
 )
-from .graph import CACHE_SIZE, Edge, MetricGraph, PointOnGraph
+from .graph import (
+    CACHE_SIZE,
+    Edge,
+    MetricGraph,
+    PointOnGraph,
+    _point_arrays,
+    _same_edge_pairs,
+    _symmetrize,
+)
 from .models import CovMatrix, FieldModel
 from .sampling import replicate_normals, safe_cholesky
 
@@ -282,10 +290,11 @@ class _EdgeConstants(NamedTuple):
 def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
     kappa, a = np.array([m.edge_params(e) for e in g.edges]).T
     root_a = np.sqrt(a)
+    u, v, length = g._edge_arrays
     return _EdgeConstants(
-        u=np.array([e.u for e in g.edges]),
-        v=np.array([e.v for e in g.edges]),
-        length=np.array([e.length for e in g.edges]),
+        u=u,
+        v=v,
+        length=length,
         kt=kappa / root_a,
         scale=m.tau**2 * kappa * root_a,
     )
@@ -344,34 +353,6 @@ def vertex_field_cov(g: MetricGraph, m: FieldModel) -> CovMatrix:
     )
 
 
-def _same_edge_pairs(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (r, c) of points on one edge, given edge indices j.
-
-    Points are grouped by a stable sort, and sorted position p pairs with
-    each member of its group: sum over edges of count^2 pairs, not n^2.
-    """
-    order = np.argsort(j, kind="stable")
-    _, first, count = np.unique(j[order], return_index=True, return_counts=True)
-    size = np.repeat(count, count)
-    rows = np.repeat(order, size)
-    within = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
-    cols = order[np.repeat(np.repeat(first, count), size) + within]
-    return rows, cols
-
-
-def _symmetrize(C: np.ndarray) -> np.ndarray:
-    """(C + C') / 2 in place, 32 rows at a time: no second n x n array.
-
-    Row block i..j reads its columns of C below the diagonal before any
-    block writes there, then mirrors its finished rows into them.
-    """
-    for i in range(0, C.shape[0], 32):
-        j = i + 32
-        C[i:j, i:] = 0.5 * (C[i:j, i:] + C[i:, i:j].T)
-        C[j:, i:j] = C[i:j, j:].T
-    return C
-
-
 def full_cov(
     g: MetricGraph,
     m: FieldModel,
@@ -390,9 +371,7 @@ def full_cov(
     are the 2|E| edge endpoints.
     """
     _require_alpha_one(m)
-    pts = [g.point(p.edge, p.t) for p in pts]
-    j = np.array([g.edge_index(p.edge) for p in pts], dtype=np.intp)
-    t = np.array([p.t for p in pts], dtype=float)
+    pts, j, t, *_ = _point_arrays(g, pts)
     if constraints is None:
         ends, ec = _vertex_cov(g, m)
         col_u, col_v = ec.u, ec.v

@@ -93,10 +93,13 @@ class MetricGraph:
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    # derived once, outside equality: edge id -> index, per-vertex incident
-    # edge ends, and the hash that every cache keyed on the graph would
-    # otherwise recompute over all edges
+    # derived once, outside equality: edge id -> index, per-edge end vertices
+    # and lengths as arrays, per-vertex incident edge ends, and the hash that
+    # every cache keyed on the graph would otherwise recompute over all edges
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
     _incident: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -123,6 +126,15 @@ class MetricGraph:
                 )
         self._check_connected()
         object.__setattr__(self, "_index", {e.id: j for j, e in enumerate(self.edges)})
+        _, u, v, length = zip(*self.edges)
+        arrays = (
+            np.array(u, dtype=np.intp),
+            np.array(v, dtype=np.intp),
+            np.array(length, dtype=float),
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        object.__setattr__(self, "_edge_arrays", arrays)
         ends: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
         for j, e in enumerate(self.edges):
             ends[e.u].append((j, 0))
@@ -256,6 +268,53 @@ def build_graph(spec: Mapping) -> MetricGraph:
             )
         )
     return MetricGraph(nv, tuple(edges))
+
+
+# -- points as arrays (shared by the exact field and the metrics) -----------
+
+
+def _point_arrays(g: MetricGraph, pts: Sequence[PointOnGraph]):
+    """Validated points and their per-point arrays (pts, j, t, u, v, L).
+
+    Each point is validated once through ``g.point``; j is its edge index,
+    t its arclength, u and v the edge's start and end vertices and L the
+    edge length.
+    """
+    pts = [g.point(p.edge, p.t) for p in pts]
+    n = len(pts)
+    j = np.fromiter((g._index[p.edge] for p in pts), dtype=np.intp, count=n)
+    t = np.fromiter((p.t for p in pts), dtype=float, count=n)
+    u, v, length = g._edge_arrays
+    return pts, j, t, u[j], v[j], length[j]
+
+
+def _same_edge_pairs(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (r, c) of points on one edge, given edge indices j.
+
+    Points are grouped by a stable sort, and sorted position p pairs with
+    each member of its group: sum over edges of count^2 pairs, not n^2.
+    """
+    order = np.argsort(j, kind="stable")
+    _, first, count = np.unique(j[order], return_index=True, return_counts=True)
+    size = np.repeat(count, count)
+    rows = np.repeat(order, size)
+    within = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+    cols = order[np.repeat(np.repeat(first, count), size) + within]
+    return rows, cols
+
+
+def _symmetrize(C: np.ndarray) -> np.ndarray:
+    """(C + C') / 2 in place, 32 rows at a time: no second n x n array.
+
+    Row block i..j reads its columns of C below the diagonal before any
+    block writes there, then mirrors its finished rows into them, so the
+    result is exactly symmetric.
+    """
+    for i in range(0, C.shape[0], 32):
+        j = i + 32
+        C[i:j, i:] = 0.5 * (C[i:j, i:] + C[i:, i:j].T)
+        C[j:, i:j] = C[i:j, j:].T
+    return C
 
 
 # -- vertex distances (used by classification and the metrics module) ------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateCaseError, PointError, ValidationError
 from .graph import MetricGraph, PointOnGraph
-from .metrics import geodesic_distance, resistance_distance
+from .metrics import _geodesic_matrix, _resistance_matrix
 from .models import CovMatrix
 
 __all__ = [
@@ -103,13 +103,8 @@ def iso_cov_matrix(
     semidefiniteness for an arbitrary kernel/metric/graph combination, which
     is the point of the accompanying eigenvalue check.
     """
-    pts = [g.point(p.edge, p.t) for p in pts]
-    dist_fn = geodesic_distance if model.metric == "geodesic" else resistance_distance
-    n = len(pts)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = dist_fn(g, pts[i], pts[j])
+    build = _geodesic_matrix if model.metric == "geodesic" else _resistance_matrix
+    pts, d = build(g, pts)
     mat = np.asarray(model.kernel(d), dtype=float)
     cov = CovMatrix(mat, tuple(pts), "isotropic")
     cov.min_eigenvalue()

@@ -1,6 +1,7 @@
 """Shared model and result types: field parameters and covariance matrices."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -94,9 +95,12 @@ class CovMatrix:
             )
 
     def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue, cached in ``info``; inf for a 0 x 0 matrix
+        (the minimum over no eigenvalues), so an empty matrix is PSD."""
         key = "min_eigenvalue"
         if key not in self.info:
-            self.info[key] = float(np.linalg.eigvalsh(self.matrix)[0])
+            vals = np.linalg.eigvalsh(self.matrix)
+            self.info[key] = float(vals[0]) if vals.size else math.inf
         return self.info[key]
 
     def is_psd(self, tol_factor: float = 1e-10) -> bool:

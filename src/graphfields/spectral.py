@@ -269,8 +269,9 @@ def spectral_cov(
     else:
         points = op.node_points
     lam = op.eigenvalues[:k]
-    mat = (vecs * lam ** (-alpha)) @ vecs.T / tau**2
-    mat = 0.5 * (mat + mat.T)
+    basis = vecs * (lam ** (-alpha / 2.0) / tau)
+    # B @ B.T is one symmetric rank-k product: exactly symmetric as computed
+    mat = basis @ basis.T
     info = {
         "truncation": k,
         "tail_estimate": float(lam[-1] ** -(alpha - 0.5)),

@@ -86,3 +86,57 @@ def circle_cov_mp(d, kappa, tau, ell, dps=40):
             2 * k * mpmath.mpf(tau) ** 2 * mpmath.sinh(k * ell / 2)
         )
         return float(val)
+
+
+def subdivided_distances(vertex_count, edges, points):
+    """Geodesic and resistance matrices at points, every point made a vertex.
+
+    ``edges`` holds (u, v, length) and ``points`` holds (edge index, t).
+    Each edge is cut at its points' interior arclengths, so each point is a
+    vertex of the cut graph. Geodesics come from
+    ``scipy.sparse.csgraph.shortest_path`` over the pieces (parallel pieces
+    keep the shortest; a loop piece never shortens a path). Resistances come
+    from the pseudo-inverse of the cut graph's Laplacian with conductance
+    1/length: L+_ii + L+_jj - 2 L+_ij.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    nv = vertex_count
+    cut = {}
+    pieces = []
+    for k, (u, v, ell) in enumerate(edges):
+        ts = sorted({t for j, t in points if j == k and 0.0 < t < ell})
+        chain = [u]
+        for t in ts:
+            cut[(k, t)] = nv
+            chain.append(nv)
+            nv += 1
+        chain.append(v)
+        pos = [0.0] + ts + [ell]
+        pieces += [
+            (chain[i], chain[i + 1], pos[i + 1] - pos[i]) for i in range(len(ts) + 1)
+        ]
+
+    def vertex(k, t):
+        u, v, ell = edges[k]
+        return u if t == 0.0 else v if t == ell else cut[(k, t)]
+
+    idx = np.array([vertex(k, t) for k, t in points], dtype=int)
+    shortest = {}
+    lap = np.zeros((nv, nv))
+    for a, b, ell in pieces:
+        if a == b:
+            continue
+        key = (min(a, b), max(a, b))
+        shortest[key] = min(shortest.get(key, np.inf), ell)
+        lap[a, a] += 1.0 / ell
+        lap[b, b] += 1.0 / ell
+        lap[a, b] -= 1.0 / ell
+        lap[b, a] -= 1.0 / ell
+    rows, cols = np.array(list(shortest)).T
+    w = csr_matrix((list(shortest.values()), (rows, cols)), shape=(nv, nv))
+    geo = shortest_path(w, method="D", directed=False)[np.ix_(idx, idx)]
+    lp = np.linalg.pinv(lap, hermitian=True)[np.ix_(idx, idx)]
+    res = np.diag(lp)[:, None] + np.diag(lp)[None, :] - 2.0 * lp
+    return geo, res

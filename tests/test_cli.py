@@ -7,6 +7,8 @@ import pytest
 import graphfields as gf
 from graphfields.cli import main
 
+from oracles import subdivided_distances
+
 
 @pytest.fixture
 def star_json(tmp_path):
@@ -160,6 +162,52 @@ def test_resistance_csv(tmp_path):
     assert float(rows[0]["d_res"]) == pytest.approx(0.375)
     assert float(rows[1]["d_geo"]) == pytest.approx(1.0)
     assert float(rows[1]["d_res"]) == pytest.approx(0.5)
+
+
+def oracle_rows(g, pts):
+    """(geodesic, resistance) at the points from the subdivided-graph oracle."""
+    return subdivided_distances(
+        g.vertex_count,
+        [(e.u, e.v, e.length) for e in g.edges],
+        [(g.edge_index(p.edge), p.t) for p in pts],
+    )
+
+
+def test_resistance_figure_eight_matches_oracle(tmp_path):
+    g = gf.canonical("figure-eight:1,2")
+    rng = np.random.default_rng(61)
+    pairs = []
+    for _ in range(12):
+        p, q = (g.edges[k] for k in rng.integers(g.edge_count, size=2))
+        pairs.append([p.id, rng.uniform(0, p.length), q.id, rng.uniform(0, q.length)])
+    path = write_csv(tmp_path / "pairs.csv", ["edge_p", "t_p", "edge_q", "t_q"], pairs)
+    out = tmp_path / "res.csv"
+    assert main(["resistance", "--canonical", "figure-eight:1,2",
+                 "--pairs", path, "-o", str(out)]) == 0
+    for row, (ep, tp, eq, tq) in zip(csv.DictReader(open(out)), pairs):
+        geo, res = oracle_rows(g, [g.point(ep, tp), g.point(eq, tq)])
+        assert float(row["d_geo"]) == pytest.approx(geo[0, 1], rel=1e-10)
+        assert float(row["d_res"]) == pytest.approx(res[0, 1], rel=1e-10)
+
+
+@pytest.mark.parametrize("metric", ["geodesic", "resistance"])
+def test_iso_cov_reruns_byte_identical_and_match_oracle(tmp_path, metric):
+    g = gf.canonical("figure-eight:1,2")
+    outs = []
+    for run in range(2):
+        out = tmp_path / f"iso{run}.json"
+        assert main([
+            "iso-cov", "--canonical", "figure-eight:1,2", "--metric", metric,
+            "--kappa", "0.7", "--mesh-h", "0.1", "--format", "json",
+            "-o", str(out),
+        ]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    pts = [g.point(e, t) for e, t in doc["points"]]
+    geo, res = oracle_rows(g, pts)
+    ref = np.exp(-0.7 * (geo if metric == "geodesic" else res))
+    np.testing.assert_allclose(doc["matrix"], ref, rtol=1e-10, atol=0)
 
 
 def test_resistance_on_loop_graph_exits_2(tmp_path):

@@ -270,6 +270,12 @@ def test_full_cov_single_point_positive(unit_star):
     assert cov.matrix[0, 0] > 0.0
 
 
+def test_full_cov_no_points(unit_star):
+    cov = full_cov(unit_star, FieldModel(), [])
+    assert cov.matrix.shape == (0, 0)
+    assert cov.is_psd()
+
+
 def test_full_cov_requires_alpha_one(unit_star):
     with pytest.raises(UnsupportedAlphaError):
         full_cov(unit_star, FieldModel(alpha=0.75), [unit_star.point("e0", 0.5)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,15 @@ def test_iso_matrix_single_point(unit_star):
     np.testing.assert_allclose(cov.matrix, [[2.5]])
     assert cov.provenance == "isotropic"
     assert "min_eigenvalue" in cov.info
+
+
+@pytest.mark.parametrize("metric", ["geodesic", "resistance"])
+def test_iso_matrix_no_points(unit_star, metric):
+    model = IsotropicModel(metric, ExponentialKernel(sigma2=1.0, kappa=1.0))
+    cov = iso_cov_matrix(unit_star, model, [])
+    assert cov.matrix.shape == (0, 0) and cov.points == ()
+    assert cov.min_eigenvalue() == math.inf
+    assert cov.is_psd()
 
 
 def test_iso_matrix_tree_metrics_coincide(unit_star):

@@ -3,13 +3,17 @@ import pytest
 
 import graphfields as gf
 from graphfields import PointOnGraph, UnsupportedGraphError
+from graphfields.kernels import ExponentialKernel, IsotropicModel, iso_cov_matrix
 from graphfields.metrics import (
+    _geodesic_matrix,
+    _resistance_matrix,
     geodesic_distance,
     resistance_distance,
     resistance_structure,
 )
 
 from conftest import random_point
+from oracles import subdivided_distances
 
 
 def arc_point(g, position):
@@ -68,6 +72,9 @@ def test_resistance_rejects_non_euclidean(loop_graph, multi_graph):
             resistance_distance(
                 g, PointOnGraph(g.edges[0].id, 0.1), PointOnGraph(g.edges[0].id, 0.2)
             )
+        model = IsotropicModel("resistance", ExponentialKernel(1.0, 1.0))
+        with pytest.raises(UnsupportedGraphError):
+            iso_cov_matrix(g, model, [PointOnGraph(g.edges[0].id, 0.1)])
 
 
 def test_resistance_equals_geodesic_on_trees(unit_star):
@@ -145,3 +152,96 @@ def test_resistance_subdivision_invariance(fig8):
                 fine, fine.vertex_point(v), fine.vertex_point(w)
             )
             assert refined == pytest.approx(coarse, abs=1e-10)
+
+
+# -- matrices against the subdivided-graph oracle ----------------------------
+
+
+def oracle(g, pts):
+    """(geodesic, resistance) from ``oracles.subdivided_distances``."""
+    return subdivided_distances(
+        g.vertex_count,
+        [(e.u, e.v, e.length) for e in g.edges],
+        [(g.edge_index(p.edge), p.t) for p in pts],
+    )
+
+
+def query_points(g, n, seed):
+    """n random points, then every vertex through its first incident edge."""
+    rng = np.random.default_rng(seed)
+    pts = [random_point(g, rng) for _ in range(n)]
+    return pts + [g.vertex_point(v) for v in range(g.vertex_count)]
+
+
+def assert_metric_matrix(d, ref, rtol):
+    """Exactly symmetric, zero diagonal, no negative entry, and within rtol
+    of the strictly positive reference off the diagonal."""
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.all(d >= 0.0)
+    off = ~np.eye(len(d), dtype=bool)
+    assert np.all(ref[off] > 0.0)
+    assert np.max(np.abs(d - ref)[off] / ref[off]) <= rtol
+
+
+def bouquet(cycles):
+    """1-sum at vertex 0 of cycles of lengths 0.5 .. 2.5, 3 or 4 pieces each."""
+    lengths = np.linspace(0.5, 2.5, cycles)
+    parts = [gf.circle(ell, 3 + k % 2) for k, ell in enumerate(lengths)]
+    return gf.one_sum(parts, [(0, 0)] * (cycles - 1))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gf.figure_eight(1.0, 2.0), gf.tadpole(2.0, 1.0), bouquet(40)],
+    ids=["figure-eight", "tadpole", "bouquet-40"],
+)
+def test_metric_matrices_match_subdivided_oracle(g):
+    pts = query_points(g, 60, 43)
+    geo, res = oracle(g, pts)
+    got_pts, d_geo = _geodesic_matrix(g, pts)
+    assert got_pts == pts
+    assert_metric_matrix(d_geo, geo, 1e-10)
+    assert_metric_matrix(_resistance_matrix(g, pts)[1], res, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "g,closed_form",
+    [
+        (gf.star([1e-6, 1.0, 1e4]), lambda d, g: d),
+        (gf.circle(1e-3, 4), lambda d, g: d - d * d / g.total_length),
+        (gf.circle(1e4, 4), lambda d, g: d - d * d / g.total_length),
+    ],
+    ids=["star-1e-6-1-1e4", "circle-1e-3", "circle-1e4"],
+)
+def test_resistance_matrix_extreme_lengths(g, closed_form):
+    # resistance equals geodesic on a tree and d - d^2/L on a cycle
+    pts = query_points(g, 40, 47)
+    geo, _ = oracle(g, pts)
+    assert_metric_matrix(_geodesic_matrix(g, pts)[1], geo, 1e-9)
+    assert_metric_matrix(_resistance_matrix(g, pts)[1], closed_form(geo, g), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gf.MetricGraph(1, (gf.Edge("loop", 0, 0, 2.0),)),
+        gf.circle(3.0, 2),
+        gf.tadpole(2.0, 1.0, n=1),
+    ],
+    ids=["loop", "double-edge", "loop-tadpole"],
+)
+def test_geodesic_matrix_on_loops_and_multi_edges(g):
+    pts = query_points(g, 30, 53)
+    geo, _ = oracle(g, pts)
+    assert_metric_matrix(_geodesic_matrix(g, pts)[1], geo, 1e-12)
+
+
+def test_pairwise_functions_equal_matrix_entries(fig8):
+    pts = query_points(fig8, 12, 59)
+    d_geo = _geodesic_matrix(fig8, pts)[1]
+    d_res = _resistance_matrix(fig8, pts)[1]
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert geodesic_distance(fig8, p, q) == d_geo[i, j]
+            assert resistance_distance(fig8, p, q) == d_res[i, j]

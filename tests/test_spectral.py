@@ -120,6 +120,16 @@ def test_spectral_cov_is_psd_by_construction(fig8):
     assert np.linalg.eigvalsh(cov.matrix)[0] >= -1e-12 * np.trace(cov.matrix)
 
 
+@pytest.mark.parametrize("nodes", [None, list(range(0, 50, 3))])
+def test_spectral_cov_symmetric_product(fig8, nodes):
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.05)
+    mat = spectral_cov(op, 0.75, 1.3, nodes=nodes).matrix
+    assert np.array_equal(mat, mat.T)
+    vecs = op.eigenvectors if nodes is None else op.eigenvectors[nodes]
+    general = (vecs * op.eigenvalues ** -0.75) @ vecs.T / 1.3**2
+    assert np.max(np.abs(mat - general)) <= 1e-13 * np.max(np.abs(general))
+
+
 def test_variance_nonincreasing_in_alpha_when_spectrum_above_one():
     g = gf.interval(1.0)
     op = assemble(g, FieldModel(kappa=1.2), 0.05)
