@@ -299,7 +299,6 @@ def _add_graph_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--canonical", help="generator spec, e.g. star:1,1,1")
     p.add_argument("--config", help="JSON config; may embed the graph inline")
     p.add_argument("--output", "-o", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_model_opts(p: argparse.ArgumentParser) -> None:
@@ -325,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_opts(p)
     p.add_argument("--points", help="CSV with columns edge,t")
     p.add_argument("--mesh-h", type=float, help="mesh the graph at this spacing")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_cov)
 
     p = sub.add_parser("sample", help="draw exact field samples (alpha = 1)")
@@ -344,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="restrict to mesh nodes at these points")
     p.add_argument("--eigenvalues-out", help="write CSV (k, lambda)")
     p.add_argument("--nodes-out", help="write CSV (edge, t) of the node ordering")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_spectral_cov)
 
     p = sub.add_parser("resistance", help="geodesic and resistance distances")
@@ -364,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=float, help="circle length (circle-markov)")
     p.add_argument("--points", help="CSV with columns edge,t")
     p.add_argument("--mesh-h", type=float)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_iso_cov)
 
     p = sub.add_parser("markov-check", help="conditional covariance of A,B given S")
@@ -397,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=10000)
     p.add_argument("--output", "-o")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_nonexistence)
 
     return parser

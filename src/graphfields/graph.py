@@ -8,6 +8,10 @@ are cached against the graph object itself.
 
 Loops (u == v) and multiple edges between the same vertex pair are allowed
 here; operations that require Euclidean edges reject them explicitly.
+
+Meshes have one node layout, the cached ``_mesh``: :func:`mesh` walks it,
+and the spectral operator numbers its nodes by it and builds its mass
+matrix from it once per eigenbasis.
 """
 from __future__ import annotations
 
@@ -519,27 +523,61 @@ def canonical(spec: str) -> MetricGraph:
 # -- meshing and subdivision -------------------------------------------------
 
 
-def mesh(g: MetricGraph, h: float) -> list[PointOnGraph]:
-    """Points covering the graph at spacing <= h, vertices deduplicated.
+class _Mesh(NamedTuple):
+    """Mesh of spacing <= h: per-edge node tuples, the point of every node
+    and, over all elements, end nodes (i0, i1), lengths and the element
+    count of each edge."""
 
-    Every edge contributes nodes at t = length * k / ceil(length / h); an
-    endpoint is emitted only the first time its vertex appears (edge order,
-    then t ascending), so each vertex shows up exactly once.
+    edge_nodes: tuple[tuple[int, ...], ...]
+    node_points: tuple[PointOnGraph, ...]
+    n_dof: int
+    i0: np.ndarray
+    i1: np.ndarray
+    he: np.ndarray
+    nel: np.ndarray
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _mesh(g: MetricGraph, h: float) -> _Mesh:
+    """The one node layout behind :func:`mesh` and the spectral operator.
+
+    Edge e gets nel = ceil(length / h) elements and its node k sits at
+    t = length * (k / nel), so the ends land exactly on 0 and length. Nodes
+    0 .. vertex_count-1 are the vertices, each at ``g.vertex_point(v)``;
+    the interior nodes follow edge by edge. Arrays are read-only.
     """
     if not h > 0:
         raise PointError(f"mesh spacing must be positive, got {h}")
-    pts: list[PointOnGraph] = []
-    seen: set[int] = set()
+    edge_nodes: list[tuple[int, ...]] = []
+    points = [g.vertex_point(v) for v in range(g.vertex_count)]
+    n_dof = g.vertex_count
     for e in g.edges:
         nel = max(1, math.ceil(e.length / h - 1e-12))
-        for k in range(nel + 1):
-            if k == 0 or k == nel:
-                v = e.u if k == 0 else e.v
-                if v in seen:
-                    continue
-                seen.add(v)
-            pts.append(PointOnGraph(e.id, e.length * (k / nel)))
-    return pts
+        edge_nodes.append((e.u, *range(n_dof, n_dof + nel - 1), e.v))
+        points.extend(PointOnGraph(e.id, e.length * (k / nel)) for k in range(1, nel))
+        n_dof += nel - 1
+    nel = np.array([len(nodes) - 1 for nodes in edge_nodes])
+    arrays = (
+        np.concatenate([nodes[:-1] for nodes in edge_nodes]),
+        np.concatenate([nodes[1:] for nodes in edge_nodes]),
+        np.repeat(g._edge_arrays[2] / nel, nel),
+        nel,
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Mesh(tuple(edge_nodes), tuple(points), n_dof, *arrays)
+
+
+def mesh(g: MetricGraph, h: float) -> list[PointOnGraph]:
+    """Points covering the graph at spacing <= h, vertices deduplicated.
+
+    Every edge contributes nodes at t = length * (k / ceil(length / h)); an
+    endpoint is emitted only the first time its vertex appears (edge order,
+    then t ascending), so each vertex shows up exactly once.
+    """
+    m = _mesh(g, h)
+    walk = dict.fromkeys(dof for nodes in m.edge_nodes for dof in nodes)
+    return [m.node_points[dof] for dof in walk]
 
 
 def subdivide_edge(g: MetricGraph, edge_id: str, parts: int) -> MetricGraph:

@@ -24,23 +24,23 @@ so it is pinned to mu_0 = 0 and v_0 = +-1/sqrt(1'M1), which makes
 lambda_0 = kappa^2 exact. Bases are kept read-only in an LRU cache of
 ``graph.CACHE_SIZE`` entries keyed on (graph, h, n_modes, per-edge
 (a_e, kappa_e^2 - kappa_min^2)); a full-spectrum entry holds
-n_dof^2 * 8 bytes of eigenvectors (11.5 MB at 1,199 dof). Mass and
-stiffness stay dense and are assembled per call in one sparse COO build
-over all elements.
+n_dof^2 * 8 bytes of eigenvectors (11.5 MB at 1,199 dof) and as much
+again in its dense mass matrix, which every operator on the basis shares;
+only the dense stiffness is assembled per call, in one sparse COO build.
+Nodes follow the one mesh layout of ``graph._mesh``, as ``graph.mesh`` does.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
 from .errors import PointError, UnsupportedAlphaError, ValidationError
-from .graph import CACHE_SIZE, MetricGraph, PointOnGraph
+from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _mesh, _Mesh
 from .models import CovMatrix, FieldModel
 from .sampling import replicate_normals
 
@@ -88,45 +88,15 @@ class DiscreteOperator:
 
     def node_index(self, p: PointOnGraph, tol: float = 1e-9) -> int:
         """Index of the mesh node at (or within tol of) the given point."""
-        e = self.graph.edge(p.edge)
-        idx = self.edge_nodes[self.graph.edge_index(p.edge)]
-        ts = np.linspace(0.0, e.length, len(idx))
-        k = int(np.argmin(np.abs(ts - p.t)))
-        if abs(ts[k] - p.t) > tol * max(1.0, e.length):
-            raise PointError(f"no mesh node at {p} (closest t = {ts[k]})")
+        j = self.graph.edge_index(p.edge)
+        length = self.graph.edges[j].length
+        idx = self.edge_nodes[j]
+        nel = len(idx) - 1
+        k = min(max(round(p.t / length * nel), 0), nel) if math.isfinite(p.t) else 0
+        t = length * (k / nel)
+        if not abs(t - p.t) <= tol * max(1.0, length):
+            raise PointError(f"no mesh node at {p} (closest t = {t})")
         return idx[k]
-
-
-class _Mesh(NamedTuple):
-    """Mesh of spacing <= h: per-edge node tuples and, over all elements,
-    end nodes (i0, i1), lengths and the element count of each edge."""
-
-    edge_nodes: tuple[tuple[int, ...], ...]
-    n_dof: int
-    i0: np.ndarray
-    i1: np.ndarray
-    he: np.ndarray
-    nel: np.ndarray
-
-
-def _mesh(g: MetricGraph, h: float) -> _Mesh:
-    if not h > 0:
-        raise ValidationError(f"mesh spacing must be positive, got {h}")
-    edge_nodes: list[tuple[int, ...]] = []
-    n_dof = g.vertex_count
-    for e in g.edges:
-        nel = max(1, math.ceil(e.length / h - 1e-12))
-        edge_nodes.append((e.u, *range(n_dof, n_dof + nel - 1), e.v))
-        n_dof += nel - 1
-    nel = np.array([len(nodes) - 1 for nodes in edge_nodes])
-    return _Mesh(
-        edge_nodes=tuple(edge_nodes),
-        n_dof=n_dof,
-        i0=np.concatenate([nodes[:-1] for nodes in edge_nodes]),
-        i1=np.concatenate([nodes[1:] for nodes in edge_nodes]),
-        he=np.repeat([e.length for e in g.edges] / nel, nel),
-        nel=nel,
-    )
 
 
 def _p1_matrix(mesh: _Mesh, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -162,9 +132,10 @@ def _coefficients(g: MetricGraph, m: FieldModel):
 @lru_cache(maxsize=CACHE_SIZE)
 def _eigenbasis(
     g: MetricGraph, h: float, n_modes: int, coeffs: tuple[tuple[float, float], ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only lowest ``n_modes`` eigenpairs (mu, V) of the kappa-free
-    pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`."""
+    pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`, and
+    the mass matrix M they are orthonormal in."""
     mesh = _mesh(g, h)
     mass = _mass(mesh)
     subset = None if n_modes == mesh.n_dof else [0, n_modes - 1]
@@ -181,9 +152,9 @@ def _eigenbasis(
         mu[0] = 0.0
         vecs[:, 0] = c
         vecs[:, 1:] -= c * ((c * mass_ones) @ vecs[:, 1:])
-    mu.flags.writeable = False
-    vecs.flags.writeable = False
-    return mu, vecs
+    for arr in (mu, vecs, mass):
+        arr.flags.writeable = False
+    return mu, vecs, mass
 
 
 def assemble(
@@ -204,19 +175,11 @@ def assemble(
             f"n_modes must be in [1, {mesh.n_dof}], got {n_modes}"
         )
     coeffs, kappa2_min = _coefficients(g, m)
-    mu, vecs = _eigenbasis(g, h, n_modes, coeffs)
+    mu, vecs, mass = _eigenbasis(g, h, n_modes, coeffs)
     vals = mu + kappa2_min
-    mass = _mass(mesh)
     stiff = _stiffness(mesh, coeffs, kappa2_min)
-    for arr in (vals, mass, stiff):
+    for arr in (vals, stiff):
         arr.flags.writeable = False
-
-    points: list[PointOnGraph | None] = [None] * mesh.n_dof
-    for e, nodes in zip(g.edges, mesh.edge_nodes):
-        for k, dof in enumerate(nodes):
-            if points[dof] is None:
-                points[dof] = PointOnGraph(e.id, e.length * k / (len(nodes) - 1))
-
     return DiscreteOperator(
         graph=g,
         model=m,
@@ -225,12 +188,14 @@ def assemble(
         stiffness=stiff,
         eigenvalues=vals,
         eigenvectors=vecs,
-        node_points=tuple(points),
+        node_points=mesh.node_points,
         edge_nodes=mesh.edge_nodes,
     )
 
 
-def _check_alpha_truncation(op: DiscreteOperator, alpha: float, k: int | None):
+def _scaled_basis(op: DiscreteOperator, alpha, tau, k=None, rows=slice(None)):
+    """B = V[rows, :k] lambda^{-alpha/2} / tau over the first k eigenpairs
+    (default: all), so that B B' is the covariance at those rows."""
     if not alpha > 0.5:
         raise UnsupportedAlphaError(
             f"the field does not exist for alpha <= 1/2 (got {alpha})"
@@ -241,7 +206,9 @@ def _check_alpha_truncation(op: DiscreteOperator, alpha: float, k: int | None):
         raise ValidationError(
             f"truncation {k} outside [1, {op.n_modes}] available eigenpairs"
         )
-    return k
+    if not tau > 0:
+        raise ValidationError(f"tau must be positive, got {tau}")
+    return op.eigenvectors[rows, :k] * (op.eigenvalues[:k] ** (-alpha / 2.0) / tau)
 
 
 def spectral_cov(
@@ -258,23 +225,15 @@ def spectral_cov(
     truncation and the tail magnitude lambda_{k-1}^{-(alpha - 1/2)}, which
     bounds the decay rate of whatever the truncation dropped.
     """
-    k = _check_alpha_truncation(op, alpha, k)
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    vecs = op.eigenvectors[:, :k]
-    if nodes is not None:
-        nodes = list(nodes)
-        vecs = vecs[nodes]
-        points = tuple(op.node_points[i] for i in nodes)
-    else:
-        points = op.node_points
-    lam = op.eigenvalues[:k]
-    basis = vecs * (lam ** (-alpha / 2.0) / tau)
+    rows = slice(None) if nodes is None else list(nodes)
+    basis = _scaled_basis(op, alpha, tau, k, rows)
+    points = op.node_points if nodes is None else tuple(op.node_points[i] for i in rows)
+    k = basis.shape[1]
     # B @ B.T is one symmetric rank-k product: exactly symmetric as computed
     mat = basis @ basis.T
     info = {
         "truncation": k,
-        "tail_estimate": float(lam[-1] ** -(alpha - 0.5)),
+        "tail_estimate": float(op.eigenvalues[k - 1] ** -(alpha - 0.5)),
         "mesh_h": op.h,
     }
     return CovMatrix(mat, points, "spectral", info=info)
@@ -289,9 +248,8 @@ def kl_sample(
     normal, drawn as in the exact sampler: deterministic in ``seed``, and a
     shorter run is a prefix of a longer one.
     """
-    k = _check_alpha_truncation(op, alpha, None)
+    basis = _scaled_basis(op, alpha, tau)
     if n < 0:
         raise ValidationError(f"replicate count must be >= 0, got {n}")
-    xi = replicate_normals(seed, n, k)
-    basis = op.eigenvectors * op.eigenvalues ** (-alpha / 2.0)
-    return (xi @ basis.T) / tau
+    xi = replicate_normals(seed, n, basis.shape[1])
+    return xi @ basis.T

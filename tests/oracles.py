@@ -140,3 +140,26 @@ def subdivided_distances(vertex_count, edges, points):
     lp = np.linalg.pinv(lap, hermitian=True)[np.ix_(idx, idx)]
     res = np.diag(lp)[:, None] + np.diag(lp)[None, :] - 2.0 * lp
     return geo, res
+
+
+def mesh_rule(edges, h):
+    """Mesh of spacing <= h as (edge id, t) pairs, from the rule alone.
+
+    ``edges`` holds (id, u, v, length). Edge e is cut into
+    n = max(1, ceil(length / h - 1e-12)) pieces with nodes at
+    length * (k / n); nodes are walked in edge order with t ascending, and
+    an end vertex is kept only the first time it is reached.
+    """
+    import math
+
+    seen, out = set(), []
+    for eid, u, v, ell in edges:
+        n = max(1, math.ceil(ell / h - 1e-12))
+        for k in range(n + 1):
+            end = u if k == 0 else v if k == n else None
+            if end is not None:
+                if end in seen:
+                    continue
+                seen.add(end)
+            out.append((eid, ell * (k / n)))
+    return out

@@ -233,6 +233,18 @@ def test_iso_cov_json_includes_min_eigenvalue(tmp_path):
     assert len(doc["matrix"]) == len(doc["points"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--mesh-h", "0.5", "--n", "2", "--seed", "1"],
+    ["validate"],
+])
+def test_format_only_on_matrix_subcommands(star_json, argv, capsys):
+    # sample matrices are CSV only: --format is rejected, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--graph", star_json, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_krige_noiseless_reproduces_observations(star_json, tmp_path):
     obs = write_csv(tmp_path / "obs.csv", ["edge", "t", "y"],
                     [["e0", 0.3, 1.5], ["e1", 0.8, -0.25]])

@@ -18,6 +18,7 @@ from graphfields.graph import vertex_distance_matrix
 from graphfields.metrics import geodesic_distance
 
 from conftest import random_point
+from oracles import mesh_rule
 
 
 def test_build_interval_smallest_valid():
@@ -217,6 +218,42 @@ def test_mesh_spacing_never_exceeds_h(fig8):
         ts = sorted(by_edge.get(e.id, []))
         gaps = np.diff([0.0, *ts, e.length])
         assert np.all(gaps[gaps > 0] <= 0.3 + 1e-12)
+
+
+def _mesh_cases():
+    rng = np.random.default_rng(11)
+    cases = [
+        (gf.interval(1.0), 0.3),
+        (gf.circle(2.0, 4), 0.1),
+        (gf.star([1.0, 1.0, 1.0]), 0.07),
+        (gf.figure_eight(1.0, 2.0), 0.0025),
+        (gf.tadpole(2.0, 1.0), 0.13),
+        (MetricGraph(1, (Edge("loop", 0, 0, 2.0),)), 0.3),
+        (MetricGraph(2, (Edge("short", 0, 1, 1.0), Edge("long", 0, 1, 3.0))), 0.4),
+        (gf.star([1e-6, 1.0, 1e4]), 7.3),
+    ]
+    for _ in range(4):
+        lengths = rng.uniform(0.05, 5.0, size=4)
+        h = rng.uniform(0.01, 0.3, size=3)
+        cases.append((gf.star(lengths), float(h[0])))
+        cases.append((gf.figure_eight(*lengths[:2], 3, 5), float(h[1])))
+        cases.append((gf.tadpole(*lengths[2:], 1), float(h[2])))
+    return cases
+
+
+@pytest.mark.parametrize("g, h", _mesh_cases())
+def test_mesh_matches_rule_exactly(g, h):
+    pts = gf.mesh(g, h)
+    assert [(p.edge, p.t) for p in pts] == mesh_rule(g.edges, h)
+    vertex_nodes = [p for p in pts if g.vertex_of(p) is not None]
+    assert sorted(map(g.vertex_of, vertex_nodes)) == list(range(g.vertex_count))
+    assert set(vertex_nodes) == {g.vertex_point(v) for v in range(g.vertex_count)}
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, float("nan")])
+def test_mesh_rejects_bad_spacing(h):
+    with pytest.raises(PointError):
+        gf.mesh(gf.interval(1.0), h)
 
 
 def test_equal_graphs_compare_and_hash_equal(fig8):

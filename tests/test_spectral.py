@@ -5,10 +5,17 @@ import pytest
 import scipy.linalg
 
 import graphfields as gf
-from graphfields import FieldModel, UnsupportedAlphaError, ValidationError
-from graphfields.exact import full_cov, markov_check
-from graphfields.graph import CACHE_SIZE
+from graphfields import (
+    Edge,
+    FieldModel,
+    MetricGraph,
+    UnsupportedAlphaError,
+    ValidationError,
+)
+from graphfields.exact import full_cov, kirchhoff_residual, markov_check
+from graphfields.graph import CACHE_SIZE, _mesh
 from graphfields.kernels import circle_cov
+from graphfields.sampling import replicate_normals
 from graphfields.spectral import _eigenbasis, assemble, kl_sample, spectral_cov
 
 
@@ -156,6 +163,24 @@ def test_kl_sample_determinism(unit_star):
     np.testing.assert_array_equal(kl_sample(op, 1.0, 1.0, 3, seed=5), a[:3])
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_nonpositive_tau_rejected(unit_star, tau):
+    op = assemble(unit_star, FieldModel(), 0.2)
+    with pytest.raises(ValidationError):
+        spectral_cov(op, 1.0, tau)
+    with pytest.raises(ValidationError):
+        kl_sample(op, 1.0, tau, 3, seed=5)
+
+
+def test_kl_sample_matches_unscaled_then_divided_form(fig8):
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.05)
+    xi = replicate_normals(9, 40, op.n_modes)
+    ref = xi @ (op.eigenvectors * op.eigenvalues ** -0.375).T
+    np.testing.assert_array_equal(kl_sample(op, 0.75, 1.0, 40, seed=9), ref / 1.0)
+    draws = kl_sample(op, 0.75, 0.7, 40, seed=9)
+    assert np.max(np.abs(draws - ref / 0.7)) <= 1e-14 * np.max(np.abs(ref / 0.7))
+
+
 def test_kl_sample_variance_matches_spectral_cov(unit_star):
     op = assemble(unit_star, FieldModel(), 0.25)
     n = 20000
@@ -194,6 +219,49 @@ def test_node_index_lookup(unit_star):
     assert op.node_index(unit_star.point("e1", 1.0)) == 3
     with pytest.raises(gf.PointError):
         op.node_index(unit_star.point("e0", 0.1301))
+
+
+_VERTEX_CASES = [
+    (gf.star([0.6235347817303132, 1.0]), 0.1),
+    (gf.star([3.894581415994375, 1.0]), 0.1),
+    (gf.figure_eight(1.0, 2.0), 0.05),
+    (gf.tadpole(2.0, 0.7), 0.03),
+    (MetricGraph(1, (Edge("loop", 0, 0, 2.0),)), 0.1),
+    (MetricGraph(2, (Edge("short", 0, 1, 1.0), Edge("long", 0, 1, 3.0))), 0.1),
+]
+
+
+@pytest.mark.parametrize("g, h", _VERTEX_CASES)
+def test_vertex_nodes_sit_on_vertices(g, h):
+    op = assemble(g, FieldModel(), h, n_modes=1)
+    for v in range(g.vertex_count):
+        assert op.node_points[v] == g.vertex_point(v)
+        assert g.vertex_of(op.node_points[v]) == v
+    for e, nodes in zip(g.edges, op.edge_nodes):
+        assert op.node_index(g.point(e.id, 0.0)) == nodes[0] == e.u
+        assert op.node_index(g.point(e.id, e.length)) == nodes[-1] == e.v
+
+
+def test_kirchhoff_residual_on_spectral_cov_with_inexact_edge_length():
+    # 0.6235347817303132 * 7 / 7 != 0.6235347817303132 in floating point
+    g = gf.star([0.6235347817303132, 1.0])
+    m = FieldModel()
+    op = assemble(g, m, 0.1)
+    cov = spectral_cov(op, 1.0, 1.0)
+    assert np.isfinite(kirchhoff_residual(g, m, cov, 2, g.point("e1", 0.5)))
+
+
+def test_node_index_round_trips_every_node():
+    g = gf.figure_eight(1.0, 2.0)
+    op = assemble(g, FieldModel(), 0.0025, n_modes=1)
+    assert op.n_dof == 1199
+    assert [op.node_index(p) for p in op.node_points] == list(range(op.n_dof))
+    for e in g.edges:
+        step = e.length / (len(op.nodes_on_edge(e.id)) - 1)
+        off_node = (0.5 * step, e.length - 0.4 * step, -step, e.length + step)
+        for t in (*off_node, float("nan")):
+            with pytest.raises(gf.PointError):
+                op.node_index(gf.PointOnGraph(e.id, t))
 
 
 def test_assemble_rejects_bad_mesh(unit_star):
@@ -253,6 +321,7 @@ def test_constant_kappa_shares_one_basis(fig8):
     one = assemble(fig8, FieldModel(kappa=1.0, alpha=0.75), 0.02)
     two = assemble(fig8, FieldModel(kappa=2.0, tau=3.0), 0.02)
     assert two.eigenvectors is one.eigenvectors
+    assert two.mass is one.mass
     # mu + 1 and mu + 4 are each rounded once
     rounding = 2 * np.spacing(two.eigenvalues[-1])
     np.testing.assert_allclose(
@@ -268,9 +337,10 @@ def test_eigenbasis_cache_is_bounded():
     g = gf.interval(1.0)
     for k in range(20):
         assemble(g, FieldModel(), 0.05 + 0.005 * k)
-    info = _eigenbasis.cache_info()
-    assert info.maxsize == CACHE_SIZE
-    assert info.currsize <= CACHE_SIZE
+    for cached in (_eigenbasis, _mesh):
+        info = cached.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
 
 
 def test_operator_is_immutable(unit_star):
