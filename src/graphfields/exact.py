@@ -1,32 +1,27 @@
 """Exact Markov field of unit smoothness exponent on a metric graph.
 
-By the Markov property the field is its values at the vertices plus an
-independent bridge on every edge, whose law does not depend on the rest of
-the graph. On an edge with constant parameters (kappa, a), writing
-kt = kappa / sqrt(a) and c = tau^2 kappa sqrt(a),
+One edge law builds everything. On an edge with constant parameters
+(kappa, a), write kt = kappa / sqrt(a), c = tau^2 kappa sqrt(a), x = kt L.
+The edge's independent Neumann field has covariance
 
-    u(t) = G1(t) u(start vertex) + G2(t) u(end vertex) + bridge(t),
+    N(s, t) = D(s, t) + G(s)' Sigma_e G(t),
+    Sigma_e = [[coth x, csch x], [csch x, coth x]] / c,
 
-where G1, G2 solve a G'' = kappa^2 G with unit boundary data and the bridge
-covariance is the Dirichlet Green's function of tau^2 (kappa^2 - a d^2/dx^2),
+where G = (G1, G2) solve a G'' = kappa^2 G with unit boundary data and the
+bridge covariance D(s, t) = sinh(kt min) sinh(kt (L - max)) / (c sinh x) is
+the Dirichlet Green's function of tau^2 (kappa^2 - a d^2/dx^2).
 
-    D(s, t) = sinh(kt min) sinh(kt (L - max)) / (c sinh(kt L)).
-
-The vertex values form a Gaussian Markov random field whose precision
-Q = sum_e A_e' Sigma_e^{-1} A_e is sparse (Bolin, Simas & Wallin, "Gaussian
-Whittle-Matern fields on metric graphs"): A_e picks edge e's two end
-vertices and Sigma_e is the endpoint covariance of the edge's Neumann field
-
-    N(s, t) = cosh(kt min) cosh(kt (L - max)) / (c sinh(kt L)).
-
-The vertex covariance S_V = Q^{-1} comes from a QR square root of Q, and the
-covariance at any points is C = Phi S_V Phi' + bridges, with Phi the sparse
-matrix of G1, G2 values at each point's two end vertices.
-
-The same law is the block-diagonal endpoint covariance of independent
-Neumann edge fields conditioned on continuity at the vertices; that dense
-route (``endpoint_prior_cov``, ``continuity_constraints``,
-``condition_on_constraints``) is kept as the reference behind
+The field is these edge fields conditioned on continuity at the vertices.
+By the Markov property it is u(t) = G1(t) u(start) + G2(t) u(end) +
+bridge(t) on each edge, with independent bridges, and the vertex values form
+a Gaussian Markov random field whose precision Q = sum_e A_e' Sigma_e^{-1}
+A_e is sparse (Bolin, Simas & Wallin, "Gaussian Whittle-Matern fields on
+metric graphs"), A_e picking edge e's two end vertices. S_V = Q^{-1} comes
+from a QR square root of Q, and the covariance at any points is
+C = Phi S_V Phi' + bridges, with Phi the sparse matrix of G1, G2 values at
+each point's two end vertices. The dense route (``endpoint_prior_cov``,
+``continuity_constraints``, ``condition_on_constraints``) conditions the
+block-diagonal endpoint covariance directly; it is the reference behind
 ``full_cov(..., constraints=K)``.
 
 All formulas are overflow-safe for kt * L far beyond the ~700 range where
@@ -62,7 +57,7 @@ from .graph import (
     _same_edge_pairs,
     _symmetrize,
 )
-from .models import CovMatrix, FieldModel
+from .models import CovMatrix, FieldModel, _check_indices
 from .sampling import replicate_normals, safe_cholesky
 
 __all__ = [
@@ -86,33 +81,28 @@ def _one_minus_exp(x):
     return -np.expm1(-x)
 
 
-def _check_arclengths(ell: float, *xs) -> None:
-    if any(np.any(x < 0) or np.any(x > ell) for x in xs):
+def _arclengths(ell: float, *xs) -> list[np.ndarray]:
+    """The arclengths as float arrays; PointError unless all lie in [0, ell]."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if not all(np.all((0.0 <= x) & (x <= ell)) for x in xs):  # NaN fails too
         raise PointError(f"arclength outside [0, {ell}]")
+    return xs
 
 
-def neumann_edge_cov(kappa: float, a: float, tau: float, ell: float, s, t):
-    """Covariance of the Neumann edge field at arclengths s, t in [0, ell].
+def _edge_scales(kappa, a, tau):
+    """kt = kappa / sqrt(a) and c = tau^2 kappa sqrt(a) of an edge (or arrays)."""
+    root_a = np.sqrt(a)
+    return kappa / root_a, tau**2 * kappa * root_a
 
-    Broadcasts over array-valued s, t. In the interior of a long edge
-    (kt * ell >> 1) this approaches the stationary exponential covariance
-    exp(-kt |s - t|) / (2 tau^2 kappa sqrt(a)).
+
+def _endpoint_block(kt, ell, scale):
+    """Diagonal and off-diagonal of the Neumann endpoint block Sigma_e.
+
+    With x = kt L: coth x / c = (1 + e^{-2x}) / (c (1 - e^{-2x})) and
+    csch x / c = 2 e^{-x} / (c (1 - e^{-2x})). Broadcasts over all arguments.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    _check_arclengths(ell, s, t)
-    kt = kappa / np.sqrt(a)
-    m = np.minimum(s, t)
-    M = np.maximum(s, t)
-    num = (
-        np.exp(-kt * (M - m))
-        + np.exp(-kt * (M + m))
-        + np.exp(-kt * (2.0 * ell - M - m))
-        + np.exp(-kt * (2.0 * ell - M + m))
-    )
-    den = 2.0 * tau**2 * kappa * np.sqrt(a) * _one_minus_exp(2.0 * kt * ell)
-    out = num / den
-    return float(out) if out.ndim == 0 else out
+    den = scale * _one_minus_exp(2.0 * kt * ell)
+    return (1.0 + np.exp(-2.0 * kt * ell)) / den, 2.0 * np.exp(-kt * ell) / den
 
 
 def _basis(kt, ell, x):
@@ -147,6 +137,28 @@ def _dirichlet_green(kt, ell, scale, s, t):
     )
 
 
+def neumann_edge_cov(kappa: float, a: float, tau: float, ell: float, s, t):
+    """Covariance of the Neumann edge field at arclengths s, t in [0, ell].
+
+    N(s, t) = D(s, t) + G(s)' Sigma_e G(t): the bridge plus the endpoint
+    block carried by the boundary basis. Broadcasts over array-valued s, t,
+    and N(s, t) == N(t, s) exactly. In the interior of a long edge
+    (kt * ell >> 1) this approaches the stationary exponential covariance
+    exp(-kt |s - t|) / (2 tau^2 kappa sqrt(a)).
+    """
+    s, t = _arclengths(ell, s, t)
+    kt, scale = _edge_scales(kappa, a, tau)
+    diag, off = _endpoint_block(kt, ell, scale)
+    g1s, g2s = _basis(kt, ell, s)
+    g1t, g2t = _basis(kt, ell, t)
+    out = (
+        _dirichlet_green(kt, ell, scale, s, t)
+        + diag * (g1s * g1t + g2s * g2t)
+        + off * (g1s * g2t + g2s * g1t)
+    )
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class EdgeBasis:
     """Homogeneous solutions G1, G2 of the edge operator with unit boundary data.
@@ -163,11 +175,11 @@ class EdgeBasis:
 
     @property
     def kt(self) -> float:
-        return self.kappa / np.sqrt(self.a)
+        return _edge_scales(self.kappa, self.a, 1.0)[0]
 
     def matrix(self, x) -> np.ndarray:
         """Stack [G1(x), G2(x)] along the last axis; shape x.shape + (2,)."""
-        x = np.asarray(x, dtype=float)
+        (x,) = _arclengths(self.length, x)
         return np.stack(_basis(self.kt, self.length, x), axis=-1)
 
     def __call__(self, x) -> np.ndarray:
@@ -189,13 +201,6 @@ def _require_alpha_one(m: FieldModel) -> None:
         )
 
 
-def _edge_boundary_block(kappa, a, tau, ell) -> np.ndarray:
-    n00 = neumann_edge_cov(kappa, a, tau, ell, 0.0, 0.0)
-    n01 = neumann_edge_cov(kappa, a, tau, ell, 0.0, ell)
-    n11 = neumann_edge_cov(kappa, a, tau, ell, ell, ell)
-    return np.array([[n00, n01], [n01, n11]])
-
-
 def bridge_cov(m: FieldModel, e: Edge, s, t):
     """Covariance of the zero-boundary edge bridge at arclengths s, t.
 
@@ -205,11 +210,9 @@ def bridge_cov(m: FieldModel, e: Edge, s, t):
     """
     _require_alpha_one(m)
     kappa, a = m.edge_params(e)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    _check_arclengths(e.length, s, t)
-    root_a = np.sqrt(a)
-    out = _dirichlet_green(kappa / root_a, e.length, m.tau**2 * kappa * root_a, s, t)
+    s, t = _arclengths(e.length, s, t)
+    kt, scale = _edge_scales(kappa, a, m.tau)
+    out = _dirichlet_green(kt, e.length, scale, s, t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -221,34 +224,30 @@ def continuity_constraints(g: MetricGraph) -> np.ndarray:
     incident endpoints are chained consecutively, giving degree(v) - 1 rows;
     a loop ties its own two endpoints together.
     """
-    ne = g.edge_count
-    rows = []
-    for v in range(g.vertex_count):
-        coords = [2 * j + end for j, end in g.incident(v)]
-        for c1, c2 in zip(coords, coords[1:]):
-            row = np.zeros(2 * ne)
-            row[c1] = 1.0
-            row[c2] = -1.0
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, 2 * ne))
-    return np.vstack(rows)
+    chains = [[2 * j + end for j, end in ends] for ends in g._incident]
+    first = np.array([c for coords in chains for c in coords[:-1]], dtype=np.intp)
+    second = np.array([c for coords in chains for c in coords[1:]], dtype=np.intp)
+    K = np.zeros((len(first), 2 * g.edge_count))
+    rows = np.arange(len(first))
+    K[rows, first] = 1.0
+    K[rows, second] = -1.0
+    return K
 
 
 def endpoint_prior_cov(g: MetricGraph, m: FieldModel) -> np.ndarray:
     """Block-diagonal covariance of all edge endpoint values before conditioning.
 
     Edges are independent Neumann fields, so the 2|E| x 2|E| matrix has one
-    2x2 block per edge and zeros elsewhere.
+    2x2 block Sigma_e per edge and zeros elsewhere.
     """
     _require_alpha_one(m)
-    ne = g.edge_count
-    sigma = np.zeros((2 * ne, 2 * ne))
-    for j, e in enumerate(g.edges):
-        kappa, a = m.edge_params(e)
-        sigma[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = _edge_boundary_block(
-            kappa, a, m.tau, e.length
-        )
+    ec = _edge_constants(g, m)
+    diag, off = _endpoint_block(ec.kt, ec.length, ec.scale)
+    start = 2 * np.arange(g.edge_count)
+    rows = np.concatenate([start, start + 1, start, start + 1])
+    cols = np.concatenate([start, start + 1, start + 1, start])
+    sigma = np.zeros((2 * g.edge_count, 2 * g.edge_count))
+    sigma[rows, cols] = np.concatenate([diag, diag, off, off])
     return sigma
 
 
@@ -289,15 +288,7 @@ class _EdgeConstants(NamedTuple):
 
 def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
     kappa, a = np.array([m.edge_params(e) for e in g.edges]).T
-    root_a = np.sqrt(a)
-    u, v, length = g._edge_arrays
-    return _EdgeConstants(
-        u=u,
-        v=v,
-        length=length,
-        kt=kappa / root_a,
-        scale=m.tau**2 * kappa * root_a,
-    )
+    return _EdgeConstants(*g._edge_arrays, *_edge_scales(kappa, a, m.tau))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -427,9 +418,9 @@ def markov_check(cov, set_a, set_b, set_s) -> float:
     certificate to be meaningful.
     """
     mat = cov.matrix if isinstance(cov, CovMatrix) else np.asarray(cov, dtype=float)
-    a = list(set_a)
-    b = list(set_b)
-    s = list(set_s)
+    a, b, s = (
+        _check_indices(x, mat.shape[0], "index sets") for x in (set_a, set_b, set_s)
+    )
     if set(a) & set(b) or set(a) & set(s) or set(b) & set(s):
         raise ValidationError("index sets A, B, S must be disjoint")
     if not a or not b or not s:
@@ -461,46 +452,39 @@ def kirchhoff_residual(
     probe = g.point(probe.edge, probe.t)
     if g.vertex_of(probe) == vertex:
         raise PointError("probe point must differ from the vertex under test")
+    _, j, t, u, v, ell = _point_arrays(g, cov.points)
 
-    per_edge: dict[str, list[tuple[float, int]]] = {}
-    vertex_col: dict[int, int] = {}
-    col = None
-    for i, p in enumerate(cov.points):
-        per_edge.setdefault(p.edge, []).append((p.t, i))
-        v = g.vertex_of(p)
-        if v is not None:
-            vertex_col.setdefault(v, i)
-        if p.edge == probe.edge and abs(p.t - probe.t) <= 1e-12 * max(1.0, probe.t):
-            col = i
-    if col is None:
+    on_probe = (j == g.edge_index(probe.edge)) & (
+        np.abs(t - probe.t) <= 1e-12 * max(1.0, probe.t)
+    )
+    if not on_probe.any():
         raise PointError("probe point is not among the covariance points")
-    if vertex not in vertex_col:
-        raise MeshResolutionError(
-            f"covariance mesh has no node at vertex {vertex}"
-        )
+    col = np.flatnonzero(on_probe)[-1]
+    # the vertex node may be addressed through any incident edge
+    # (deduplicated meshes); the first one found carries its value
+    at_vertex = ((t == 0.0) & (u == vertex)) | ((t == ell) & (v == vertex))
+    if not at_vertex.any():
+        raise MeshResolutionError(f"covariance mesh has no node at vertex {vertex}")
+    f0 = cov.matrix[np.flatnonzero(at_vertex)[0], col]
 
     total = 0.0
-    for j, end in g.incident(vertex):
-        e = g.edges[j]
-        t0 = 0.0 if end == 0 else e.length
-        # interior stencil nodes live on this edge; the vertex node itself
-        # may be addressed through any incident edge (deduplicated meshes)
-        inward = sorted(
-            (abs(t - t0), t, i)
-            for t, i in per_edge.get(e.id, [])
-            if abs(t - t0) > 1e-12 * max(1.0, e.length)
-        )[:2]
-        if len(inward) < 2:
+    for k, end in g.incident(vertex):
+        e = g.edges[k]
+        dist = np.abs(t - (0.0 if end == 0 else e.length))
+        # the two interior stencil nodes nearest the vertex on this edge,
+        # ties broken by arclength, then by position in the point list
+        near = np.flatnonzero((j == k) & (dist > 1e-12 * max(1.0, e.length)))
+        near = near[np.lexsort((t[near], dist[near]))][:2]
+        if len(near) < 2:
             raise MeshResolutionError(
                 f"need >= 2 interior mesh nodes on edge {e.id!r} near the vertex"
             )
-        (d1, _, i1), (d2, _, i2) = inward
-        delta = d1
-        if abs(d2 - 2.0 * delta) > 1e-8 * delta:
+        i1, i2 = near
+        delta = dist[i1]
+        if abs(dist[i2] - 2.0 * delta) > 1e-8 * delta:
             raise MeshResolutionError(
                 f"stencil on edge {e.id!r} is not uniformly spaced"
             )
-        f0 = cov.matrix[vertex_col[vertex], col]
         f1 = cov.matrix[i1, col]
         f2 = cov.matrix[i2, col]
         deriv = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * delta)

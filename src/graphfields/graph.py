@@ -128,7 +128,6 @@ class MetricGraph:
                 raise NonPositiveLengthError(
                     f"edge {e.id!r} has non-positive length {e.length}"
                 )
-        self._check_connected()
         object.__setattr__(self, "_index", {e.id: j for j, e in enumerate(self.edges)})
         _, u, v, length = zip(*self.edges)
         arrays = (
@@ -144,6 +143,7 @@ class MetricGraph:
             ends[e.u].append((j, 0))
             ends[e.v].append((j, 1))
         object.__setattr__(self, "_incident", tuple(map(tuple, ends)))
+        self._check_connected()
         object.__setattr__(self, "_hash", hash((self.vertex_count, self.edges)))
 
     def __hash__(self) -> int:
@@ -154,15 +154,15 @@ class MetricGraph:
         return (MetricGraph, (self.vertex_count, self.edges))
 
     def _check_connected(self) -> None:
+        """Walk the incidence table from vertex 0; every vertex must be
+        reached (an isolated vertex is never reached: a one-vertex graph
+        carries only loops)."""
         reached = {0}
         frontier = [0]
-        adj: dict[int, list[int]] = {}
-        for e in self.edges:
-            adj.setdefault(e.u, []).append(e.v)
-            adj.setdefault(e.v, []).append(e.u)
         while frontier:
-            w = frontier.pop()
-            for nb in adj.get(w, ()):
+            for j, end in self._incident[frontier.pop()]:
+                e = self.edges[j]
+                nb = e.u if end else e.v
                 if nb not in reached:
                     reached.add(nb)
                     frontier.append(nb)
@@ -171,9 +171,6 @@ class MetricGraph:
                 f"graph is disconnected: reached {len(reached)} of "
                 f"{self.vertex_count} vertices"
             )
-        for v in range(self.vertex_count):
-            if v not in adj:
-                raise DisconnectedGraphError(f"vertex {v} has degree 0")
 
     # -- basic queries ----------------------------------------------------
 

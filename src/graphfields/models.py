@@ -27,6 +27,15 @@ def _normalize(value, name: str):
     return value
 
 
+def _check_indices(indices, n: int, name: str) -> list:
+    """``indices`` as a list, each an integer in [0, n): none may alias."""
+    out = list(indices)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               and 0 <= i < n for i in out):
+        raise ValidationError(f"{name} must be integers in [0, {n}), got {out}")
+    return out
+
+
 @dataclass(frozen=True)
 class FieldModel:
     """Parameters of the differential-operator field on a graph.

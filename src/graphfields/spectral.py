@@ -41,7 +41,7 @@ import scipy.sparse
 
 from .errors import PointError, UnsupportedAlphaError, ValidationError
 from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _mesh, _Mesh
-from .models import CovMatrix, FieldModel
+from .models import CovMatrix, FieldModel, _check_indices
 from .sampling import replicate_normals
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
@@ -225,7 +225,7 @@ def spectral_cov(
     truncation and the tail magnitude lambda_{k-1}^{-(alpha - 1/2)}, which
     bounds the decay rate of whatever the truncation dropped.
     """
-    rows = slice(None) if nodes is None else list(nodes)
+    rows = slice(None) if nodes is None else _check_indices(nodes, op.n_dof, "nodes")
     basis = _scaled_basis(op, alpha, tau, k, rows)
     points = op.node_points if nodes is None else tuple(op.node_points[i] for i in rows)
     k = basis.shape[1]

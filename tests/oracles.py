@@ -47,6 +47,28 @@ def neumann_green_oracle(kappa, a, tau, ell, s, t, n=1000):
     return fine + (fine - coarse) / 3.0
 
 
+def neumann_four_exp(kappa, a, tau, ell, s, t):
+    """Neumann edge covariance as the four-exponential image sum.
+
+    [e^{-kt(M-m)} + e^{-kt(M+m)} + e^{-kt(2L-M-m)} + e^{-kt(2L-M+m)}] /
+    (2 tau^2 kappa sqrt(a) (1 - e^{-2 kt L})), kt = kappa / sqrt(a),
+    m = min(s, t), M = max(s, t): the cosh-cosh Green's function with every
+    exponent made non-positive.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    kt = kappa / np.sqrt(a)
+    m = np.minimum(s, t)
+    M = np.maximum(s, t)
+    num = (
+        np.exp(-kt * (M - m))
+        + np.exp(-kt * (M + m))
+        + np.exp(-kt * (2.0 * ell - M - m))
+        + np.exp(-kt * (2.0 * ell - M + m))
+    )
+    return num / (2.0 * tau**2 * kappa * np.sqrt(a) * -np.expm1(-2.0 * kt * ell))
+
+
 def second_derivative(f, x, h=1e-3):
     """Richardson-extrapolated central second difference of a scalar map."""
     def d2(hh):

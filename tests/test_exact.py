@@ -30,6 +30,7 @@ from graphfields.metrics import geodesic_distance
 
 from oracles import (
     circle_cov_mp,
+    neumann_four_exp,
     neumann_green_oracle,
     schur_conditional,
     second_derivative,
@@ -83,6 +84,33 @@ def test_neumann_cov_rejects_outside_edge():
         neumann_edge_cov(1.0, 1.0, 1.0, 1.0, -0.1, 0.5)
     with pytest.raises(PointError):
         neumann_edge_cov(1.0, 1.0, 1.0, 1.0, 0.1, 1.5)
+
+
+@pytest.mark.parametrize("x", [np.nan, -0.1, 1.1])
+def test_edge_law_rejects_nan_and_off_edge_arclengths(unit_star, x):
+    e = unit_star.edges[0]
+    with pytest.raises(PointError):
+        neumann_edge_cov(1.0, 1.0, 1.0, 1.0, x, 0.5)
+    with pytest.raises(PointError):
+        bridge_cov(FieldModel(), e, 0.5, x)
+    with pytest.raises(PointError):
+        EdgeBasis(1.0, 1.0, 1.0).matrix(x)
+    with pytest.raises(PointError):
+        EdgeBasis(1.0, 1.0, 1.0).matrix([0.5, x])
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-3, 1.0, 10.0, 1e3, 1e5])
+def test_neumann_cov_matches_four_exponential_oracle(kappa):
+    # basis, bridge and endpoint block against the image sum, across the
+    # parameter range: both underflow to exactly 0 together far apart
+    rng = np.random.default_rng(11)
+    for a in (0.3, 1.0, 4.0):
+        for ell in (1e-6, 1e-3, 1.0, 50.0, 1e4):
+            s = np.concatenate([rng.uniform(0.0, ell, 200), [0.0, 0.0, ell, ell]])
+            t = np.concatenate([rng.uniform(0.0, ell, 200), [0.0, ell, 0.0, ell]])
+            got = neumann_edge_cov(kappa, a, 0.7, ell, s, t)
+            ref = neumann_four_exp(kappa, a, 0.7, ell, s, t)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (a, ell)
 
 
 # --- homogeneous edge basis --------------------------------------------------
@@ -239,6 +267,22 @@ def test_vertex_field_cov_star_center_endpoints_agree(unit_star):
                 conditioned[i], conditioned[j], atol=1e-12
             )
             assert conditioned[i, i] == pytest.approx(conditioned[j, j], abs=1e-12)
+
+
+def test_endpoint_prior_matches_oracle_with_per_edge_kappa(fig8):
+    kappas = {e.id: 0.3 * 2.0**k for k, e in enumerate(fig8.edges)}
+    m = FieldModel(kappa=kappas, tau=0.7)
+    sigma = endpoint_prior_cov(fig8, m)
+    mask = np.ones_like(sigma, dtype=bool)
+    for j, e in enumerate(fig8.edges):
+        ell = e.length
+        ref = neumann_four_exp(kappas[e.id], 1.0, 0.7, ell, [0.0, 0.0, ell], [0.0, ell, ell])
+        block = sigma[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+        got = np.array([block[0, 0], block[0, 1], block[1, 1]])
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert block[1, 0] == block[0, 1]
+        mask[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = False
+    assert np.all(sigma[mask] == 0.0)
 
 
 def test_endpoint_prior_is_block_diagonal(unit_star):
@@ -573,6 +617,19 @@ def test_markov_check_validates_sets(unit_star):
         markov_check(cov, [0], [0], [1])
     with pytest.raises(ValidationError):
         markov_check(cov, [0], [1], [])
+
+
+def test_markov_check_rejects_out_of_range_indices(unit_star):
+    # -1 would alias index 2 and slip past the disjointness check
+    cov = full_cov(
+        unit_star, FieldModel(), [unit_star.point(e, 0.3) for e in ("e0", "e1", "e2")]
+    )
+    for bad in ([-1], [3], [1.0]):
+        with pytest.raises(ValidationError):
+            markov_check(cov, [0], [2], bad)
+    expected = schur_conditional(cov.matrix, [0], [2], [1])[0, 0]
+    assert markov_check(cov, [0], [2], [1]) == pytest.approx(abs(expected), rel=1e-12)
+    assert markov_check(cov, [0], [2], [1]) == pytest.approx(0.144, abs=5e-4)
 
 
 def test_markov_check_singular_separator(unit_star):

@@ -68,6 +68,15 @@ def test_build_three_cycle_distance_consistency():
           "edges": [{"id": "x", "u": 0, "v": 1, "length": 1.0},
                     {"id": "x", "u": 0, "v": 1, "length": 2.0}]},
          GraphValidationError),
+        # an isolated vertex 0, then an isolated last vertex
+        ({"vertices": 3,
+          "edges": [{"u": 1, "v": 2, "length": 1.0},
+                    {"u": 2, "v": 1, "length": 2.0}]},
+         DisconnectedGraphError),
+        ({"vertices": 3,
+          "edges": [{"u": 0, "v": 1, "length": 1.0},
+                    {"u": 1, "v": 1, "length": 2.0}]},
+         DisconnectedGraphError),
     ],
 )
 def test_build_rejects_bad_specs(doc, err):

@@ -111,6 +111,16 @@ def test_spectral_cov_node_subset(unit_star):
     assert sub.points == tuple(op.node_points[i] for i in nodes)
 
 
+def test_spectral_cov_rejects_out_of_range_nodes(unit_star):
+    # -1 would silently select the last node, 13 raise a bare IndexError
+    op = assemble(unit_star, FieldModel(), 0.25)
+    assert op.n_dof == 13
+    for bad in ([-1], [13], [0, 2.0]):
+        with pytest.raises(ValidationError):
+            spectral_cov(op, 1.0, 1.0, nodes=bad)
+    assert spectral_cov(op, 1.0, 1.0, nodes=[12]).points == (op.node_points[12],)
+
+
 def test_spectral_cov_truncation_and_tail_report(unit_star):
     op = assemble(unit_star, FieldModel(), 0.1)
     cov = spectral_cov(op, 0.8, 1.0, k=10)
