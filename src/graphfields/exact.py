@@ -24,6 +24,14 @@ each point's two end vertices. The dense route (``endpoint_prior_cov``,
 block-diagonal endpoint covariance directly; it is the reference behind
 ``full_cov(..., constraints=K)``.
 
+Sampling never forms C at points whose edges have both ends among the
+points. Put the vertices first and such points after them, sorted by
+(edge, t): the Cholesky factor of C is then [[L_V, 0], [Phi L_V,
+blockdiag_e chol(B_e)]] with L_V = chol(S_V), B_e edge e's bridge block
+and no fill between edges, and chol(B_e) is a walk along the edge.
+``sample`` draws one standard normal per distinct point in that order; only
+points on an edge with an end left out need ``full_cov``.
+
 All formulas are overflow-safe for kt * L far beyond the ~700 range where
 raw cosh/sinh overflow in double precision, and use expm1 wherever
 1 - exp(-x) would cancel for small kt * L.
@@ -57,7 +65,7 @@ from .graph import (
     _same_edge_pairs,
     _symmetrize,
 )
-from .models import CovMatrix, FieldModel, _check_indices
+from .models import CovMatrix, FieldModel, _check_indices, _normalize
 from .sampling import replicate_normals, safe_cholesky
 
 __all__ = [
@@ -146,6 +154,10 @@ def neumann_edge_cov(kappa: float, a: float, tau: float, ell: float, s, t):
     (kt * ell >> 1) this approaches the stationary exponential covariance
     exp(-kt |s - t|) / (2 tau^2 kappa sqrt(a)).
     """
+    kappa, a, tau, ell = (
+        _normalize(x, name)
+        for x, name in ((kappa, "kappa"), (a, "a"), (tau, "tau"), (ell, "length"))
+    )
     s, t = _arclengths(ell, s, t)
     kt, scale = _edge_scales(kappa, a, tau)
     diag, off = _endpoint_block(kt, ell, scale)
@@ -172,6 +184,10 @@ class EdgeBasis:
     kappa: float
     a: float
     length: float
+
+    def __post_init__(self) -> None:
+        for name in ("kappa", "a", "length"):
+            object.__setattr__(self, name, _normalize(getattr(self, name), name))
 
     @property
     def kt(self) -> float:
@@ -388,6 +404,72 @@ def full_cov(
     return CovMatrix(C, tuple(pts), "exact")
 
 
+class _FactorOrder(NamedTuple):
+    """The columns of the Markov factor of C, one per distinct point.
+
+    ``vertices`` are the vertices among the points, ascending; ``bridged``
+    and ``rest`` give, for each of their columns, the input index of the
+    first point at that (edge, t): bridged points lie on edges with both
+    ends in ``vertices`` and come sorted by (edge, t), the rest keep the
+    order of first occurrence. ``column`` is every input point's column.
+    """
+
+    vertices: np.ndarray
+    bridged: np.ndarray
+    rest: np.ndarray
+    column: np.ndarray
+
+
+def _factor_order(g: MetricGraph, j, t, u, v, ell) -> _FactorOrder:
+    """The factor columns of points given as ``_point_arrays`` arrays."""
+    vertex = np.where(t == 0.0, u, np.where(t == ell, v, -1))
+    at_vertex = vertex >= 0
+    is_vertex = np.zeros(g.vertex_count, dtype=bool)
+    is_vertex[vertex[at_vertex]] = True
+    vertices = np.flatnonzero(is_vertex)
+    inner = np.flatnonzero(~at_vertex)
+    inner = inner[np.lexsort((t[inner], j[inner]))]  # stable: ties keep input order
+    new = np.ones(inner.size, dtype=bool)
+    new[1:] = (j[inner[1:]] != j[inner[:-1]]) | (t[inner[1:]] != t[inner[:-1]])
+    first = inner[new]
+    bridged = is_vertex[u[first]] & is_vertex[v[first]]
+    nv, nb = vertices.size, np.count_nonzero(bridged)
+    group_col = np.empty(first.size, dtype=np.intp)
+    group_col[bridged] = nv + np.arange(nb)
+    rest = np.flatnonzero(~bridged)
+    rest = rest[np.argsort(first[rest])]  # by first occurrence
+    group_col[rest] = nv + nb + np.arange(rest.size)
+    column = np.empty(t.size, dtype=np.intp)
+    column[at_vertex] = np.searchsorted(vertices, vertex[at_vertex])
+    column[inner] = group_col[np.cumsum(new) - 1]
+    return _FactorOrder(vertices, first[bridged], first[rest], column)
+
+
+def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:
+    """Zero-boundary bridges at distinct interior points sorted by (edge, t).
+
+    Turns the normals z_k in column k of ``draws``, in place, into
+    b_k = G1(d_k) b_{k-1} + sqrt(D(d_k, d_k)) z_k with d_k = t_k - t_{k-1},
+    t_0 = 0 and b_0 = 0, G1 and D taken on the remaining sub-edge
+    [t_{k-1}, L]: the bridge is Markov, so this walk is exactly the
+    Cholesky factor of its block. One step per rank within an edge,
+    vectorised over the edges.
+    """
+    kt, length, scale = ec.kt[j], ec.length[j], ec.scale[j]
+    starts = np.ones(j.size, dtype=bool)
+    starts[1:] = j[1:] != j[:-1]
+    prev = np.where(starts, 0.0, np.roll(t, 1))
+    step, _ = _basis(kt, length - prev, t - prev)
+    draws *= np.sqrt(_dirichlet_green(kt, length - prev, scale, t - prev, t - prev))
+    pos = np.arange(j.size)
+    rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = np.cumsum(np.bincount(rank))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):  # ranks 1, 2, ... in turn
+        at = by_rank[lo:hi]
+        draws[:, at] += step[at] * draws[:, at - 1]
+
+
 def sample(
     g: MetricGraph,
     m: FieldModel,
@@ -397,16 +479,66 @@ def sample(
 ) -> np.ndarray:
     """n zero-mean draws of the exact field at the points, (n, len(pts)).
 
-    Deterministic in ``seed``; the replicates are rows drawn in turn from
-    one generator, so a smaller run is a prefix of a larger one.
+    Draws are the Cholesky factor of C in a Markov order times one standard
+    normal per distinct point, so equal points (a vertex addressed through
+    any of its edge ends included) get equal values. The factor's columns
+    come in three blocks:
+
+    1. the vertices among the points: x_V = chol(S_V[V, V]) z_V;
+    2. interior points on edges with both ends in block 1, sorted by
+       (edge, t): x = G1(t) x_u + G2(t) x_v + b, with the bridge b drawn
+       one step at a time along its edge (``_bridge_walk``). Given its end
+       values an edge is independent of the rest of the graph, so this is
+       exactly the factor of these columns, with no jitter and no fill;
+    3. every other point: x_R = H' z_V + chol(C_RR - H'H) z_R with
+       H = chol(S_V[V, V])^{-1} C_VR, from one ``full_cov`` call.
+
+    With no vertex among the points and none repeated, block 3 is the whole
+    request in its given order and the draws are ``replicate_normals(seed, n, len(pts)) @
+    chol(full_cov(pts)).T``. Deterministic in ``seed``; the replicates are
+    rows drawn in turn from one generator, so a smaller run is a prefix of
+    a larger one.
     """
     if n < 0:
         raise ValidationError(f"replicate count must be >= 0, got {n}")
-    cov = full_cov(g, m, pts)
+    _require_alpha_one(m)
+    pts, j, t, u, v, ell = _point_arrays(g, pts)
+    order = _factor_order(g, j, t, u, v, ell)
     if n == 0:
-        return np.empty((0, len(cov.points)))
-    chol, _ = safe_cholesky(cov.matrix)
-    return replicate_normals(seed, n, len(cov.points)) @ chol.T
+        return np.empty((0, len(pts)))
+    nv, nb, nr = order.vertices.size, order.bridged.size, order.rest.size
+    sv, ec = _vertex_cov(g, m)
+    if nv:
+        chol_v, _ = safe_cholesky(sv[np.ix_(order.vertices, order.vertices)])
+    if nr:
+        inputs = [pts[i] for i in order.rest]
+        cov = full_cov(g, m, inputs + [g.vertex_point(w) for w in order.vertices])
+        c_rr = cov.matrix[:nr, :nr]
+        if nv:
+            h = scipy.linalg.solve_triangular(chol_v, cov.matrix[nr:, :nr], lower=True)
+            c_rr = c_rr - h.T @ h
+        chol_r, _ = safe_cholesky(c_rr)
+    # the normals become the draws in place, one column per factor column
+    z = replicate_normals(seed, n, nv + nb + nr)
+    if nr:
+        rest = z[:, nv + nb :] @ chol_r.T
+        if nv:
+            rest += z[:, :nv] @ h  # before block 1 overwrites z_V
+            z[:, nv + nb :] = rest
+        else:  # no vertex among the points: block 3 is the whole request
+            z = rest
+    if nv:
+        z[:, :nv] = z[:, :nv] @ chol_v.T
+    if nb:
+        b = order.bridged
+        bridge = z[:, nv : nv + nb]
+        _bridge_walk(ec, j[b], t[b], bridge)
+        g1, g2 = _basis(ec.kt[j[b]], ec.length[j[b]], t[b])
+        bridge += g1 * z[:, np.searchsorted(order.vertices, u[b])]
+        bridge += g2 * z[:, np.searchsorted(order.vertices, v[b])]
+    if np.array_equal(order.column, np.arange(len(pts))):
+        return z
+    return z[:, order.column]
 
 
 def markov_check(cov, set_a, set_b, set_s) -> float:

@@ -49,3 +49,20 @@ def test_tracer_wraps_exact_layer_and_restores_everything():
     assert tracer.calls["exact.full_cov"] > 0
     assert tracer.calls["exact.condition"] > 0
     assert tracer.per_layer()["exact.full_cov_calls"][0] > 0
+
+
+def test_traced_sample_factors_only_the_vertex_block():
+    # every vertex of the mesh is among the points, so sampling needs the
+    # |V| x |V| vertex factor and no covariance of the points
+    g = gf.one_sum([gf.circle(1.4, 4) for _ in range(40)], [(0, 0)] * 39)
+    pts = gf.mesh(g, 0.1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        exact.sample(g, FieldModel(kappa=2.0), pts, 20, 3)
+    finally:
+        tracer.remove()
+    layers = tracer.per_layer()
+    assert 0.0 < layers["sampling.cholesky_gflop"][0] <= g.vertex_count**3 / 3e9
+    assert layers["exact.full_cov_calls"][0] == 0
+    assert layers["sampling.normals_drawn"][0] == 20 * len(pts)

@@ -27,7 +27,9 @@ from graphfields.exact import (
 )
 from graphfields.kernels import circle_cov
 from graphfields.metrics import geodesic_distance
+from graphfields.sampling import replicate_normals, safe_cholesky
 
+from conftest import random_point
 from oracles import (
     circle_cov_mp,
     neumann_four_exp,
@@ -84,6 +86,19 @@ def test_neumann_cov_rejects_outside_edge():
         neumann_edge_cov(1.0, 1.0, 1.0, 1.0, -0.1, 0.5)
     with pytest.raises(PointError):
         neumann_edge_cov(1.0, 1.0, 1.0, 1.0, 0.1, 1.5)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+@pytest.mark.parametrize("slot", range(4))
+def test_edge_law_rejects_non_positive_parameters(bad, slot):
+    # kappa, a, tau and the length, one at a time
+    args = [1.0, 1.0, 1.0, 1.0]
+    args[slot] = bad
+    with pytest.raises(ValidationError):
+        neumann_edge_cov(*args, 0.5, 0.5)
+    if slot != 2:  # EdgeBasis has no tau
+        with pytest.raises(ValidationError):
+            EdgeBasis(args[0], args[1], args[3])
 
 
 @pytest.mark.parametrize("x", [np.nan, -0.1, 1.1])
@@ -527,15 +542,16 @@ def test_sample_zero_replicates(unit_star):
 
 
 def test_sample_seed_determinism_and_prefix(unit_star):
-    pts = [unit_star.point("e0", 0.5), unit_star.point("e1", 0.25)]
     m = FieldModel()
-    a = sample(unit_star, m, pts, 10, 123)
-    b = sample(unit_star, m, pts, 10, 123)
-    np.testing.assert_array_equal(a, b)
-    # replicates are drawn row by row: a shorter run is a prefix of a longer one
-    np.testing.assert_array_equal(sample(unit_star, m, pts, 4, 123), a[:4])
-    c = sample(unit_star, m, pts, 10, 124)
-    assert not np.array_equal(a, c)
+    interior = [unit_star.point("e0", 0.5), unit_star.point("e1", 0.25)]
+    for pts in (interior, gf.mesh(unit_star, 0.3)):
+        a = sample(unit_star, m, pts, 10, 123)
+        b = sample(unit_star, m, pts, 10, 123)
+        np.testing.assert_array_equal(a, b)
+        # replicates are drawn row by row: a shorter run is a prefix of a longer one
+        np.testing.assert_array_equal(sample(unit_star, m, pts, 4, 123), a[:4])
+        c = sample(unit_star, m, pts, 10, 124)
+        assert not np.array_equal(a, c)
 
 
 def test_sample_covariance_monte_carlo(unit_star):
@@ -552,6 +568,127 @@ def test_sample_covariance_monte_carlo(unit_star):
 def test_sample_rejects_negative_count(unit_star):
     with pytest.raises(ValidationError):
         sample(unit_star, FieldModel(), [unit_star.point("e0", 0.5)], -1, 0)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_sample_rejects_bad_points_and_alpha(unit_star, n):
+    with pytest.raises(PointError):
+        sample(unit_star, FieldModel(), [PointOnGraph("e0", 1.5)], n, 0)
+    with pytest.raises(PointError):
+        sample(unit_star, FieldModel(), [PointOnGraph("nope", 0.5)], n, 0)
+    with pytest.raises(UnsupportedAlphaError):
+        sample(unit_star, FieldModel(alpha=2.0), [unit_star.point("e0", 0.5)], n, 0)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [PointOnGraph("e0", 0.5), PointOnGraph("e0", 0.5)],
+        # one vertex addressed through two of its edges
+        [PointOnGraph("e0", 1.0), PointOnGraph("e1", 1.0)],
+    ],
+    ids=["same-point", "same-vertex"],
+)
+def test_sample_duplicate_points_share_one_normal(unit_star, pts, monkeypatch):
+    widths = []
+    original = gf.exact.replicate_normals
+
+    def recording(seed, n, k):
+        widths.append(k)
+        return original(seed, n, k)
+
+    monkeypatch.setattr(gf.exact, "replicate_normals", recording)
+    extra = [PointOnGraph("e1", 0.3), PointOnGraph("e2", 0.0)]
+    draws = sample(unit_star, FieldModel(), pts + extra + pts, 3, 0)
+    for col in (1, 4, 5):
+        assert draws[:, col].tobytes() == draws[:, 0].tobytes()
+    assert widths == [3]
+
+
+def _factor_order_points(g, pts):
+    """The vertex-first factor order, worked out point by point: vertices
+    ascending, then interior points on edges with both ends among them by
+    (edge, t), then the other interior points by first occurrence. Returns
+    the distinct points in that order and each input point's position."""
+    keys = []
+    for p in pts:
+        w = g.vertex_of(p)
+        keys.append(("v", w) if w is not None else ("p", g.edge_index(p.edge), p.t))
+    vin = sorted({k[1] for k in keys if k[0] == "v"})
+    inner = list(dict.fromkeys(k for k in keys if k[0] == "p"))
+    bridged = {k for k in inner if {g.edges[k[1]].u, g.edges[k[1]].v} <= set(vin)}
+    order = (
+        [("v", w) for w in vin]
+        + sorted(bridged, key=lambda k: (k[1], k[2]))
+        + [k for k in inner if k not in bridged]
+    )
+    points = [
+        g.vertex_point(k[1]) if k[0] == "v" else PointOnGraph(g.edges[k[1]].id, k[2])
+        for k in order
+    ]
+    position = {k: i for i, k in enumerate(order)}
+    return points, [position[k] for k in keys]
+
+
+_ORACLE_GRAPHS = {
+    "figure-eight": lambda: gf.figure_eight(1.0, 2.0),
+    "tadpole": lambda: gf.tadpole(2.0, 1.0),
+    "star": lambda: gf.star([1.0, 0.5, 2.0]),
+    "loop": lambda: gf.MetricGraph(1, (gf.Edge("loop", 0, 0, 2.0),)),
+    "double-edge": lambda: gf.MetricGraph(
+        2, (gf.Edge("short", 0, 1, 1.0), gf.Edge("long", 0, 1, 3.0))
+    ),
+    "bouquet-40": lambda: gf.one_sum(
+        [gf.circle(1.4, 4) for _ in range(40)], [(0, 0)] * 39
+    ),
+}
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["full-mesh", "vertices-dropped"])
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("name", list(_ORACLE_GRAPHS))
+def test_sample_is_dense_cholesky_in_factor_order(name, kappa, drop):
+    g = _ORACLE_GRAPHS[name]()
+    m = FieldModel(kappa=kappa)
+    pts = gf.mesh(g, 0.1)
+    if drop:
+        # points on edges at a dropped vertex leave the bridged block
+        gone = {1, 2} if g.vertex_count > 2 else {g.vertex_count - 1}
+        pts = [p for p in pts if g.vertex_of(p) not in gone]
+    ordered, position = _factor_order_points(g, pts)
+    factor = np.linalg.cholesky(full_cov(g, m, ordered).matrix)
+    ref = (replicate_normals(5, 7, len(ordered)) @ factor.T)[:, position]
+    got = sample(g, m, pts, 7, 5)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["figure-eight", "star", "bouquet-40"])
+def test_sample_without_vertices_keeps_dense_stream(name):
+    # no vertex among the points: the factor order is the input order
+    g = _ORACLE_GRAPHS[name]()
+    rng = np.random.default_rng(4)
+    pts = [random_point(g, rng) for _ in range(25)]
+    m = FieldModel(kappa=1.3, tau=0.8)
+    chol, _ = safe_cholesky(full_cov(g, m, pts).matrix)
+    ref = replicate_normals(17, 40, len(pts)) @ chol.T
+    assert sample(g, m, pts, 40, 17).tobytes() == ref.tobytes()
+
+
+def test_sample_memory_is_far_below_one_dense_matrix():
+    import tracemalloc
+
+    g = gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99)
+    m = FieldModel(kappa=2.0)
+    pts = gf.mesh(g, 0.1)
+    assert len(pts) == 1501
+    sample(g, m, pts, 10, 1)  # the cached vertex covariance is built here
+    tracemalloc.start()
+    try:
+        sample(g, m, pts, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(pts) ** 2 * 8 / 4
 
 
 # --- Markov checks ------------------------------------------------------------
