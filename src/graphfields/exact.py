@@ -61,6 +61,7 @@ from .graph import (
     Edge,
     MetricGraph,
     PointOnGraph,
+    _grounded_factor,
     _point_arrays,
     _same_edge_pairs,
     _symmetrize,
@@ -303,7 +304,7 @@ class _EdgeConstants(NamedTuple):
 
 
 def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
-    kappa, a = np.array([m.edge_params(e) for e in g.edges]).T
+    kappa, a = m._edge_values(g.edges)
     return _EdgeConstants(*g._edge_arrays, *_edge_scales(kappa, a, m.tau))
 
 
@@ -315,31 +316,22 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     [-csch x, coth x]] (x = kt L) splits as (c/2) [tanh(x/2) (1,1)(1,1)' +
     coth(x/2) (1,-1)(1,-1)'], so Q = B'B for the 2|E| rows
     sqrt(c tanh(x/2) / 2) (e_u + e_v) and sqrt(c coth(x/2) / 2) (e_u - e_v).
-    With B = QR, S_V = R^{-1} R^{-T}. Factoring B instead of forming Q keeps
-    the small tanh terms, which rounding loses against the coth terms in Q
-    itself when kt L is small. B is factored in coordinates that give the
-    constant vector its own column: its precision, made of the tanh terms
-    alone, then never mixes with the coth terms, and the constant mode that
-    dominates S_V at small kt L keeps full relative accuracy.
+    The factor of S_V comes from ``graph._grounded_factor`` with root 0.
+    Factoring B instead of forming Q keeps the small tanh terms, which
+    rounding loses against the coth terms in Q itself when kt L is small.
+    In the grounded coordinates v = z_0 (1, ..., 1) + (0, z_1, ...), column
+    0 of B becomes B 1, which the difference rows annihilate exactly: the
+    constant vector's precision, made of the tanh terms alone, then never
+    mixes with the coth terms, and the constant mode that dominates S_V at
+    small kt L keeps full relative accuracy.
     """
     ec = _edge_constants(g, m)
-    ne = g.edge_count
     th = np.tanh(0.5 * ec.kt * ec.length)
-    w_sum = np.sqrt(0.5 * ec.scale * th)
-    w_diff = np.sqrt(0.5 * ec.scale / th)
-    rows = np.arange(ne)
-    b = np.zeros((2 * ne, g.vertex_count))
-    np.add.at(b, (rows, ec.u), w_sum)
-    np.add.at(b, (rows, ec.v), w_sum)
-    np.add.at(b, (ne + rows, ec.u), w_diff)
-    np.add.at(b, (ne + rows, ec.v), -w_diff)
-    # coordinates z with v = z_0 (1, ..., 1) + (0, z_1, ...): column 0 of B
-    # becomes B 1, which the difference rows annihilate exactly
-    b[:, 0] = 0.0
-    b[rows, 0] = 2.0 * w_sum
-    r = np.linalg.qr(b, mode="r")
-    w = scipy.linalg.solve_triangular(r, np.eye(g.vertex_count))
-    w[1:] += w[0]
+    w_sum, w_diff = np.sqrt(0.5 * ec.scale * th), np.sqrt(0.5 * ec.scale / th)
+    u, v = np.concatenate((ec.u, ec.u)), np.concatenate((ec.v, ec.v))
+    w_u, w_v = np.concatenate((w_sum, w_diff)), np.concatenate((w_sum, -w_diff))
+    w = _grounded_factor(g.vertex_count, u, v, w_u, w_v)
+    w[1:] += w[0]  # from z back to the vertex values
     sv = w @ w.T
     sv = 0.5 * (sv + sv.T)
     for arr in (sv, *ec):

@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -277,16 +278,28 @@ def build_graph(spec: Mapping) -> MetricGraph:
 def _point_arrays(g: MetricGraph, pts: Sequence[PointOnGraph]):
     """Validated points and their per-point arrays (pts, j, t, u, v, L).
 
-    Each point is validated once through ``g.point``; j is its edge index,
-    t its arclength, u and v the edge's start and end vertices and L the
-    edge length.
+    The points pass the checks of ``g.point`` as arrays: a known edge id,
+    and t within [0, L] up to the 1e-12 slack (NaN fails). The first point
+    that fails goes through ``g.point`` itself, so its error is the one
+    ``g.point`` raises; only points clamped onto an edge end are rebuilt.
+    j is each point's edge index, t its arclength, u and v the edge's start
+    and end vertices and L the edge length.
     """
-    pts = [g.point(p.edge, p.t) for p in pts]
+    pts = list(pts)
     n = len(pts)
-    j = np.fromiter((g._index[p.edge] for p in pts), dtype=np.intp, count=n)
+    j = np.fromiter((g._index.get(p.edge, -1) for p in pts), dtype=np.intp, count=n)
     t = np.fromiter((p.t for p in pts), dtype=float, count=n)
     u, v, length = g._edge_arrays
-    return pts, j, t, u[j], v[j], length[j]
+    ell = length[j]
+    slack = 1e-12 * np.maximum(1.0, ell)
+    valid = (j >= 0) & (-slack <= t) & (t <= ell + slack)
+    if not valid.all():
+        first = pts[np.argmin(valid)]
+        g.point(first.edge, first.t)  # raises
+    for i in np.flatnonzero((t < 0.0) | (t > ell)):
+        pts[i] = g.point(pts[i].edge, pts[i].t)
+        t[i] = pts[i].t
+    return pts, j, t, u[j], v[j], ell
 
 
 def _same_edge_pairs(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,6 +329,32 @@ def _symmetrize(C: np.ndarray) -> np.ndarray:
         C[i:j, i:] = 0.5 * (C[i:j, i:] + C[i:, i:j].T)
         C[j:, i:j] = C[i:j, j:].T
     return C
+
+
+# -- grounded vertex factor (shared by the exact field and the metrics) -----
+
+
+def _grounded_factor(n: int, u, v, w_u, w_v, root: int = 0) -> np.ndarray:
+    """n x n factor W of the inverse of a vertex precision Q = B'B, in
+    grounded coordinates.
+
+    B has one row w_u e_u + w_v e_v per entry of the arrays (a loop's two
+    weights add). In the coordinates z with x = z_root (1, ..., 1) + (z with
+    0 at root), column ``root`` of B becomes the row sums B 1. The columns,
+    rotated to put that one first, are factored as (orthogonal) R, and the
+    rows of R^{-1}, rotated back, are W: row i belongs to z_i and Cov(z) =
+    W W'. A mode that Q nearly annihilates, such as the constant one, keeps
+    its own column and full relative accuracy, and Q itself is never
+    formed. This is the one place where a grounded vertex Laplacian is
+    inverted.
+    """
+    rows = np.arange(len(w_u))
+    b = np.zeros((rows.size, n))
+    np.add.at(b, (rows, u), w_u)
+    np.add.at(b, (rows, v), w_v)
+    b[:, root] = b.sum(axis=1)
+    r = np.linalg.qr(np.roll(b, -root, axis=1), mode="r")  # root column first
+    return np.roll(scipy.linalg.solve_triangular(r, np.eye(n)), root, axis=0)
 
 
 # -- vertex distances (used by classification and the metrics module) ------

@@ -21,7 +21,7 @@ along edges, plus an independent Brownian bridge on every edge (Anderes,
 Moller & Rasmussen, "Isotropic covariance functions on graphs and their
 edges", Ann. Statist. 2020). It is evaluated analytically, never by
 simulation. Since each point's weights sum to one, only the vertex
-resistances R_V = diag + diag' - 2 L^{-1} enter:
+resistances R_V = diag(G) + diag(G)' - 2 G enter, with G as below:
 
     d_ij = sum_{a in ends(i), b in ends(j)} w_a(i) w_b(j) R_V[a, b]
            - s_i - s_j,
@@ -30,17 +30,18 @@ resistances R_V = diag + diag' - 2 L^{-1} enter:
 and on a shared edge, with delta = t_i - t_j, the exact closed form
 R_V[u, v] delta^2 / L^2 + |delta| - delta^2 / L replaces it.
 
-The sparse form Phi L^{-1} Phi' (the weights as a sparse Phi) is not used:
-grounding puts a constant of about 1 into every entry of L^{-1}, which
-cancels in the variogram only after rounding at that size. Against the
-pairwise formula this module used before, on 100 random points plus the
-vertices, the Phi form was off by 2.3e-9 relative on
-figure_eight(1e-3, 2e-3) and 1.5e-8 on tadpole(2, 1e-5); the gather form by
-1.9e-12 and 5.5e-12.
+R_V comes from G, the Green's function grounded at the root (zero in its
+row and column), and never from L^{-1} = 1 + G, whose constant 1 would
+cancel in the variogram only after rounding at that size. The sparse form
+Phi G Phi' (the weights as a sparse Phi) agrees with the gathers to
+rounding, 9e-16 relative at 40 points on the four canonical graphs, but is
+not used because it is slower: 0.25-0.27 ms against 0.14-0.20 ms for the
+gathers at those 40 points (best of 7 on a shared 2-core machine), a cost
+that every small isotropic covariance request would pay.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -51,6 +52,7 @@ from .graph import (
     CACHE_SIZE,
     MetricGraph,
     PointOnGraph,
+    _grounded_factor,
     _point_arrays,
     _same_edge_pairs,
     _symmetrize,
@@ -80,14 +82,22 @@ class ResistanceStructure:
     conductance: np.ndarray
     laplacian: np.ndarray
     linv: np.ndarray
+    # the vertex resistances R_V, read by the metric matrices
+    _r_v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
-    """Build the grounded vertex Laplacian and its inverse.
+    """Build the grounded vertex Laplacian, its inverse and R_V.
 
     Only graphs with Euclidean edges are supported (the conductance
-    construction assumes no loops or multi-edges).
+    construction assumes no loops or multi-edges). The Laplacian is B'B for
+    the rows sqrt(1/length) (e_u - e_v); with one more row e_v0,
+    ``graph._grounded_factor`` at root v0 factors the inverse, and its rows
+    other than v0 give G, the Green's function grounded at v0 (zero in row
+    and column v0). Then ``linv`` = 1 + G is exactly the inverse of the
+    Laplacian with +1 at v0, and R_V = diag(G) + diag(G)' - 2 G never
+    passes through that constant 1.
     """
     if not classify(g).euclidean_edges:
         raise UnsupportedGraphError(
@@ -96,27 +106,21 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     n = g.vertex_count
     if not (0 <= v0 < n):
         raise UnsupportedGraphError(f"root vertex {v0} outside [0, {n})")
+    u, v, length = g._edge_arrays
     c = np.zeros((n, n))
-    for e in g.edges:
-        c[e.u, e.v] = c[e.v, e.u] = 1.0 / e.length
-    lap = -c.copy()
-    np.fill_diagonal(lap, c.sum(axis=1))
+    c[u, v] = c[v, u] = 1.0 / length
+    lap = np.diag(c.sum(axis=1)) - c
     lap[v0, v0] += 1.0
-    linv = np.linalg.inv(lap)
-    linv = 0.5 * (linv + linv.T)
-    for arr in (c, lap, linv):
+    w = np.sqrt(1.0 / length)
+    rows = np.r_[v0, u], np.r_[v0, v], np.r_[1.0, w], np.r_[0.0, -w]
+    factor = _grounded_factor(n, *rows, root=v0)
+    factor[v0] = 0.0
+    green = factor @ factor.T
+    r_v = np.add.outer(np.diag(green), np.diag(green)) - 2.0 * green
+    linv = 1.0 + green
+    for arr in (c, lap, linv, r_v):
         arr.flags.writeable = False
-    return ResistanceStructure(root=v0, conductance=c, laplacian=lap, linv=linv)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _vertex_resistance(g: MetricGraph, v0: int = 0) -> np.ndarray:
-    """|V| x |V| effective resistances R_V = diag + diag' - 2 L^{-1} (read-only)."""
-    linv = resistance_structure(g, v0).linv
-    diag = np.diag(linv)
-    r_v = diag[:, None] + diag[None, :] - 2.0 * linv
-    r_v.flags.writeable = False
-    return r_v
+    return ResistanceStructure(v0, c, lap, linv, r_v)
 
 
 def _resistance_matrix(
@@ -128,7 +132,7 @@ def _resistance_matrix(
     per-point self terms, then the same-edge closed form.
     """
     pts, j, t, u, v, ell = _point_arrays(g, pts)
-    r_v = _vertex_resistance(g, v0)
+    r_v = resistance_structure(g, v0)._r_v
     w_v = t / ell
     ends = ((u, 1.0 - w_v), (v, w_v))
     d = None

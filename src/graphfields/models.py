@@ -60,19 +60,28 @@ class FieldModel:
             raise ValidationError(f"alpha must exceed 1/2, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
 
-    def _lookup(self, table, edge_id: str, name: str) -> float:
+    @staticmethod
+    def _lookup(table, edge_ids, name: str) -> np.ndarray:
+        """Values on each edge id of a float or of a sorted (id, value)
+        tuple, read into a dict once: O(|E|), not one scan per edge."""
         if isinstance(table, float):
-            return table
-        for k, v in table:
-            if k == edge_id:
-                return v
-        raise ValidationError(f"no {name} given for edge {edge_id!r}")
+            return np.full(len(edge_ids), table)
+        values = dict(table)
+        try:
+            return np.array([values[k] for k in edge_ids])
+        except KeyError as exc:
+            raise ValidationError(f"no {name} given for edge {exc.args[0]!r}") from None
+
+    def _edge_values(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """(kappa, a) on each of the given edges, as two arrays."""
+        ids = [e.id for e in edges]
+        return self._lookup(self.kappa, ids, "kappa"), self._lookup(self.a, ids, "a")
 
     def kappa_on(self, edge_id: str) -> float:
-        return self._lookup(self.kappa, edge_id, "kappa")
+        return float(self._lookup(self.kappa, [edge_id], "kappa")[0])
 
     def a_on(self, edge_id: str) -> float:
-        return self._lookup(self.a, edge_id, "a")
+        return float(self._lookup(self.a, [edge_id], "a")[0])
 
     def edge_params(self, e: Edge) -> tuple[float, float]:
         """(kappa, a) on the given edge."""

@@ -123,10 +123,10 @@ def _stiffness(mesh: _Mesh, coeffs, shift: float) -> np.ndarray:
 
 def _coefficients(g: MetricGraph, m: FieldModel):
     """Per edge (a_e, kappa_e^2 - kappa_min^2), and kappa_min^2."""
-    kappa2 = [m.kappa_on(e.id) ** 2 for e in g.edges]
-    kappa2_min = min(kappa2)
-    coeffs = tuple((m.a_on(e.id), k2 - kappa2_min) for e, k2 in zip(g.edges, kappa2))
-    return coeffs, kappa2_min
+    kappa, a = m._edge_values(g.edges)
+    kappa2 = kappa**2
+    kappa2_min = float(kappa2.min())
+    return tuple(zip(a.tolist(), (kappa2 - kappa2_min).tolist())), kappa2_min
 
 
 @lru_cache(maxsize=CACHE_SIZE)

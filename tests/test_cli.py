@@ -25,6 +25,12 @@ def write_csv(path, header, rows):
     return str(path)
 
 
+def read_csv(path):
+    """The rows of a CSV file as dicts, with the file closed."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_validate_star(star_json, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["validate", "--graph", star_json, "-o", str(out)]) == 0
@@ -117,7 +123,7 @@ def test_spectral_cov_outputs(star_json, tmp_path):
     with open(nodes) as fh:
         n_nodes = sum(1 for _ in fh) - 1
     assert mat.shape == (n_nodes, n_nodes)
-    rows = list(csv.DictReader(open(eig)))
+    rows = read_csv(eig)
     assert rows[0]["k"] == "0"
     lam = [float(r["lambda"]) for r in rows]
     assert lam == sorted(lam)
@@ -157,7 +163,7 @@ def test_resistance_csv(tmp_path):
     out = tmp_path / "res.csv"
     assert main(["resistance", "--graph", str(graph), "--pairs", pairs,
                  "-o", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_csv(out)
     assert float(rows[0]["d_geo"]) == pytest.approx(0.5)
     assert float(rows[0]["d_res"]) == pytest.approx(0.375)
     assert float(rows[1]["d_geo"]) == pytest.approx(1.0)
@@ -184,7 +190,7 @@ def test_resistance_figure_eight_matches_oracle(tmp_path):
     out = tmp_path / "res.csv"
     assert main(["resistance", "--canonical", "figure-eight:1,2",
                  "--pairs", path, "-o", str(out)]) == 0
-    for row, (ep, tp, eq, tq) in zip(csv.DictReader(open(out)), pairs):
+    for row, (ep, tp, eq, tq) in zip(read_csv(out), pairs):
         geo, res = oracle_rows(g, [g.point(ep, tp), g.point(eq, tq)])
         assert float(row["d_geo"]) == pytest.approx(geo[0, 1], rel=1e-10)
         assert float(row["d_res"]) == pytest.approx(res[0, 1], rel=1e-10)
@@ -253,7 +259,7 @@ def test_krige_noiseless_reproduces_observations(star_json, tmp_path):
     out = tmp_path / "krige.csv"
     assert main(["krige", "--graph", star_json, "--obs", obs,
                  "--pred", pred, "-o", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_csv(out)
     assert float(rows[0]["mean"]) == pytest.approx(1.5, abs=1e-9)
     assert float(rows[1]["mean"]) == pytest.approx(-0.25, abs=1e-9)
     assert float(rows[0]["var"]) <= 1e-9
@@ -264,7 +270,7 @@ def test_nonexistence_demo_two_cycles(tmp_path):
     out = tmp_path / "gap.csv"
     assert main(["nonexistence-demo", "two-cycles", "1", "2",
                  "--grid", "101", "-o", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_csv(out)
     assert len(rows) == 101
     gaps = [float(r["gap"]) for r in rows]
     assert max(gaps) > 1e-3
@@ -283,7 +289,7 @@ def test_nonexistence_demo_cycle_plus_edge(tmp_path):
     assert main(["nonexistence-demo", "cycle-plus-edge", "2", "1",
                  "--kappa1", "0.5", "--kappa2", "2.0", "--sigma", "1.5",
                  "--tau", "0.7", "--grid", "64", "-o", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_csv(out)
     assert len(rows) == 64
     assert max(float(r["gap"]) for r in rows) > 0
 

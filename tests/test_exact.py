@@ -26,6 +26,7 @@ from graphfields.exact import (
     vertex_field_cov,
 )
 from graphfields.kernels import circle_cov
+from graphfields.spectral import _coefficients
 from graphfields.metrics import geodesic_distance
 from graphfields.sampling import replicate_normals, safe_cholesky
 
@@ -298,6 +299,36 @@ def test_endpoint_prior_matches_oracle_with_per_edge_kappa(fig8):
         assert block[1, 0] == block[0, 1]
         mask[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = False
     assert np.all(sigma[mask] == 0.0)
+
+
+def test_constant_mapping_resolves_like_a_scalar(fig8):
+    scalar = FieldModel(kappa=1.3, a=0.7, tau=0.9)
+    mapped = FieldModel(
+        kappa={e.id: 1.3 for e in fig8.edges}, a={e.id: 0.7 for e in fig8.edges},
+        tau=0.9,
+    )
+    for got, want in zip(mapped._edge_values(fig8.edges), scalar._edge_values(fig8.edges)):
+        assert got.dtype == want.dtype == float and np.array_equal(got, want)
+    assert _coefficients(fig8, mapped) == _coefficients(fig8, scalar)
+    assert np.array_equal(
+        vertex_field_cov(fig8, mapped).matrix, vertex_field_cov(fig8, scalar).matrix
+    )
+
+
+def test_mapping_without_an_edge_raises(fig8):
+    missing = fig8.edges[2]
+    m = FieldModel(a={e.id: 0.5 for e in fig8.edges if e != missing})
+    calls = (
+        lambda: m._edge_values(fig8.edges),
+        lambda: m.a_on(missing.id),
+        lambda: m.edge_params(missing),
+        lambda: vertex_field_cov(fig8, m),
+        lambda: _coefficients(fig8, m),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"no a given for edge '{missing.id}'"):
+            call()
+    assert m.kappa_on(missing.id) == 1.0
 
 
 def test_endpoint_prior_is_block_diagonal(unit_star):

@@ -13,8 +13,9 @@ from graphfields import (
     Edge,
     NonPositiveLengthError,
     PointError,
+    PointOnGraph,
 )
-from graphfields.graph import vertex_distance_matrix
+from graphfields.graph import _point_arrays, vertex_distance_matrix
 from graphfields.metrics import geodesic_distance
 
 from conftest import random_point
@@ -332,6 +333,58 @@ def test_point_validation(circle24):
     p = circle24.point("e0", 0.5)
     assert circle24.vertex_of(p) == 1
     assert circle24.vertex_of(circle24.point("e0", 0.2)) is None
+
+
+def point_error(g, edge, t):
+    """The message of the PointError that ``g.point`` raises."""
+    with pytest.raises(PointError) as exc:
+        g.point(edge, t)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "edge,t",
+    [("nope", 0.1), ("e0", 0.5 + 1e-9), ("e1", float("nan")), ("e2", -1e-9)],
+    ids=["unknown-id", "past-end", "nan", "before-start"],
+)
+def test_point_arrays_raise_the_point_error(circle24, edge, t):
+    good = [circle24.point("e0", 0.1), circle24.point("e3", 0.5)]
+    message = point_error(circle24, edge, t)
+    with pytest.raises(PointError) as exc:
+        _point_arrays(circle24, good + [PointOnGraph(edge, t)] + good)
+    assert str(exc.value) == message
+
+
+def test_point_arrays_first_bad_point_decides(circle24):
+    pts = [
+        PointOnGraph("e0", 0.2),
+        PointOnGraph("e1", 0.7),
+        PointOnGraph("nope", 0.1),
+        PointOnGraph("e2", float("nan")),
+    ]
+    with pytest.raises(PointError) as exc:
+        _point_arrays(circle24, pts)
+    assert str(exc.value) == point_error(circle24, "e1", 0.7)
+    with pytest.raises(PointError) as exc:
+        _point_arrays(circle24, pts[2:] + pts[:2])
+    assert str(exc.value) == point_error(circle24, "nope", 0.1)
+
+
+def test_point_arrays_clamp_inside_the_slack(circle24):
+    raw = [
+        PointOnGraph("e0", 0.5 + 2e-13),
+        PointOnGraph("e1", 0.25),
+        PointOnGraph("e2", -3e-13),
+        PointOnGraph("e3", 0.0),
+    ]
+    pts, j, t, u, v, ell = _point_arrays(circle24, raw)
+    assert pts == [circle24.point(*p) for p in raw]
+    assert pts[0] == ("e0", 0.5) and pts[2] == ("e2", 0.0)
+    assert pts[1] is raw[1] and all(type(p) is PointOnGraph for p in pts)
+    assert t.tolist() == [0.5, 0.25, 0.0, 0.0]
+    assert j.tolist() == [0, 1, 2, 3]
+    assert u.tolist() == [0, 1, 2, 3] and v.tolist() == [1, 2, 3, 0]
+    assert ell.tolist() == [0.5] * 4
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,41 @@ def test_resistance_matrix_extreme_lengths(g, closed_form):
     assert_metric_matrix(_resistance_matrix(g, pts)[1], closed_form(geo, g), 1e-9)
 
 
+def star_distances(g, pts):
+    """Tree closed form on a star whose edges run leaf -> centre: |s - t| on
+    one edge, else the two distances to the centre."""
+    j = np.array([g.edge_index(p.edge) for p in pts])
+    t = np.array([p.t for p in pts])
+    to_centre = np.array([g.edges[k].length for k in j]) - t
+    return np.where(
+        j[:, None] == j, np.abs(t[:, None] - t), to_centre[:, None] + to_centre
+    )
+
+
+def test_resistance_short_edge_at_the_root_is_exact():
+    # the 1e-6 edge ends at root 0: its resistances are read from the grounded
+    # Green's function, with no constant of size 1 to cancel
+    g = gf.star([1e-6, 1.0, 1e4])
+    pts = query_points(g, 40, 47)
+    assert_metric_matrix(_resistance_matrix(g, pts, 0)[1], star_distances(g, pts), 1e-13)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gf.figure_eight(1.0, 2.0), gf.tadpole(2.0, 1.0), bouquet(40)],
+    ids=["figure-eight", "tadpole", "bouquet-40"],
+)
+def test_linv_is_the_grounded_inverse(g):
+    for v0 in (0, g.vertex_count - 1):
+        rs = resistance_structure(g, v0)
+        np.testing.assert_allclose(
+            rs.linv, np.linalg.inv(rs.laplacian), rtol=1e-12, atol=0.0
+        )
+        # 1 + G with G grounded at v0: row and column v0 are exactly 1
+        assert np.all(rs.linv[v0] == 1.0) and np.all(rs.linv[:, v0] == 1.0)
+        assert np.array_equal(rs.linv, rs.linv.T)
+
+
 @pytest.mark.parametrize(
     "g",
     [
