@@ -5,6 +5,13 @@ markov-check, krige, nonexistence-demo. Every run is deterministic given
 its inputs and seed; floats are printed with 17 significant digits so
 reruns are byte-identical. Exit codes: 0 success, 2 validation error,
 3 numerical failure.
+
+Every malformed input exits 2 with one ``error:`` line: parameters and
+counts are checked by the library's one helper for each, a graph or
+config file that cannot be read or parsed is rejected, and every CSV goes
+through ``_read_csv``, which rejects a file with a missing column, a value
+that is not a number or no rows. In any CSV the ``edge`` column may be
+headed ``edge_id`` instead.
 """
 from __future__ import annotations
 
@@ -64,7 +71,7 @@ def _load_graph(args) -> MetricGraph:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
-        if "graph" in cfg:
+        if isinstance(cfg, dict) and "graph" in cfg:
             return build_graph(cfg["graph"])
     if getattr(args, "canonical", None):
         return canonical(args.canonical)
@@ -94,27 +101,42 @@ def _model(args) -> FieldModel:
     )
 
 
-def _edge_col(row: dict) -> str:
-    for key in ("edge", "edge_id"):
-        if key in row:
-            return row[key]
-    raise ValidationError("points CSV needs an 'edge' (or 'edge_id') column")
+def _read_csv(path: str, text: tuple, numbers: tuple = ("t",)) -> list[tuple]:
+    """The one CSV reader: each row as its ``text`` columns, then its
+    ``numbers`` columns as floats. A column named "edge" may be headed
+    "edge_id". ValidationError for a file with no rows, a missing column or
+    a value that is not a number."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks
+        head = reader.fieldnames or []
+        cols = [c + "_id" if c == "edge" and c not in head else c
+                for c in text + numbers]
+        missing = [c for c in cols if c not in head]
+        if missing:
+            raise ValidationError(f"{path} has no column {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            try:
+                rows.append(tuple(row[c] for c in cols[: len(text)])
+                            + tuple(float(row[c]) for c in cols[len(text) :]))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: "
+                    f"not a number in {', '.join(numbers)}"
+                ) from None
+    if not rows:
+        raise ValidationError(f"no rows in {path}")
+    return rows
 
 
 def _read_points(g: MetricGraph, path: str) -> list[PointOnGraph]:
-    pts = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            pts.append(g.point(_edge_col(row), float(row["t"])))
-    if not pts:
-        raise ValidationError(f"no points in {path}")
-    return pts
+    return [g.point(edge, t) for edge, t in _read_csv(path, ("edge",))]
 
 
 def _points_or_mesh(g: MetricGraph, args) -> list[PointOnGraph]:
     if args.points:
         return _read_points(g, args.points)
-    if args.mesh_h:
+    if args.mesh_h is not None:
         return mesh(g, args.mesh_h)
     raise ValidationError("give either --points or --mesh-h")
 
@@ -183,20 +205,14 @@ def _cmd_spectral_cov(args) -> int:
 def _cmd_resistance(args) -> int:
     g = _load_graph(args)
     rows = []
-    with open(args.pairs, newline="") as fh:
-        for row in csv.DictReader(fh):
-            p = g.point(row["edge_p"], float(row["t_p"]))
-            q = g.point(row["edge_q"], float(row["t_q"]))
-            rows.append(
-                (
-                    p.edge,
-                    p.t,
-                    q.edge,
-                    q.t,
-                    metrics.geodesic_distance(g, p, q),
-                    metrics.resistance_distance(g, p, q),
-                )
-            )
+    for edge_p, edge_q, t_p, t_q in _read_csv(
+        args.pairs, ("edge_p", "edge_q"), ("t_p", "t_q")
+    ):
+        p, q = g.point(edge_p, t_p), g.point(edge_q, t_q)
+        rows.append((
+            p.edge, p.t, q.edge, q.t,
+            metrics.geodesic_distance(g, p, q), metrics.resistance_distance(g, p, q),
+        ))
     _write_rows(
         args.output, ["edge_p", "t_p", "edge_q", "t_q", "d_geo", "d_res"], rows
     )
@@ -227,19 +243,18 @@ def _cmd_markov_check(args) -> int:
     g = _load_graph(args)
     m = _model(args)
     sets: dict[str, list[PointOnGraph]] = {"A": [], "B": [], "S": []}
-    with open(args.sets, newline="") as fh:
-        for row in csv.DictReader(fh):
-            name = row["set"].strip().upper()
-            if name not in sets:
-                raise ValidationError(f"set column must be A, B or S, got {name!r}")
-            sets[name].append(g.point(_edge_col(row), float(row["t"])))
+    for name, edge, t in _read_csv(args.sets, ("set", "edge")):
+        name = name.strip().upper()
+        if name not in sets:
+            raise ValidationError(f"set column must be A, B or S, got {name!r}")
+        sets[name].append(g.point(edge, t))
     pts = sets["A"] + sets["B"] + sets["S"]
     na, nb = len(sets["A"]), len(sets["B"])
     idx_a = range(na)
     idx_b = range(na, na + nb)
     idx_s = range(na + nb, len(pts))
     if args.spectral:
-        op = spectral.assemble(g, m, args.mesh_h or 0.01)
+        op = spectral.assemble(g, m, 0.01 if args.mesh_h is None else args.mesh_h)
         nodes = [op.node_index(p) for p in pts]
         cov = spectral.spectral_cov(op, m.alpha, m.tau, nodes=nodes)
     else:
@@ -252,11 +267,9 @@ def _cmd_markov_check(args) -> int:
 def _cmd_krige(args) -> int:
     g = _load_graph(args)
     m = _model(args)
-    obs_pts, y = [], []
-    with open(args.obs, newline="") as fh:
-        for row in csv.DictReader(fh):
-            obs_pts.append(g.point(_edge_col(row), float(row["t"])))
-            y.append(float(row["y"]))
+    obs = _read_csv(args.obs, ("edge",), ("t", "y"))
+    obs_pts = [g.point(edge, t) for edge, t, _ in obs]
+    y = [row[2] for row in obs]
     pred = _read_points(g, args.pred)
     result = inference.krige(
         inference.exact_cov_source(g, m), obs_pts, y, args.noise, pred
@@ -409,10 +422,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # a file that cannot be read or parsed is bad input like any other
+    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:

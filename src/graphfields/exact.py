@@ -66,7 +66,7 @@ from .graph import (
     _same_edge_pairs,
     _symmetrize,
 )
-from .models import CovMatrix, FieldModel, _check_indices, _normalize
+from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
 from .sampling import replicate_normals, safe_cholesky
 
 __all__ = [
@@ -156,7 +156,7 @@ def neumann_edge_cov(kappa: float, a: float, tau: float, ell: float, s, t):
     exp(-kt |s - t|) / (2 tau^2 kappa sqrt(a)).
     """
     kappa, a, tau, ell = (
-        _normalize(x, name)
+        _scalar(x, name)
         for x, name in ((kappa, "kappa"), (a, "a"), (tau, "tau"), (ell, "length"))
     )
     s, t = _arclengths(ell, s, t)
@@ -188,7 +188,7 @@ class EdgeBasis:
 
     def __post_init__(self) -> None:
         for name in ("kappa", "a", "length"):
-            object.__setattr__(self, name, _normalize(getattr(self, name), name))
+            object.__setattr__(self, name, _scalar(getattr(self, name), name))
 
     @property
     def kt(self) -> float:
@@ -491,8 +491,7 @@ def sample(
     rows drawn in turn from one generator, so a smaller run is a prefix of
     a larger one.
     """
-    if n < 0:
-        raise ValidationError(f"replicate count must be >= 0, got {n}")
+    n = _count(n, "replicate count")
     _require_alpha_one(m)
     pts, j, t, u, v, ell = _point_arrays(g, pts)
     order = _factor_order(g, j, t, u, v, ell)

@@ -256,20 +256,14 @@ def build_graph(spec: Mapping) -> MetricGraph:
     """
     try:
         nv = int(spec["vertices"])
-        raw = spec["edges"]
-    except (KeyError, TypeError) as exc:
-        raise GraphValidationError(f"malformed graph description: {exc}") from None
-    edges = []
-    for j, ed in enumerate(raw):
-        edges.append(
-            Edge(
-                str(ed.get("id", f"e{j}")),
-                int(ed["u"]),
-                int(ed["v"]),
-                float(ed["length"]),
-            )
+        edges = tuple(
+            Edge(str(ed.get("id", f"e{j}")), int(ed["u"]), int(ed["v"]),
+                 float(ed["length"]))
+            for j, ed in enumerate(spec["edges"])
         )
-    return MetricGraph(nv, tuple(edges))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise GraphValidationError(f"malformed graph description: {exc}") from None
+    return MetricGraph(nv, edges)
 
 
 # -- points as arrays (shared by the exact field and the metrics) -----------

@@ -6,6 +6,12 @@ dense covariance matrix over it; the exact and spectral builders both fit
 (see :func:`exact_cov_source`). The joint matrix over observation and
 prediction points is built in a single call so the cross blocks are always
 consistent with the diagonal ones.
+
+Observations are checked once, for both routines: y is finite with one
+value per point, and the noise variance is finite and >= 0. With zero noise
+one location may be observed only once. Locations are compared by their
+rows of the observation covariance, not by their addresses, so a vertex
+reached through two of its edges counts as one location.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import ValidationError
 from .graph import MetricGraph, PointOnGraph
-from .models import CovMatrix, FieldModel
+from .models import CovMatrix, FieldModel, _scalar
 from .sampling import safe_cholesky
 
 __all__ = ["KrigingResult", "krige", "loglik", "exact_cov_source"]
@@ -59,15 +65,29 @@ def _joint(cov_source: CovSource, obs, pred) -> np.ndarray:
     return mat
 
 
-def _observation_factor(coo: np.ndarray, noise_var: float, obs) -> tuple:
-    if noise_var < 0:
-        raise ValidationError(f"noise variance must be >= 0, got {noise_var}")
-    if noise_var == 0.0 and len(set(obs)) != len(obs):
+def _condition(cov_source: CovSource, obs, y, noise_var, pred=()) -> tuple:
+    """The one observation check, then the joint covariance over obs + pred
+    and the Cholesky factor (with its jitter) of C_oo + noise_var I.
+
+    y must be finite with one value per observation point and noise_var
+    finite and >= 0. At zero noise no two rows of C_oo may be equal: a
+    covariance source gives one location one row however it is addressed
+    (a vertex through any of its edge ends included), so equal rows mean
+    the same location observed twice, and C_oo is singular.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(obs),) or not np.all(np.isfinite(y)):
+        raise ValidationError(
+            f"y must hold one finite value for each of {len(obs)} observation points"
+        )
+    noise_var = _scalar(noise_var, "noise variance", strict=False)
+    joint = _joint(cov_source, obs, pred)
+    coo = joint[: len(obs), : len(obs)]
+    if noise_var == 0.0 and len(np.unique(coo, axis=0)) != len(obs):
         raise ValidationError(
             "duplicate observation points need positive noise variance"
         )
-    sigma = coo + noise_var * np.eye(len(obs))
-    return safe_cholesky(sigma)
+    return y, joint, *safe_cholesky(coo + noise_var * np.eye(len(obs)))
 
 
 def _gauss_loglik(chol: np.ndarray, y: np.ndarray) -> float:
@@ -90,22 +110,14 @@ def krige(
     mean = C_po (C_oo + noise I)^{-1} y and
     cov  = C_pp - C_po (C_oo + noise I)^{-1} C_op. A diagonal jitter is
     escalated (and reported) if the observation matrix is PSD but not
-    numerically factorable; exactly duplicated observation points with zero
-    noise are rejected instead.
+    numerically factorable; one location observed twice with zero noise is
+    rejected instead.
     """
     obs_pts = list(obs_pts)
-    pred_pts = list(pred_pts)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (len(obs_pts),):
-        raise ValidationError(
-            f"{len(obs_pts)} observation points but y has shape {y.shape}"
-        )
+    y, joint, chol, jitter = _condition(cov_source, obs_pts, y, noise_var, pred_pts)
     no = len(obs_pts)
-    joint = _joint(cov_source, obs_pts, pred_pts)
-    coo = joint[:no, :no]
     cpo = joint[no:, :no]
     cpp = joint[no:, no:]
-    chol, jitter = _observation_factor(coo, noise_var, obs_pts)
     w = cho_solve((chol, True), y)
     mean = cpo @ w
     half = solve_triangular(chol, cpo.T, lower=True)
@@ -126,12 +138,5 @@ def loglik(
     noise_var: float,
 ) -> float:
     """Log density of y under the zero-mean model at the observation points."""
-    obs_pts = list(obs_pts)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (len(obs_pts),):
-        raise ValidationError(
-            f"{len(obs_pts)} observation points but y has shape {y.shape}"
-        )
-    coo = _joint(cov_source, obs_pts, [])
-    chol, _ = _observation_factor(coo, noise_var, obs_pts)
+    y, _, chol, _ = _condition(cov_source, list(obs_pts), y, noise_var)
     return _gauss_loglik(chol, y)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateCaseError, PointError, ValidationError
 from .graph import MetricGraph, PointOnGraph
 from .metrics import _geodesic_matrix, _resistance_matrix
-from .models import CovMatrix
+from .models import CovMatrix, _count, _scalar
 
 __all__ = [
     "circle_cov",
@@ -42,8 +42,9 @@ def circle_cov(h, kappa: float, tau: float, ell: float):
     Evaluates cosh(kappa (h - ell/2)) / (2 kappa tau^2 sinh(kappa ell/2))
     in an overflow-safe form; h must lie in [0, ell].
     """
+    kappa, tau, ell = _scalar(kappa, "kappa"), _scalar(tau, "tau"), _scalar(ell, "ell")
     h = np.asarray(h, dtype=float)
-    if np.any(h < 0) or np.any(h > ell):
+    if not np.all((0.0 <= h) & (h <= ell)):  # NaN fails too
         raise PointError(f"distance outside [0, {ell}]")
     num = np.exp(-kappa * h) + np.exp(-kappa * (ell - h))
     den = 2.0 * kappa * tau**2 * -np.expm1(-kappa * ell)
@@ -59,8 +60,8 @@ class ExponentialKernel:
     kappa: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0 and self.kappa > 0):
-            raise ValidationError("exponential kernel needs sigma2, kappa > 0")
+        for name in ("sigma2", "kappa"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name))
 
     def __call__(self, h):
         return self.sigma2 * np.exp(-self.kappa * np.asarray(h, dtype=float))
@@ -75,8 +76,8 @@ class CircleMarkovKernel:
     ell: float
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.tau > 0 and self.ell > 0):
-            raise ValidationError("circle kernel needs kappa, tau, ell > 0")
+        for name in ("kappa", "tau", "ell"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name))
 
     def __call__(self, h):
         return circle_cov(h, self.kappa, self.tau, self.ell)
@@ -139,14 +140,15 @@ def two_cycles_profile(
     A kernel isotropic in the resistance metric and Markov on both cycles
     would need lhs(h) = rhs(h) for every h in [0, min(ell1, ell2)/4].
     """
-    if not (ell1 > 0 and ell2 > 0 and kappa > 0 and tau > 0):
-        raise ValidationError("two_cycles needs positive parameters")
+    ell1, ell2, kappa, tau = (
+        _scalar(x, "two_cycles parameter") for x in (ell1, ell2, kappa, tau)
+    )
     if ell1 == ell2:
         raise DegenerateCaseError(
             "cycle lengths must differ; equal lengths admit an isotropic "
             "Markov kernel"
         )
-    h = np.linspace(0.0, min(ell1, ell2) / 4.0, grid)
+    h = np.linspace(0.0, min(ell1, ell2) / 4.0, _count(grid, "grid", 1))
     lhs = _cycle_value_at_resistance(h, kappa, tau, ell1)
     rhs = _cycle_value_at_resistance(h, kappa, tau, ell2)
     return h, lhs, rhs
@@ -168,9 +170,11 @@ def cycle_plus_edge_profile(
     Markov form at matched resistance distance, rhs(h). The two cannot agree
     for all h in [0, min(ell_edge, ell/4)].
     """
-    if not all(x > 0 for x in (ell, ell_edge, kappa1, kappa2, sigma, tau)):
-        raise ValidationError("cycle_plus_edge needs positive parameters")
-    h = np.linspace(0.0, min(ell_edge, ell / 4.0), grid)
+    ell, ell_edge, kappa1, kappa2, sigma, tau = (
+        _scalar(x, "cycle_plus_edge parameter")
+        for x in (ell, ell_edge, kappa1, kappa2, sigma, tau)
+    )
+    h = np.linspace(0.0, min(ell_edge, ell / 4.0), _count(grid, "grid", 1))
     lhs = sigma**2 * np.exp(-kappa1 * h)
     rhs = _cycle_value_at_resistance(h, kappa2, tau, ell)
     return h, lhs, rhs

@@ -1,4 +1,12 @@
-"""Shared model and result types: field parameters and covariance matrices."""
+"""Shared model and result types: field parameters and covariance matrices.
+
+This module is also the one place the package checks scalar input:
+``_scalar`` (a finite float above a bound: kappa, a, tau, lengths, alpha,
+kernel scales, noise), ``_count`` (an integer in a range, never a bool or a
+float: replicate counts, mode counts, grid sizes) and ``_check_indices``
+(indices into a matrix). Other modules call these rather than write their
+own comparisons, so every parameter is held to the same rule.
+"""
 from __future__ import annotations
 
 import math
@@ -13,27 +21,42 @@ from .graph import Edge
 __all__ = ["FieldModel", "CovMatrix"]
 
 
+def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
+            error: type = ValidationError) -> float:
+    """``value`` as a finite float above ``low`` (at or above it when not
+    ``strict``): the one check every scalar parameter goes through."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        op = ">" if strict else ">="
+        raise error(f"{name} must be finite and {op} {low:g}, got {x}")
+    return x
+
+
+def _count(value, name: str, low: int = 0, high: float = math.inf) -> int:
+    """``value`` as an int in [low, high]; bools and floats are rejected,
+    numpy integers accepted. The one check every count goes through."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        raise ValidationError(
+            f"{name} must be an integer in [{low}, {high}], got {value!r}"
+        )
+    return int(value)
+
+
 def _normalize(value, name: str):
     """Positive float, or mapping edge id -> positive float (made hashable)."""
     if isinstance(value, Mapping):
-        items = tuple(sorted((str(k), float(v)) for k, v in value.items()))
-        for k, v in items:
-            if not v > 0:
-                raise ValidationError(f"{name}[{k!r}] must be positive, got {v}")
-        return items
-    value = float(value)
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value}")
-    return value
+        return tuple(sorted((str(k), _scalar(v, f"{name}[{str(k)!r}]"))
+                            for k, v in value.items()))
+    return _scalar(value, name)
 
 
 def _check_indices(indices, n: int, name: str) -> list:
     """``indices`` as a list, each an integer in [0, n): none may alias."""
-    out = list(indices)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-               and 0 <= i < n for i in out):
-        raise ValidationError(f"{name} must be integers in [0, {n}), got {out}")
-    return out
+    return [_count(i, name, 0, n - 1) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -55,10 +78,7 @@ class FieldModel:
         object.__setattr__(self, "kappa", _normalize(self.kappa, "kappa"))
         object.__setattr__(self, "a", _normalize(self.a, "a"))
         object.__setattr__(self, "tau", _normalize(self.tau, "tau"))
-        alpha = float(self.alpha)
-        if not alpha > 0.5:
-            raise ValidationError(f"alpha must exceed 1/2, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _scalar(self.alpha, "alpha", 0.5))
 
     @staticmethod
     def _lookup(table, edge_ids, name: str) -> np.ndarray:

@@ -39,9 +39,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import PointError, UnsupportedAlphaError, ValidationError
+from .errors import PointError, UnsupportedAlphaError
 from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _mesh, _Mesh
-from .models import CovMatrix, FieldModel, _check_indices
+from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
 from .sampling import replicate_normals
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
@@ -170,10 +170,7 @@ def assemble(
     mesh = _mesh(g, h)
     if n_modes is None:
         n_modes = mesh.n_dof
-    if not (1 <= n_modes <= mesh.n_dof):
-        raise ValidationError(
-            f"n_modes must be in [1, {mesh.n_dof}], got {n_modes}"
-        )
+    n_modes = _count(n_modes, "n_modes", 1, mesh.n_dof)
     coeffs, kappa2_min = _coefficients(g, m)
     mu, vecs, mass = _eigenbasis(g, h, n_modes, coeffs)
     vals = mu + kappa2_min
@@ -196,18 +193,10 @@ def assemble(
 def _scaled_basis(op: DiscreteOperator, alpha, tau, k=None, rows=slice(None)):
     """B = V[rows, :k] lambda^{-alpha/2} / tau over the first k eigenpairs
     (default: all), so that B B' is the covariance at those rows."""
-    if not alpha > 0.5:
-        raise UnsupportedAlphaError(
-            f"the field does not exist for alpha <= 1/2 (got {alpha})"
-        )
-    if k is None:
-        k = op.n_modes
-    if not (1 <= k <= op.n_modes):
-        raise ValidationError(
-            f"truncation {k} outside [1, {op.n_modes}] available eigenpairs"
-        )
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
+    # the field exists only for alpha > 1/2
+    alpha = _scalar(alpha, "alpha", 0.5, error=UnsupportedAlphaError)
+    k = _count(op.n_modes if k is None else k, "truncation", 1, op.n_modes)
+    tau = _scalar(tau, "tau")
     return op.eigenvectors[rows, :k] * (op.eigenvalues[:k] ** (-alpha / 2.0) / tau)
 
 
@@ -231,6 +220,11 @@ def spectral_cov(
     k = basis.shape[1]
     # B @ B.T is one symmetric rank-k product: exactly symmetric as computed
     mat = basis @ basis.T
+    if nodes is not None and len(set(rows)) < len(rows):
+        # a product's rows can differ in rounding by their position: give
+        # each repeated node the row and column of its first occurrence
+        _, first, inv = np.unique(rows, return_index=True, return_inverse=True)
+        mat = mat[np.ix_(first[inv], first[inv])]
     info = {
         "truncation": k,
         "tail_estimate": float(op.eigenvalues[k - 1] ** -(alpha - 0.5)),
@@ -249,7 +243,5 @@ def kl_sample(
     shorter run is a prefix of a longer one.
     """
     basis = _scaled_basis(op, alpha, tau)
-    if n < 0:
-        raise ValidationError(f"replicate count must be >= 0, got {n}")
-    xi = replicate_normals(seed, n, basis.shape[1])
+    xi = replicate_normals(seed, _count(n, "replicate count"), basis.shape[1])
     return xi @ basis.T

@@ -321,3 +321,117 @@ def test_float_formatting_17_digits(star_json, tmp_path):
         gf.star([1.0, 1.0, 1.0]), gf.FieldModel(),
         [gf.PointOnGraph("e0", 0.5)],
     ).matrix[0, 0]
+
+
+# Every CSV a subcommand reads, with the columns it needs: the file under
+# test is swapped for a broken copy, the others stay good.
+_CSVS = {
+    "points": (["edge", "t"], [["e0", 0.5], ["e1", 0.25]]),
+    "obs": (["edge", "t", "y"], [["e0", 0.5, 1.0], ["e1", 0.25, -0.5]]),
+    "sets": (["set", "edge", "t"],
+             [["A", "e0", 0.5], ["B", "e1", 0.5], ["S", "e0", 1.0]]),
+    "pairs": (["edge_p", "t_p", "edge_q", "t_q"], [["e0", 0.5, "e1", 0.25]]),
+}
+_CSV_COMMANDS = {
+    "cov": ("points", ["cov", "--points", "{points}"]),
+    "sample": ("points", ["sample", "--n", "2", "--seed", "1", "--points", "{points}"]),
+    "iso-cov": ("points", ["iso-cov", "--points", "{points}"]),
+    "spectral-cov": ("points",
+                     ["spectral-cov", "--mesh-h", "0.25", "--points", "{points}"]),
+    "krige-obs": ("obs", ["krige", "--obs", "{obs}", "--pred", "{points}"]),
+    "krige-pred": ("points", ["krige", "--obs", "{obs}", "--pred", "{points}"]),
+    "markov-check": ("sets", ["markov-check", "--sets", "{sets}"]),
+    "resistance": ("pairs", ["resistance", "--pairs", "{pairs}"]),
+}
+
+
+def _fill(argv, files):
+    """argv with each "{kind}" replaced by the path of that kind of CSV."""
+    return [files.get(a[1:-1], a) for a in argv]
+
+
+def _broken(header, rows, how):
+    """The CSV with its last column dropped, a non-number in it, or no rows."""
+    if how == "missing-column":
+        return header[:-1], [r[:-1] for r in rows]
+    if how == "not-a-number":
+        return header, [r[:-1] + ["x"] for r in rows]
+    return header, []
+
+
+def _assert_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
+@pytest.mark.parametrize("how", ["missing-column", "not-a-number", "header-only"])
+@pytest.mark.parametrize("command", list(_CSV_COMMANDS))
+def test_malformed_csv_exits_2(tmp_path, capsys, command, how):
+    kind, template = _CSV_COMMANDS[command]
+    good = {k: write_csv(tmp_path / f"{k}.csv", *v) for k, v in _CSVS.items()}
+    assert main(_fill(template, good) + ["--canonical", "star:1,1,1"]) == 0
+    capsys.readouterr()
+    bad = write_csv(tmp_path / "bad.csv", *_broken(*_CSVS[kind], how))
+    argv = _fill(template, {**good, kind: bad}) + ["--canonical", "star:1,1,1"]
+    _assert_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cov", "--mesh-h", "0.5", "--kappa", "inf"],
+    ["cov", "--mesh-h", "0.5", "--kappa", '{"e0": "x"}'],
+    ["cov", "--mesh-h", "0.5", "--tau", "nan"],
+    ["iso-cov", "--mesh-h", "0.5", "--kappa", "inf"],
+    ["krige", "--obs", "{obs}", "--pred", "{points}", "--noise", "nan"],
+    ["nonexistence-demo", "two-cycles", "1", "2", "--grid", "0"],
+    ["nonexistence-demo", "two-cycles", "1", "2", "--grid", "-5"],
+    ["nonexistence-demo", "two-cycles", "1", "2", "--kappa", "inf"],
+], ids=["cov-kappa-inf", "cov-kappa-json-text", "cov-tau-nan", "iso-cov-kappa-inf",
+        "krige-noise-nan", "demo-grid-0", "demo-grid-minus-5", "demo-kappa-inf"])
+def test_malformed_option_exits_2(tmp_path, capsys, argv):
+    good = {k: write_csv(tmp_path / f"{k}.csv", *v) for k, v in _CSVS.items()}
+    argv = _fill(argv, good)
+    if argv[0] != "nonexistence-demo":
+        argv += ["--canonical", "star:1,1,1"]
+    _assert_one_error_line(argv, capsys)
+
+
+def test_edge_id_header_in_every_points_csv(tmp_path, capsys):
+    obs = write_csv(tmp_path / "obs.csv", ["edge_id", "t", "y"], [["e0", 0.5, 1.0]])
+    sets = write_csv(tmp_path / "sets.csv", ["set", "edge_id", "t"],
+                     [["A", "e0", 0.5], ["B", "e1", 0.5], ["S", "e0", 1.0]])
+    pred = write_csv(tmp_path / "pred.csv", ["edge_id", "t"], [["e1", 0.5]])
+    star = ["--canonical", "star:1,1,1"]
+    assert main(["krige", "--obs", obs, "--pred", pred, *star]) == 0
+    assert main(["markov-check", "--sets", sets, *star]) == 0
+
+
+def test_unreadable_or_malformed_files_exit_2(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{bad")
+    bad_graph = tmp_path / "graph.json"
+    bad_graph.write_text(json.dumps({"vertices": "x", "edges": []}))
+    number = tmp_path / "number.json"
+    number.write_text("5")
+    not_text = tmp_path / "bin.csv"
+    not_text.write_bytes(b"\xff\xfe\x00")
+    star = ["--canonical", "star:1,1,1"]
+    for argv in (["validate", "--graph", str(bad_json)],
+                 ["validate", "--config", str(bad_json)],
+                 ["validate", "--graph", str(bad_graph)],
+                 ["validate", "--config", str(number)],
+                 ["validate", "--graph", str(tmp_path)],
+                 ["cov", "--points", str(not_text), *star]):
+        _assert_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cov", "--mesh-h", "0"],
+    ["markov-check", "--sets", "{sets}", "--spectral", "--mesh-h", "0"],
+], ids=["cov", "markov-check"])
+def test_zero_mesh_spacing_is_rejected_not_replaced(tmp_path, capsys, argv):
+    # 0 is a spacing given, not a spacing left out
+    good = {k: write_csv(tmp_path / f"{k}.csv", *v) for k, v in _CSVS.items()}
+    argv = _fill(argv, good) + ["--canonical", "star:1,1,1"]
+    assert "spacing must be positive" in _assert_one_error_line(argv, capsys)

@@ -89,7 +89,7 @@ def test_neumann_cov_rejects_outside_edge():
         neumann_edge_cov(1.0, 1.0, 1.0, 1.0, 0.1, 1.5)
 
 
-@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
 @pytest.mark.parametrize("slot", range(4))
 def test_edge_law_rejects_non_positive_parameters(bad, slot):
     # kappa, a, tau and the length, one at a time
@@ -313,6 +313,16 @@ def test_constant_mapping_resolves_like_a_scalar(fig8):
     assert np.array_equal(
         vertex_field_cov(fig8, mapped).matrix, vertex_field_cov(fig8, scalar).matrix
     )
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kappa": np.inf}, {"kappa": -1.0}, {"a": np.nan}, {"tau": np.inf},
+    {"kappa": {"e0": np.inf}}, {"a": {"e0": 0.0}}, {"kappa": {"e0": "x"}},
+    {"kappa": {"e0": None}}, {"alpha": np.inf}, {"alpha": 0.5},
+])
+def test_field_model_rejects_bad_parameters(kwargs):
+    with pytest.raises(ValidationError):
+        FieldModel(**kwargs)
 
 
 def test_mapping_without_an_edge_raises(fig8):
@@ -597,8 +607,9 @@ def test_sample_covariance_monte_carlo(unit_star):
 
 
 def test_sample_rejects_negative_count(unit_star):
-    with pytest.raises(ValidationError):
-        sample(unit_star, FieldModel(), [unit_star.point("e0", 0.5)], -1, 0)
+    for n in (-1, 2.0, True):
+        with pytest.raises(ValidationError):
+            sample(unit_star, FieldModel(), [unit_star.point("e0", 0.5)], n, 0)
 
 
 @pytest.mark.parametrize("n", [0, 3])

@@ -78,6 +78,11 @@ def test_build_three_cycle_distance_consistency():
           "edges": [{"u": 0, "v": 1, "length": 1.0},
                     {"u": 1, "v": 1, "length": 2.0}]},
          DisconnectedGraphError),
+        ({"vertices": "x", "edges": []}, GraphValidationError),
+        ({"vertices": 2, "edges": [{"u": 0, "v": 1, "length": "abc"}]},
+         GraphValidationError),
+        ({"vertices": 2, "edges": [{"v": 1, "length": 1.0}]}, GraphValidationError),
+        ({"vertices": 2, "edges": [[0, 1, 1.0]]}, GraphValidationError),
     ],
 )
 def test_build_rejects_bad_specs(doc, err):

@@ -51,6 +51,28 @@ def test_duplicate_observations_need_noise(unit_star, star_source):
     result = krige(star_source, [p, p], [1.0, 1.0], 0.1,
                    [unit_star.point("e1", 0.5)])
     assert np.all(np.isfinite(result.mean))
+    # the center vertex through two of its edges is one location too
+    center = [unit_star.point("e0", 1.0), unit_star.point("e1", 1.0)]
+    with pytest.raises(ValidationError):
+        loglik(star_source, center, [1.0, -1.0], 0.0)
+    with pytest.raises(ValidationError):
+        krige(star_source, center, [1.0, -1.0], 0.0, [p])
+    assert np.isfinite(loglik(star_source, center, [1.0, -1.0], 0.1))
+
+
+@pytest.mark.parametrize("g", [gf.star([1.0, 1.5, 2.0]), gf.figure_eight(1.0, 2.0),
+                               gf.tadpole(2.0, 1.0)])
+def test_every_vertex_address_is_one_location(g):
+    source = exact_cov_source(g, FieldModel(kappa=1.3))
+    inner = [g.point(e.id, 0.5 * e.length) for e in g.edges]
+    for v in range(g.vertex_count):
+        ends = [g.point(g.edges[j].id, g.edges[j].length * end)
+                for j, end in g.incident(v)]
+        if len(set(ends)) < 2:
+            continue
+        with pytest.raises(ValidationError):
+            loglik(source, inner + ends, np.ones(len(inner + ends)), 0.0)
+    assert np.isfinite(loglik(source, inner, np.ones(len(inner)), 0.0))
 
 
 def test_loglik_single_standard_normal_point():
@@ -110,3 +132,11 @@ def test_shape_validation(unit_star, star_source):
     with pytest.raises(ValidationError):
         krige(star_source, [unit_star.point("e0", 0.1)], [1.0], -0.5,
               [unit_star.point("e1", 0.2)])
+    obs = [unit_star.point("e0", 0.1), unit_star.point("e1", 0.3)]
+    pred = [unit_star.point("e2", 0.2)]
+    for y, noise in (([1.0, 2.0], np.nan), ([1.0, 2.0], np.inf),
+                     ([np.nan, 2.0], 0.1), ([1.0, np.inf], 0.0)):
+        with pytest.raises(ValidationError):
+            krige(star_source, obs, y, noise, pred)
+        with pytest.raises(ValidationError):
+            loglik(star_source, obs, y, noise)

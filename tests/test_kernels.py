@@ -60,6 +60,30 @@ def test_circle_cov_rejects_out_of_range():
         circle_cov(-0.1, 1.0, 1.0, 2.0)
     with pytest.raises(PointError):
         circle_cov(2.1, 1.0, 1.0, 2.0)
+    with pytest.raises(PointError):
+        circle_cov(math.nan, 1.0, 1.0, 2.0)
+    with pytest.raises(PointError):
+        circle_cov([0.5, math.nan], 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("kappa, tau, ell", [
+    (-1.0, 1.0, 2.0), (0.0, 1.0, 2.0), (1.0, 0.0, 2.0), (1.0, -1.0, 2.0),
+    (math.inf, 1.0, 2.0), (1.0, math.inf, 2.0), (1.0, 1.0, math.inf),
+    (math.nan, 1.0, 2.0),
+])
+def test_circle_kernels_reject_bad_parameters(kappa, tau, ell):
+    with pytest.raises(gf.ValidationError):
+        circle_cov(0.5, kappa, tau, ell)
+    with pytest.raises(gf.ValidationError):
+        CircleMarkovKernel(kappa=kappa, tau=tau, ell=ell)
+
+
+@pytest.mark.parametrize("sigma2, kappa", [
+    (math.inf, 1.0), (1.0, math.inf), (0.0, 1.0), (1.0, -1.0), (math.nan, 1.0),
+])
+def test_exponential_kernel_rejects_bad_parameters(sigma2, kappa):
+    with pytest.raises(gf.ValidationError):
+        ExponentialKernel(sigma2, kappa)
 
 
 def test_circle_cov_overflow_safe():
@@ -167,3 +191,25 @@ def test_profile_grids_cover_stated_range():
 def test_unknown_case_rejected():
     with pytest.raises(gf.ValidationError):
         nonexistence_gap("three_cycles", 1.0, 2.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("case, params", [
+    ("two_cycles", (1.0, math.inf, 1.0, 1.0)),
+    ("two_cycles", (1.0, 2.0, -1.0, 1.0)),
+    ("cycle_plus_edge", (2.0, 1.0, 1.0, math.inf, 1.0, 1.0)),
+    ("cycle_plus_edge", (2.0, 1.0, 1.0, 1.0, 0.0, 1.0)),
+])
+def test_profiles_reject_bad_parameters(case, params):
+    profile = two_cycles_profile if case == "two_cycles" else cycle_plus_edge_profile
+    with pytest.raises(gf.ValidationError):
+        profile(*params)
+    with pytest.raises(gf.ValidationError):
+        nonexistence_gap(case, *params)
+
+
+@pytest.mark.parametrize("grid", [0, -5, 2.0, True])
+def test_profiles_reject_bad_grid(grid):
+    with pytest.raises(gf.ValidationError):
+        nonexistence_gap("two_cycles", 1.0, 2.0, 1.0, 1.0, grid=grid)
+    with pytest.raises(gf.ValidationError):
+        cycle_plus_edge_profile(2.0, 1.0, 1.0, 1.0, 1.0, 1.0, grid=grid)

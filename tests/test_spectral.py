@@ -127,8 +127,9 @@ def test_spectral_cov_truncation_and_tail_report(unit_star):
     assert cov.info["truncation"] == 10
     expected_tail = float(op.eigenvalues[9] ** -(0.8 - 0.5))
     assert cov.info["tail_estimate"] == pytest.approx(expected_tail)
-    with pytest.raises(ValidationError):
-        spectral_cov(op, 1.0, 1.0, k=op.n_modes + 1)
+    for bad in (op.n_modes + 1, 0, 2.5, True):
+        with pytest.raises(ValidationError):
+            spectral_cov(op, 1.0, 1.0, k=bad)
 
 
 def test_spectral_cov_is_psd_by_construction(fig8):
@@ -173,13 +174,27 @@ def test_kl_sample_determinism(unit_star):
     np.testing.assert_array_equal(kl_sample(op, 1.0, 1.0, 3, seed=5), a[:3])
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
 def test_nonpositive_tau_rejected(unit_star, tau):
     op = assemble(unit_star, FieldModel(), 0.2)
     with pytest.raises(ValidationError):
         spectral_cov(op, 1.0, tau)
     with pytest.raises(ValidationError):
         kl_sample(op, 1.0, tau, 3, seed=5)
+
+
+def test_kl_sample_rejects_bad_counts(unit_star):
+    op = assemble(unit_star, FieldModel(), 0.2)
+    for n in (-1, 2.0, True):
+        with pytest.raises(ValidationError):
+            kl_sample(op, 1.0, 1.0, n, seed=5)
+    assert kl_sample(op, 1.0, 1.0, np.int64(2), seed=5).shape == (2, op.n_dof)
+
+
+def test_spectral_cov_rejects_infinite_alpha(unit_star):
+    op = assemble(unit_star, FieldModel(), 0.2)
+    with pytest.raises(UnsupportedAlphaError):
+        spectral_cov(op, float("inf"), 1.0)
 
 
 def test_kl_sample_matches_unscaled_then_divided_form(fig8):
@@ -252,6 +267,26 @@ def test_vertex_nodes_sit_on_vertices(g, h):
         assert op.node_index(g.point(e.id, e.length)) == nodes[-1] == e.v
 
 
+@pytest.mark.parametrize("g, h", _VERTEX_CASES)
+def test_repeated_nodes_get_equal_rows(g, h):
+    # every vertex through each of its edge ends, then a few interior nodes:
+    # the rows of one matrix product can differ in rounding by position
+    # alone, and kriging tells a repeated location by its equal rows
+    op = assemble(g, FieldModel(), h)
+    whole = spectral_cov(op, 0.8, 1.0).matrix
+    ends = [
+        op.node_index(g.point(g.edges[j].id, g.edges[j].length * end))
+        for v in range(g.vertex_count) for j, end in g.incident(v)
+    ]
+    for extra in range(9):
+        nodes = ends + list(range(g.vertex_count, g.vertex_count + extra))
+        mat = spectral_cov(op, 0.8, 1.0, nodes=nodes).matrix
+        for i, node in enumerate(nodes):
+            assert np.array_equal(mat[i], mat[nodes.index(node)])
+        err = np.max(np.abs(mat - whole[np.ix_(nodes, nodes)]))
+        assert err <= 1e-14 * np.max(whole)
+
+
 def test_kirchhoff_residual_on_spectral_cov_with_inexact_edge_length():
     # 0.6235347817303132 * 7 / 7 != 0.6235347817303132 in floating point
     g = gf.star([0.6235347817303132, 1.0])
@@ -277,8 +312,9 @@ def test_node_index_round_trips_every_node():
 def test_assemble_rejects_bad_mesh(unit_star):
     with pytest.raises(ValidationError):
         assemble(unit_star, FieldModel(), -0.1)
-    with pytest.raises(ValidationError):
-        assemble(unit_star, FieldModel(), 0.5, n_modes=0)
+    for n_modes in (0, 2.5, True):
+        with pytest.raises(ValidationError):
+            assemble(unit_star, FieldModel(), 0.5, n_modes=n_modes)
 
 
 def _direct_cov(op, alpha):
