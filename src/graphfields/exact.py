@@ -24,6 +24,12 @@ each point's two end vertices. The dense route (``endpoint_prior_cov``,
 block-diagonal endpoint covariance directly; it is the reference behind
 ``full_cov(..., constraints=K)``.
 
+The likelihood never forms C either. Cutting every edge at the points
+leaves pieces of edge that are independent given their ends, so the field
+at the vertices and the distinct points is again a Gaussian Markov field,
+with two rows per piece in its precision (``_cut_graph``, the same rows as
+the vertex precision's); ``inference.loglik`` factors that sparse matrix.
+
 Sampling never forms C at points whose edges have both ends among the
 points. Put the vertices first and such points after them, sorted by
 (edge, t): the Cholesky factor of C is then [[L_V, 0], [Phi L_V,
@@ -293,6 +299,20 @@ def condition_on_constraints(
     return 0.5 * (out + out.T)
 
 
+def _segment_weights(kt, scale, length):
+    """The two row weights of a piece of edge in a vertex precision Q = B'B.
+
+    The inverse Neumann endpoint block of a piece of length L,
+    c [[coth x, -csch x], [-csch x, coth x]] with x = kt L, splits as
+    (c/2) [tanh(x/2) (1,1)(1,1)' + coth(x/2) (1,-1)(1,-1)'], so the piece
+    from node a to node b adds the rows sqrt(c tanh(x/2) / 2) (e_a + e_b)
+    and sqrt(c coth(x/2) / 2) (e_a - e_b). Returns the two weights;
+    broadcasts over all arguments.
+    """
+    th = np.tanh(0.5 * kt * length)
+    return np.sqrt(0.5 * scale * th), np.sqrt(0.5 * scale / th)
+
+
 class _EdgeConstants(NamedTuple):
     """Per-edge arrays in edge order: end vertices, length, kt and c."""
 
@@ -312,10 +332,7 @@ def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
 def _vertex_cov(g: MetricGraph, m: FieldModel):
     """Vertex covariance S_V = Q^{-1} and the per-edge constants behind it.
 
-    Each edge's inverse Neumann endpoint block c [[coth x, -csch x],
-    [-csch x, coth x]] (x = kt L) splits as (c/2) [tanh(x/2) (1,1)(1,1)' +
-    coth(x/2) (1,-1)(1,-1)'], so Q = B'B for the 2|E| rows
-    sqrt(c tanh(x/2) / 2) (e_u + e_v) and sqrt(c coth(x/2) / 2) (e_u - e_v).
+    Q = B'B for the 2|E| rows of ``_segment_weights``, one pair per edge.
     The factor of S_V comes from ``graph._grounded_factor`` with root 0.
     Factoring B instead of forming Q keeps the small tanh terms, which
     rounding loses against the coth terms in Q itself when kt L is small.
@@ -326,8 +343,7 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     small kt L keeps full relative accuracy.
     """
     ec = _edge_constants(g, m)
-    th = np.tanh(0.5 * ec.kt * ec.length)
-    w_sum, w_diff = np.sqrt(0.5 * ec.scale * th), np.sqrt(0.5 * ec.scale / th)
+    w_sum, w_diff = _segment_weights(ec.kt, ec.scale, ec.length)
     u, v = np.concatenate((ec.u, ec.u)), np.concatenate((ec.v, ec.v))
     w_u, w_v = np.concatenate((w_sum, w_diff)), np.concatenate((w_sum, -w_diff))
     w = _grounded_factor(g.vertex_count, u, v, w_u, w_v)
@@ -412,18 +428,31 @@ class _FactorOrder(NamedTuple):
     column: np.ndarray
 
 
+def _distinct_points(j, t, u, v, ell):
+    """The distinct locations among points given as ``_point_arrays`` arrays.
+
+    Returns (vertex, first, rank): ``vertex`` is each point's vertex, or -1
+    inside an edge; ``first`` holds, for each distinct interior (edge, t)
+    sorted by (edge, t), the input index of its first point; ``rank`` maps
+    every interior point to its position in ``first`` (0 at vertices).
+    """
+    vertex = np.where(t == 0.0, u, np.where(t == ell, v, -1))
+    inner = np.flatnonzero(vertex < 0)
+    inner = inner[np.lexsort((t[inner], j[inner]))]  # stable: ties keep input order
+    new = np.ones(inner.size, dtype=bool)
+    new[1:] = (j[inner[1:]] != j[inner[:-1]]) | (t[inner[1:]] != t[inner[:-1]])
+    rank = np.zeros(t.size, dtype=np.intp)
+    rank[inner] = np.cumsum(new) - 1
+    return vertex, inner[new], rank
+
+
 def _factor_order(g: MetricGraph, j, t, u, v, ell) -> _FactorOrder:
     """The factor columns of points given as ``_point_arrays`` arrays."""
-    vertex = np.where(t == 0.0, u, np.where(t == ell, v, -1))
+    vertex, first, rank = _distinct_points(j, t, u, v, ell)
     at_vertex = vertex >= 0
     is_vertex = np.zeros(g.vertex_count, dtype=bool)
     is_vertex[vertex[at_vertex]] = True
     vertices = np.flatnonzero(is_vertex)
-    inner = np.flatnonzero(~at_vertex)
-    inner = inner[np.lexsort((t[inner], j[inner]))]  # stable: ties keep input order
-    new = np.ones(inner.size, dtype=bool)
-    new[1:] = (j[inner[1:]] != j[inner[:-1]]) | (t[inner[1:]] != t[inner[:-1]])
-    first = inner[new]
     bridged = is_vertex[u[first]] & is_vertex[v[first]]
     nv, nb = vertices.size, np.count_nonzero(bridged)
     group_col = np.empty(first.size, dtype=np.intp)
@@ -433,8 +462,121 @@ def _factor_order(g: MetricGraph, j, t, u, v, ell) -> _FactorOrder:
     group_col[rest] = nv + nb + np.arange(rest.size)
     column = np.empty(t.size, dtype=np.intp)
     column[at_vertex] = np.searchsorted(vertices, vertex[at_vertex])
-    column[inner] = group_col[np.cumsum(new) - 1]
+    column[~at_vertex] = group_col[rank[~at_vertex]]
     return _FactorOrder(vertices, first[bridged], first[rest], column)
+
+
+#: a piece of edge shorter than this fraction of its edge puts its two
+#: nodes in one cluster of ``_cut_graph``
+_CLUSTER_GAP = 1e-3
+
+
+class _CutGraph(NamedTuple):
+    """The field at the vertices and the distinct points as a Markov field.
+
+    Its precision is Q = B'B and the observations are A x, both in grounded
+    coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}; A
+    has one row per input point. ``nodes`` is the number of coordinates.
+    """
+
+    nodes: int
+    b_cols: np.ndarray
+    b_vals: np.ndarray
+    a_cols: np.ndarray
+    a_vals: np.ndarray
+
+
+def _grounded_rows(base, a, b, w_a, w_b):
+    """Rows w_a x_a + w_b x_b in the coordinates x_i = z_0 + z_base[i] + z_i.
+
+    Node 0's coordinate is z_0 alone, and base 0 means no base, so column 0
+    carries every row's sum, as in ``graph._grounded_factor``. Equal columns
+    within a row are added before anything else, so a difference row
+    across a node and its base loses that column exactly. Returns (cols,
+    vals) with one column per slot that is ever non-zero.
+    """
+    cols = np.stack([np.zeros_like(a), base[a], a, base[b], b], axis=1)
+    vals = np.stack([w_a + w_b, w_a, w_a, w_b, w_b], axis=1)
+    vals[:, 1:][cols[:, 1:] == 0] = 0.0
+    for i, k in ((1, 3), (1, 4), (2, 3), (2, 4)):
+        same = (cols[:, i] == cols[:, k]) & (cols[:, k] != 0)
+        if same.any():
+            vals[same, i] += vals[same, k]
+            vals[same, k] = 0.0
+            cols[same, k] = 0
+    live = cols.any(axis=0)
+    live[0] = True
+    return cols[:, live], vals[:, live]
+
+
+def _cut_graph(g: MetricGraph, m: FieldModel, pts) -> _CutGraph:
+    """The Markov field at the vertices and the distinct points of ``pts``.
+
+    Cutting every edge at the points leaves pieces of edge whose laws given
+    their ends do not depend on the rest of the graph, so each piece adds
+    the two rows of ``_segment_weights`` between its end nodes; an edge
+    with no point is one piece. Nodes 0 .. |V|-1 are the vertices and the
+    distinct interior points follow, sorted by (edge, t).
+
+    The coordinates are ``_vertex_cov``'s grounded ones, x = z_0 (1, ...,
+    1) + (0, z_1, ...), so the constant mode keeps full accuracy at small
+    kappa. A piece shorter than ``_CLUSTER_GAP`` times its edge would do to
+    its end nodes what the constant mode does to the vertices: its
+    difference row, of weight about 1/length, swamps every other term at
+    those nodes. Such pieces join their nodes into clusters, each with one
+    base (the vertex in it, else its first point), and a point in a
+    cluster is written relative to its base, x_p = x_base + z_p, so the
+    stiff row reads z_p alone.
+    """
+    _require_alpha_one(m)
+    _, j, t, u, v, ell = _point_arrays(g, pts)
+    ec = _edge_constants(g, m)
+    vertex, first, rank = _distinct_points(j, t, u, v, ell)
+    nv, k = g.vertex_count, first.size
+    pj, pt, pl, pos = j[first], t[first], ell[first], np.arange(k)
+    # the first and the last point on each edge, in (edge, t) order
+    starts = np.ones(k + 1, dtype=bool)
+    starts[1:-1] = pj[1:] != pj[:-1]
+    starts, ends = starts[:-1], starts[1:]
+    gap_in = pt.copy()
+    gap_in[1:] -= np.where(starts[1:], 0.0, pt[:-1])
+    gap_end = pl[ends] - pt[ends]
+    near_in = gap_in < _CLUSTER_GAP * pl
+    near_out = np.append(near_in[1:], False)
+    near_out[ends] = gap_end < _CLUSTER_GAP * pl[ends]
+    # each point's cluster runs from run_first to run_last along its edge
+    edge_first = np.maximum.accumulate(np.where(starts, pos, 0))
+    edge_last = np.minimum.accumulate(np.where(ends, pos, k)[::-1])[::-1]
+    run_first = np.maximum.accumulate(np.where(near_in, -1, pos))
+    run_last = np.minimum.accumulate(np.where(near_out, k, pos)[::-1])[::-1]
+    # the base: the start vertex if the cluster reaches it, else the end
+    # vertex if it reaches that, else the cluster's first point (no base
+    # for that point itself, nor for a point in no cluster)
+    base = np.zeros(nv + k, dtype=np.intp)
+    base[nv:] = np.where(
+        run_first < edge_first,
+        ec.u[pj],
+        np.where(run_last > edge_last, ec.v[pj], np.where(run_first == pos, 0, nv + run_first)),
+    )
+    touched = np.zeros(g.edge_count, dtype=bool)
+    touched[pj] = True
+    free = np.flatnonzero(~touched)
+    node = nv + pos
+    a = np.concatenate([np.where(starts, ec.u[pj], node - 1), node[ends], ec.u[free]])
+    b = np.concatenate([node, ec.v[pj[ends]], ec.v[free]])
+    e = np.concatenate([pj, pj[ends], free])
+    w_sum, w_diff = _segment_weights(
+        ec.kt[e], ec.scale[e], np.concatenate([gap_in, gap_end, ec.length[free]])
+    )
+    b_cols, b_vals = _grounded_rows(
+        base, np.concatenate([a, a]), np.concatenate([b, b]),
+        np.concatenate([w_sum, w_diff]), np.concatenate([w_sum, -w_diff]),
+    )
+    obs = np.where(vertex >= 0, vertex, nv + rank)
+    a_cols, a_vals = _grounded_rows(
+        base, obs, obs, np.ones(obs.size), np.zeros(obs.size)
+    )
+    return _CutGraph(nv + k, b_cols, b_vals, a_cols, a_vals)
 
 
 def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:

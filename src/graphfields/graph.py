@@ -32,6 +32,7 @@ from .errors import (
     GraphValidationError,
     NonPositiveLengthError,
     PointError,
+    ValidationError,
 )
 
 __all__ = [
@@ -56,6 +57,17 @@ __all__ = [
 #: entries kept by each cache keyed on graphs or models; a long-lived
 #: process visiting many parameter values must not grow without bound
 CACHE_SIZE = 8
+
+
+def _count(value, name: str, low: int = 0, high: float = math.inf, *,
+           error: type = ValidationError) -> int:
+    """``value`` as an int in [low, high]; bools and floats are rejected,
+    numpy integers accepted. The one check every count goes through (vertex
+    indices included, so it lives below ``models``)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        raise error(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
 
 
 class Edge(NamedTuple):
@@ -252,12 +264,16 @@ def build_graph(spec: Mapping) -> MetricGraph:
     """Build a validated graph from a JSON-shaped description.
 
     Expected shape: ``{"vertices": N, "edges": [{"id", "u", "v", "length"}]}``.
-    Edge ids default to ``e<position>`` when omitted.
+    Edge ids default to ``e<position>`` when omitted. The vertex count and
+    the vertex indices are counts: a float such as 2.9 or 0.5 is rejected,
+    never truncated.
     """
     try:
-        nv = int(spec["vertices"])
+        nv = _count(spec["vertices"], "vertex count", 1, error=GraphValidationError)
         edges = tuple(
-            Edge(str(ed.get("id", f"e{j}")), int(ed["u"]), int(ed["v"]),
+            Edge(str(ed.get("id", f"e{j}")),
+                 *(_count(ed[k], f"edge {j} end {k!r}", -math.inf,
+                          error=GraphValidationError) for k in ("u", "v")),
                  float(ed["length"]))
             for j, ed in enumerate(spec["edges"])
         )

@@ -7,28 +7,44 @@ dense covariance matrix over it; the exact and spectral builders both fit
 prediction points is built in a single call so the cross blocks are always
 consistent with the diagonal ones.
 
-Observations are checked once, for both routines: y is finite with one
-value per point, and the noise variance is finite and >= 0. With zero noise
-one location may be observed only once. Locations are compared by their
-rows of the observation covariance, not by their addresses, so a vertex
-reached through two of its edges counts as one location.
+Observations are checked once, for both routines and before either route:
+y is finite with one value per point, and the noise variance is finite and
+>= 0. With zero noise one location may be observed only once. Locations are
+compared by their rows of the observation covariance, not by their
+addresses, so a vertex reached through two of its edges counts as one
+location.
+
+``loglik`` has two routes. With noise on an exact source it takes the
+precision route: the field at the vertices and the observation points is
+a Gaussian Markov field with a sparse precision (``exact._cut_graph``),
+factored by ``sampling._spd_factor``, and neither the n x n covariance nor
+the |V| x |V| vertex table is formed. That route also keeps full accuracy
+at small kappa, where the dense route's Cholesky of C + noise I loses the
+O(1) part of C under its 1/(kappa^2 |Gamma|) constant mode. Zero noise,
+every other source and ``krige`` take the dense route through the joint
+covariance. Each call logs its route at DEBUG on ``graphfields.inference``.
 """
 from __future__ import annotations
 
+import inspect
+import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
+from . import exact
 from .errors import ValidationError
 from .graph import MetricGraph, PointOnGraph
 from .models import CovMatrix, FieldModel, _scalar
-from .sampling import safe_cholesky
+from .sampling import _spd_factor, safe_cholesky
 
 __all__ = ["KrigingResult", "krige", "loglik", "exact_cov_source"]
 
 CovSource = Callable[[Sequence[PointOnGraph]], np.ndarray]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -45,11 +61,22 @@ class KrigingResult:
         return np.diag(self.cov).copy()
 
 
+class _ExactSource:
+    """``exact.full_cov`` at the points, keeping the graph and model for
+    ``loglik``'s precision route."""
+
+    __slots__ = ("g", "m")
+
+    def __init__(self, g: MetricGraph, m: FieldModel):
+        self.g, self.m = g, m
+
+    def __call__(self, pts: Sequence[PointOnGraph]) -> np.ndarray:
+        return exact.full_cov(self.g, self.m, pts).matrix
+
+
 def exact_cov_source(g: MetricGraph, m: FieldModel) -> CovSource:
     """Covariance source backed by the exact unit-exponent construction."""
-    from .exact import full_cov
-
-    return lambda pts: full_cov(g, m, pts).matrix
+    return _ExactSource(g, m)
 
 
 def _joint(cov_source: CovSource, obs, pred) -> np.ndarray:
@@ -65,29 +92,34 @@ def _joint(cov_source: CovSource, obs, pred) -> np.ndarray:
     return mat
 
 
-def _condition(cov_source: CovSource, obs, y, noise_var, pred=()) -> tuple:
-    """The one observation check, then the joint covariance over obs + pred
-    and the Cholesky factor (with its jitter) of C_oo + noise_var I.
-
-    y must be finite with one value per observation point and noise_var
-    finite and >= 0. At zero noise no two rows of C_oo may be equal: a
-    covariance source gives one location one row however it is addressed
-    (a vertex through any of its edge ends included), so equal rows mean
-    the same location observed twice, and C_oo is singular.
-    """
+def _check_obs(obs, y, noise_var) -> tuple[np.ndarray, float]:
+    """The one observation check, run first on every route: y finite with
+    one value per observation point, noise_var finite and >= 0."""
     y = np.asarray(y, dtype=float)
     if y.shape != (len(obs),) or not np.all(np.isfinite(y)):
         raise ValidationError(
             f"y must hold one finite value for each of {len(obs)} observation points"
         )
-    noise_var = _scalar(noise_var, "noise variance", strict=False)
+    return y, _scalar(noise_var, "noise variance", strict=False)
+
+
+def _condition(cov_source: CovSource, obs, y, noise_var, pred=()) -> tuple:
+    """The joint covariance over obs + pred and the Cholesky factor (with
+    its jitter) of C_oo + noise_var I, for y and noise_var that passed
+    ``_check_obs``.
+
+    At zero noise no two rows of C_oo may be equal: a covariance source
+    gives one location one row however it is addressed (a vertex through
+    any of its edge ends included), so equal rows mean the same location
+    observed twice, and C_oo is singular.
+    """
     joint = _joint(cov_source, obs, pred)
     coo = joint[: len(obs), : len(obs)]
     if noise_var == 0.0 and len(np.unique(coo, axis=0)) != len(obs):
         raise ValidationError(
             "duplicate observation points need positive noise variance"
         )
-    return y, joint, *safe_cholesky(coo + noise_var * np.eye(len(obs)))
+    return joint, *safe_cholesky(coo + noise_var * np.eye(len(obs)))
 
 
 def _gauss_loglik(chol: np.ndarray, y: np.ndarray) -> float:
@@ -114,7 +146,10 @@ def krige(
     rejected instead.
     """
     obs_pts = list(obs_pts)
-    y, joint, chol, jitter = _condition(cov_source, obs_pts, y, noise_var, pred_pts)
+    y, noise_var = _check_obs(obs_pts, y, noise_var)
+    _log.debug("krige: dense route, %d points (krige has no precision route)",
+               len(obs_pts))
+    joint, chol, jitter = _condition(cov_source, obs_pts, y, noise_var, pred_pts)
     no = len(obs_pts)
     cpo = joint[no:, :no]
     cpp = joint[no:, no:]
@@ -137,6 +172,63 @@ def loglik(
     y: Sequence[float],
     noise_var: float,
 ) -> float:
-    """Log density of y under the zero-mean model at the observation points."""
-    y, _, chol, _ = _condition(cov_source, list(obs_pts), y, noise_var)
+    """Log density of y under the zero-mean model at the observation points.
+
+    With noise on an exact source (``exact_cov_source``, or a wrapper of one
+    that sets ``__wrapped__`` as ``functools.wraps`` does) this takes the
+    precision route (``_precision_loglik``); zero noise and every other
+    source take the dense route through C_oo. The route is logged at DEBUG.
+    """
+    obs_pts = list(obs_pts)
+    y, noise_var = _check_obs(obs_pts, y, noise_var)
+    source = inspect.unwrap(cov_source)
+    if noise_var > 0.0 and isinstance(source, _ExactSource):
+        return _precision_loglik(source.g, source.m, obs_pts, y, noise_var)
+    _log.debug("loglik: dense route, %d points (%s)", len(obs_pts),
+               "zero noise" if noise_var == 0.0 else "source is not exact")
+    _, chol, _ = _condition(cov_source, obs_pts, y, noise_var)
     return _gauss_loglik(chol, y)
+
+
+def _gram(cols: np.ndarray, vals: np.ndarray, scale: float = 1.0):
+    """Triplets (rows, cols, vals) of scale * sum_r b_r b_r' for the rows
+    b_r = sum_s vals[r, s] e_{cols[r, s]}."""
+    width = cols.shape[1]
+    return (
+        np.repeat(cols, width, axis=1).ravel(),
+        np.tile(cols, width).ravel(),
+        scale * (vals[:, :, None] * vals[:, None, :]).ravel(),
+    )
+
+
+def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float) -> float:
+    """``loglik`` of the exact field through the precision of its cut graph.
+
+    With the field x at the nodes of ``exact._cut_graph`` (precision
+    Q = B'B) and y = A x + noise, H = Q + A'A / noise_var and
+    b = A'y / noise_var:
+
+        log|C + noise_var I| = n log noise_var + log|H| - log|Q|,
+        y'(C + noise_var I)^{-1} y = |y - A mu|^2 / noise_var + |B mu|^2,
+
+    with mu = H^{-1} b the posterior mean at the nodes. The quadratic form
+    is the minimum over x of |y - A x|^2 / noise_var + x'Qx. It equals
+    y'y / noise_var - b'mu, but as a sum of two non-negative terms it does
+    not lose digits to that difference at small noise. No n x n covariance
+    and no |V| x |V| table is formed.
+    """
+    cut = exact._cut_graph(g, m, obs)
+    q = _gram(cut.b_cols, cut.b_vals)
+    h = [np.concatenate(z) for z in zip(q, _gram(cut.a_cols, cut.a_vals, 1.0 / noise_var))]
+    q_factor = _spd_factor(*q, cut.nodes)
+    h_factor = _spd_factor(*h, cut.nodes)
+    _log.debug("loglik: precision route, %d points, %d nodes, %s", len(obs), cut.nodes,
+               h_factor.method)
+    b = np.bincount(cut.a_cols.ravel(), (cut.a_vals * y[:, None]).ravel(), minlength=cut.nodes)
+    mu = h_factor.solve(b / noise_var)
+    resid = y - np.sum(cut.a_vals * mu[cut.a_cols], axis=1)
+    prior = np.sum(cut.b_vals * mu[cut.b_cols], axis=1)
+    n = len(y)
+    quad = float(resid @ resid) / noise_var + float(prior @ prior)
+    logdet = n * np.log(noise_var) + h_factor.logdet - q_factor.logdet
+    return -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))

@@ -3,7 +3,8 @@
 This module is also the one place the package checks scalar input:
 ``_scalar`` (a finite float above a bound: kappa, a, tau, lengths, alpha,
 kernel scales, noise), ``_count`` (an integer in a range, never a bool or a
-float: replicate counts, mode counts, grid sizes) and ``_check_indices``
+float: replicate counts, mode counts, grid sizes; it lives in ``graph``, whose
+vertex indices it also checks) and ``_check_indices``
 (indices into a matrix). Other modules call these rather than write their
 own comparisons, so every parameter is held to the same rule.
 """
@@ -16,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Edge
+from .graph import Edge, _count
 
 __all__ = ["FieldModel", "CovMatrix"]
 
@@ -33,17 +34,6 @@ def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
         op = ">" if strict else ">="
         raise error(f"{name} must be finite and {op} {low:g}, got {x}")
     return x
-
-
-def _count(value, name: str, low: int = 0, high: float = math.inf) -> int:
-    """``value`` as an int in [low, high]; bools and floats are rejected,
-    numpy integers accepted. The one check every count goes through."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or not low <= value <= high):
-        raise ValidationError(
-            f"{name} must be an integer in [{low}, {high}], got {value!r}"
-        )
-    return int(value)
 
 
 def _normalize(value, name: str):

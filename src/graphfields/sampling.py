@@ -1,7 +1,14 @@
-"""Deterministic Gaussian sampling helpers shared by the field modules."""
+"""Deterministic Gaussian sampling helpers and the factors they rest on:
+the jittered dense Cholesky of a covariance, and the SPD factor of a sparse
+precision given as triplets."""
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
+from scipy.linalg import cho_solve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .errors import NotPositiveDefiniteError
 
@@ -44,3 +51,53 @@ def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefiniteError("Cholesky failed at every jitter level")
+
+
+#: ``_spd_factor`` factors a dense matrix up to this order and uses SuperLU
+#: above it. The two took equal time between 225 and 250 nodes in the
+#: likelihood of cut graphs (figure-eight, 20- and 8-cycle bouquets;
+#: single-thread BLAS on a 2-core Xeon); the dense factor took half the
+#: time at 100 nodes and SuperLU half at 350.
+_DENSE_MAX = 225
+
+
+class _Factor(NamedTuple):
+    """log|M| of an SPD matrix M, a solve x -> M^{-1} x, and the method."""
+
+    logdet: float
+    solve: Callable[[np.ndarray], np.ndarray]
+    method: str
+
+
+def _spd_factor(rows, cols, vals, n: int) -> _Factor:
+    """Factor the n x n SPD matrix sum of triplets (rows, cols, vals).
+
+    Repeated (row, col) pairs add. Up to ``_DENSE_MAX`` the matrix is
+    assembled with ``np.bincount`` and factored by a dense Cholesky, which
+    at that size is cheaper than any sparse set-up. Above it,
+    ``scipy.sparse.linalg.splu`` factors it as P'MP = L D L' with no
+    off-diagonal pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``) and
+    a minimum-degree ordering of M + M', and log|M| is the sum of log D.
+    Raises NotPositiveDefiniteError on a pivot that is not positive.
+    """
+    if n <= _DENSE_MAX:
+        mat = np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
+        try:
+            chol = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError("precision is not positive definite") from None
+        return _Factor(
+            2.0 * float(np.sum(np.log(np.diag(chol)))),
+            lambda b: cho_solve((chol, True), b, check_finite=False),
+            "dense Cholesky",
+        )
+    lu = splu(
+        csc_matrix((vals, (rows, cols)), shape=(n, n)),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    pivots = lu.U.diagonal()
+    if not (np.all(pivots > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
+        raise NotPositiveDefiniteError("precision is not positive definite")
+    return _Factor(float(np.sum(np.log(pivots))), lu.solve, "SuperLU")

@@ -110,6 +110,32 @@ def circle_cov_mp(d, kappa, tau, ell, dps=40):
         return float(val)
 
 
+def circle_loglik_mp(pos, y, kappa, tau, ell, noise_var, dps=40):
+    """Gaussian log density of y at arclengths ``pos`` on a circle of length
+    ``ell``, under the circle Markov covariance plus ``noise_var`` I, all
+    at ``dps`` significant digits (distances, covariance, Cholesky, solve
+    and log), as a float. Arclengths are taken modulo ``ell``, so a point
+    just behind 0 may be given exactly as a small negative number."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        k, ell = mpmath.mpf(kappa), mpmath.mpf(ell)
+        pos = [mpmath.mpf(p) for p in pos]
+        scale = 2 * k * mpmath.mpf(tau) ** 2 * mpmath.sinh(k * ell / 2)
+        n = len(pos)
+        cov = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                d = mpmath.fmod(abs(pos[i] - pos[j]), ell)
+                cov[i, j] = mpmath.cosh(k * (min(d, ell - d) - ell / 2)) / scale
+            cov[i, i] += mpmath.mpf(noise_var)
+        chol = mpmath.cholesky(cov)
+        z = mpmath.lu_solve(chol, mpmath.matrix([mpmath.mpf(v) for v in y]))
+        quad = sum(z[i] ** 2 for i in range(n))
+        logdet = 2 * sum(mpmath.log(chol[i, i]) for i in range(n))
+        return float(-(quad + logdet + n * mpmath.log(2 * mpmath.pi)) / 2)
+
+
 def subdivided_distances(vertex_count, edges, points):
     """Geodesic and resistance matrices at points, every point made a vertex.
 

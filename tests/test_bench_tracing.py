@@ -7,10 +7,11 @@ without failing any other test.
 import sys
 from pathlib import Path
 
+import numpy as np
 import scipy.linalg
 
 import graphfields as gf
-from graphfields import FieldModel, exact, graph
+from graphfields import FieldModel, exact, graph, inference
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracing import Tracer  # noqa: E402
@@ -66,3 +67,24 @@ def test_traced_sample_factors_only_the_vertex_block():
     assert 0.0 < layers["sampling.cholesky_gflop"][0] <= g.vertex_count**3 / 3e9
     assert layers["exact.full_cov_calls"][0] == 0
     assert layers["sampling.normals_drawn"][0] == 20 * len(pts)
+
+
+def test_traced_loglik_at_a_new_kappa_builds_no_covariance():
+    # the tracer hands loglik a wrapper of the source; the precision route
+    # sees through it, and needs neither C nor the |V| x |V| vertex table
+    g = gf.one_sum([gf.circle(1.4, 4) for _ in range(40)], [(0, 0)] * 39)
+    rng = np.random.default_rng(8)
+    obs = [gf.PointOnGraph(e.id, float(rng.uniform(0.05, 0.95) * e.length))
+           for e in (g.edges[i] for i in rng.integers(g.edge_count, size=200))]
+    source = inference.exact_cov_source(g, FieldModel(kappa=2.0 + 1e-3 * np.pi))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        value = inference.loglik(source, obs, rng.normal(size=200), 0.01)
+    finally:
+        tracer.remove()
+    layers = tracer.per_layer()
+    assert np.isfinite(value)
+    assert tracer.calls["inference.loglik"] == 1
+    assert layers["exact.full_cov_calls"][0] == 0
+    assert layers["exact.vertex_cov_misses"][0] == 0

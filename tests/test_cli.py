@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def test_validate_bad_graph_exits_2(tmp_path, capsys):
     ))
     assert main(["validate", "--graph", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": 2, "edges": [{"u": 0.5, "v": 1, "length": 1.0}]},
+    {"vertices": 2.9, "edges": [{"u": 0, "v": 1, "length": 1.0}]},
+])
+def test_validate_non_integer_vertex_exits_2(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--graph", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "must be an integer" in err
 
 
 def test_missing_graph_exits_2(capsys):
@@ -264,6 +278,19 @@ def test_krige_noiseless_reproduces_observations(star_json, tmp_path):
     assert float(rows[1]["mean"]) == pytest.approx(-0.25, abs=1e-9)
     assert float(rows[0]["var"]) <= 1e-9
     assert float(rows[2]["var"]) > 0
+
+
+def test_krige_stdout_is_the_same_with_debug_logging(star_json, tmp_path, capsys, caplog):
+    obs = write_csv(tmp_path / "obs.csv", ["edge", "t", "y"],
+                    [["e0", 0.3, 1.5], ["e1", 0.8, -0.25], ["e2", 1.0, 0.5]])
+    pred = write_csv(tmp_path / "pred.csv", ["edge", "t"], [["e0", 0.6], ["e2", 0.2]])
+    argv = ["krige", "--graph", star_json, "--obs", obs, "--pred", pred, "--noise", "0.1"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    with caplog.at_level(logging.DEBUG):
+        assert main(argv) == 0
+    assert capsys.readouterr() == quiet
+    assert "krige: dense route" in caplog.text
 
 
 def test_nonexistence_demo_two_cycles(tmp_path):

@@ -83,6 +83,17 @@ def test_build_three_cycle_distance_consistency():
          GraphValidationError),
         ({"vertices": 2, "edges": [{"v": 1, "length": 1.0}]}, GraphValidationError),
         ({"vertices": 2, "edges": [[0, 1, 1.0]]}, GraphValidationError),
+        # vertex indices and the vertex count are counts, never truncated
+        ({"vertices": 2, "edges": [{"u": 0.5, "v": 1, "length": 1.0}]},
+         GraphValidationError),
+        ({"vertices": 2, "edges": [{"u": 0, "v": 1.0, "length": 1.0}]},
+         GraphValidationError),
+        ({"vertices": 2.9, "edges": [{"u": 0, "v": 1, "length": 1.0}]},
+         GraphValidationError),
+        ({"vertices": True, "edges": [{"u": 0, "v": 0, "length": 1.0}]},
+         GraphValidationError),
+        ({"vertices": "2", "edges": [{"u": 0, "v": 1, "length": 1.0}]},
+         GraphValidationError),
     ],
 )
 def test_build_rejects_bad_specs(doc, err):

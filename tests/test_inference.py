@@ -1,11 +1,14 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import graphfields as gf
-from graphfields import FieldModel, ValidationError
+from graphfields import FieldModel, NotPositiveDefiniteError, ValidationError, sampling
 from graphfields.inference import exact_cov_source, krige, loglik
 
-from oracles import dense_loglik
+from oracles import circle_loglik_mp, dense_loglik
 
 
 @pytest.fixture
@@ -140,3 +143,191 @@ def test_shape_validation(unit_star, star_source):
             krige(star_source, obs, y, noise, pred)
         with pytest.raises(ValidationError):
             loglik(star_source, obs, y, noise)
+
+
+# -- loglik's precision route -------------------------------------------------
+
+
+def _bouquet(cycles=40):
+    return gf.one_sum([gf.circle(1.4, 4) for _ in range(cycles)], [(0, 0)] * (cycles - 1))
+
+
+ROUTE_GRAPHS = {
+    "loop": lambda: gf.MetricGraph(1, (gf.Edge("loop", 0, 0, 2.0),)),
+    "double-edge": lambda: gf.MetricGraph(
+        2, (gf.Edge("short", 0, 1, 1.0), gf.Edge("long", 0, 1, 3.0))),
+    "tadpole": lambda: gf.tadpole(2.0, 1.0),
+    "bouquet-40": _bouquet,
+}
+
+
+def _dense(source):
+    """The same covariance behind a plain callable, which loglik sends
+    down the dense route."""
+    return lambda pts: source(pts)
+
+
+def _route_points(g, rng, n):
+    """n random points, then both ends of the first edge, a second address of
+    its start vertex (through another edge where there is one), a repeat of
+    the first point and a point 1e-12 from the last edge's start."""
+    pts = [g.point(e.id, float(rng.uniform(0.0, e.length)))
+           for e in (g.edges[i] for i in rng.integers(g.edge_count, size=n))]
+    first, last = g.edges[0], g.edges[-1]
+    j, end = g.incident(first.u)[1]
+    pts += [g.point(first.id, 0.0), g.point(first.id, first.length),
+            g.point(g.edges[j].id, end * g.edges[j].length), pts[0],
+            g.point(last.id, 1e-12)]
+    return pts
+
+
+def _per_edge_model(g, kappa):
+    ids = [e.id for e in g.edges]
+    return FieldModel(kappa={i: kappa * (1.0 + 0.3 * (k % 3)) for k, i in enumerate(ids)},
+                      a={i: 0.5 + 0.25 * (k % 4) for k, i in enumerate(ids)}, tau=0.7)
+
+
+@pytest.mark.parametrize("noise", [1e-2, 10.0])
+@pytest.mark.parametrize("kappa", [1.0, 10.0])
+@pytest.mark.parametrize("name", list(ROUTE_GRAPHS))
+def test_precision_route_matches_dense_route(name, kappa, noise):
+    g = ROUTE_GRAPHS[name]()
+    rng = np.random.default_rng(len(name) + int(kappa))
+    pts = _route_points(g, rng, 30)
+    y = rng.normal(size=len(pts))
+    source = exact_cov_source(g, _per_edge_model(g, kappa))
+    got = loglik(source, pts, y, noise)
+    assert got == pytest.approx(loglik(_dense(source), pts, y, noise), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 10.0])
+def test_precision_route_with_every_point_on_one_edge(kappa):
+    g = gf.tadpole(2.0, 1.0)
+    tail = g.edges[-1]
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([[0.0, tail.length, 1e-12], rng.uniform(0.0, tail.length, 60)])
+    pts = [g.point(tail.id, float(t)) for t in ts]
+    y = rng.normal(size=len(pts))
+    source = exact_cov_source(g, _per_edge_model(g, kappa))
+    got = loglik(source, pts, y, 0.05)
+    assert got == pytest.approx(loglik(_dense(source), pts, y, 0.05), rel=1e-12)
+
+
+@pytest.mark.parametrize("side", ["dense Cholesky", "SuperLU"])
+def test_precision_route_on_both_sides_of_the_factor_crossover(side, caplog):
+    g = _bouquet()
+    limit = sampling._DENSE_MAX - g.vertex_count
+    n = limit - 10 if side == "dense Cholesky" else limit + 60
+    rng = np.random.default_rng(n)
+    pts = [g.point(e.id, float(rng.uniform(0.05, 0.95) * e.length))
+           for e in (g.edges[i] for i in rng.integers(g.edge_count, size=n))]
+    y = rng.normal(size=n)
+    source = exact_cov_source(g, _per_edge_model(g, 1.0))
+    with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
+        got = loglik(source, pts, y, 0.01)
+    assert f"{g.vertex_count + n} nodes, {side}" in caplog.text
+    assert got == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, sampling._DENSE_MAX + 20])
+def test_spd_factor_on_both_sides_of_the_crossover(n):
+    rng = np.random.default_rng(n)
+    root = rng.normal(size=(n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+    mat = root @ root.T
+    rows, cols = np.nonzero(np.ones((n, n)))
+    # every entry given as two triplets that add up to it
+    half = 0.5 * mat[rows, cols]
+    factor = sampling._spd_factor(np.tile(rows, 2), np.tile(cols, 2), np.tile(half, 2), n)
+    assert factor.method == ("dense Cholesky" if n <= sampling._DENSE_MAX else "SuperLU")
+    assert factor.logdet == pytest.approx(np.linalg.slogdet(mat)[1], rel=1e-12)
+    b = rng.normal(size=n)
+    np.testing.assert_allclose(factor.solve(b), np.linalg.solve(mat, b), rtol=1e-10)
+    with pytest.raises(NotPositiveDefiniteError):
+        sampling._spd_factor(rows, cols, -mat[rows, cols], n)
+
+
+def _circle_positions(g, pts):
+    """Arclength along the cycle of a loop or a double edge from vertex 0,
+    exact in floats: the long edge runs backwards from 0."""
+    return [-p.t if p.edge == "long" else p.t for p in pts]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 10.0])
+@pytest.mark.parametrize("name", ["loop", "double-edge"])
+def test_precision_route_at_tiny_noise_matches_mpmath(name, kappa):
+    # at noise 1e-8 the dense route is no reference: C + noise I is too
+    # ill-conditioned for 1e-12 (it reads up to 6e-9 off the routes here)
+    g = ROUTE_GRAPHS[name]()
+    rng = np.random.default_rng(11)
+    pts = _route_points(g, rng, 20)
+    y = rng.normal(size=len(pts))
+    want = circle_loglik_mp(_circle_positions(g, pts), y, kappa, 0.7, g.total_length, 1e-8)
+    got = loglik(exact_cov_source(g, FieldModel(kappa=kappa, tau=0.7)), pts, y, 1e-8)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def _small_batch_circle():
+    """small-batch's circle: four edges, 40 observations, noise 0.01; the
+    arclength p of a point is exactly 0.5 k + t on edge k."""
+    g = gf.circle(2.0, 4)
+    rng = np.random.default_rng(40)
+    pos = rng.uniform(0.0, 2.0, 40)
+    pts = [g.point(f"e{int(p // 0.5)}", float(p % 0.5)) for p in pos]
+    return g, pts, pos, 0.5 * rng.standard_normal(40)
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-3, 1.0, 1e3])
+def test_loglik_matches_mpmath_from_tiny_to_large_kappa(kappa):
+    g, pts, pos, y = _small_batch_circle()
+    want = circle_loglik_mp(pos, y, kappa, 1.0, 2.0, 0.01)
+    got = loglik(exact_cov_source(g, FieldModel(kappa=kappa)), pts, y, 0.01)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "krige keeps the dense route: at kappa = 1e-6 the Cholesky of C + noise I "
+    "loses the O(1) part of C under its 1/(kappa^2 |Gamma|) constant mode"))
+def test_krige_likelihood_matches_mpmath_at_tiny_kappa():
+    g, pts, pos, y = _small_batch_circle()
+    want = circle_loglik_mp(pos, y, 1e-6, 1.0, 2.0, 0.01)
+    result = krige(exact_cov_source(g, FieldModel(kappa=1e-6)), pts, y, 0.01, pts[:1])
+    assert result.log_likelihood == pytest.approx(want, rel=1e-12)
+
+
+def test_loglik_logs_its_route(unit_star, star_source, caplog):
+    obs = [unit_star.point("e0", 0.3), unit_star.point("e1", 1.0)]
+    with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
+        loglik(star_source, obs, [1.0, 2.0], 0.1)
+        loglik(star_source, obs, [1.0, 2.0], 0.0)
+        loglik(_dense(star_source), obs, [1.0, 2.0], 0.1)
+    assert [r.name for r in caplog.records] == ["graphfields.inference"] * 3
+    precision, zero, other = (r.getMessage() for r in caplog.records)
+    # the star's 4 vertices plus the one interior point
+    assert precision == "loglik: precision route, 2 points, 5 nodes, dense Cholesky"
+    assert zero == "loglik: dense route, 2 points (zero noise)"
+    assert other == "loglik: dense route, 2 points (source is not exact)"
+
+
+def test_loglik_memory_stays_far_below_the_dense_covariance():
+    # 2,000 observations on a 20 x 20 grid of unit edges: the dense C alone
+    # is 2,000^2 doubles, 32 MB; the precision route peaked at 11.2 MB
+    side = 20
+    edges = [gf.Edge(f"{kind}{v}", v, v + step, 1.0)
+             for v in range(side * side)
+             for kind, step, ok in (("h", 1, (v + 1) % side), ("v", side, v + side < side**2))
+             if ok]
+    g = gf.MetricGraph(side * side, tuple(edges))
+    rng = np.random.default_rng(2000)
+    pts = [gf.PointOnGraph(edges[i].id, float(rng.uniform(0.0, 1.0)))
+           for i in rng.integers(len(edges), size=2000)]
+    y = rng.normal(size=2000)
+    source = exact_cov_source(g, FieldModel())
+    loglik(source, pts[:10], y[:10], 0.01)  # imports and caches out of the count
+    tracemalloc.start()
+    try:
+        value = loglik(source, pts, y, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 16e6
