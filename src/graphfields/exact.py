@@ -30,13 +30,15 @@ at the vertices and the distinct points is again a Gaussian Markov field,
 with two rows per piece in its precision (``_cut_graph``, the same rows as
 the vertex precision's); ``inference.loglik`` factors that sparse matrix.
 
-Sampling never forms C at points whose edges have both ends among the
-points. Put the vertices first and such points after them, sorted by
-(edge, t): the Cholesky factor of C is then [[L_V, 0], [Phi L_V,
+Sampling has two paths, chosen by the number of distinct points alone. A
+small request takes the dense Cholesky factor of C. A larger one never
+forms C: add every vertex the points touch (both ends of each edge that
+holds a point), put these vertices first and the points after them,
+sorted by (edge, t). The Cholesky factor of C is then [[L_V, 0], [Phi L_V,
 blockdiag_e chol(B_e)]] with L_V = chol(S_V), B_e edge e's bridge block
 and no fill between edges, and chol(B_e) is a walk along the edge.
-``sample`` draws one standard normal per distinct point in that order; only
-points on an edge with an end left out need ``full_cov``.
+``sample`` draws one standard normal per factor column and drops the
+columns of the added vertices.
 
 All formulas are overflow-safe for kt * L far beyond the ~700 range where
 raw cosh/sinh overflow in double precision, and use expm1 wherever
@@ -47,12 +49,12 @@ and a loop of length L reproduces the circle field of length L exactly.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import csr_matrix
 
 from .errors import (
@@ -73,7 +75,7 @@ from .graph import (
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import replicate_normals, safe_cholesky
+from .sampling import _DENSE_SAMPLE_MAX, replicate_normals, safe_cholesky
 
 __all__ = [
     "neumann_edge_cov",
@@ -89,6 +91,8 @@ __all__ = [
     "markov_check",
     "kirchhoff_residual",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 def _one_minus_exp(x):
@@ -412,22 +416,6 @@ def full_cov(
     return CovMatrix(C, tuple(pts), "exact")
 
 
-class _FactorOrder(NamedTuple):
-    """The columns of the Markov factor of C, one per distinct point.
-
-    ``vertices`` are the vertices among the points, ascending; ``bridged``
-    and ``rest`` give, for each of their columns, the input index of the
-    first point at that (edge, t): bridged points lie on edges with both
-    ends in ``vertices`` and come sorted by (edge, t), the rest keep the
-    order of first occurrence. ``column`` is every input point's column.
-    """
-
-    vertices: np.ndarray
-    bridged: np.ndarray
-    rest: np.ndarray
-    column: np.ndarray
-
-
 def _distinct_points(j, t, u, v, ell):
     """The distinct locations among points given as ``_point_arrays`` arrays.
 
@@ -444,26 +432,6 @@ def _distinct_points(j, t, u, v, ell):
     rank = np.zeros(t.size, dtype=np.intp)
     rank[inner] = np.cumsum(new) - 1
     return vertex, inner[new], rank
-
-
-def _factor_order(g: MetricGraph, j, t, u, v, ell) -> _FactorOrder:
-    """The factor columns of points given as ``_point_arrays`` arrays."""
-    vertex, first, rank = _distinct_points(j, t, u, v, ell)
-    at_vertex = vertex >= 0
-    is_vertex = np.zeros(g.vertex_count, dtype=bool)
-    is_vertex[vertex[at_vertex]] = True
-    vertices = np.flatnonzero(is_vertex)
-    bridged = is_vertex[u[first]] & is_vertex[v[first]]
-    nv, nb = vertices.size, np.count_nonzero(bridged)
-    group_col = np.empty(first.size, dtype=np.intp)
-    group_col[bridged] = nv + np.arange(nb)
-    rest = np.flatnonzero(~bridged)
-    rest = rest[np.argsort(first[rest])]  # by first occurrence
-    group_col[rest] = nv + nb + np.arange(rest.size)
-    column = np.empty(t.size, dtype=np.intp)
-    column[at_vertex] = np.searchsorted(vertices, vertex[at_vertex])
-    column[~at_vertex] = group_col[rank[~at_vertex]]
-    return _FactorOrder(vertices, first[bridged], first[rest], column)
 
 
 #: a piece of edge shorter than this fraction of its edge puts its two
@@ -613,65 +581,68 @@ def sample(
 ) -> np.ndarray:
     """n zero-mean draws of the exact field at the points, (n, len(pts)).
 
-    Draws are the Cholesky factor of C in a Markov order times one standard
-    normal per distinct point, so equal points (a vertex addressed through
-    any of its edge ends included) get equal values. The factor's columns
-    come in three blocks:
+    Draws are a Cholesky factor of C times one standard normal per factor
+    column, and all points at one location read one column, so equal
+    points (a vertex addressed through any of its edge ends included) get
+    equal values. The number of distinct points alone picks the factor:
 
-    1. the vertices among the points: x_V = chol(S_V[V, V]) z_V;
-    2. interior points on edges with both ends in block 1, sorted by
-       (edge, t): x = G1(t) x_u + G2(t) x_v + b, with the bridge b drawn
-       one step at a time along its edge (``_bridge_walk``). Given its end
-       values an edge is independent of the rest of the graph, so this is
-       exactly the factor of these columns, with no jitter and no fill;
-    3. every other point: x_R = H' z_V + chol(C_RR - H'H) z_R with
-       H = chol(S_V[V, V])^{-1} C_VR, from one ``full_cov`` call.
+    - up to ``sampling._DENSE_SAMPLE_MAX``, the dense Cholesky factor of
+      ``full_cov`` at the distinct points in order of first occurrence;
+    - above it, the Markov factor. Every vertex the request touches (the
+      vertices among the points and both ends of every edge holding a
+      point) comes first, ascending: x_V = chol(S_V[V, V]) z_V. The distinct
+      interior points follow, sorted by (edge, t):
+      x = G1(t) x_u + G2(t) x_v + b, with the bridge b drawn one step at a
+      time along its edge (``_bridge_walk``). Given its end values an edge
+      is independent of the rest of the graph, so this is exactly the
+      factor of C in that order, with no n x n covariance. The columns of
+      touched vertices that are not among the points are dropped.
 
-    With no vertex among the points and none repeated, block 3 is the whole
-    request in its given order and the draws are ``replicate_normals(seed, n, len(pts)) @
-    chol(full_cov(pts)).T``. Deterministic in ``seed``; the replicates are
-    rows drawn in turn from one generator, so a smaller run is a prefix of
-    a larger one.
+    With no vertex among the points and none repeated, a request on the
+    dense path draws ``replicate_normals(seed, n, len(pts)) @
+    chol(full_cov(pts)).T``. The path, the counts and the jitter that
+    ``safe_cholesky`` added are logged at DEBUG on ``graphfields.exact``.
+    Deterministic in ``seed``; the replicates are rows drawn in turn from
+    one generator, so a smaller run is a prefix of a larger one.
     """
     n = _count(n, "replicate count")
     _require_alpha_one(m)
     pts, j, t, u, v, ell = _point_arrays(g, pts)
-    order = _factor_order(g, j, t, u, v, ell)
     if n == 0:
         return np.empty((0, len(pts)))
-    nv, nb, nr = order.vertices.size, order.bridged.size, order.rest.size
-    sv, ec = _vertex_cov(g, m)
-    if nv:
-        chol_v, _ = safe_cholesky(sv[np.ix_(order.vertices, order.vertices)])
-    if nr:
-        inputs = [pts[i] for i in order.rest]
-        cov = full_cov(g, m, inputs + [g.vertex_point(w) for w in order.vertices])
-        c_rr = cov.matrix[:nr, :nr]
-        if nv:
-            h = scipy.linalg.solve_triangular(chol_v, cov.matrix[nr:, :nr], lower=True)
-            c_rr = c_rr - h.T @ h
-        chol_r, _ = safe_cholesky(c_rr)
-    # the normals become the draws in place, one column per factor column
-    z = replicate_normals(seed, n, nv + nb + nr)
-    if nr:
-        rest = z[:, nv + nb :] @ chol_r.T
-        if nv:
-            rest += z[:, :nv] @ h  # before block 1 overwrites z_V
-            z[:, nv + nb :] = rest
-        else:  # no vertex among the points: block 3 is the whole request
-            z = rest
-    if nv:
-        z[:, :nv] = z[:, :nv] @ chol_v.T
-    if nb:
-        b = order.bridged
-        bridge = z[:, nv : nv + nb]
-        _bridge_walk(ec, j[b], t[b], bridge)
-        g1, g2 = _basis(ec.kt[j[b]], ec.length[j[b]], t[b])
-        bridge += g1 * z[:, np.searchsorted(order.vertices, u[b])]
-        bridge += g2 * z[:, np.searchsorted(order.vertices, v[b])]
-    if np.array_equal(order.column, np.arange(len(pts))):
+    vertex, first, rank = _distinct_points(j, t, u, v, ell)
+    at_vertex = vertex >= 0
+    vertices = np.unique(vertex[at_vertex])
+    touched = np.union1d(vertices, np.concatenate((u[first], v[first])))
+    distinct = vertices.size + first.size
+    if distinct <= _DENSE_SAMPLE_MAX:
+        route = "dense"
+        key = np.where(at_vertex, vertex, g.vertex_count + rank)
+        _, once, column = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(once)  # the distinct points by first occurrence
+        chol, jitter = safe_cholesky(full_cov(g, m, [pts[i] for i in once[order]]).matrix)
+        z = replicate_normals(seed, n, distinct) @ chol.T
+        column = np.argsort(order)[column]
+    else:
+        route = "Markov"
+        sv, ec = _vertex_cov(g, m)
+        chol, jitter = safe_cholesky(sv[np.ix_(touched, touched)])
+        nv = touched.size
+        # the normals become the draws in place, one column per factor column
+        z = replicate_normals(seed, n, nv + first.size)
+        z[:, :nv] = z[:, :nv] @ chol.T
+        pj, pt = j[first], t[first]
+        bridge = z[:, nv:]
+        _bridge_walk(ec, pj, pt, bridge)
+        g1, g2 = _basis(ec.kt[pj], ec.length[pj], pt)
+        bridge += g1 * z[:, np.searchsorted(touched, u[first])]
+        bridge += g2 * z[:, np.searchsorted(touched, v[first])]
+        column = np.where(at_vertex, np.searchsorted(touched, vertex), nv + rank)
+    _log.debug("sample: %s route, %d distinct points, %d touched vertices, jitter %.3g",
+               route, distinct, touched.size, jitter)
+    if np.array_equal(column, np.arange(len(pts))):
         return z
-    return z[:, order.column]
+    return z[:, column]
 
 
 def markov_check(cov, set_a, set_b, set_s) -> float:

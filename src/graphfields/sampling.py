@@ -60,6 +60,16 @@ def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
 #: time at 100 nodes and SuperLU half at 350.
 _DENSE_MAX = 225
 
+#: ``exact.sample`` draws a request of up to this many distinct points from
+#: the dense Cholesky factor of its covariance, and a larger one from the
+#: vertex factor and the per-edge bridge walks. The crossover grows with the
+#: replicate count. On random figure-eight requests (single-thread BLAS on
+#: a 2-core Xeon) the bridge walks were 1.9x faster than the dense factor
+#: at 384 points and 200 replicates, within 10% of it from 384 to 768
+#: points at 2,000 replicates (22% faster at 1,024), and 2.0-2.5x slower up
+#: to 768 points at 20,000 replicates.
+_DENSE_SAMPLE_MAX = 384
+
 
 class _Factor(NamedTuple):
     """log|M| of an SPD matrix M, a solve x -> M^{-1} x, and the method."""

@@ -69,6 +69,23 @@ def test_traced_sample_factors_only_the_vertex_block():
     assert layers["sampling.normals_drawn"][0] == 20 * len(pts)
 
 
+def test_traced_sample_without_a_vertex_draws_it_and_forms_no_covariance():
+    # the mesh without vertex 0: the Markov factor still draws vertex 0, as
+    # one more normal column that it then drops, and no covariance of the
+    # points on its edges is formed
+    g = gf.one_sum([gf.circle(1.4, 4) for _ in range(40)], [(0, 0)] * 39)
+    pts = [p for p in gf.mesh(g, 0.1) if g.vertex_of(p) != 0]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        exact.sample(g, FieldModel(kappa=2.0), pts, 20, 3)
+    finally:
+        tracer.remove()
+    layers = tracer.per_layer()
+    assert layers["exact.full_cov_calls"][0] == 0
+    assert layers["sampling.normals_drawn"][0] == 20 * (len(pts) + 1)
+
+
 def test_traced_loglik_at_a_new_kappa_builds_no_covariance():
     # the tracer hands loglik a wrapper of the source; the precision route
     # sees through it, and needs neither C nor the |V| x |V| vertex table

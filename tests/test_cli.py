@@ -293,6 +293,17 @@ def test_krige_stdout_is_the_same_with_debug_logging(star_json, tmp_path, capsys
     assert "krige: dense route" in caplog.text
 
 
+def test_sample_stdout_is_the_same_with_debug_logging(star_json, tmp_path, capsys, caplog):
+    pts = write_csv(tmp_path / "pts.csv", ["edge", "t"], [["e0", 0.5], ["e1", 1.0]])
+    argv = ["sample", "--graph", star_json, "--points", pts, "--n", "4", "--seed", "3"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    with caplog.at_level(logging.DEBUG):
+        assert main(argv) == 0
+    assert capsys.readouterr() == quiet
+    assert "sample: dense route, 2 distinct points" in caplog.text
+
+
 def test_nonexistence_demo_two_cycles(tmp_path):
     out = tmp_path / "gap.csv"
     assert main(["nonexistence-demo", "two-cycles", "1", "2",

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from graphfields.exact import (
 from graphfields.kernels import circle_cov
 from graphfields.spectral import _coefficients
 from graphfields.metrics import geodesic_distance
-from graphfields.sampling import replicate_normals, safe_cholesky
+from graphfields.sampling import _DENSE_SAMPLE_MAX, replicate_normals, safe_cholesky
 
 from conftest import random_point
 from oracles import (
@@ -622,16 +624,24 @@ def test_sample_rejects_bad_points_and_alpha(unit_star, n):
         sample(unit_star, FieldModel(alpha=2.0), [unit_star.point("e0", 0.5)], n, 0)
 
 
+_SAME_POINT = [PointOnGraph("e0", 0.5), PointOnGraph("e0", 0.5)]
+# one vertex addressed through two of its edges
+_SAME_VERTEX = [PointOnGraph("e0", 1.0), PointOnGraph("e1", 1.0)]
+
+
 @pytest.mark.parametrize(
-    "pts",
+    "pts,markov,width",
     [
-        [PointOnGraph("e0", 0.5), PointOnGraph("e0", 0.5)],
-        # one vertex addressed through two of its edges
-        [PointOnGraph("e0", 1.0), PointOnGraph("e1", 1.0)],
+        (_SAME_POINT, False, 3),
+        (_SAME_VERTEX, False, 3),
+        # the star's leaves 0, 1, 2 and centre 3 all touched, two interior points
+        (_SAME_POINT, True, 6),
+        # vertices 1, 2 and 3 touched, one interior point
+        (_SAME_VERTEX, True, 4),
     ],
-    ids=["same-point", "same-vertex"],
+    ids=["same-point", "same-vertex", "same-point-markov", "same-vertex-markov"],
 )
-def test_sample_duplicate_points_share_one_normal(unit_star, pts, monkeypatch):
+def test_sample_duplicate_points_share_one_normal(unit_star, pts, markov, width, monkeypatch):
     widths = []
     original = gf.exact.replicate_normals
 
@@ -640,30 +650,32 @@ def test_sample_duplicate_points_share_one_normal(unit_star, pts, monkeypatch):
         return original(seed, n, k)
 
     monkeypatch.setattr(gf.exact, "replicate_normals", recording)
+    if markov:
+        monkeypatch.setattr(gf.exact, "_DENSE_SAMPLE_MAX", 0)
     extra = [PointOnGraph("e1", 0.3), PointOnGraph("e2", 0.0)]
     draws = sample(unit_star, FieldModel(), pts + extra + pts, 3, 0)
     for col in (1, 4, 5):
         assert draws[:, col].tobytes() == draws[:, 0].tobytes()
-    assert widths == [3]
+    assert widths == [width]
 
 
 def _factor_order_points(g, pts):
-    """The vertex-first factor order, worked out point by point: vertices
-    ascending, then interior points on edges with both ends among them by
-    (edge, t), then the other interior points by first occurrence. Returns
-    the distinct points in that order and each input point's position."""
+    """The factor order of ``sample``, worked out point by point. Up to
+    ``_DENSE_SAMPLE_MAX`` distinct points it is their order of first
+    occurrence. Above it, every vertex the points touch (those among them
+    and both ends of each edge holding one) comes first, ascending, and the
+    interior points follow by (edge, t). Returns the points in that order
+    and each input point's position, which drops the columns of touched
+    vertices that are not among the points."""
     keys = []
     for p in pts:
         w = g.vertex_of(p)
         keys.append(("v", w) if w is not None else ("p", g.edge_index(p.edge), p.t))
-    vin = sorted({k[1] for k in keys if k[0] == "v"})
-    inner = list(dict.fromkeys(k for k in keys if k[0] == "p"))
-    bridged = {k for k in inner if {g.edges[k[1]].u, g.edges[k[1]].v} <= set(vin)}
-    order = (
-        [("v", w) for w in vin]
-        + sorted(bridged, key=lambda k: (k[1], k[2]))
-        + [k for k in inner if k not in bridged]
-    )
+    order = list(dict.fromkeys(keys))
+    if len(order) > _DENSE_SAMPLE_MAX:
+        touched = {k[1] for k in order if k[0] == "v"}
+        touched |= {w for k in order if k[0] == "p" for w in (g.edges[k[1]].u, g.edges[k[1]].v)}
+        order = [("v", w) for w in sorted(touched)] + sorted(k for k in order if k[0] == "p")
     points = [
         g.vertex_point(k[1]) if k[0] == "v" else PointOnGraph(g.edges[k[1]].id, k[2])
         for k in order
@@ -694,10 +706,12 @@ def test_sample_is_dense_cholesky_in_factor_order(name, kappa, drop):
     m = FieldModel(kappa=kappa)
     pts = gf.mesh(g, 0.1)
     if drop:
-        # points on edges at a dropped vertex leave the bridged block
+        # on the Markov path the dropped vertices are drawn, then left out
         gone = {1, 2} if g.vertex_count > 2 else {g.vertex_count - 1}
         pts = [p for p in pts if g.vertex_of(p) not in gone]
     ordered, position = _factor_order_points(g, pts)
+    # only the 601-point bouquet mesh is large enough for the Markov factor
+    assert (len(set(position)) > _DENSE_SAMPLE_MAX) == (name == "bouquet-40")
     factor = np.linalg.cholesky(full_cov(g, m, ordered).matrix)
     ref = (replicate_normals(5, 7, len(ordered)) @ factor.T)[:, position]
     got = sample(g, m, pts, 7, 5)
@@ -706,14 +720,60 @@ def test_sample_is_dense_cholesky_in_factor_order(name, kappa, drop):
 
 @pytest.mark.parametrize("name", ["figure-eight", "star", "bouquet-40"])
 def test_sample_without_vertices_keeps_dense_stream(name):
-    # no vertex among the points: the factor order is the input order
+    # no vertex among the points and none repeated: up to the dense
+    # threshold the factor is the dense Cholesky in the input order
     g = _ORACLE_GRAPHS[name]()
     rng = np.random.default_rng(4)
-    pts = [random_point(g, rng) for _ in range(25)]
     m = FieldModel(kappa=1.3, tau=0.8)
-    chol, _ = safe_cholesky(full_cov(g, m, pts).matrix)
-    ref = replicate_normals(17, 40, len(pts)) @ chol.T
-    assert sample(g, m, pts, 40, 17).tobytes() == ref.tobytes()
+    for k in (25, _DENSE_SAMPLE_MAX):
+        pts = [random_point(g, rng) for _ in range(k)]
+        chol, _ = safe_cholesky(full_cov(g, m, pts).matrix)
+        ref = replicate_normals(17, 40, k) @ chol.T
+        assert sample(g, m, pts, 40, 17).tobytes() == ref.tobytes()
+
+
+def _threshold_request(g, k):
+    """k distinct locations on the unit star: its centre through two of its
+    edges, then k - 1 interior points spread over the edges, the first of
+    them repeated last."""
+    per_edge = -(-(k - 1) // g.edge_count)
+    inner = [g.point(e.id, e.length * (i + 1) / (per_edge + 1))
+             for i in range(per_edge) for e in g.edges][: k - 1]
+    return [g.point("e0", 1.0), g.point("e1", 1.0)] + inner + inner[:1]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "above-threshold"])
+def test_sample_at_the_dense_threshold(unit_star, extra, monkeypatch, caplog):
+    m = FieldModel()
+    k = _DENSE_SAMPLE_MAX + extra
+    pts = _threshold_request(unit_star, k)
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return full_cov(*args)
+
+    monkeypatch.setattr(gf.exact, "full_cov", spy)
+    n = 20000
+    with caplog.at_level(logging.DEBUG, logger="graphfields.exact"):
+        draws = sample(unit_star, m, pts, n, seed=7)
+    # the dense route factors C at the distinct points, the Markov route
+    # forms no covariance; both touch the centre and the three leaves
+    route = "Markov" if extra else "dense"
+    assert calls == ([] if extra else [k])
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        f"sample: {route} route, {k} distinct points, 4 touched vertices, jitter 0"
+    )
+    assert draws[:, 1].tobytes() == draws[:, 0].tobytes()
+    assert draws[:, -1].tobytes() == draws[:, 2].tobytes()
+    # both addresses of the centre, the point next to it, the first point
+    # on each edge by the leaves, the next one on e0, and the repeat
+    cols = [0, 1, len(pts) - 2, 2, 3, 4, 5, len(pts) - 1]
+    cov = full_cov(unit_star, m, [pts[i] for i in cols]).matrix
+    emp = draws[:, cols].T @ draws[:, cols] / n
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+    assert np.max(np.abs(emp - cov) / se) <= 4.0
 
 
 def test_sample_memory_is_far_below_one_dense_matrix():
