@@ -55,7 +55,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     ConditioningError,
@@ -72,6 +71,7 @@ from .graph import (
     _grounded_factor,
     _point_arrays,
     _same_edge_pairs,
+    _sandwich,
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
@@ -380,10 +380,11 @@ def full_cov(
 ) -> CovMatrix:
     """Exact covariance matrix of the alpha = 1 field at arbitrary points.
 
-    C = Phi S Phi' + bridges: row i of the sparse Phi holds G1(t_i), G2(t_i)
-    of point i's edge in the columns of that edge's two ends, and the bridge
-    term adds the Dirichlet Green's function to every same-edge pair. By
-    default S is the vertex covariance and the columns are vertices.
+    C = Phi S Phi' + bridges: row i of Phi holds G1(t_i), G2(t_i) of point
+    i's edge in the columns of that edge's two ends (``graph._sandwich``
+    forms the product), and the bridge term adds the Dirichlet Green's
+    function to every same-edge pair. By default S is the vertex covariance
+    and the columns are vertices.
     ``constraints`` selects the dense reference instead: S is the endpoint
     covariance conditioned on K x = 0 (any matrix with the same kernel as
     the continuity constraints yields the same covariance) and the columns
@@ -399,15 +400,8 @@ def full_cov(
         ends = condition_on_constraints(endpoint_prior_cov(g, m), constraints)
         col_u = 2 * np.arange(g.edge_count)
         col_v = col_u + 1
-    n = len(pts)
-    phi = csr_matrix(
-        (
-            np.concatenate(_basis(ec.kt[j], ec.length[j], t)),
-            (np.tile(np.arange(n), 2), np.concatenate([col_u[j], col_v[j]])),
-        ),
-        shape=(n, ends.shape[0]),
-    )
-    C = _symmetrize(phi @ (phi @ ends).T)
+    weights = _basis(ec.kt[j], ec.length[j], t)
+    C = _symmetrize(_sandwich(ends, col_u[j], col_v[j], *weights))
     rows, cols = _same_edge_pairs(j)
     e = j[rows]
     C[rows, cols] += _dirichlet_green(

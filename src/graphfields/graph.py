@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
@@ -339,6 +339,26 @@ def _symmetrize(C: np.ndarray) -> np.ndarray:
         C[i:j, i:] = 0.5 * (C[i:j, i:] + C[i:, i:j].T)
         C[j:, i:j] = C[i:j, j:].T
     return C
+
+
+def _sandwich(table: np.ndarray, u, v, w_u, w_v) -> np.ndarray:
+    """Phi T Phi' for a symmetric table T and row i of Phi = w_u[i] e_u[i]
+    + w_v[i] e_v[i].
+
+    Phi is built in CSR form directly, two entries per row with the
+    weights interleaved, so a loop's (u == v) two weights stay two entries
+    and no COO conversion runs. The result is not symmetrized.
+    """
+    n = len(u)
+    phi = csr_array(
+        (
+            np.column_stack((w_u, w_v)).ravel(),
+            np.column_stack((u, v)).ravel(),
+            np.arange(0, 2 * n + 1, 2),
+        ),
+        shape=(n, table.shape[0]),
+    )
+    return phi @ (phi @ table).T
 
 
 # -- grounded vertex factor (shared by the exact field and the metrics) -----

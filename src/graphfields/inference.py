@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from . import exact
 from .errors import ValidationError
@@ -122,10 +122,11 @@ def _condition(cov_source: CovSource, obs, y, noise_var, pred=()) -> tuple:
     return joint, *safe_cholesky(coo + noise_var * np.eye(len(obs)))
 
 
-def _gauss_loglik(chol: np.ndarray, y: np.ndarray) -> float:
-    alpha = solve_triangular(chol, y, lower=True)
+def _gauss_loglik(chol: np.ndarray, alpha: np.ndarray) -> float:
+    """Gaussian log density of y from the lower Cholesky factor L of its
+    covariance and alpha = L^{-1} y."""
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    n = len(y)
+    n = len(alpha)
     return -0.5 * (float(alpha @ alpha) + logdet + n * np.log(2.0 * np.pi))
 
 
@@ -153,15 +154,15 @@ def krige(
     no = len(obs_pts)
     cpo = joint[no:, :no]
     cpp = joint[no:, no:]
-    w = cho_solve((chol, True), y)
-    mean = cpo @ w
+    alpha = solve_triangular(chol, y, lower=True)
+    mean = cpo @ solve_triangular(chol, alpha, lower=True, trans="T")
     half = solve_triangular(chol, cpo.T, lower=True)
     cov = cpp - half.T @ half
     cov = 0.5 * (cov + cov.T)
     return KrigingResult(
         mean=mean,
         cov=cov,
-        log_likelihood=_gauss_loglik(chol, y),
+        log_likelihood=_gauss_loglik(chol, alpha),
         jitter=jitter,
     )
 
@@ -187,7 +188,7 @@ def loglik(
     _log.debug("loglik: dense route, %d points (%s)", len(obs_pts),
                "zero noise" if noise_var == 0.0 else "source is not exact")
     _, chol, _ = _condition(cov_source, obs_pts, y, noise_var)
-    return _gauss_loglik(chol, y)
+    return _gauss_loglik(chol, solve_triangular(chol, y, lower=True))
 
 
 def _gram(cols: np.ndarray, vals: np.ndarray, scale: float = 1.0):
@@ -218,16 +219,22 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float) -
     and no |V| x |V| table is formed.
     """
     cut = exact._cut_graph(g, m, obs)
-    q = _gram(cut.b_cols, cut.b_vals)
-    h = [np.concatenate(z) for z in zip(q, _gram(cut.a_cols, cut.a_vals, 1.0 / noise_var))]
-    q_factor = _spd_factor(*q, cut.nodes)
-    h_factor = _spd_factor(*h, cut.nodes)
-    _log.debug("loglik: precision route, %d points, %d nodes, %s", len(obs), cut.nodes,
+    # every observation row puts weight 1 / noise_var on the root coordinate
+    # z_0: renumbered last, it is eliminated last by the dense factor
+    nodes = cut.nodes
+    label = np.arange(-1, nodes - 1)
+    label[0] = nodes - 1
+    b_cols, a_cols = label[cut.b_cols], label[cut.a_cols]
+    q = _gram(b_cols, cut.b_vals)
+    h = [np.concatenate(z) for z in zip(q, _gram(a_cols, cut.a_vals, 1.0 / noise_var))]
+    q_factor = _spd_factor(*q, nodes)
+    h_factor = _spd_factor(*h, nodes)
+    _log.debug("loglik: precision route, %d points, %d nodes, %s", len(obs), nodes,
                h_factor.method)
-    b = np.bincount(cut.a_cols.ravel(), (cut.a_vals * y[:, None]).ravel(), minlength=cut.nodes)
+    b = np.bincount(a_cols.ravel(), (cut.a_vals * y[:, None]).ravel(), minlength=nodes)
     mu = h_factor.solve(b / noise_var)
-    resid = y - np.sum(cut.a_vals * mu[cut.a_cols], axis=1)
-    prior = np.sum(cut.b_vals * mu[cut.b_cols], axis=1)
+    resid = y - np.sum(cut.a_vals * mu[a_cols], axis=1)
+    prior = np.sum(cut.b_vals * mu[b_cols], axis=1)
     n = len(y)
     quad = float(resid @ resid) / noise_var + float(prior @ prior)
     logdet = n * np.log(noise_var) + h_factor.logdet - q_factor.logdet

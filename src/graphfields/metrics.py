@@ -1,18 +1,17 @@
 """Geodesic and resistance metrics on metric graphs.
 
-Both metrics at n points are n x n matrices read from one |V| x |V| vertex
-table at each point's two end vertices. A point at arclength t on edge
-(u, v) of length L has offsets t and L - t to its ends, and interpolation
-weights w_u = 1 - t/L and w_v = t/L. Each matrix is four vectorised
-gathers into the vertex table, one per pair of end vertices, accumulated in
-place: one n x n temporary besides the result, and no per-pair Python loop.
+Both metrics at n points are n x n matrices read from one cached |V| x |V|
+vertex table at each point's two end vertices, with no per-pair Python
+loop. A point at arclength t on edge (u, v) of length L has offsets t and
+L - t to its ends, and interpolation weights w_u = 1 - t/L and w_v = t/L.
 Both come out exactly symmetric, with a zero diagonal and no negative
 entry; the pairwise functions are two-point calls.
 
 Geodesic: the minimum over the four end-vertex routes offset + D_V[a, b] +
 offset, with D_V = ``vertex_distance_matrix``; on a shared edge the direct
 route |t_i - t_j| is a fifth candidate (shorter on loops and some
-multi-edges).
+multi-edges). A minimum is not a matrix product, so this matrix is four
+vectorised gathers into D_V, one per pair of end vertices.
 
 Resistance: the variogram of an auxiliary Gaussian field, a multivariate
 normal on the vertices with covariance L^{-1} (L built from edge
@@ -23,21 +22,26 @@ edges", Ann. Statist. 2020). It is evaluated analytically, never by
 simulation. Since each point's weights sum to one, only the vertex
 resistances R_V = diag(G) + diag(G)' - 2 G enter, with G as below:
 
-    d_ij = sum_{a in ends(i), b in ends(j)} w_a(i) w_b(j) R_V[a, b]
-           - s_i - s_j,
-    s_i  = w_u(i) w_v(i) R_V[u_i, v_i] - t_i (L_i - t_i) / L_i,
+    d = Phi R_V Phi' - s 1' - 1 s',
+    s_i = w_u(i) w_v(i) R_V[u_i, v_i] - t_i (L_i - t_i) / L_i,
 
-and on a shared edge, with delta = t_i - t_j, the exact closed form
-R_V[u, v] delta^2 / L^2 + |delta| - delta^2 / L replaces it.
+where row i of Phi holds w_u(i) and w_v(i) in the columns of its end
+vertices, and on a shared edge, with delta = t_i - t_j, the exact closed
+form R_V[u, v] delta^2 / L^2 + |delta| - delta^2 / L replaces it.
+
+The product is ``graph._sandwich``, which ``exact.full_cov`` uses for its
+Phi S_V Phi' too. Four weighted gathers into R_V, one per pair of end
+vertices, give the same matrix to rounding but are slower (median,
+single-thread BLAS, shared 2-core Xeon; gathers -> sandwich): 58-74 us ->
+54 us at 40 points and 1.0 ms -> 0.10 ms at 200 points on the
+figure-eight's 7 vertices; 1.7 ms -> 0.31-0.36 ms at 250 points and 83-87
+ms -> 3.4-4.4 ms at the 1,501-point mesh of a 301-vertex bouquet. At that
+mesh the sandwich peaks at 1.4 n^2 doubles (the result and two n x |V|
+products), the gathers at 3.0 n^2.
 
 R_V comes from G, the Green's function grounded at the root (zero in its
 row and column), and never from L^{-1} = 1 + G, whose constant 1 would
-cancel in the variogram only after rounding at that size. The sparse form
-Phi G Phi' (the weights as a sparse Phi) agrees with the gathers to
-rounding, 9e-16 relative at 40 points on the four canonical graphs, but is
-not used because it is slower: 0.25-0.27 ms against 0.14-0.20 ms for the
-gathers at those 40 points (best of 7 on a shared 2-core machine), a cost
-that every small isotropic covariance request would pay.
+cancel in the variogram only after rounding at that size.
 """
 from __future__ import annotations
 
@@ -55,6 +59,7 @@ from .graph import (
     _grounded_factor,
     _point_arrays,
     _same_edge_pairs,
+    _sandwich,
     _symmetrize,
     classify,
     vertex_distance_matrix,
@@ -128,23 +133,13 @@ def _resistance_matrix(
 ) -> tuple[list[PointOnGraph], np.ndarray]:
     """Validated points and their n x n resistance-metric matrix.
 
-    Four weighted gathers from the vertex resistance matrix R_V, then the
+    The sandwich Phi R_V Phi' of the vertex resistances, then the
     per-point self terms, then the same-edge closed form.
     """
     pts, j, t, u, v, ell = _point_arrays(g, pts)
     r_v = resistance_structure(g, v0)._r_v
     w_v = t / ell
-    ends = ((u, 1.0 - w_v), (v, w_v))
-    d = None
-    for a, w_a in ends:
-        for b, w_b in ends:
-            term = r_v[a[:, None], b]
-            term *= w_a[:, None]
-            term *= w_b
-            if d is None:
-                d = term
-            else:
-                d += term
+    d = _sandwich(r_v, u, v, 1.0 - w_v, w_v)
     own = (1.0 - w_v) * w_v * r_v[u, v] - t * (ell - t) / ell
     d -= own[:, None]
     d -= own

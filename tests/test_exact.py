@@ -376,6 +376,8 @@ def test_full_cov_no_points(unit_star):
     cov = full_cov(unit_star, FieldModel(), [])
     assert cov.matrix.shape == (0, 0)
     assert cov.is_psd()
+    k = continuity_constraints(unit_star)
+    assert full_cov(unit_star, FieldModel(), [], constraints=k).matrix.shape == (0, 0)
 
 
 def test_full_cov_requires_alpha_one(unit_star):
@@ -791,6 +793,23 @@ def test_sample_memory_is_far_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < len(pts) ** 2 * 8 / 4
+
+
+def test_full_cov_memory_is_one_dense_matrix_and_a_little():
+    import tracemalloc
+
+    g = gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99)
+    m = FieldModel(kappa=2.0)
+    pts = gf.mesh(g, 0.1)
+    assert len(pts) == 1501
+    full_cov(g, m, pts[:10])  # the cached vertex covariance is built here
+    tracemalloc.start()
+    try:
+        full_cov(g, m, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * len(pts) ** 2 * 8
 
 
 # --- Markov checks ------------------------------------------------------------

@@ -15,7 +15,7 @@ from graphfields import (
     PointError,
     PointOnGraph,
 )
-from graphfields.graph import _point_arrays, vertex_distance_matrix
+from graphfields.graph import _point_arrays, _sandwich, vertex_distance_matrix
 from graphfields.metrics import geodesic_distance
 
 from conftest import random_point
@@ -401,6 +401,30 @@ def test_point_arrays_clamp_inside_the_slack(circle24):
     assert j.tolist() == [0, 1, 2, 3]
     assert u.tolist() == [0, 1, 2, 3] and v.tolist() == [1, 2, 3, 0]
     assert ell.tolist() == [0.5] * 4
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 300])
+def test_sandwich_matches_a_dense_phi(n):
+    rng = np.random.default_rng(n)
+    m = 30
+    root = rng.standard_normal((m, m))
+    table = root @ root.T
+    u, v = rng.integers(m, size=n), rng.integers(m, size=n)
+    w_v = rng.uniform(size=n)
+    v[::5] = u[::5]  # loops: both weights land in one column
+    w_v[1::7], w_v[2::7] = 0.0, 1.0  # points at a vertex
+    if n:  # repeated points
+        u[3::7], v[3::7], w_v[3::7] = u[0], v[0], w_v[0]
+    w_u = 1.0 - w_v
+    phi = np.zeros((n, m))
+    np.add.at(phi, (np.arange(n), u), w_u)
+    np.add.at(phi, (np.arange(n), v), w_v)
+    want = phi @ table @ phi.T
+    got = _sandwich(table, u, v, w_u, w_v)
+    assert got.shape == (n, n) and type(got) is np.ndarray
+    if n:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert all(np.array_equal(got[i], got[0]) for i in range(3, n, 7))
 
 
 @pytest.mark.parametrize(

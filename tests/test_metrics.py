@@ -3,6 +3,7 @@ import pytest
 
 import graphfields as gf
 from graphfields import PointOnGraph, UnsupportedGraphError
+from graphfields.graph import _point_arrays
 from graphfields.kernels import ExponentialKernel, IsotropicModel, iso_cov_matrix
 from graphfields.metrics import (
     _geodesic_matrix,
@@ -270,6 +271,51 @@ def test_geodesic_matrix_on_loops_and_multi_edges(g):
     pts = query_points(g, 30, 53)
     geo, _ = oracle(g, pts)
     assert_metric_matrix(_geodesic_matrix(g, pts)[1], geo, 1e-12)
+
+
+def dense_phi_resistance(g, pts):
+    """The resistance matrix of the module docstring with a dense Phi."""
+    _, j, t, u, v, ell = _point_arrays(g, pts)
+    r_v = resistance_structure(g)._r_v
+    n = len(pts)
+    phi = np.zeros((n, g.vertex_count))
+    np.add.at(phi, (np.arange(n), u), 1.0 - t / ell)
+    np.add.at(phi, (np.arange(n), v), t / ell)
+    own = (1.0 - t / ell) * (t / ell) * r_v[u, v] - t * (ell - t) / ell
+    d = phi @ r_v @ phi.T - own[:, None] - own
+    delta = t[:, None] - t
+    same = r_v[u, v][:, None] * (delta / ell[:, None]) ** 2 + np.abs(delta) - delta**2 / ell
+    return np.where(j[:, None] == j, same, np.maximum(0.5 * (d + d.T), 0.0))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gf.circle(2.0, 4), gf.star([0.7, 1.0, 1.3]), gf.tadpole(2.0, 1.0),
+     gf.figure_eight(1.0, 2.0), bouquet(40)],
+    ids=["circle", "star", "tadpole", "figure-eight", "bouquet-40"],
+)
+def test_resistance_matrix_matches_a_dense_phi(g):
+    pts = query_points(g, 60, 61)
+    pts += pts[:3]  # repeated points
+    want = dense_phi_resistance(g, pts)
+    got = _resistance_matrix(g, pts)[1]
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+
+
+def test_resistance_memory_is_one_dense_matrix_and_a_little():
+    import tracemalloc
+
+    g = gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99)
+    pts = gf.mesh(g, 0.1)
+    assert len(pts) == 1501
+    _resistance_matrix(g, pts[:10])  # the cached vertex table is built here
+    tracemalloc.start()
+    try:
+        _resistance_matrix(g, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * len(pts) ** 2 * 8
 
 
 def test_pairwise_functions_equal_matrix_entries(fig8):
