@@ -17,7 +17,8 @@ bridge(t) on each edge, with independent bridges, and the vertex values form
 a Gaussian Markov random field whose precision Q = sum_e A_e' Sigma_e^{-1}
 A_e is sparse (Bolin, Simas & Wallin, "Gaussian Whittle-Matern fields on
 metric graphs"), A_e picking edge e's two end vertices. S_V = Q^{-1} comes
-from a QR square root of Q, and the covariance at any points is
+from solves with the sparse factor of Q in grounded coordinates (the rows
+of ``_cut_graph`` with no points), and the covariance at any points is
 C = Phi S_V Phi' + bridges, with Phi the sparse matrix of G1, G2 values at
 each point's two end vertices. The dense route (``endpoint_prior_cov``,
 ``continuity_constraints``, ``condition_on_constraints``) conditions the
@@ -68,14 +69,14 @@ from .graph import (
     Edge,
     MetricGraph,
     PointOnGraph,
-    _grounded_factor,
     _point_arrays,
     _same_edge_pairs,
     _sandwich,
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import _DENSE_SAMPLE_MAX, replicate_normals, safe_cholesky
+from .sampling import (_DENSE_SAMPLE_MAX, _gram, _spd_factor, replicate_normals,
+                       safe_cholesky)
 
 __all__ = [
     "neumann_edge_cov",
@@ -334,29 +335,36 @@ def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _vertex_cov(g: MetricGraph, m: FieldModel):
-    """Vertex covariance S_V = Q^{-1} and the per-edge constants behind it.
+    """Vertex covariance S_V = Q^{-1}, the per-edge constants behind it, and
+    the factor's method and smallest pivot.
 
-    Q = B'B for the 2|E| rows of ``_segment_weights``, one pair per edge.
-    The factor of S_V comes from ``graph._grounded_factor`` with root 0.
-    Factoring B instead of forming Q keeps the small tanh terms, which
-    rounding loses against the coth terms in Q itself when kt L is small.
-    In the grounded coordinates v = z_0 (1, ..., 1) + (0, z_1, ...), column
-    0 of B becomes B 1, which the difference rows annihilate exactly: the
-    constant vector's precision, made of the tanh terms alone, then never
-    mixes with the coth terms, and the constant mode that dominates S_V at
-    small kt L keeps full relative accuracy.
+    Q = B'B for the rows of ``_cut_graph(g, m, [])``, one pair of
+    ``_segment_weights`` rows per edge, in the grounded coordinates
+    x = z_0 (1, ..., 1) + (0, z_1, ...). There column 0 of B is B 1, which
+    the difference rows annihilate exactly: the constant vector's
+    precision, made of the tanh terms alone, never mixes with the coth
+    terms, so the constant mode that dominates S_V at small kt L keeps full
+    relative accuracy although ``sampling._spd_factor`` forms Q. Solves for
+    the identity give Cov(z), and x = z_0 1 + z maps it to the vertices.
+
+    The compromise is the root's entry on large graphs at kt L of order
+    one. z_0 couples to every vertex: its diagonal entry 1'Q1 is a sum of
+    O(|V|) terms, which the factor cuts down to 1 / S_V[0, 0], of order
+    one, so z_0's variance keeps fewer digits. On square grids of unit
+    edges at kappa = 1, S_V[0, 0] reads 9.5e-13 (20 x 20) and 3.3e-11
+    (30 x 30) relative off the ``constraints=`` reference, the largest
+    error of any entry; the median entry is off by 2e-16 of the largest.
     """
+    cut = _cut_graph(g, m, [])
+    factor = _spd_factor(*_gram(cut.b_cols, cut.b_vals), cut.nodes)
+    sv = factor.solve(np.eye(cut.nodes))
+    sv[1:] += sv[0]  # from z back to the vertex values
+    sv[:, 1:] += sv[:, :1]
+    _symmetrize(sv)
     ec = _edge_constants(g, m)
-    w_sum, w_diff = _segment_weights(ec.kt, ec.scale, ec.length)
-    u, v = np.concatenate((ec.u, ec.u)), np.concatenate((ec.v, ec.v))
-    w_u, w_v = np.concatenate((w_sum, w_diff)), np.concatenate((w_sum, -w_diff))
-    w = _grounded_factor(g.vertex_count, u, v, w_u, w_v)
-    w[1:] += w[0]  # from z back to the vertex values
-    sv = w @ w.T
-    sv = 0.5 * (sv + sv.T)
     for arr in (sv, *ec):
         arr.flags.writeable = False
-    return sv, ec
+    return sv, ec, (factor.method, factor.min_pivot)
 
 
 def vertex_field_cov(g: MetricGraph, m: FieldModel) -> CovMatrix:
@@ -364,12 +372,14 @@ def vertex_field_cov(g: MetricGraph, m: FieldModel) -> CovMatrix:
 
     The inverse of the sparse vertex precision Q, one row and column per
     vertex; every edge endpoint at a vertex carries that vertex's value.
+    ``info`` names the vertices, the factor's method and its smallest
+    pivot.
     """
-    sv, _ = _vertex_cov(g, m)
+    sv, _, (method, min_pivot) = _vertex_cov(g, m)
     points = tuple(g.vertex_point(v) for v in range(g.vertex_count))
-    return CovMatrix(
-        sv.copy(), points, "exact", info={"vertices": tuple(range(g.vertex_count))}
-    )
+    info = {"vertices": tuple(range(g.vertex_count)), "factor": method,
+            "min_pivot": min_pivot}
+    return CovMatrix(sv.copy(), points, "exact", info=info)
 
 
 def full_cov(
@@ -393,7 +403,7 @@ def full_cov(
     _require_alpha_one(m)
     pts, j, t, *_ = _point_arrays(g, pts)
     if constraints is None:
-        ends, ec = _vertex_cov(g, m)
+        ends, ec, _ = _vertex_cov(g, m)
         col_u, col_v = ec.u, ec.v
     else:
         ec = _edge_constants(g, m)
@@ -452,7 +462,7 @@ def _grounded_rows(base, a, b, w_a, w_b):
     """Rows w_a x_a + w_b x_b in the coordinates x_i = z_0 + z_base[i] + z_i.
 
     Node 0's coordinate is z_0 alone, and base 0 means no base, so column 0
-    carries every row's sum, as in ``graph._grounded_factor``. Equal columns
+    carries every row's sum and a difference row none of it. Equal columns
     within a row are added before anything else, so a difference row
     across a node and its base loses that column exactly. Returns (cols,
     vals) with one column per slot that is ever non-zero.
@@ -619,7 +629,7 @@ def sample(
         column = np.argsort(order)[column]
     else:
         route = "Markov"
-        sv, ec = _vertex_cov(g, m)
+        sv, ec, _ = _vertex_cov(g, m)
         chol, jitter = safe_cholesky(sv[np.ix_(touched, touched)])
         nv = touched.size
         # the normals become the draws in place, one column per factor column

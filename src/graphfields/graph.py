@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -359,32 +358,6 @@ def _sandwich(table: np.ndarray, u, v, w_u, w_v) -> np.ndarray:
         shape=(n, table.shape[0]),
     )
     return phi @ (phi @ table).T
-
-
-# -- grounded vertex factor (shared by the exact field and the metrics) -----
-
-
-def _grounded_factor(n: int, u, v, w_u, w_v, root: int = 0) -> np.ndarray:
-    """n x n factor W of the inverse of a vertex precision Q = B'B, in
-    grounded coordinates.
-
-    B has one row w_u e_u + w_v e_v per entry of the arrays (a loop's two
-    weights add). In the coordinates z with x = z_root (1, ..., 1) + (z with
-    0 at root), column ``root`` of B becomes the row sums B 1. The columns,
-    rotated to put that one first, are factored as (orthogonal) R, and the
-    rows of R^{-1}, rotated back, are W: row i belongs to z_i and Cov(z) =
-    W W'. A mode that Q nearly annihilates, such as the constant one, keeps
-    its own column and full relative accuracy, and Q itself is never
-    formed. This is the one place where a grounded vertex Laplacian is
-    inverted.
-    """
-    rows = np.arange(len(w_u))
-    b = np.zeros((rows.size, n))
-    np.add.at(b, (rows, u), w_u)
-    np.add.at(b, (rows, v), w_v)
-    b[:, root] = b.sum(axis=1)
-    r = np.linalg.qr(np.roll(b, -root, axis=1), mode="r")  # root column first
-    return np.roll(scipy.linalg.solve_triangular(r, np.eye(n)), root, axis=0)
 
 
 # -- vertex distances (used by classification and the metrics module) ------

@@ -38,7 +38,7 @@ from . import exact
 from .errors import ValidationError
 from .graph import MetricGraph, PointOnGraph
 from .models import CovMatrix, FieldModel, _scalar
-from .sampling import _spd_factor, safe_cholesky
+from .sampling import _gram, _spd_factor, safe_cholesky
 
 __all__ = ["KrigingResult", "krige", "loglik", "exact_cov_source"]
 
@@ -189,17 +189,6 @@ def loglik(
                "zero noise" if noise_var == 0.0 else "source is not exact")
     _, chol, _ = _condition(cov_source, obs_pts, y, noise_var)
     return _gauss_loglik(chol, solve_triangular(chol, y, lower=True))
-
-
-def _gram(cols: np.ndarray, vals: np.ndarray, scale: float = 1.0):
-    """Triplets (rows, cols, vals) of scale * sum_r b_r b_r' for the rows
-    b_r = sum_s vals[r, s] e_{cols[r, s]}."""
-    width = cols.shape[1]
-    return (
-        np.repeat(cols, width, axis=1).ravel(),
-        np.tile(cols, width).ravel(),
-        scale * (vals[:, :, None] * vals[:, None, :]).ravel(),
-    )
 
 
 def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float) -> float:

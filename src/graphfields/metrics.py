@@ -41,7 +41,9 @@ products), the gathers at 3.0 n^2.
 
 R_V comes from G, the Green's function grounded at the root (zero in its
 row and column), and never from L^{-1} = 1 + G, whose constant 1 would
-cancel in the variogram only after rounding at that size.
+cancel in the variogram only after rounding at that size. G is the inverse
+of the Laplacian with the root's row and column deleted, by solves with
+its sparse factor (``sampling._spd_factor``).
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ from .graph import (
     CACHE_SIZE,
     MetricGraph,
     PointOnGraph,
-    _grounded_factor,
     _point_arrays,
     _same_edge_pairs,
     _sandwich,
@@ -64,6 +65,7 @@ from .graph import (
     classify,
     vertex_distance_matrix,
 )
+from .sampling import _spd_factor
 
 __all__ = [
     "geodesic_distance",
@@ -96,13 +98,14 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     """Build the grounded vertex Laplacian, its inverse and R_V.
 
     Only graphs with Euclidean edges are supported (the conductance
-    construction assumes no loops or multi-edges). The Laplacian is B'B for
-    the rows sqrt(1/length) (e_u - e_v); with one more row e_v0,
-    ``graph._grounded_factor`` at root v0 factors the inverse, and its rows
-    other than v0 give G, the Green's function grounded at v0 (zero in row
-    and column v0). Then ``linv`` = 1 + G is exactly the inverse of the
-    Laplacian with +1 at v0, and R_V = diag(G) + diag(G)' - 2 G never
-    passes through that constant 1.
+    construction assumes no loops or multi-edges). The Laplacian with row
+    and column v0 deleted, given the identity's row and column v0 instead,
+    is factored by ``sampling._spd_factor``, the sparse factor behind the
+    exact field's vertex covariance; its inverse with 0 at (v0, v0) is G,
+    the Green's function grounded at v0 (zero in row and column v0).
+    Then ``linv`` = 1 + G is exactly the inverse of the Laplacian with +1
+    at v0, and R_V = diag(G) + diag(G)' - 2 G never passes through that
+    constant 1.
     """
     if not classify(g).euclidean_edges:
         raise UnsupportedGraphError(
@@ -112,15 +115,18 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     if not (0 <= v0 < n):
         raise UnsupportedGraphError(f"root vertex {v0} outside [0, {n})")
     u, v, length = g._edge_arrays
+    w = 1.0 / length
     c = np.zeros((n, n))
-    c[u, v] = c[v, u] = 1.0 / length
+    c[u, v] = c[v, u] = w
     lap = np.diag(c.sum(axis=1)) - c
     lap[v0, v0] += 1.0
-    w = np.sqrt(1.0 / length)
-    rows = np.r_[v0, u], np.r_[v0, v], np.r_[1.0, w], np.r_[0.0, -w]
-    factor = _grounded_factor(n, *rows, root=v0)
-    factor[v0] = 0.0
-    green = factor @ factor.T
+    rows, cols, vals = np.r_[u, v, u, v], np.r_[u, v, v, u], np.r_[w, w, -w, -w]
+    off = (rows != v0) & (cols != v0)  # row and column v0 become those of I
+    factor = _spd_factor(np.r_[rows[off], v0], np.r_[cols[off], v0],
+                         np.r_[vals[off], 1.0], n)
+    green = factor.solve(np.eye(n))
+    green[v0, v0] = 0.0
+    _symmetrize(green)
     r_v = np.add.outer(np.diag(green), np.diag(green)) - 2.0 * green
     linv = 1.0 + green
     for arr in (c, lap, linv, r_v):

@@ -72,11 +72,24 @@ _DENSE_SAMPLE_MAX = 384
 
 
 class _Factor(NamedTuple):
-    """log|M| of an SPD matrix M, a solve x -> M^{-1} x, and the method."""
+    """log|M| of an SPD matrix M, a solve x -> M^{-1} x, the method and the
+    smallest pivot of M = L D L' (how close the factor came to failing)."""
 
     logdet: float
     solve: Callable[[np.ndarray], np.ndarray]
     method: str
+    min_pivot: float
+
+
+def _gram(cols: np.ndarray, vals: np.ndarray, scale: float = 1.0):
+    """Triplets (rows, cols, vals) of scale * sum_r b_r b_r' for the rows
+    b_r = sum_s vals[r, s] e_{cols[r, s]}, as ``_spd_factor`` takes them."""
+    width = cols.shape[1]
+    return (
+        np.repeat(cols, width, axis=1).ravel(),
+        np.tile(cols, width).ravel(),
+        scale * (vals[:, :, None] * vals[:, None, :]).ravel(),
+    )
 
 
 def _spd_factor(rows, cols, vals, n: int) -> _Factor:
@@ -88,7 +101,9 @@ def _spd_factor(rows, cols, vals, n: int) -> _Factor:
     ``scipy.sparse.linalg.splu`` factors it as P'MP = L D L' with no
     off-diagonal pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``) and
     a minimum-degree ordering of M + M', and log|M| is the sum of log D.
-    Raises NotPositiveDefiniteError on a pivot that is not positive.
+    The smallest pivot is the least D, or the least squared Cholesky
+    diagonal on the dense branch. Raises NotPositiveDefiniteError on a
+    pivot that is not positive.
     """
     if n <= _DENSE_MAX:
         mat = np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
@@ -96,10 +111,12 @@ def _spd_factor(rows, cols, vals, n: int) -> _Factor:
             chol = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError("precision is not positive definite") from None
+        diag = np.diag(chol)
         return _Factor(
-            2.0 * float(np.sum(np.log(np.diag(chol)))),
+            2.0 * float(np.sum(np.log(diag))),
             lambda b: cho_solve((chol, True), b, check_finite=False),
             "dense Cholesky",
+            float(diag.min()) ** 2,
         )
     lu = splu(
         csc_matrix((vals, (rows, cols)), shape=(n, n)),
@@ -110,4 +127,4 @@ def _spd_factor(rows, cols, vals, n: int) -> _Factor:
     pivots = lu.U.diagonal()
     if not (np.all(pivots > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
         raise NotPositiveDefiniteError("precision is not positive definite")
-    return _Factor(float(np.sum(np.log(pivots))), lu.solve, "SuperLU")
+    return _Factor(float(np.sum(np.log(pivots))), lu.solve, "SuperLU", float(pivots.min()))

@@ -34,3 +34,12 @@ def multi_graph():
 def random_point(g: MetricGraph, rng: np.random.Generator) -> PointOnGraph:
     e = g.edges[rng.integers(len(g.edges))]
     return PointOnGraph(e.id, float(rng.uniform(0.0, e.length)))
+
+
+def grid(side: int) -> MetricGraph:
+    """A side x side square grid of unit edges, vertex r * side + c."""
+    edges = [Edge(f"{kind}{v}", v, v + step, 1.0)
+             for v in range(side * side)
+             for kind, step, ok in (("h", 1, (v + 1) % side), ("v", side, v + side < side**2))
+             if ok]
+    return MetricGraph(side * side, tuple(edges))

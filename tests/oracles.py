@@ -136,6 +136,49 @@ def circle_loglik_mp(pos, y, kappa, tau, ell, noise_var, dps=40):
         return float(-(quad + logdet + n * mpmath.log(2 * mpmath.pi)) / 2)
 
 
+def _edge_sum_inverse_mp(vertex_count, edges, block, extra, dps):
+    """Inverse, at ``dps`` digits and returned as floats, of the sum over
+    edges (id, u, v, length) of the 2 x 2 ``block(length)`` at rows and
+    columns (u, v), plus the diagonal entries ``extra`` {vertex: value}."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mat = mpmath.zeros(vertex_count, vertex_count)
+        for _, u, v, length in edges:
+            (a, b), (c, d) = block(mpmath.mpf(length))
+            mat[u, u] += a
+            mat[u, v] += b
+            mat[v, u] += c
+            mat[v, v] += d
+        for vertex, value in extra.items():
+            mat[vertex, vertex] += value
+        return np.array((mat**-1).tolist(), dtype=float)
+
+
+def vertex_cov_mp(vertex_count, edges, kappa, tau=1.0, dps=40):
+    """Covariance of the unit-exponent field's vertex values (a = 1): the
+    inverse of the vertex precision, whose edge (u, v) of length L adds
+    tau^2 kappa [[coth x, -csch x], [-csch x, coth x]] with x = kappa L."""
+    import mpmath
+
+    def block(length):
+        scale = mpmath.mpf(tau) ** 2 * mpmath.mpf(kappa)
+        x = mpmath.mpf(kappa) * length
+        diag, off = scale * mpmath.coth(x), -scale * mpmath.csch(x)
+        return (diag, off), (off, diag)
+
+    return _edge_sum_inverse_mp(vertex_count, edges, block, {}, dps)
+
+
+def grounded_laplacian_inverse_mp(vertex_count, edges, root, dps=40):
+    """Inverse of the Laplacian with conductance 1/length on every edge and
+    1 added at ``root``."""
+    def block(length):
+        return (1 / length, -1 / length), (-1 / length, 1 / length)
+
+    return _edge_sum_inverse_mp(vertex_count, edges, block, {root: 1}, dps)
+
+
 def subdivided_distances(vertex_count, edges, points):
     """Geodesic and resistance matrices at points, every point made a vertex.
 

@@ -32,13 +32,14 @@ from graphfields.spectral import _coefficients
 from graphfields.metrics import geodesic_distance
 from graphfields.sampling import _DENSE_SAMPLE_MAX, replicate_normals, safe_cholesky
 
-from conftest import random_point
+from conftest import grid, random_point
 from oracles import (
     circle_cov_mp,
     neumann_four_exp,
     neumann_green_oracle,
     schur_conditional,
     second_derivative,
+    vertex_cov_mp,
 )
 
 
@@ -274,6 +275,17 @@ def test_vertex_field_cov_interval_is_neumann_block():
     )
 
 
+def test_vertex_field_cov_reports_its_factor():
+    # in grounded coordinates the interval's precision is [[4w, 2w], [2w,
+    # w + w']] with w = tanh(1/2) / 2 and w' = coth(1/2) / 2, so its pivots
+    # are 2 tanh(1/2) and coth(1/2) / 2
+    info = vertex_field_cov(gf.interval(1.0), FieldModel()).info
+    assert info["vertices"] == (0, 1) and info["factor"] == "dense Cholesky"
+    assert info["min_pivot"] == pytest.approx(2.0 * np.tanh(0.5), rel=1e-14)
+    info = vertex_field_cov(_bouquet(), FieldModel()).info
+    assert info["factor"] == "SuperLU" and info["min_pivot"] > 0.0
+
+
 def test_vertex_field_cov_star_center_endpoints_agree(unit_star):
     m = FieldModel()
     sigma = endpoint_prior_cov(unit_star, m)
@@ -383,6 +395,8 @@ def test_full_cov_no_points(unit_star):
 def test_full_cov_requires_alpha_one(unit_star):
     with pytest.raises(UnsupportedAlphaError):
         full_cov(unit_star, FieldModel(alpha=0.75), [unit_star.point("e0", 0.5)])
+    with pytest.raises(UnsupportedAlphaError):
+        vertex_field_cov(unit_star, FieldModel(alpha=0.75))
 
 
 def test_full_cov_vertex_continuity_is_exact(unit_star):
@@ -505,8 +519,10 @@ def _fig8_per_edge():
         ),
         lambda: (gf.tadpole(2.0, 1.0), FieldModel(kappa=1.0, a=2.0, tau=0.7)),
         _fig8_per_edge,
+        lambda: (grid(10), FieldModel(kappa=1.0)),
+        lambda: (grid(10), FieldModel(kappa=1e3)),
     ],
-    ids=["bouquet", "loop", "double-edge", "tadpole", "fig8-per-edge"],
+    ids=["bouquet", "loop", "double-edge", "tadpole", "fig8-per-edge", "grid-1", "grid-1e3"],
 )
 def test_full_cov_vertex_precision_matches_dense_reference(maker):
     g, m = maker()
@@ -515,6 +531,19 @@ def test_full_cov_vertex_precision_matches_dense_reference(maker):
     fast = full_cov(g, m, pts).matrix
     ref = full_cov(g, m, pts, constraints=continuity_constraints(g)).matrix
     assert np.max(np.abs(fast - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "g, kappa",
+    [(grid(10), 1e-3), (gf.star([1e-6, 1.0, 1e4]), 1e-6), (gf.tadpole(2.0, 1e-5), 1e-6)],
+    ids=["grid-1e-3", "star-1e-6", "short-tadpole-1e-6"],
+)
+def test_vertex_cov_matches_mpmath_at_small_kappa(g, kappa):
+    # the constraints= reference loses up to 1.4e-6 of the largest entry on
+    # these inputs, so the vertex table is checked at 40 digits instead
+    got = vertex_field_cov(g, FieldModel(kappa=kappa)).matrix
+    want = vertex_cov_mp(g.vertex_count, g.edges, kappa)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_vertex_cov_cache_is_bounded(unit_star):

@@ -8,6 +8,7 @@ import graphfields as gf
 from graphfields import FieldModel, NotPositiveDefiniteError, ValidationError, sampling
 from graphfields.inference import exact_cov_source, krige, loglik
 
+from conftest import grid
 from oracles import circle_loglik_mp, dense_loglik
 
 
@@ -240,6 +241,9 @@ def test_spd_factor_on_both_sides_of_the_crossover(n):
     factor = sampling._spd_factor(np.tile(rows, 2), np.tile(cols, 2), np.tile(half, 2), n)
     assert factor.method == ("dense Cholesky" if n <= sampling._DENSE_MAX else "SuperLU")
     assert factor.logdet == pytest.approx(np.linalg.slogdet(mat)[1], rel=1e-12)
+    # every pivot of an SPD matrix lies between its extreme eigenvalues
+    eigs = np.linalg.eigvalsh(mat)
+    assert eigs[0] * (1 - 1e-12) <= factor.min_pivot <= eigs[-1]
     b = rng.normal(size=n)
     np.testing.assert_allclose(factor.solve(b), np.linalg.solve(mat, b), rtol=1e-10)
     with pytest.raises(NotPositiveDefiniteError):
@@ -330,12 +334,8 @@ def test_loglik_logs_its_route(unit_star, star_source, caplog):
 def test_loglik_memory_stays_far_below_the_dense_covariance():
     # 2,000 observations on a 20 x 20 grid of unit edges: the dense C alone
     # is 2,000^2 doubles, 32 MB; the precision route peaked at 11.2 MB
-    side = 20
-    edges = [gf.Edge(f"{kind}{v}", v, v + step, 1.0)
-             for v in range(side * side)
-             for kind, step, ok in (("h", 1, (v + 1) % side), ("v", side, v + side < side**2))
-             if ok]
-    g = gf.MetricGraph(side * side, tuple(edges))
+    g = grid(20)
+    edges = g.edges
     rng = np.random.default_rng(2000)
     pts = [gf.PointOnGraph(edges[i].id, float(rng.uniform(0.0, 1.0)))
            for i in rng.integers(len(edges), size=2000)]

@@ -13,8 +13,8 @@ from graphfields.metrics import (
     resistance_structure,
 )
 
-from conftest import random_point
-from oracles import subdivided_distances
+from conftest import grid, random_point
+from oracles import grounded_laplacian_inverse_mp, subdivided_distances
 
 
 def arc_point(g, position):
@@ -242,17 +242,27 @@ def test_resistance_short_edge_at_the_root_is_exact():
     assert_metric_matrix(_resistance_matrix(g, pts, 0)[1], star_distances(g, pts), 1e-13)
 
 
+def _dense_inverse(g, v0):
+    return np.linalg.inv(resistance_structure(g, v0).laplacian)
+
+
+def _mp_inverse(g, v0):
+    # the stored Laplacian of the extreme star rounds its centre's row sum,
+    # and its exact inverse is 5e-11 off: build it from the lengths instead
+    return grounded_laplacian_inverse_mp(g.vertex_count, g.edges, v0)
+
+
 @pytest.mark.parametrize(
-    "g",
-    [gf.figure_eight(1.0, 2.0), gf.tadpole(2.0, 1.0), bouquet(40)],
-    ids=["figure-eight", "tadpole", "bouquet-40"],
+    "g, inverse",
+    [(gf.figure_eight(1.0, 2.0), _dense_inverse), (gf.tadpole(2.0, 1.0), _dense_inverse),
+     (bouquet(40), _dense_inverse), (gf.star([1e-6, 1.0, 1e4]), _mp_inverse),
+     (grid(10), _dense_inverse)],
+    ids=["figure-eight", "tadpole", "bouquet-40", "extreme-star", "grid-10"],
 )
-def test_linv_is_the_grounded_inverse(g):
+def test_linv_is_the_grounded_inverse(g, inverse):
     for v0 in (0, g.vertex_count - 1):
         rs = resistance_structure(g, v0)
-        np.testing.assert_allclose(
-            rs.linv, np.linalg.inv(rs.laplacian), rtol=1e-12, atol=0.0
-        )
+        np.testing.assert_allclose(rs.linv, inverse(g, v0), rtol=1e-12, atol=0.0)
         # 1 + G with G grounded at v0: row and column v0 are exactly 1
         assert np.all(rs.linv[v0] == 1.0) and np.all(rs.linv[:, v0] == 1.0)
         assert np.array_equal(rs.linv, rs.linv.T)
