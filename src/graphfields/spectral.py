@@ -23,16 +23,19 @@ pair of (A, M) is known exactly (A 1 = 0, and 1'M1 is the total length),
 so it is pinned to mu_0 = 0 and v_0 = +-1/sqrt(1'M1), which makes
 lambda_0 = kappa^2 exact. Bases are kept read-only in an LRU cache of
 ``graph.CACHE_SIZE`` entries keyed on (graph, h, n_modes, per-edge
-(a_e, kappa_e^2 - kappa_min^2)); a full-spectrum entry holds
-n_dof^2 * 8 bytes of eigenvectors (11.5 MB at 1,199 dof) and as much
-again in its dense mass matrix, which every operator on the basis shares;
-only the dense stiffness is assembled per call, in one sparse COO build.
-Nodes follow the one mesh layout of ``graph._mesh``, as ``graph.mesh`` does.
+(a_e, kappa_e^2 - kappa_min^2)). A full-spectrum entry holds at most three
+n_dof^2 arrays of 8-byte floats (34.5 MB at 1,199 dof), all shared by every
+operator on the basis: the eigenvectors, the dense mass matrix and a
+one-slot memo of the last whole-mesh covariance that ``spectral_cov``
+formed. Only the dense stiffness is assembled per call, in one sparse COO
+build. Nodes follow the one mesh layout of ``graph._mesh``, as
+``graph.mesh`` does.
 """
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +49,8 @@ from .sampling import replicate_normals
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -56,7 +61,10 @@ class DiscreteOperator:
     mass-orthonormal eigenvector with eigenvalue ``eigenvalues[k]``
     (ascending). Immutable: the fields cannot be rebound and the arrays
     are read-only, since operators on one mesh share one cached basis.
-    Safe for concurrent reads.
+    Operators from :func:`assemble` on one basis also share that basis's
+    private one-slot covariance memo (see :func:`spectral_cov`); an
+    operator built by hand gets a slot of its own. The slot is replaced by
+    a single assignment, so the operator stays safe for concurrent reads.
     """
 
     graph: MetricGraph
@@ -68,6 +76,7 @@ class DiscreteOperator:
     eigenvectors: np.ndarray
     node_points: tuple[PointOnGraph, ...]
     edge_nodes: tuple[tuple[int, ...], ...]
+    _cov_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_dof(self) -> int:
@@ -132,10 +141,11 @@ def _coefficients(g: MetricGraph, m: FieldModel):
 @lru_cache(maxsize=CACHE_SIZE)
 def _eigenbasis(
     g: MetricGraph, h: float, n_modes: int, coeffs: tuple[tuple[float, float], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Read-only lowest ``n_modes`` eigenpairs (mu, V) of the kappa-free
-    pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`, and
-    the mass matrix M they are orthonormal in."""
+    pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`, the
+    mass matrix M they are orthonormal in, and the empty covariance memo
+    that every operator on this basis shares."""
     mesh = _mesh(g, h)
     mass = _mass(mesh)
     subset = None if n_modes == mesh.n_dof else [0, n_modes - 1]
@@ -154,7 +164,7 @@ def _eigenbasis(
         vecs[:, 1:] -= c * ((c * mass_ones) @ vecs[:, 1:])
     for arr in (mu, vecs, mass):
         arr.flags.writeable = False
-    return mu, vecs, mass
+    return mu, vecs, mass, {}
 
 
 def assemble(
@@ -172,7 +182,7 @@ def assemble(
         n_modes = mesh.n_dof
     n_modes = _count(n_modes, "n_modes", 1, mesh.n_dof)
     coeffs, kappa2_min = _coefficients(g, m)
-    mu, vecs, mass = _eigenbasis(g, h, n_modes, coeffs)
+    mu, vecs, mass, memo = _eigenbasis(g, h, n_modes, coeffs)
     vals = mu + kappa2_min
     stiff = _stiffness(mesh, coeffs, kappa2_min)
     for arr in (vals, stiff):
@@ -187,17 +197,27 @@ def assemble(
         eigenvectors=vecs,
         node_points=mesh.node_points,
         edge_nodes=mesh.edge_nodes,
+        _cov_memo=memo,
     )
 
 
-def _scaled_basis(op: DiscreteOperator, alpha, tau, k=None, rows=slice(None)):
-    """B = V[rows, :k] lambda^{-alpha/2} / tau over the first k eigenpairs
-    (default: all), so that B B' is the covariance at those rows."""
+def _spectral_params(op: DiscreteOperator, alpha, tau, k=None):
+    """(alpha, tau, k) checked: alpha > 1/2, tau > 0 and 1 <= k <= n_modes
+    (default: all modes)."""
     # the field exists only for alpha > 1/2
     alpha = _scalar(alpha, "alpha", 0.5, error=UnsupportedAlphaError)
     k = _count(op.n_modes if k is None else k, "truncation", 1, op.n_modes)
-    tau = _scalar(tau, "tau")
+    return alpha, _scalar(tau, "tau"), k
+
+
+def _scaled_basis(op: DiscreteOperator, alpha, tau, k, rows=slice(None)):
+    """B = V[rows, :k] lambda^{-alpha/2} / tau for checked parameters, so
+    that B B' is the covariance at those rows."""
     return op.eigenvectors[rows, :k] * (op.eigenvalues[:k] ** (-alpha / 2.0) / tau)
+
+
+def _tail_estimate(op: DiscreteOperator, alpha: float, k: int) -> float:
+    return float(op.eigenvalues[k - 1] ** -(alpha - 0.5))
 
 
 def spectral_cov(
@@ -213,21 +233,56 @@ def spectral_cov(
     ``nodes`` selects DOF indices (default: all). The info dict reports the
     truncation and the tail magnitude lambda_{k-1}^{-(alpha - 1/2)}, which
     bounds the decay rate of whatever the truncation dropped.
+
+    The operator's basis keeps the last whole-mesh matrix B B' (B as in
+    ``_scaled_basis``) with its key (alpha, tau, k, the first k
+    eigenvalues) and the eigenvectors it came from. A request with that key
+    and those eigenvectors is one gather from it, with no product. A miss
+    whose distinct nodes cover the whole mesh forms the whole-mesh product
+    in node order, stores it in place of the last one and gathers from it;
+    any other miss forms the product over the requested rows only and
+    stores nothing. So ``nodes=None`` gives the same bytes either way, and
+    a gathered subset can differ from its own product by rounding. Every
+    call returns a new writable array.
     """
-    rows = slice(None) if nodes is None else _check_indices(nodes, op.n_dof, "nodes")
-    basis = _scaled_basis(op, alpha, tau, k, rows)
-    points = op.node_points if nodes is None else tuple(op.node_points[i] for i in rows)
-    k = basis.shape[1]
-    # B @ B.T is one symmetric rank-k product: exactly symmetric as computed
-    mat = basis @ basis.T
-    if nodes is not None and len(set(rows)) < len(rows):
-        # a product's rows can differ in rounding by their position: give
-        # each repeated node the row and column of its first occurrence
+    rows = None if nodes is None else _check_indices(nodes, op.n_dof, "nodes")
+    alpha, tau, k = _spectral_params(op, alpha, tau, k)
+    if rows is None:
+        points, n_rows, n_distinct = op.node_points, op.n_dof, op.n_dof
+    else:
+        points = tuple(op.node_points[i] for i in rows)
         _, first, inv = np.unique(rows, return_index=True, return_inverse=True)
-        mat = mat[np.ix_(first[inv], first[inv])]
+        n_rows, n_distinct = len(rows), len(first)
+    key = (alpha, tau, k, op.eigenvalues[:k].tobytes())
+    memo = op._cov_memo.get("cov")
+    if memo is not None and memo[0] == key and memo[1] is op.eigenvectors:
+        route, full = "whole-mesh memo", memo[2]
+    elif n_distinct == op.n_dof:
+        # the request needs the product over every node anyway: form it
+        # once in node order and keep it for later requests with this key
+        route, basis = "whole-mesh product, kept", _scaled_basis(op, alpha, tau, k)
+        # B @ B.T is one symmetric rank-k product: exactly symmetric as computed
+        full = basis @ basis.T
+        full.flags.writeable = False
+        op._cov_memo["cov"] = (key, op.eigenvectors, full)
+    else:
+        route, full = "product", None
+    if full is None:
+        basis = _scaled_basis(op, alpha, tau, k, rows)
+        mat = basis @ basis.T
+        if n_distinct < n_rows:
+            # a product's rows can differ in rounding by their position:
+            # give each repeated node the row and column of its first
+            # occurrence
+            mat = mat[np.ix_(first[inv], first[inv])]
+    else:
+        # a gather gives a repeated node bit-equal rows and columns
+        mat = full.copy() if rows is None else full[np.ix_(rows, rows)]
+    _log.debug("spectral_cov: %s, %d rows over %d of %d nodes, %d modes",
+               route, n_rows, n_distinct, op.n_dof, k)
     info = {
         "truncation": k,
-        "tail_estimate": float(op.eigenvalues[k - 1] ** -(alpha - 0.5)),
+        "tail_estimate": _tail_estimate(op, alpha, k),
         "mesh_h": op.h,
     }
     return CovMatrix(mat, points, "spectral", info=info)
@@ -240,8 +295,12 @@ def kl_sample(
 
     u = tau^{-1} sum_k lambda_k^{-alpha/2} xi_k e_k with xi i.i.d. standard
     normal, drawn as in the exact sampler: deterministic in ``seed``, and a
-    shorter run is a prefix of a longer one.
+    shorter run is a prefix of a longer one. Every mode is used, so the
+    draws carry the covariance ``spectral_cov`` gives at its default k.
     """
-    basis = _scaled_basis(op, alpha, tau)
-    xi = replicate_normals(seed, _count(n, "replicate count"), basis.shape[1])
+    alpha, tau, k = _spectral_params(op, alpha, tau)
+    basis = _scaled_basis(op, alpha, tau, k)
+    xi = replicate_normals(seed, _count(n, "replicate count"), k)
+    _log.debug("kl_sample: %d replicates, %d modes, tail estimate %.3g",
+               len(xi), k, _tail_estimate(op, alpha, k))
     return xi @ basis.T

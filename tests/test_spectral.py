@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -269,22 +272,29 @@ def test_vertex_nodes_sit_on_vertices(g, h):
 
 @pytest.mark.parametrize("g, h", _VERTEX_CASES)
 def test_repeated_nodes_get_equal_rows(g, h):
-    # every vertex through each of its edge ends, then a few interior nodes:
-    # the rows of one matrix product can differ in rounding by position
-    # alone, and kriging tells a repeated location by its equal rows
+    # every vertex through each of its edge ends, then a few interior nodes,
+    # and last every node: the rows of one matrix product can differ in
+    # rounding by position alone, and kriging tells a repeated location by
+    # its equal rows. ``op`` serves each request from its whole-mesh memo;
+    # ``bare`` has an empty slot, so it takes the product over the rows,
+    # until the request that covers every node fills its slot
     op = assemble(g, FieldModel(), h)
     whole = spectral_cov(op, 0.8, 1.0).matrix
+    bare = dataclasses.replace(op, _cov_memo={})
     ends = [
         op.node_index(g.point(g.edges[j].id, g.edges[j].length * end))
         for v in range(g.vertex_count) for j, end in g.incident(v)
     ]
-    for extra in range(9):
-        nodes = ends + list(range(g.vertex_count, g.vertex_count + extra))
-        mat = spectral_cov(op, 0.8, 1.0, nodes=nodes).matrix
-        for i, node in enumerate(nodes):
-            assert np.array_equal(mat[i], mat[nodes.index(node)])
-        err = np.max(np.abs(mat - whole[np.ix_(nodes, nodes)]))
-        assert err <= 1e-14 * np.max(whole)
+    requests = [ends + list(range(g.vertex_count, g.vertex_count + extra))
+                for extra in range(9)]
+    for nodes in requests + [ends + list(range(op.n_dof))]:
+        for source in (op, bare):
+            mat = spectral_cov(source, 0.8, 1.0, nodes=nodes).matrix
+            for i, node in enumerate(nodes):
+                assert np.array_equal(mat[i], mat[nodes.index(node)])
+            err = np.max(np.abs(mat - whole[np.ix_(nodes, nodes)]))
+            assert err <= 1e-14 * np.max(whole)
+    assert "cov" in bare._cov_memo
 
 
 def test_kirchhoff_residual_on_spectral_cov_with_inexact_edge_length():
@@ -400,3 +410,138 @@ def test_operator_is_immutable(unit_star):
     with pytest.raises(dataclasses.FrozenInstanceError):
         op.h = 0.5
     np.testing.assert_array_equal(other.eigenvectors, before)
+
+
+def _reference_cov(vecs, lam, alpha, tau, rows=slice(None)):
+    """(V[rows] lambda^-alpha) V[rows]' / tau^2, the general product."""
+    return (vecs[rows] * lam ** -alpha) @ vecs[rows].T / tau**2
+
+
+def _routes(caplog):
+    return [r.getMessage().split(",")[0] for r in caplog.records
+            if r.name == "graphfields.spectral" and "spectral_cov" in r.getMessage()]
+
+
+def test_memo_gathers_match_the_product(fig8, caplog):
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.05)
+    op._cov_memo.clear()  # the basis is shared with earlier tests
+    lam, vecs = op.eigenvalues, op.eigenvectors
+    perm = list(np.random.default_rng(3).permutation(op.n_dof))
+    with caplog.at_level(logging.DEBUG, logger="graphfields.spectral"):
+        spectral_cov(op, 0.75, 1.3)
+        for nodes in (perm, perm[:40], [5, 0, 5, 17]):
+            mat = spectral_cov(op, 0.75, 1.3, nodes=nodes).matrix
+            assert np.array_equal(mat, mat.T)
+            ref = _reference_cov(vecs, lam, 0.75, 1.3, nodes)
+            assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert _routes(caplog) == ["spectral_cov: whole-mesh product"] + [
+        "spectral_cov: whole-mesh memo"] * 3
+
+
+def test_memo_never_serves_another_key(fig8, caplog):
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.05)
+    op._cov_memo.clear()  # the basis is shared with earlier tests
+    other_kappa = assemble(fig8, FieldModel(kappa=2.0), 0.05)
+    assert other_kappa.eigenvectors is op.eigenvectors
+    assert other_kappa._cov_memo is op._cov_memo
+    base = (op, 0.75, 1.3, None)
+    variants = [(op, 1.0, 1.3, None), (op, 0.75, 0.7, None),
+                (op, 0.75, 1.3, 40), (other_kappa, 0.75, 1.3, None)]
+    expected = {}
+    for source, alpha, tau, k in [base] + variants:
+        kk = source.n_modes if k is None else k
+        lam, vecs = source.eigenvalues[:kk], source.eigenvectors[:, :kk]
+        expected[id(source), alpha, tau, k] = _reference_cov(vecs, lam, alpha, tau)
+    base_ref = expected[id(op), 0.75, 1.3, None]
+    subset = [3, 50, 1, 44]
+    with caplog.at_level(logging.DEBUG, logger="graphfields.spectral"):
+        for source, alpha, tau, k in [base, *variants] + [base] + variants[::-1]:
+            ref = expected[id(source), alpha, tau, k]
+            if (source, alpha, tau, k) != base:
+                assert np.max(np.abs(ref - base_ref)) >= 1e-3 * np.max(base_ref)
+            scale = 1e-13 * np.max(np.abs(ref))
+            # a subset first, while the slot holds the last request's key
+            part = spectral_cov(source, alpha, tau, nodes=subset, k=k).matrix
+            assert np.max(np.abs(part - ref[np.ix_(subset, subset)])) <= scale
+            whole = spectral_cov(source, alpha, tau, k=k).matrix
+            assert np.max(np.abs(whole - ref)) <= scale
+            again = spectral_cov(source, alpha, tau, k=k).matrix
+            assert np.array_equal(again, whole)
+    # every key change misses: the subset takes its own product and the
+    # whole-mesh request replaces the slot; only the repeat is a hit
+    assert _routes(caplog) == [
+        "spectral_cov: product",
+        "spectral_cov: whole-mesh product",
+        "spectral_cov: whole-mesh memo",
+    ] * 10
+
+
+def test_memo_is_not_written_through_a_result(fig8):
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.05)
+    first = spectral_cov(op, 0.75, 1.0).matrix
+    before = first.copy()
+    nodes = [4, 2, 9, 4]
+    part = spectral_cov(op, 0.75, 1.0, nodes=nodes).matrix
+    part_before = part.copy()
+    (_, _, kept) = op._cov_memo["cov"]
+    assert not kept.flags.writeable
+    for mat in (first, part):
+        assert mat.flags.writeable
+        mat[...] = np.nan
+    np.testing.assert_array_equal(spectral_cov(op, 0.75, 1.0).matrix, before)
+    np.testing.assert_array_equal(
+        spectral_cov(op, 0.75, 1.0, nodes=nodes).matrix, part_before
+    )
+
+
+def test_replaced_eigenvectors_get_their_own_covariance(fig8):
+    # same eigenvalues, so the same memo key: only the eigenvectors differ
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.05)
+    kappa = {e.id: 0.5 + 0.3 * j for j, e in enumerate(fig8.edges)}
+    other = assemble(fig8, FieldModel(kappa=kappa), 0.05).eigenvectors
+    assert other.shape == op.eigenvectors.shape
+    swapped = dataclasses.replace(op, eigenvectors=other)
+    assert swapped._cov_memo is op._cov_memo
+    lam = op.eigenvalues
+    for source, vecs in ((op, op.eigenvectors), (swapped, other), (op, op.eigenvectors)):
+        ref = _reference_cov(vecs, lam, 0.75, 1.0)
+        for nodes in (None, list(range(op.n_dof))[::-1]):
+            mat = spectral_cov(source, 0.75, 1.0, nodes=nodes).matrix
+            rows = slice(None) if nodes is None else np.ix_(nodes, nodes)
+            assert np.max(np.abs(mat - ref[rows])) <= 1e-13 * np.max(ref)
+
+
+def test_memo_holds_one_matrix_per_basis():
+    g = gf.interval(1.0)
+    memos, kept = {}, []
+    for j in range(20):
+        op = assemble(g, FieldModel(kappa=0.5 + 0.1 * j), 0.02)
+        spectral_cov(op, 0.75, 1.0)
+        memos[id(op._cov_memo)] = op._cov_memo
+        kept.append(weakref.ref(op._cov_memo["cov"][2]))
+    del op
+    gc.collect()
+    # constant kappa: one basis entry, so one memo for all twenty operators
+    assert len(memos) == 1
+    for memo in memos.values():
+        assert list(memo) == ["cov"]
+        _, vecs, mat = memo["cov"]
+        assert mat.shape == (vecs.shape[0],) * 2
+    assert [ref() is not None for ref in kept] == [False] * 19 + [True]
+
+
+def test_spectral_layer_logs_its_routes(unit_star, caplog):
+    op = assemble(unit_star, FieldModel(), 0.25)
+    op._cov_memo.clear()  # the basis is shared with earlier tests
+    with caplog.at_level(logging.DEBUG, logger="graphfields.spectral"):
+        spectral_cov(op, 0.8, 1.0, nodes=[0, 5])
+        spectral_cov(op, 0.8, 1.0)
+        spectral_cov(op, 0.8, 1.0, nodes=[5, 0, 5])
+        draws = kl_sample(op, 0.8, 1.0, 7, seed=1)
+    assert [r.name for r in caplog.records] == ["graphfields.spectral"] * 4
+    subset, whole, memo, kl = (r.getMessage() for r in caplog.records)
+    assert subset == "spectral_cov: product, 2 rows over 2 of 13 nodes, 13 modes"
+    assert whole == "spectral_cov: whole-mesh product, kept, 13 rows over 13 of 13 nodes, 13 modes"
+    assert memo == "spectral_cov: whole-mesh memo, 3 rows over 2 of 13 nodes, 13 modes"
+    tail = spectral_cov(op, 0.8, 1.0).info["tail_estimate"]
+    assert kl == f"kl_sample: {len(draws)} replicates, 13 modes, tail estimate {tail:.3g}"
