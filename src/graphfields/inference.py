@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from . import exact
 from .errors import ValidationError
@@ -89,6 +89,8 @@ def _joint(cov_source: CovSource, obs, pred) -> np.ndarray:
         raise ValidationError(
             f"covariance source returned shape {mat.shape} for {len(pts)} points"
         )
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("covariance source returned a value that is not finite")
     return mat
 
 
@@ -114,12 +116,23 @@ def _condition(cov_source: CovSource, obs, y, noise_var, pred=()) -> tuple:
     observed twice, and C_oo is singular.
     """
     joint = _joint(cov_source, obs, pred)
-    coo = joint[: len(obs), : len(obs)]
-    if noise_var == 0.0 and len(np.unique(coo, axis=0)) != len(obs):
+    no = len(obs)
+    coo = joint[:no, :no].copy()
+    if noise_var == 0.0 and len(np.unique(coo, axis=0)) != no:
         raise ValidationError(
             "duplicate observation points need positive noise variance"
         )
-    return joint, *safe_cholesky(coo + noise_var * np.eye(len(obs)))
+    coo.flat[:: no + 1] += noise_var
+    return joint, *safe_cholesky(coo)
+
+
+def _tri_solve(chol: np.ndarray, b: np.ndarray, trans: int = 1) -> np.ndarray:
+    """L^{-1} b (``trans`` 1) or L'^{-1} b (``trans`` 0) for the lower
+    factor L of ``safe_cholesky``, by LAPACK ``dtrtrs`` on the F-contiguous
+    upper factor ``chol.T``."""
+    if len(chol) == 0:  # LAPACK rejects a leading dimension of 0
+        return np.zeros(np.shape(b))
+    return lapack.dtrtrs(chol.T, b, lower=0, trans=trans)[0]
 
 
 def _gauss_loglik(chol: np.ndarray, alpha: np.ndarray) -> float:
@@ -154,9 +167,9 @@ def krige(
     no = len(obs_pts)
     cpo = joint[no:, :no]
     cpp = joint[no:, no:]
-    alpha = solve_triangular(chol, y, lower=True)
-    mean = cpo @ solve_triangular(chol, alpha, lower=True, trans="T")
-    half = solve_triangular(chol, cpo.T, lower=True)
+    alpha = _tri_solve(chol, y)
+    mean = cpo @ _tri_solve(chol, alpha, trans=0)
+    half = _tri_solve(chol, cpo.T)
     cov = cpp - half.T @ half
     cov = 0.5 * (cov + cov.T)
     return KrigingResult(
@@ -188,7 +201,7 @@ def loglik(
     _log.debug("loglik: dense route, %d points (%s)", len(obs_pts),
                "zero noise" if noise_var == 0.0 else "source is not exact")
     _, chol, _ = _condition(cov_source, obs_pts, y, noise_var)
-    return _gauss_loglik(chol, solve_triangular(chol, y, lower=True))
+    return _gauss_loglik(chol, _tri_solve(chol, y))
 
 
 def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float) -> float:

@@ -45,7 +45,20 @@ def _normalize(value, name: str):
 
 
 def _check_indices(indices, n: int, name: str) -> list:
-    """``indices`` as a list, each an integer in [0, n): none may alias."""
+    """``indices`` as a list, each an integer in [0, n): none may alias.
+
+    A 1-D integer array passes with one range test; anything else, and any
+    array that fails, goes item by item through ``_count``, which raises at
+    the first bad entry.
+    """
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    arr = np.asarray(indices)
+    # numpy reads a bool in a list of ints as 0 or 1, so a list's types count
+    if (arr.ndim == 1 and arr.dtype.kind in "iu"
+            and (indices is arr or not {bool, np.bool_} & set(map(type, indices)))
+            and (arr.size == 0 or (arr.min() >= 0 and arr.max() < n))):
+        return arr.tolist()
     return [_count(i, name, 0, n - 1) for i in indices]
 
 

@@ -1,12 +1,18 @@
 """Deterministic Gaussian sampling helpers and the factors they rest on:
 the jittered dense Cholesky of a covariance, and the SPD factor of a sparse
-precision given as triplets."""
+precision given as triplets.
+
+Every dense Cholesky factor in the package comes from ``_potrf``: one
+copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
+factor L is C-contiguous, so ``L.T`` is the F-contiguous upper factor that
+LAPACK's triangular solves (``dtrtrs``, ``dpotrs``) read without a copy;
+``inference`` and ``_spd_factor`` solve with it that way."""
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import lapack
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -24,21 +30,43 @@ def replicate_normals(seed: int, n: int, k: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, k))
 
 
+def _potrf(mat: np.ndarray, shift: float = 0.0) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric ``mat`` + ``shift`` I, or None
+    when the matrix is not numerically positive definite.
+
+    ``mat`` is copied once into a C-ordered array, with ``shift`` added to
+    the copy's diagonal, and LAPACK ``dpotrf`` factors that copy in place:
+    read in F order it is the same symmetric matrix, whose upper factor
+    U = L' is, read back in C order, L. The result is C-contiguous with
+    exact zeros above the diagonal; ``mat`` itself is never written.
+    """
+    work = np.array(mat, dtype=float, order="C")
+    if work.ndim != 2 or work.shape[0] != work.shape[1]:
+        raise np.linalg.LinAlgError(f"cannot factor a matrix of shape {work.shape}")
+    if shift:
+        work.flat[:: work.shape[0] + 1] += shift
+    upper, info = lapack.dpotrf(work.T, lower=0, overwrite_a=1, clean=1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    return upper.T if info == 0 else None
+
+
 def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
     """Cholesky factor of a PSD-up-to-rounding matrix.
 
     Escalates a diagonal jitter of (1e-12, 1e-10, 1e-8) * trace/n before
-    giving up. Returns (lower factor, jitter used). Raises
-    NotPositiveDefiniteError if the matrix is indefinite beyond
-    ``tol_factor * trace`` or no jitter level succeeds.
+    giving up. Returns (lower factor, jitter used); the factor is
+    ``_potrf``'s, C-contiguous with exact zeros above the diagonal, and
+    ``mat`` is not written on any attempt. Raises NotPositiveDefiniteError
+    if the matrix is indefinite beyond ``tol_factor * trace`` or no jitter
+    level succeeds.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     scale = float(np.trace(mat)) / max(n, 1)
-    try:
-        return np.linalg.cholesky(mat), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    chol = _potrf(mat)
+    if chol is not None:
+        return chol, 0.0
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     if min_eig < -tol_factor * float(np.trace(mat)):
         raise NotPositiveDefiniteError(
@@ -46,10 +74,9 @@ def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
         )
     for rel in (1e-12, 1e-10, 1e-8):
         jitter = rel * scale
-        try:
-            return np.linalg.cholesky(mat + jitter * np.eye(n)), jitter
-        except np.linalg.LinAlgError:
-            continue
+        chol = _potrf(mat, jitter)
+        if chol is not None:
+            return chol, jitter
     raise NotPositiveDefiniteError("Cholesky failed at every jitter level")
 
 
@@ -96,8 +123,9 @@ def _spd_factor(rows, cols, vals, n: int) -> _Factor:
     """Factor the n x n SPD matrix sum of triplets (rows, cols, vals).
 
     Repeated (row, col) pairs add. Up to ``_DENSE_MAX`` the matrix is
-    assembled with ``np.bincount`` and factored by a dense Cholesky, which
-    at that size is cheaper than any sparse set-up. Above it,
+    assembled with ``np.bincount`` and factored by ``_potrf``, which at
+    that size is cheaper than any sparse set-up, and the solve is LAPACK
+    ``dpotrs`` on the same factor. Above it,
     ``scipy.sparse.linalg.splu`` factors it as P'MP = L D L' with no
     off-diagonal pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``) and
     a minimum-degree ordering of M + M', and log|M| is the sum of log D.
@@ -106,15 +134,13 @@ def _spd_factor(rows, cols, vals, n: int) -> _Factor:
     pivot that is not positive.
     """
     if n <= _DENSE_MAX:
-        mat = np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
-        try:
-            chol = np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError("precision is not positive definite") from None
+        chol = _potrf(np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n))
+        if chol is None:
+            raise NotPositiveDefiniteError("precision is not positive definite")
         diag = np.diag(chol)
         return _Factor(
             2.0 * float(np.sum(np.log(diag))),
-            lambda b: cho_solve((chol, True), b, check_finite=False),
+            lambda b: lapack.dpotrs(chol.T, b, lower=0)[0],
             "dense Cholesky",
             float(diag.min()) ** 2,
         )

@@ -237,11 +237,11 @@ def spectral_cov(
     The operator's basis keeps the last whole-mesh matrix B B' (B as in
     ``_scaled_basis``) with its key (alpha, tau, k, the first k
     eigenvalues) and the eigenvectors it came from. A request with that key
-    and those eigenvectors is one gather from it, with no product. A miss
-    whose distinct nodes cover the whole mesh forms the whole-mesh product
-    in node order, stores it in place of the last one and gathers from it;
-    any other miss forms the product over the requested rows only and
-    stores nothing. So ``nodes=None`` gives the same bytes either way, and
+    and those eigenvectors is one gather from it (rows, then columns), with
+    no product. A miss whose distinct nodes cover the whole mesh forms the
+    whole-mesh product in node order, stores it in place of the last one
+    and gathers from it; any other miss forms the product over the
+    requested rows only and stores nothing. So ``nodes=None`` gives the same bytes either way, and
     a gathered subset can differ from its own product by rounding. Every
     call returns a new writable array.
     """
@@ -274,10 +274,10 @@ def spectral_cov(
             # a product's rows can differ in rounding by their position:
             # give each repeated node the row and column of its first
             # occurrence
-            mat = mat[np.ix_(first[inv], first[inv])]
+            mat = mat.take(first[inv], 0).take(first[inv], 1)
     else:
         # a gather gives a repeated node bit-equal rows and columns
-        mat = full.copy() if rows is None else full[np.ix_(rows, rows)]
+        mat = full.copy() if rows is None else full.take(rows, 0).take(rows, 1)
     _log.debug("spectral_cov: %s, %d rows over %d of %d nodes, %d modes",
                route, n_rows, n_distinct, op.n_dof, k)
     info = {

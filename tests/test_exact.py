@@ -546,6 +546,18 @@ def test_vertex_cov_matches_mpmath_at_small_kappa(g, kappa):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_vertex_cov_root_entry_on_a_large_grid():
+    # z_0's diagonal 1'Q1 sums O(|V|) terms; without the refinement step
+    # S_V[0, 0] read 9.5e-13 relative off the reference here
+    g = grid(20)
+    m = FieldModel(kappa=1.0)
+    got = vertex_field_cov(g, m).matrix
+    pts = [g.vertex_point(v) for v in range(g.vertex_count)]
+    ref = full_cov(g, m, pts, constraints=continuity_constraints(g)).matrix
+    assert abs(got[0, 0] - ref[0, 0]) <= 1e-13 * ref[0, 0]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_vertex_cov_cache_is_bounded(unit_star):
     from graphfields.exact import _vertex_cov
     from graphfields.graph import CACHE_SIZE, vertex_distance_matrix

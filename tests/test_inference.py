@@ -350,3 +350,34 @@ def test_loglik_memory_stays_far_below_the_dense_covariance():
         tracemalloc.stop()
     assert np.isfinite(value)
     assert peak < 16e6
+
+
+def test_no_observations_give_the_prior(unit_star, star_source):
+    pred = [unit_star.point("e0", 0.3), unit_star.point("e2", 0.9)]
+    result = krige(star_source, [], [], 0.1, pred)
+    np.testing.assert_array_equal(result.mean, np.zeros(2))
+    np.testing.assert_array_equal(result.cov, star_source(pred))
+    assert result.log_likelihood == 0.0
+    assert loglik(_dense(star_source), [], [], 0.0) == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("block", ["C_oo", "C_po"])
+def test_a_source_that_is_not_finite_is_rejected(unit_star, star_source, block, value):
+    obs = [unit_star.point("e0", 0.3), unit_star.point("e1", 0.6)]
+    pred = [unit_star.point("e2", 0.9)]
+    # (0, 1) lies in C_oo; (2, 0) and (0, 2) hold the prediction's row and column
+    cell = (0, 1) if block == "C_oo" else (2, 0)
+
+    def source(pts):
+        mat = star_source(pts)
+        if len(pts) > cell[0]:
+            mat[cell] = mat[cell[::-1]] = value
+        return mat
+
+    with pytest.raises(ValidationError, match="not finite"):
+        krige(source, obs, [1.0, -0.5], 0.1, pred)
+    if block == "C_oo":
+        for noise in (0.0, 0.1):  # the dense route, with and without noise
+            with pytest.raises(ValidationError, match="not finite"):
+                loglik(source, obs, [1.0, -0.5], noise)
