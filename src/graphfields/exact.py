@@ -29,7 +29,11 @@ The likelihood never forms C either. Cutting every edge at the points
 leaves pieces of edge that are independent given their ends, so the field
 at the vertices and the distinct points is again a Gaussian Markov field,
 with two rows per piece in its precision (``_cut_graph``, the same rows as
-the vertex precision's); ``inference.loglik`` factors that sparse matrix.
+the vertex precision's). An observation reads its node's row of the
+grounding map, and ``_precision_loglik``, the precision route of
+``inference.loglik``, factors the sparse matrix. This module is the one
+reader of those rows: ``_gram`` turns them into the triplets that
+``sampling._spd_factor`` factors.
 
 Sampling has two paths, chosen by the number of distinct points alone. A
 small request takes the dense Cholesky factor of C. A larger one never
@@ -76,8 +80,7 @@ from .graph import (
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import (_DENSE_SAMPLE_MAX, _gram, _spd_factor, replicate_normals,
-                       safe_cholesky)
+from .sampling import _spd_factor, replicate_normals, safe_cholesky
 
 __all__ = [
     "neumann_edge_cov",
@@ -339,6 +342,17 @@ def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
 _REFINE_BLOCK = 256
 
 
+def _gram(cols: np.ndarray, vals: np.ndarray, scale: float = 1.0):
+    """Triplets (rows, cols, vals) of scale * sum_r b_r b_r' for the rows
+    b_r = sum_s vals[r, s] e_{cols[r, s]}, as ``_spd_factor`` takes them."""
+    width = cols.shape[1]
+    return (
+        np.repeat(cols, width, axis=1).ravel(),
+        np.tile(cols, width).ravel(),
+        scale * (vals[:, :, None] * vals[:, None, :]).ravel(),
+    )
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _vertex_cov(g: MetricGraph, m: FieldModel):
     """Vertex covariance S_V = Q^{-1}, the per-edge constants behind it, and
@@ -465,8 +479,9 @@ class _CutGraph(NamedTuple):
     """The field at the vertices and the distinct points as a Markov field.
 
     Its precision is Q = B'B and the observations are A x, both in grounded
-    coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}; A
-    has one row per input point. ``nodes`` is the number of coordinates.
+    coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}; B
+    has two rows per piece of edge, and A one row per input point: its
+    node's row of the grounding map. ``nodes`` is the number of coordinates.
     """
 
     nodes: int
@@ -477,7 +492,8 @@ class _CutGraph(NamedTuple):
 
 
 def _grounded_rows(base, a, b, w_a, w_b):
-    """Rows w_a x_a + w_b x_b in the coordinates x_i = z_0 + z_base[i] + z_i.
+    """Rows w_a x_a + w_b x_b in the coordinates x_i = z_0 + z_base[i] + z_i
+    (the grounding map), as the pieces of edge of ``_cut_graph`` add them.
 
     Node 0's coordinate is z_0 alone, and base 0 means no base, so column 0
     carries every row's sum and a difference row none of it. Equal columns
@@ -562,11 +578,52 @@ def _cut_graph(g: MetricGraph, m: FieldModel, pts) -> _CutGraph:
         base, np.concatenate([a, a]), np.concatenate([b, b]),
         np.concatenate([w_sum, w_diff]), np.concatenate([w_sum, -w_diff]),
     )
+    # an observation at node i reads x_i = z_0 + z_base[i] + z_i: columns
+    # (0, base[i], i) with weights (1, base[i] != 0, i != 0), and a column
+    # that is 0 in every row dropped as in ``_grounded_rows``
     obs = np.where(vertex >= 0, vertex, nv + rank)
-    a_cols, a_vals = _grounded_rows(
-        base, obs, obs, np.ones(obs.size), np.zeros(obs.size)
-    )
+    a_cols = np.stack([np.zeros_like(obs), base[obs], obs], axis=1)
+    a_cols = a_cols[:, a_cols.any(axis=0) | [True, False, False]]
+    a_vals = (a_cols != 0).astype(float)
+    a_vals[:, 0] = 1.0
     return _CutGraph(nv + k, b_cols, b_vals, a_cols, a_vals)
+
+
+def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
+    """``inference.loglik`` of the exact field through the precision of its
+    cut graph: (value, node count, the factor's method).
+
+    With the field x at the nodes of ``_cut_graph`` (precision Q = B'B) and
+    y = A x + noise, H = Q + A'A / noise_var and b = A'y / noise_var:
+
+        log|C + noise_var I| = n log noise_var + log|H| - log|Q|,
+        y'(C + noise_var I)^{-1} y = |y - A mu|^2 / noise_var + |B mu|^2,
+
+    with mu = H^{-1} b the posterior mean at the nodes. The quadratic form
+    is the minimum over x of |y - A x|^2 / noise_var + x'Qx. It equals
+    y'y / noise_var - b'mu, but as a sum of two non-negative terms it does
+    not lose digits to that difference at small noise. No n x n covariance
+    and no |V| x |V| table is formed.
+    """
+    cut = _cut_graph(g, m, obs)
+    # every observation row puts weight 1 / noise_var on the root coordinate
+    # z_0: renumbered last, it is eliminated last by the dense factor
+    nodes = cut.nodes
+    label = np.arange(-1, nodes - 1)
+    label[0] = nodes - 1
+    b_cols, a_cols = label[cut.b_cols], label[cut.a_cols]
+    q = _gram(b_cols, cut.b_vals)
+    h = [np.concatenate(z) for z in zip(q, _gram(a_cols, cut.a_vals, 1.0 / noise_var))]
+    q_factor = _spd_factor(*q, nodes)
+    h_factor = _spd_factor(*h, nodes)
+    b = np.bincount(a_cols.ravel(), (cut.a_vals * y[:, None]).ravel(), minlength=nodes)
+    mu = h_factor.solve(b / noise_var)
+    resid = y - np.sum(cut.a_vals * mu[a_cols], axis=1)
+    prior = np.sum(cut.b_vals * mu[b_cols], axis=1)
+    n = len(y)
+    quad = float(resid @ resid) / noise_var + float(prior @ prior)
+    logdet = n * np.log(noise_var) + h_factor.logdet - q_factor.logdet
+    return -0.5 * (quad + logdet + n * np.log(2.0 * np.pi)), nodes, h_factor.method
 
 
 def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:
@@ -594,6 +651,17 @@ def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:
         draws[:, at] += step[at] * draws[:, at - 1]
 
 
+#: ``sample`` draws a request of up to this many distinct points from the
+#: dense Cholesky factor of its covariance, and a larger one from the
+#: vertex factor and the per-edge bridge walks. The crossover grows with the
+#: replicate count. On random figure-eight requests (single-thread BLAS on
+#: a 2-core Xeon) the bridge walks were 1.9x faster than the dense factor
+#: at 384 points and 200 replicates, within 10% of it from 384 to 768
+#: points at 2,000 replicates (22% faster at 1,024), and 2.0-2.5x slower up
+#: to 768 points at 20,000 replicates.
+_DENSE_SAMPLE_MAX = 384
+
+
 def sample(
     g: MetricGraph,
     m: FieldModel,
@@ -608,7 +676,7 @@ def sample(
     points (a vertex addressed through any of its edge ends included) get
     equal values. The number of distinct points alone picks the factor:
 
-    - up to ``sampling._DENSE_SAMPLE_MAX``, the dense Cholesky factor of
+    - up to ``_DENSE_SAMPLE_MAX``, the dense Cholesky factor of
       ``full_cov`` at the distinct points in order of first occurrence;
     - above it, the Markov factor. Every vertex the request touches (the
       vertices among the points and both ends of every edge holding a
@@ -624,10 +692,12 @@ def sample(
     dense path draws ``replicate_normals(seed, n, len(pts)) @
     chol(full_cov(pts)).T``. The path, the counts and the jitter that
     ``safe_cholesky`` added are logged at DEBUG on ``graphfields.exact``.
-    Deterministic in ``seed``; the replicates are rows drawn in turn from
-    one generator, so a smaller run is a prefix of a larger one.
+    Deterministic in ``seed``, an integer >= 0 (a bool, a float or None is
+    rejected); the replicates are rows drawn in turn from one generator, so
+    a smaller run is a prefix of a larger one.
     """
     n = _count(n, "replicate count")
+    seed = _count(seed, "seed")
     _require_alpha_one(m)
     pts, j, t, u, v, ell = _point_arrays(g, pts)
     if n == 0:

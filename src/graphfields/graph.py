@@ -122,9 +122,9 @@ class MetricGraph:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vertex_count", _count(
+            self.vertex_count, "vertex count", 1, error=GraphValidationError))
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
-        if self.vertex_count < 1:
-            raise GraphValidationError("graph needs at least one vertex")
         if not self.edges:
             raise GraphValidationError("graph needs at least one edge")
         seen: set[str] = set()
@@ -132,6 +132,9 @@ class MetricGraph:
             if e.id in seen:
                 raise GraphValidationError(f"duplicate edge id {e.id!r}")
             seen.add(e.id)
+            for k in ("u", "v"):
+                _count(getattr(e, k), f"edge {e.id!r} end {k!r}", -math.inf,
+                       error=GraphValidationError)
             if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
                 raise DanglingEndpointError(
                     f"edge {e.id!r} endpoint outside [0, {self.vertex_count})"
@@ -235,8 +238,7 @@ class MetricGraph:
 
     def vertex_point(self, v: int) -> PointOnGraph:
         """Canonical point address of vertex ``v`` (first incident edge end)."""
-        if not (0 <= v < self.vertex_count):
-            raise PointError(f"vertex {v} outside [0, {self.vertex_count})")
+        v = _count(v, "vertex", 0, self.vertex_count - 1, error=PointError)
         j, end = self._incident[v][0]
         e = self.edges[j]
         return PointOnGraph(e.id, e.length if end else 0.0)
@@ -263,17 +265,14 @@ def build_graph(spec: Mapping) -> MetricGraph:
     """Build a validated graph from a JSON-shaped description.
 
     Expected shape: ``{"vertices": N, "edges": [{"id", "u", "v", "length"}]}``.
-    Edge ids default to ``e<position>`` when omitted. The vertex count and
-    the vertex indices are counts: a float such as 2.9 or 0.5 is rejected,
-    never truncated.
+    Edge ids default to ``e<position>`` when omitted. ``MetricGraph`` checks
+    the vertex count and the vertex indices as counts: a float such as 2.9
+    or 0.5 is rejected, never truncated.
     """
     try:
-        nv = _count(spec["vertices"], "vertex count", 1, error=GraphValidationError)
+        nv = spec["vertices"]
         edges = tuple(
-            Edge(str(ed.get("id", f"e{j}")),
-                 *(_count(ed[k], f"edge {j} end {k!r}", -math.inf,
-                          error=GraphValidationError) for k in ("u", "v")),
-                 float(ed["length"]))
+            Edge(str(ed.get("id", f"e{j}")), ed["u"], ed["v"], float(ed["length"]))
             for j, ed in enumerate(spec["edges"])
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -455,10 +454,9 @@ def one_sum(
     edges = [Edge(eid(0, e), e.u, e.v, e.length) for e in parts[0].edges]
     for i, part in enumerate(parts[1:], start=1):
         w, x = joins[i - 1]
-        if not (0 <= w < nv):
-            raise GraphValidationError(f"join {i - 1}: vertex {w} missing in sum")
-        if not (0 <= x < part.vertex_count):
-            raise GraphValidationError(f"join {i - 1}: vertex {x} missing in part {i}")
+        w = _count(w, f"join {i - 1}: vertex of the sum", 0, nv - 1, error=GraphValidationError)
+        x = _count(x, f"join {i - 1}: vertex of part {i}", 0, part.vertex_count - 1,
+                   error=GraphValidationError)
         remap = {}
         nxt = nv
         for v in range(part.vertex_count):
@@ -488,8 +486,7 @@ def circle(length: float = 1.0, n: int = 4) -> MetricGraph:
     n = 1 gives a loop edge, n = 2 a double edge; n >= 3 gives a graph with
     Euclidean edges (a Euclidean cycle).
     """
-    if n < 1:
-        raise GraphValidationError("circle needs n >= 1 vertices")
+    n = _count(n, "circle vertex count", 1, error=GraphValidationError)
     if not length > 0:
         raise NonPositiveLengthError(f"non-positive circle length {length}")
     piece = float(length) / n
@@ -625,8 +622,7 @@ def subdivide_edge(g: MetricGraph, edge_id: str, parts: int) -> MetricGraph:
     New vertices are appended after the existing ones, so original vertex
     indices are preserved; the pieces are named ``<edge_id>.<k>``.
     """
-    if parts < 2:
-        raise GraphValidationError("subdivision needs parts >= 2")
+    parts = _count(parts, "subdivision parts", 2, error=GraphValidationError)
     j = g.edge_index(edge_id)
     old = g.edges[j]
     nv = g.vertex_count

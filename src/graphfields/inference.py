@@ -15,14 +15,15 @@ addresses, so a vertex reached through two of its edges counts as one
 location.
 
 ``loglik`` has two routes. With noise on an exact source it takes the
-precision route: the field at the vertices and the observation points is
-a Gaussian Markov field with a sparse precision (``exact._cut_graph``),
-factored by ``sampling._spd_factor``, and neither the n x n covariance nor
-the |V| x |V| vertex table is formed. That route also keeps full accuracy
-at small kappa, where the dense route's Cholesky of C + noise I loses the
-O(1) part of C under its 1/(kappa^2 |Gamma|) constant mode. Zero noise,
-every other source and ``krige`` take the dense route through the joint
-covariance. Each call logs its route at DEBUG on ``graphfields.inference``.
+precision route, ``exact._precision_loglik``: the field at the vertices and
+the observation points is a Gaussian Markov field with a sparse precision,
+which ``exact`` builds and factors beside its rows, and neither the n x n
+covariance nor the |V| x |V| vertex table is formed. That route also keeps
+full accuracy at small kappa, where the dense route's Cholesky of
+C + noise I loses the O(1) part of C under its 1/(kappa^2 |Gamma|) constant
+mode. Zero noise, every other source and ``krige`` take the dense route
+through the joint covariance. This module chooses the route and logs it at
+DEBUG on ``graphfields.inference``, once per call.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from . import exact
 from .errors import ValidationError
 from .graph import MetricGraph, PointOnGraph
 from .models import CovMatrix, FieldModel, _scalar
-from .sampling import _gram, _spd_factor, safe_cholesky
+from .sampling import safe_cholesky
 
 __all__ = ["KrigingResult", "krige", "loglik", "exact_cov_source"]
 
@@ -190,54 +191,17 @@ def loglik(
 
     With noise on an exact source (``exact_cov_source``, or a wrapper of one
     that sets ``__wrapped__`` as ``functools.wraps`` does) this takes the
-    precision route (``_precision_loglik``); zero noise and every other
+    precision route (``exact._precision_loglik``); zero noise and every other
     source take the dense route through C_oo. The route is logged at DEBUG.
     """
     obs_pts = list(obs_pts)
     y, noise_var = _check_obs(obs_pts, y, noise_var)
     source = inspect.unwrap(cov_source)
     if noise_var > 0.0 and isinstance(source, _ExactSource):
-        return _precision_loglik(source.g, source.m, obs_pts, y, noise_var)
+        value, *how = exact._precision_loglik(source.g, source.m, obs_pts, y, noise_var)
+        _log.debug("loglik: precision route, %d points, %d nodes, %s", len(obs_pts), *how)
+        return value
     _log.debug("loglik: dense route, %d points (%s)", len(obs_pts),
                "zero noise" if noise_var == 0.0 else "source is not exact")
     _, chol, _ = _condition(cov_source, obs_pts, y, noise_var)
     return _gauss_loglik(chol, _tri_solve(chol, y))
-
-
-def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float) -> float:
-    """``loglik`` of the exact field through the precision of its cut graph.
-
-    With the field x at the nodes of ``exact._cut_graph`` (precision
-    Q = B'B) and y = A x + noise, H = Q + A'A / noise_var and
-    b = A'y / noise_var:
-
-        log|C + noise_var I| = n log noise_var + log|H| - log|Q|,
-        y'(C + noise_var I)^{-1} y = |y - A mu|^2 / noise_var + |B mu|^2,
-
-    with mu = H^{-1} b the posterior mean at the nodes. The quadratic form
-    is the minimum over x of |y - A x|^2 / noise_var + x'Qx. It equals
-    y'y / noise_var - b'mu, but as a sum of two non-negative terms it does
-    not lose digits to that difference at small noise. No n x n covariance
-    and no |V| x |V| table is formed.
-    """
-    cut = exact._cut_graph(g, m, obs)
-    # every observation row puts weight 1 / noise_var on the root coordinate
-    # z_0: renumbered last, it is eliminated last by the dense factor
-    nodes = cut.nodes
-    label = np.arange(-1, nodes - 1)
-    label[0] = nodes - 1
-    b_cols, a_cols = label[cut.b_cols], label[cut.a_cols]
-    q = _gram(b_cols, cut.b_vals)
-    h = [np.concatenate(z) for z in zip(q, _gram(a_cols, cut.a_vals, 1.0 / noise_var))]
-    q_factor = _spd_factor(*q, nodes)
-    h_factor = _spd_factor(*h, nodes)
-    _log.debug("loglik: precision route, %d points, %d nodes, %s", len(obs), nodes,
-               h_factor.method)
-    b = np.bincount(a_cols.ravel(), (cut.a_vals * y[:, None]).ravel(), minlength=nodes)
-    mu = h_factor.solve(b / noise_var)
-    resid = y - np.sum(cut.a_vals * mu[a_cols], axis=1)
-    prior = np.sum(cut.b_vals * mu[b_cols], axis=1)
-    n = len(y)
-    quad = float(resid @ resid) / noise_var + float(prior @ prior)
-    logdet = n * np.log(noise_var) + h_factor.logdet - q_factor.logdet
-    return -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))

@@ -58,6 +58,7 @@ from .graph import (
     CACHE_SIZE,
     MetricGraph,
     PointOnGraph,
+    _count,
     _point_arrays,
     _same_edge_pairs,
     _sandwich,
@@ -93,7 +94,7 @@ class ResistanceStructure:
     _r_v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: True or 1.0 must not hit root 1
 def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     """Build the grounded vertex Laplacian, its inverse and R_V.
 
@@ -112,8 +113,7 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
             "resistance metric requires a graph with Euclidean edges"
         )
     n = g.vertex_count
-    if not (0 <= v0 < n):
-        raise UnsupportedGraphError(f"root vertex {v0} outside [0, {n})")
+    v0 = _count(v0, "root vertex", 0, n - 1, error=UnsupportedGraphError)
     u, v, length = g._edge_arrays
     w = 1.0 / length
     c = np.zeros((n, n))

@@ -1,6 +1,8 @@
 """Deterministic Gaussian sampling helpers and the factors they rest on:
 the jittered dense Cholesky of a covariance, and the SPD factor of a sparse
-precision given as triplets.
+precision given as triplets (``_spd_factor``, for ``exact``'s cut-graph
+precisions and ``metrics``' grounded Laplacian, each of which builds its
+own triplets).
 
 Every dense Cholesky factor in the package comes from ``_potrf``: one
 copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
@@ -87,17 +89,6 @@ def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
 #: time at 100 nodes and SuperLU half at 350.
 _DENSE_MAX = 225
 
-#: ``exact.sample`` draws a request of up to this many distinct points from
-#: the dense Cholesky factor of its covariance, and a larger one from the
-#: vertex factor and the per-edge bridge walks. The crossover grows with the
-#: replicate count. On random figure-eight requests (single-thread BLAS on
-#: a 2-core Xeon) the bridge walks were 1.9x faster than the dense factor
-#: at 384 points and 200 replicates, within 10% of it from 384 to 768
-#: points at 2,000 replicates (22% faster at 1,024), and 2.0-2.5x slower up
-#: to 768 points at 20,000 replicates.
-_DENSE_SAMPLE_MAX = 384
-
-
 class _Factor(NamedTuple):
     """log|M| of an SPD matrix M, a solve x -> M^{-1} x, the method and the
     smallest pivot of M = L D L' (how close the factor came to failing)."""
@@ -106,17 +97,6 @@ class _Factor(NamedTuple):
     solve: Callable[[np.ndarray], np.ndarray]
     method: str
     min_pivot: float
-
-
-def _gram(cols: np.ndarray, vals: np.ndarray, scale: float = 1.0):
-    """Triplets (rows, cols, vals) of scale * sum_r b_r b_r' for the rows
-    b_r = sum_s vals[r, s] e_{cols[r, s]}, as ``_spd_factor`` takes them."""
-    width = cols.shape[1]
-    return (
-        np.repeat(cols, width, axis=1).ravel(),
-        np.tile(cols, width).ravel(),
-        scale * (vals[:, :, None] * vals[:, None, :]).ravel(),
-    )
 
 
 def _spd_factor(rows, cols, vals, n: int) -> _Factor:

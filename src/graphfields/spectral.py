@@ -294,13 +294,14 @@ def kl_sample(
     """n truncated Karhunen-Loeve draws at all mesh nodes, (n, n_dof).
 
     u = tau^{-1} sum_k lambda_k^{-alpha/2} xi_k e_k with xi i.i.d. standard
-    normal, drawn as in the exact sampler: deterministic in ``seed``, and a
-    shorter run is a prefix of a longer one. Every mode is used, so the
+    normal, drawn as in the exact sampler: deterministic in ``seed``, an
+    integer >= 0, and a shorter run is a prefix of a longer one. Every mode is used, so the
     draws carry the covariance ``spectral_cov`` gives at its default k.
     """
     alpha, tau, k = _spectral_params(op, alpha, tau)
+    n, seed = _count(n, "replicate count"), _count(seed, "seed")
     basis = _scaled_basis(op, alpha, tau, k)
-    xi = replicate_normals(seed, _count(n, "replicate count"), k)
+    xi = replicate_normals(seed, n, k)
     _log.debug("kl_sample: %d replicates, %d modes, tail estimate %.3g",
                len(xi), k, _tail_estimate(op, alpha, k))
     return xi @ basis.T

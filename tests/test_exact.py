@@ -1,4 +1,6 @@
+import ast
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from graphfields import (
     ValidationError,
 )
 from graphfields.exact import (
+    _DENSE_SAMPLE_MAX,
     EdgeBasis,
     bridge_cov,
     condition_on_constraints,
@@ -30,7 +33,7 @@ from graphfields.exact import (
 from graphfields.kernels import circle_cov
 from graphfields.spectral import _coefficients
 from graphfields.metrics import geodesic_distance
-from graphfields.sampling import _DENSE_SAMPLE_MAX, replicate_normals, safe_cholesky
+from graphfields.sampling import replicate_normals, safe_cholesky
 
 from conftest import grid, random_point
 from oracles import (
@@ -658,6 +661,16 @@ def test_sample_rejects_negative_count(unit_star):
 
 
 @pytest.mark.parametrize("n", [0, 3])
+def test_sample_checks_the_seed_as_a_count(unit_star, n):
+    pts = [unit_star.point("e0", 0.5), unit_star.point("e1", 1.0)]
+    for seed in (-1, 1.5, True, None, "a"):
+        with pytest.raises(ValidationError, match="seed"):
+            sample(unit_star, FieldModel(), pts, n, seed)
+    want = sample(unit_star, FieldModel(), pts, n, 7)
+    np.testing.assert_array_equal(sample(unit_star, FieldModel(), pts, n, np.int64(7)), want)
+
+
+@pytest.mark.parametrize("n", [0, 3])
 def test_sample_rejects_bad_points_and_alpha(unit_star, n):
     with pytest.raises(PointError):
         sample(unit_star, FieldModel(), [PointOnGraph("e0", 1.5)], n, 0)
@@ -993,3 +1006,40 @@ def test_kirchhoff_residual_needs_fine_mesh(unit_star):
     cov = full_cov(unit_star, m, pts)
     with pytest.raises(MeshResolutionError):
         kirchhoff_residual(unit_star, m, cov, 3, unit_star.point("e2", 0.5))
+
+
+# --- ownership of the cut graph ---------------------------------------------
+
+#: the cut graph's rows and everything that reads them live in ``exact``
+_CUT_GRAPH_NAMES = {"_cut_graph", "_CutGraph", "_grounded_rows", "_gram", "_DENSE_SAMPLE_MAX"}
+
+
+def _names(tree):
+    """Every identifier, attribute and imported name in a module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_exact_alone_reads_the_cut_graph():
+    src = Path(gf.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
+    found = [f"{mod}: {name}" for mod, tree in trees.items() if mod != "exact"
+             for name in _names(tree) if name in _CUT_GRAPH_NAMES]
+    assert not found
+    defined = {t.id for n in trees["exact"].body if isinstance(n, ast.Assign) for t in n.targets}
+    defined |= {n.name for n in trees["exact"].body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert _CUT_GRAPH_NAMES <= defined
+    # inference imports nothing private from sampling and reads one private
+    # name of exact, its precision route
+    inference = list(ast.walk(trees["inference"]))
+    assert not [a.name for n in inference if isinstance(n, ast.ImportFrom)
+                and n.module == "sampling" for a in n.names if a.name.startswith("_")]
+    private = {(n.value.id, n.attr) for n in inference if isinstance(n, ast.Attribute)
+               and isinstance(n.value, ast.Name) and n.value.id in trees
+               and n.attr.startswith("_")}
+    assert private == {("exact", "_precision_loglik")}

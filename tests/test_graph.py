@@ -101,6 +101,37 @@ def test_build_rejects_bad_specs(doc, err):
         gf.build_graph(doc)
 
 
+_TRIANGLE = gf.circle(3.0, 3)
+
+#: every entry that takes a vertex count or index: (call on the count, a
+#: valid value, a value out of range, the error an out-of-range value raises)
+COUNT_ENTRIES = {
+    "MetricGraph-vertex-count": (
+        lambda x: MetricGraph(x, (Edge("a", 0, 1, 1.0),)), 2, 0, GraphValidationError),
+    "Edge-end": (lambda x: MetricGraph(2, (Edge("a", x, 0, 1.0),)), 1, 2, DanglingEndpointError),
+    "circle": (lambda x: gf.circle(1.0, x), 3, 0, GraphValidationError),
+    "subdivide_edge": (lambda x: gf.subdivide_edge(_TRIANGLE, "e0", x), 2, 1,
+                       GraphValidationError),
+    "one_sum": (lambda x: gf.one_sum([_TRIANGLE, gf.interval(1.0)], [(x, 0)]), 1, 3,
+                GraphValidationError),
+    "vertex_point": (_TRIANGLE.vertex_point, 1, 3, PointError),
+    "resistance_structure": (lambda x: gf.resistance_structure(_TRIANGLE, x).linv.tolist(),
+                             1, 3, gf.UnsupportedGraphError),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_ENTRIES))
+def test_vertex_counts_and_indices_are_counts(name):
+    call, good, outside, err = COUNT_ENTRIES[name]
+    assert call(np.int64(good)) == call(good)
+    # a float or a bool is never read as an index, not even from a cache
+    for bad in (float(good), good + 0.5, True):
+        with pytest.raises(GraphValidationError if err is DanglingEndpointError else err):
+            call(bad)
+    with pytest.raises(err):
+        call(outside)
+
+
 def test_classify_star_is_euclidean_tree(unit_star):
     flags = gf.classify(unit_star)
     assert flags.tree and flags.euclidean_edges

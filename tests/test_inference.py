@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import graphfields as gf
-from graphfields import FieldModel, NotPositiveDefiniteError, ValidationError, sampling
+from graphfields import FieldModel, NotPositiveDefiniteError, ValidationError, exact, sampling
 from graphfields.inference import exact_cov_source, krige, loglik
 
 from conftest import grid
@@ -267,6 +267,66 @@ def test_precision_route_at_tiny_noise_matches_mpmath(name, kappa):
     y = rng.normal(size=len(pts))
     want = circle_loglik_mp(_circle_positions(g, pts), y, kappa, 0.7, g.total_length, 1e-8)
     got = loglik(exact_cov_source(g, FieldModel(kappa=kappa, tau=0.7)), pts, y, 1e-8)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def _cluster_points(g, kind, rng):
+    """A point inside every edge, the root vertex and the end of the last
+    edge each addressed through two edge ends, then a cluster of ``kind``:
+    points within ``exact._CLUSTER_GAP`` of an edge's start, of its end,
+    of each other inside it, or 1,000 points covering the last edge."""
+    pts = [g.point(e.id, float(rng.uniform(0.1, 0.9) * e.length)) for e in g.edges]
+    for v in (0, g.edges[-1].v):
+        pts += [g.point(g.edges[j].id, end * g.edges[j].length)
+                for j, end in (g.incident(v)[0], g.incident(v)[-1])]
+    e = g.edges[min(1, g.edge_count - 1)]
+    at = {"start": [2e-4, 6e-4], "end": [1.0 - 3e-4, 1.0 - 1e-4], "point": [0.4, 0.4005]}
+    if kind == "whole":
+        last = g.edges[-1]
+        return pts + [g.point(last.id, last.length * k / 1001) for k in range(1, 1001)]
+    return pts + [g.point(e.id, e.length * s) for s in at[kind]]
+
+
+def _last_base(g, m, pts):
+    """The base of the last point's node in the cut graph, 0 for none."""
+    cols = exact._cut_graph(g, m, pts).a_cols[-1]
+    return cols[1] if cols.size == 3 else 0
+
+
+CLUSTER_KINDS = ["start", "end", "point", "whole"]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 10.0])
+@pytest.mark.parametrize("kind", CLUSTER_KINDS)
+@pytest.mark.parametrize("name", list(ROUTE_GRAPHS))
+def test_precision_route_on_every_cluster_base(name, kind, kappa):
+    g = ROUTE_GRAPHS[name]()
+    rng = np.random.default_rng(5)
+    pts = _cluster_points(g, kind, rng)
+    y = rng.normal(size=len(pts))
+    m = _per_edge_model(g, kappa)
+    e, last = g.edges[min(1, g.edge_count - 1)], g.edges[-1]
+    base = _last_base(g, m, pts)
+    if kind == "point":
+        assert base >= g.vertex_count
+    else:
+        assert base == {"start": e.u, "end": e.v, "whole": last.u}[kind]
+    source = exact_cov_source(g, m)
+    got = loglik(source, pts, y, 0.01)
+    assert got == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", CLUSTER_KINDS[:3])
+@pytest.mark.parametrize("name", ["loop", "double-edge"])
+def test_precision_route_on_cluster_bases_matches_mpmath_at_small_kappa(name, kind):
+    # at kappa = 1e-3 the dense route is no reference: it reads 5.2e-10 to
+    # 4.8e-9 off mpmath on these requests, the precision route 4.0e-16
+    g = ROUTE_GRAPHS[name]()
+    rng = np.random.default_rng(5)
+    pts = _cluster_points(g, kind, rng)
+    y = rng.normal(size=len(pts))
+    want = circle_loglik_mp(_circle_positions(g, pts), y, 1e-3, 0.7, g.total_length, 0.01)
+    got = loglik(exact_cov_source(g, FieldModel(kappa=1e-3, tau=0.7)), pts, y, 0.01)
     assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -194,6 +194,16 @@ def test_kl_sample_rejects_bad_counts(unit_star):
     assert kl_sample(op, 1.0, 1.0, np.int64(2), seed=5).shape == (2, op.n_dof)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_kl_sample_checks_the_seed_as_a_count(unit_star, n):
+    op = assemble(unit_star, FieldModel(), 0.2)
+    for seed in (-1, 1.5, True, None, "a"):
+        with pytest.raises(ValidationError, match="seed"):
+            kl_sample(op, 1.0, 1.0, n, seed)
+    want = kl_sample(op, 1.0, 1.0, n, 7)
+    np.testing.assert_array_equal(kl_sample(op, 1.0, 1.0, n, np.int64(7)), want)
+
+
 def test_spectral_cov_rejects_infinite_alpha(unit_star):
     op = assemble(unit_star, FieldModel(), 0.2)
     with pytest.raises(UnsupportedAlphaError):
