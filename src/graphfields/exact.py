@@ -693,8 +693,10 @@ def sample(
     chol(full_cov(pts)).T``. The path, the counts and the jitter that
     ``safe_cholesky`` added are logged at DEBUG on ``graphfields.exact``.
     Deterministic in ``seed``, an integer >= 0 (a bool, a float or None is
-    rejected); the replicates are rows drawn in turn from one generator, so
-    a smaller run is a prefix of a larger one.
+    rejected). The replicates' normals are rows drawn in turn from one
+    generator, so a smaller run's normals are a byte prefix of a larger
+    run's; its draws agree with the larger run's first rows to rounding,
+    since the rounding of the factor product can depend on its row count.
     """
     n = _count(n, "replicate count")
     seed = _count(seed, "seed")
@@ -777,6 +779,7 @@ def kirchhoff_residual(
     condition of the operator; with uniform a it reduces to the plain
     derivative sum (and at a degree-2 vertex, to derivative continuity).
     """
+    vertex = _count(vertex, "vertex", 0, g.vertex_count - 1, error=PointError)
     probe = g.point(probe.edge, probe.t)
     if g.vertex_of(probe) == vertex:
         raise PointError("probe point must differ from the vertex under test")

@@ -212,7 +212,8 @@ class MetricGraph:
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """Incident (edge index, end) pairs in edge order; end is 0 for t=0,
-        1 for t=length. Empty for an index outside the graph."""
+        1 for t=length. Empty for an integer outside the graph."""
+        v = _count(v, "vertex", -math.inf, error=GraphValidationError)
         return self._incident[v] if 0 <= v < self.vertex_count else ()
 
     # -- points -----------------------------------------------------------

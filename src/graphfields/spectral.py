@@ -23,20 +23,24 @@ pair of (A, M) is known exactly (A 1 = 0, and 1'M1 is the total length),
 so it is pinned to mu_0 = 0 and v_0 = +-1/sqrt(1'M1), which makes
 lambda_0 = kappa^2 exact. Bases are kept read-only in an LRU cache of
 ``graph.CACHE_SIZE`` entries keyed on (graph, h, n_modes, per-edge
-(a_e, kappa_e^2 - kappa_min^2)). A full-spectrum entry holds at most three
-n_dof^2 arrays of 8-byte floats (34.5 MB at 1,199 dof), all shared by every
-operator on the basis: the eigenvectors, the dense mass matrix and a
-one-slot memo of the last whole-mesh covariance that ``spectral_cov``
-formed. Only the dense stiffness is assembled per call, in one sparse COO
-build. Nodes follow the one mesh layout of ``graph._mesh``, as
-``graph.mesh`` does.
+(a_e, kappa_e^2 - kappa_min^2)). The mass and stiffness matrices are
+assembled sparse (CSR, one build over all elements), and a dense n_dof^2
+array is formed only where the math needs one: the pencil that the
+eigensolve factors, once per basis and freed after it; the eigenvectors;
+the covariance memo; the Karhunen-Loeve draws; and the public dense
+``mass`` and ``stiffness``, built on first read. So a full-spectrum entry
+holds two n_dof^2 arrays of 8-byte floats (23 MB at 1,199 dof), shared by
+every operator on the basis: the eigenvectors and a one-slot memo of the
+last whole-mesh covariance that ``spectral_cov`` formed, plus a third,
+the dense mass, once ``mass`` is read. Nodes follow the one mesh layout of
+``graph._mesh``, as ``graph.mesh`` does.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -45,11 +49,18 @@ import scipy.sparse
 from .errors import PointError, UnsupportedAlphaError
 from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _mesh, _Mesh
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import replicate_normals
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
 
 _log = logging.getLogger(__name__)
+
+#: ``kl_sample`` draws this many bytes of normals per block of replicates
+#: (1,749 rows at 1,199 modes: two blocks for 3,000 replicates). Each
+#: block's product packs the basis again, so small blocks cost time: 3,000
+#: replicates at 1,199 modes took 7-13% longer in the median with 2- and
+#: 4-MiB blocks, and within noise of one product with 8- to 64-MiB blocks
+#: (alternated runs, single-thread BLAS, 2-core Xeon)
+_KL_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -61,35 +72,51 @@ class DiscreteOperator:
     mass-orthonormal eigenvector with eigenvalue ``eigenvalues[k]``
     (ascending). Immutable: the fields cannot be rebound and the arrays
     are read-only, since operators on one mesh share one cached basis.
+    The mass and stiffness matrices are held sparse (CSR, private); the
+    dense ``mass`` and ``stiffness`` are built on first read.
     Operators from :func:`assemble` on one basis also share that basis's
-    private one-slot covariance memo (see :func:`spectral_cov`); an
-    operator built by hand gets a slot of its own. The slot is replaced by
-    a single assignment, so the operator stays safe for concurrent reads.
+    private slot, which holds the one-slot covariance memo (see
+    :func:`spectral_cov`) and the dense mass once read; an operator built
+    by hand gets a slot of its own. The slot's entries are replaced by
+    single assignments, so the operator stays safe for concurrent reads.
     """
 
     graph: MetricGraph
     model: FieldModel
     h: float
-    mass: np.ndarray
-    stiffness: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     node_points: tuple[PointOnGraph, ...]
     edge_nodes: tuple[tuple[int, ...], ...]
+    _mass_csr: scipy.sparse.csr_array = field(repr=False)
+    _stiffness_csr: scipy.sparse.csr_array = field(repr=False)
     _cov_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
+    def mass(self) -> np.ndarray:
+        """Dense mass matrix, read-only, built on first read and kept in
+        the basis's shared slot (so operators on one basis share it)."""
+        dense = self._cov_memo.get("mass")
+        if dense is None:
+            dense = self._cov_memo["mass"] = _dense(self._mass_csr)
+        return dense
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """Dense stiffness-plus-reaction matrix, read-only, built on first
+        read."""
+        return _dense(self._stiffness_csr)
+
+    @property
     def n_dof(self) -> int:
-        return self.mass.shape[0]
+        return self._mass_csr.shape[0]
 
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
     def vertex_node(self, v: int) -> int:
-        if not (0 <= v < self.graph.vertex_count):
-            raise PointError(f"vertex {v} outside graph")
-        return v
+        return _count(v, "vertex", 0, self.graph.vertex_count - 1, error=PointError)
 
     def nodes_on_edge(self, edge_id: str) -> tuple[int, ...]:
         """DOF indices along an edge, endpoint to endpoint."""
@@ -108,21 +135,35 @@ class DiscreteOperator:
         return idx[k]
 
 
-def _p1_matrix(mesh: _Mesh, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Dense sum of the element matrices [[diag, off], [off, diag]] in one
-    COO build over all elements (entries at shared nodes add up)."""
+def _dense(mat: scipy.sparse.csr_array) -> np.ndarray:
+    arr = mat.toarray()
+    arr.flags.writeable = False
+    return arr
+
+
+def _p1_matrix(mesh: _Mesh, diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csr_array:
+    """Sum of the element matrices [[diag, off], [off, diag]] over all
+    elements, as a CSR matrix with sorted column indices and read-only
+    arrays. The entries at one (row, col) add up in the order of the
+    element list, as a dense COO build adds them, so ``toarray()`` has the
+    bytes of that build."""
+    n = mesh.n_dof
     rows = np.concatenate((mesh.i0, mesh.i1, mesh.i0, mesh.i1))
     cols = np.concatenate((mesh.i0, mesh.i1, mesh.i1, mesh.i0))
-    vals = np.concatenate((diag, diag, off, off))
-    shape = (mesh.n_dof, mesh.n_dof)
-    return scipy.sparse.coo_array((vals, (rows, cols)), shape=shape).toarray()
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    vals = np.bincount(slot, np.concatenate((diag, diag, off, off)), minlength=len(keys))
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    mat = scipy.sparse.csr_array((vals, keys % n, indptr), shape=(n, n))
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
 
 
-def _mass(mesh: _Mesh) -> np.ndarray:
+def _mass(mesh: _Mesh) -> scipy.sparse.csr_array:
     return _p1_matrix(mesh, mesh.he / 3.0, mesh.he / 6.0)
 
 
-def _stiffness(mesh: _Mesh, coeffs, shift: float) -> np.ndarray:
+def _stiffness(mesh: _Mesh, coeffs, shift: float) -> scipy.sparse.csr_array:
     """A + R + shift * M, summed per element: the a/h stiffness plus the
     reaction (kappa_e^2 - kappa_min^2 + shift) times the element mass."""
     a, r = (np.repeat(col, mesh.nel) for col in np.array(coeffs).T)
@@ -141,28 +182,33 @@ def _coefficients(g: MetricGraph, m: FieldModel):
 @lru_cache(maxsize=CACHE_SIZE)
 def _eigenbasis(
     g: MetricGraph, h: float, n_modes: int, coeffs: tuple[tuple[float, float], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, scipy.sparse.csr_array, dict]:
     """Read-only lowest ``n_modes`` eigenpairs (mu, V) of the kappa-free
     pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`, the
-    mass matrix M they are orthonormal in, and the empty covariance memo
-    that every operator on this basis shares."""
+    CSR mass matrix M they are orthonormal in, and the empty slot that
+    every operator on this basis shares."""
     mesh = _mesh(g, h)
     mass = _mass(mesh)
     subset = None if n_modes == mesh.n_dof else [0, n_modes - 1]
+    # the dense pencil exists only for the solve, which factors it in place
     mu, vecs = scipy.linalg.eigh(
-        _stiffness(mesh, coeffs, 0.0), mass, subset_by_index=subset
+        _stiffness(mesh, coeffs, 0.0).toarray(order="F"),
+        mass.toarray(order="F"),
+        subset_by_index=subset,
+        overwrite_a=True,
+        overwrite_b=True,
     )
     if not any(r for _, r in coeffs):
         # A 1 = 0 exactly and 1'M1 is the total length: pin the null pair,
         # so that lambda_0 = kappa^2 holds exactly after the shift, and take
         # the pinned constant out of the other modes (they are M-orthogonal
         # to it in exact arithmetic, and only to rounding as computed)
-        mass_ones = mass.sum(axis=0)
+        mass_ones = np.bincount(mass.indices, mass.data, minlength=mesh.n_dof)
         c = math.copysign(1.0 / math.sqrt(mass_ones.sum()), vecs[:, 0].sum())
         mu[0] = 0.0
         vecs[:, 0] = c
         vecs[:, 1:] -= c * ((c * mass_ones) @ vecs[:, 1:])
-    for arr in (mu, vecs, mass):
+    for arr in (mu, vecs):
         arr.flags.writeable = False
     return mu, vecs, mass, {}
 
@@ -170,8 +216,10 @@ def _eigenbasis(
 def assemble(
     g: MetricGraph, m: FieldModel, h: float, n_modes: int | None = None
 ) -> DiscreteOperator:
-    """Assemble mass/stiffness matrices on a mesh of spacing <= h, with the
-    generalized eigenpairs taken from the mesh's cached kappa-free basis.
+    """Assemble sparse mass/stiffness matrices on a mesh of spacing <= h,
+    with the generalized eigenpairs taken from the mesh's cached
+    kappa-free basis. No n_dof x n_dof array is formed once that basis is
+    cached.
 
     Per-edge constants kappa, a are taken from the model (constant on each
     edge, so the element integrals are exact). ``n_modes`` limits the number
@@ -184,19 +232,17 @@ def assemble(
     coeffs, kappa2_min = _coefficients(g, m)
     mu, vecs, mass, memo = _eigenbasis(g, h, n_modes, coeffs)
     vals = mu + kappa2_min
-    stiff = _stiffness(mesh, coeffs, kappa2_min)
-    for arr in (vals, stiff):
-        arr.flags.writeable = False
+    vals.flags.writeable = False
     return DiscreteOperator(
         graph=g,
         model=m,
         h=h,
-        mass=mass,
-        stiffness=stiff,
         eigenvalues=vals,
         eigenvectors=vecs,
         node_points=mesh.node_points,
         edge_nodes=mesh.edge_nodes,
+        _mass_csr=mass,
+        _stiffness_csr=_stiffness(mesh, coeffs, kappa2_min),
         _cov_memo=memo,
     )
 
@@ -210,10 +256,17 @@ def _spectral_params(op: DiscreteOperator, alpha, tau, k=None):
     return alpha, _scalar(tau, "tau"), k
 
 
-def _scaled_basis(op: DiscreteOperator, alpha, tau, k, rows=slice(None)):
-    """B = V[rows, :k] lambda^{-alpha/2} / tau for checked parameters, so
-    that B B' is the covariance at those rows."""
-    return op.eigenvectors[rows, :k] * (op.eigenvalues[:k] ** (-alpha / 2.0) / tau)
+def _scaled_basis(op: DiscreteOperator, alpha, tau, k, rows=None):
+    """B = V[rows, :k] lambda^{-alpha/2} / tau for checked parameters (all
+    rows by default), so that B B' is the covariance at those rows."""
+    scale = op.eigenvalues[:k] ** (-alpha / 2.0) / tau
+    if rows is None:
+        return op.eigenvectors[:, :k] * scale
+    # one gather into a new array, scaled in place (``take`` would first
+    # copy the whole F-ordered eigenvector array into C order)
+    basis = op.eigenvectors[rows, :k]
+    basis *= scale
+    return basis
 
 
 def _tail_estimate(op: DiscreteOperator, alpha: float, k: int) -> float:
@@ -295,13 +348,27 @@ def kl_sample(
 
     u = tau^{-1} sum_k lambda_k^{-alpha/2} xi_k e_k with xi i.i.d. standard
     normal, drawn as in the exact sampler: deterministic in ``seed``, an
-    integer >= 0, and a shorter run is a prefix of a longer one. Every mode is used, so the
-    draws carry the covariance ``spectral_cov`` gives at its default k.
+    integer >= 0, with replicate r drawn as row r of
+    ``replicate_normals(seed, n, n_modes)``. The normals of a shorter run
+    are a byte prefix of a longer run's, and its draws agree with the
+    longer run's first rows to rounding. Every mode is used, so the draws
+    carry the covariance ``spectral_cov`` gives at its default k.
+
+    The normals are drawn and multiplied in blocks of rows
+    (``_KL_BLOCK_BYTES`` of normals each), each product written straight
+    into the output, so the n x n_modes normals never exist at once. A run
+    of at most one block is the single product ``xi @ B'``.
     """
     alpha, tau, k = _spectral_params(op, alpha, tau)
     n, seed = _count(n, "replicate count"), _count(seed, "seed")
-    basis = _scaled_basis(op, alpha, tau, k)
-    xi = replicate_normals(seed, n, k)
+    basis_t = _scaled_basis(op, alpha, tau, k).T
+    # one generator, rows in turn: the stream of ``replicate_normals``
+    rng = np.random.default_rng(seed)
+    step = max(1, _KL_BLOCK_BYTES // (8 * k))
+    draws = np.empty((n, op.n_dof))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        np.matmul(rng.standard_normal((hi - lo, k)), basis_t, out=draws[lo:hi])
     _log.debug("kl_sample: %d replicates, %d modes, tail estimate %.3g",
-               len(xi), k, _tail_estimate(op, alpha, k))
-    return xi @ basis.T
+               n, k, _tail_estimate(op, alpha, k))
+    return draws

@@ -643,6 +643,19 @@ def test_sample_seed_determinism_and_prefix(unit_star):
         assert not np.array_equal(a, c)
 
 
+def test_sample_prefix_at_scale(fig8):
+    # the dense path: the normals of a shorter run are a byte prefix of a
+    # longer run's, and the draws agree with its first rows to rounding
+    pts = gf.mesh(fig8, 0.05)
+    assert len(pts) == 59
+    long = sample(fig8, FieldModel(), pts, 2000, 5)
+    long_xi = replicate_normals(5, 2000, len(pts))
+    for n in (1, 3):
+        np.testing.assert_array_equal(replicate_normals(5, n, len(pts)), long_xi[:n])
+        short = sample(fig8, FieldModel(), pts, n, 5)
+        assert np.max(np.abs(short - long[:n])) <= 1e-13 * np.max(np.abs(long))
+
+
 def test_sample_covariance_monte_carlo(unit_star):
     m = FieldModel()
     pts = [unit_star.point(f"e{j}", t) for j in range(3) for t in (0.3, 0.8)]

@@ -15,6 +15,7 @@ from graphfields import (
     PointError,
     PointOnGraph,
 )
+from graphfields.exact import full_cov, kirchhoff_residual
 from graphfields.graph import _point_arrays, _sandwich, vertex_distance_matrix
 from graphfields.metrics import geodesic_distance
 
@@ -102,6 +103,7 @@ def test_build_rejects_bad_specs(doc, err):
 
 
 _TRIANGLE = gf.circle(3.0, 3)
+_TRIANGLE_MESH = gf.mesh(_TRIANGLE, 0.25)
 
 #: every entry that takes a vertex count or index: (call on the count, a
 #: valid value, a value out of range, the error an out-of-range value raises)
@@ -117,6 +119,13 @@ COUNT_ENTRIES = {
     "vertex_point": (_TRIANGLE.vertex_point, 1, 3, PointError),
     "resistance_structure": (lambda x: gf.resistance_structure(_TRIANGLE, x).linv.tolist(),
                              1, 3, gf.UnsupportedGraphError),
+    "vertex_node": (lambda x: gf.assemble(_TRIANGLE, gf.FieldModel(), 0.5, n_modes=1)
+                    .vertex_node(x), 1, 3, PointError),
+    "kirchhoff_residual": (
+        lambda x: kirchhoff_residual(
+            _TRIANGLE, gf.FieldModel(), full_cov(_TRIANGLE, gf.FieldModel(), _TRIANGLE_MESH),
+            x, _TRIANGLE.point("e0", 0.5)),
+        1, 3, PointError),
 }
 
 
@@ -130,6 +139,19 @@ def test_vertex_counts_and_indices_are_counts(name):
             call(bad)
     with pytest.raises(err):
         call(outside)
+
+
+def test_incident_and_degree_read_counts():
+    # an integer outside the graph has no incident ends; anything else that
+    # is not an integer is rejected, not read as a vertex
+    for call in (_TRIANGLE.incident, _TRIANGLE.degree):
+        assert call(np.int64(1)) == call(1)
+        for bad in (1.0, 1.5, True):
+            with pytest.raises(GraphValidationError):
+                call(bad)
+    for outside in (3, -1, np.int64(3)):
+        assert _TRIANGLE.incident(outside) == ()
+        assert _TRIANGLE.degree(outside) == 0
 
 
 def test_classify_star_is_euclidean_tree(unit_star):

@@ -1,11 +1,13 @@
 import dataclasses
 import gc
 import logging
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import graphfields as gf
 from graphfields import (
@@ -19,7 +21,14 @@ from graphfields.exact import full_cov, kirchhoff_residual, markov_check
 from graphfields.graph import CACHE_SIZE, _mesh
 from graphfields.kernels import circle_cov
 from graphfields.sampling import replicate_normals
-from graphfields.spectral import _eigenbasis, assemble, kl_sample, spectral_cov
+from graphfields import spectral
+from graphfields.spectral import (
+    _coefficients,
+    _eigenbasis,
+    assemble,
+    kl_sample,
+    spectral_cov,
+)
 
 
 def test_interval_neumann_spectrum_convergence():
@@ -217,6 +226,89 @@ def test_kl_sample_matches_unscaled_then_divided_form(fig8):
     np.testing.assert_array_equal(kl_sample(op, 0.75, 1.0, 40, seed=9), ref / 1.0)
     draws = kl_sample(op, 0.75, 0.7, 40, seed=9)
     assert np.max(np.abs(draws - ref / 0.7)) <= 1e-14 * np.max(np.abs(ref / 0.7))
+
+
+def test_kl_sample_prefix_at_scale():
+    # the normals of a shorter run are a byte prefix of a longer run's; the
+    # draws agree to rounding only, since a product's rounding can depend
+    # on its number of rows (and a long run is formed in row blocks)
+    op = assemble(gf.figure_eight(1.0, 2.0), FieldModel(kappa=1.5), 0.0025)
+    k = op.n_modes
+    long_xi = replicate_normals(5, 3000, k)
+    long = kl_sample(op, 0.75, 1.0, 3000, seed=5)
+    scale = np.max(np.abs(long))
+    ref = long_xi @ (op.eigenvectors * op.eigenvalues ** -0.375).T
+    assert np.max(np.abs(long - ref)) <= 1e-14 * scale
+    for n in (1, 3, 40, 100, 256, 300, 1000):
+        np.testing.assert_array_equal(replicate_normals(5, n, k), long_xi[:n])
+        short = kl_sample(op, 0.75, 1.0, n, seed=5)
+        assert np.max(np.abs(short - long[:n])) <= 1e-13 * scale
+
+
+def _peak_bytes(call):
+    """Peak traced allocation while ``call()`` runs (its result is dropped)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assemble_at_a_cached_basis_forms_no_dense_matrix():
+    g = gf.figure_eight(1.0, 2.0)
+    op = assemble(g, FieldModel(kappa=1.5, alpha=0.75), 0.0025)  # basis cached here
+    assert op.n_dof == 1199
+    peak = _peak_bytes(lambda: assemble(g, FieldModel(kappa=2.5, alpha=0.75), 0.0025))
+    assert peak < op.n_dof**2 * 8 / 8
+
+
+def test_kl_sample_memory_is_output_basis_and_one_block():
+    op = assemble(gf.figure_eight(1.0, 2.0), FieldModel(kappa=1.5), 0.0025)
+    n = 3000
+    kl_sample(op, 0.75, 1.0, 1, seed=5)
+    peak = _peak_bytes(lambda: kl_sample(op, 0.75, 1.0, n, seed=5))
+    draws, basis = n * op.n_dof * 8, op.n_dof * op.n_modes * 8
+    assert n * op.n_modes * 8 > spectral._KL_BLOCK_BYTES  # more than one block
+    assert peak < 1.1 * (draws + basis + spectral._KL_BLOCK_BYTES)
+
+
+def _coo_pencil(g, m, h):
+    """Dense mass and stiffness from one COO build over the element list,
+    as the element matrices [[diag, off], [off, diag]] of each element."""
+    mesh = _mesh(g, h)
+    coeffs, kappa2_min = _coefficients(g, m)
+    a, r = (np.repeat(col, mesh.nel) for col in np.array(coeffs).T)
+    react = (r + kappa2_min) * mesh.he
+    rows = np.concatenate((mesh.i0, mesh.i1, mesh.i0, mesh.i1))
+    cols = np.concatenate((mesh.i0, mesh.i1, mesh.i1, mesh.i0))
+
+    def build(diag, off):
+        vals = np.concatenate((diag, diag, off, off))
+        shape = (mesh.n_dof, mesh.n_dof)
+        return scipy.sparse.coo_array((vals, (rows, cols)), shape=shape).toarray()
+
+    return (build(mesh.he / 3.0, mesh.he / 6.0),
+            build(a / mesh.he + react / 3.0, -a / mesh.he + react / 6.0))
+
+
+@pytest.mark.parametrize("per_edge", [False, True])
+def test_dense_pencil_is_built_on_first_read(fig8, per_edge):
+    m = FieldModel(kappa=1.5)
+    if per_edge:
+        m = FieldModel(kappa={e.id: 0.5 + 0.3 * j for j, e in enumerate(fig8.edges)},
+                       a={e.id: 0.4 + 0.25 * j for j, e in enumerate(fig8.edges)})
+    # an empty slot of its own, so the dense mass is not there yet
+    op = dataclasses.replace(assemble(fig8, m, 0.01), _cov_memo={})
+    dense = op.n_dof**2 * 8
+    for name, ref in zip(("mass", "stiffness"), _coo_pencil(fig8, m, 0.01)):
+        assert _peak_bytes(lambda: getattr(op, name)) >= dense
+        assert _peak_bytes(lambda: getattr(op, name)) < dense / 8
+        mat = getattr(op, name)
+        assert mat is getattr(op, name)
+        assert mat.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
 
 
 def test_kl_sample_variance_matches_spectral_cov(unit_star):
