@@ -390,6 +390,7 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
         diag = np.arange(resid.shape[1])
         resid[lo + diag, diag] += 1.0
         sv[:, block] += factor.solve(resid)
+    sv = np.ascontiguousarray(sv)  # the solves return it F-ordered
     sv[1:] += sv[0]  # from z back to the vertex values
     sv[:, 1:] += sv[:, :1]
     _symmetrize(sv)
@@ -431,13 +432,18 @@ def full_cov(
     covariance conditioned on K x = 0 (any matrix with the same kernel as
     the continuity constraints yields the same covariance) and the columns
     are the 2|E| edge endpoints.
+    ``info["route"]`` is ``"vertex"`` or ``"constraints"``; the vertex route
+    adds the vertex factor's method and smallest pivot, as
+    :func:`vertex_field_cov` reports them.
     """
     _require_alpha_one(m)
     pts, j, t, *_ = _point_arrays(g, pts)
     if constraints is None:
-        ends, ec, _ = _vertex_cov(g, m)
+        ends, ec, (method, min_pivot) = _vertex_cov(g, m)
         col_u, col_v = ec.u, ec.v
+        info = {"route": "vertex", "factor": method, "min_pivot": min_pivot}
     else:
+        info = {"route": "constraints"}
         ec = _edge_constants(g, m)
         ends = condition_on_constraints(endpoint_prior_cov(g, m), constraints)
         col_u = 2 * np.arange(g.edge_count)
@@ -449,7 +455,7 @@ def full_cov(
     C[rows, cols] += _dirichlet_green(
         ec.kt[e], ec.length[e], ec.scale[e], t[rows], t[cols]
     )
-    return CovMatrix(C, tuple(pts), "exact")
+    return CovMatrix(C, tuple(pts), "exact", info=info)
 
 
 def _distinct_points(j, t, u, v, ell):

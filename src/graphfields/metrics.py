@@ -30,10 +30,11 @@ vertices, and on a shared edge, with delta = t_i - t_j, the exact closed
 form R_V[u, v] delta^2 / L^2 + |delta| - delta^2 / L replaces it.
 
 The product is ``graph._sandwich``, which ``exact.full_cov`` uses for its
-Phi S_V Phi' too. Four weighted gathers into R_V, one per pair of end
-vertices, give the same matrix to rounding but are slower (median,
-single-thread BLAS, shared 2-core Xeon; gathers -> sandwich): 58-74 us ->
-54 us at 40 points and 1.0 ms -> 0.10 ms at 200 points on the
+Phi S_V Phi' too; Phi is dense up to ``graph._DENSE_PHI_MAX`` vertices and
+CSR above. Four weighted gathers into R_V, one per pair of end vertices,
+give the same matrix to rounding but are slower than the CSR sandwich
+(median, single-thread BLAS, shared 2-core Xeon; gathers -> sandwich):
+58-74 us -> 54 us at 40 points and 1.0 ms -> 0.10 ms at 200 points on the
 figure-eight's 7 vertices; 1.7 ms -> 0.31-0.36 ms at 250 points and 83-87
 ms -> 3.4-4.4 ms at the 1,501-point mesh of a 301-vertex bouquet. At that
 mesh the sandwich peaks at 1.4 n^2 doubles (the result and two n x |V|

@@ -63,7 +63,7 @@ _log = logging.getLogger(__name__)
 _KL_BLOCK_BYTES = 16 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Mesh, assembled matrices and generalized eigenpairs of the operator.
 
@@ -79,6 +79,7 @@ class DiscreteOperator:
     :func:`spectral_cov`) and the dense mass once read; an operator built
     by hand gets a slot of its own. The slot's entries are replaced by
     single assignments, so the operator stays safe for concurrent reads.
+    Equality is identity (its fields hold arrays), so operators hash.
     """
 
     graph: MetricGraph

@@ -17,6 +17,7 @@ from graphfields import (
 )
 from graphfields.exact import (
     _DENSE_SAMPLE_MAX,
+    _vertex_cov,
     EdgeBasis,
     bridge_cov,
     condition_on_constraints,
@@ -287,6 +288,34 @@ def test_vertex_field_cov_reports_its_factor():
     assert info["min_pivot"] == pytest.approx(2.0 * np.tanh(0.5), rel=1e-14)
     info = vertex_field_cov(_bouquet(), FieldModel()).info
     assert info["factor"] == "SuperLU" and info["min_pivot"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "maker,factor",
+    [(lambda: gf.interval(1.0), "dense Cholesky"), (lambda: _bouquet(), "SuperLU")],
+    ids=["interval", "bouquet"],
+)
+def test_vertex_table_is_c_ordered(maker, factor):
+    # both solves return F-ordered arrays; sandwich products read the table
+    # by rows, so it is stored C-ordered
+    g, m = maker(), FieldModel()
+    table, _, (method, _) = _vertex_cov(g, m)
+    assert method == factor
+    assert table.flags.c_contiguous and not table.flags.writeable
+    assert np.array_equal(table, table.T)
+
+
+def test_full_cov_info_names_its_route(unit_star, fig8):
+    for g in (unit_star, fig8, _bouquet()):
+        m = FieldModel(kappa=1.3)
+        pts = [g.point(e.id, 0.3 * e.length) for e in g.edges[:5]]
+        vertex = vertex_field_cov(g, m).info
+        assert full_cov(g, m, pts).info == {
+            "route": "vertex", "factor": vertex["factor"], "min_pivot": vertex["min_pivot"]}
+    k = continuity_constraints(unit_star)
+    for pts in ([], [unit_star.point("e0", 0.5)]):
+        cov = full_cov(unit_star, FieldModel(), pts, constraints=k)
+        assert cov.info == {"route": "constraints"}
 
 
 def test_vertex_field_cov_star_center_endpoints_agree(unit_star):

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import graphfields as gf
 from graphfields import (
@@ -16,7 +17,14 @@ from graphfields import (
     PointOnGraph,
 )
 from graphfields.exact import full_cov, kirchhoff_residual
-from graphfields.graph import _point_arrays, _sandwich, vertex_distance_matrix
+from graphfields import graph as graph_module
+from graphfields.graph import (
+    _DENSE_PHI_MAX,
+    _point_arrays,
+    _same_edge_pairs,
+    _sandwich,
+    vertex_distance_matrix,
+)
 from graphfields.metrics import geodesic_distance
 
 from conftest import random_point
@@ -458,26 +466,83 @@ def test_point_arrays_clamp_inside_the_slack(circle24):
 
 @pytest.mark.parametrize("n", [0, 1, 40, 300])
 def test_sandwich_matches_a_dense_phi(n):
-    rng = np.random.default_rng(n)
-    m = 30
-    root = rng.standard_normal((m, m))
-    table = root @ root.T
-    u, v = rng.integers(m, size=n), rng.integers(m, size=n)
-    w_v = rng.uniform(size=n)
-    v[::5] = u[::5]  # loops: both weights land in one column
-    w_v[1::7], w_v[2::7] = 0.0, 1.0  # points at a vertex
-    if n:  # repeated points
-        u[3::7], v[3::7], w_v[3::7] = u[0], v[0], w_v[0]
-    w_u = 1.0 - w_v
-    phi = np.zeros((n, m))
-    np.add.at(phi, (np.arange(n), u), w_u)
-    np.add.at(phi, (np.arange(n), v), w_v)
-    want = phi @ table @ phi.T
-    got = _sandwich(table, u, v, w_u, w_v)
-    assert got.shape == (n, n) and type(got) is np.ndarray
-    if n:
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert all(np.array_equal(got[i], got[0]) for i in range(3, n, 7))
+    # orders at the constant take the dense Phi, above it the CSR Phi
+    for m in (_DENSE_PHI_MAX, _DENSE_PHI_MAX + 1, 30):
+        rng = np.random.default_rng(n)
+        root = rng.standard_normal((m, m))
+        table = root @ root.T
+        u, v = rng.integers(m, size=n), rng.integers(m, size=n)
+        w_v = rng.uniform(size=n)
+        v[::5] = u[::5]  # loops: both weights land in one column
+        w_v[1::7], w_v[2::7] = 0.0, 1.0  # points at a vertex
+        if n:  # repeated points
+            u[3::7], v[3::7], w_v[3::7] = u[0], v[0], w_v[0]
+        w_u = 1.0 - w_v
+        phi = np.zeros((n, m))
+        np.add.at(phi, (np.arange(n), u), w_u)
+        np.add.at(phi, (np.arange(n), v), w_v)
+        want = phi @ table @ phi.T
+        got = _sandwich(table, u, v, w_u, w_v)
+        assert got.shape == (n, n) and type(got) is np.ndarray
+        if n:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert all(np.array_equal(got[i], got[0]) for i in range(3, n, 7))
+
+
+def test_sandwich_builds_csr_only_above_the_dense_order(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["shape"])
+        return csr_array(*args, **kwargs)
+
+    bouquet = gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99)
+    rng = np.random.default_rng(5)
+    m = gf.FieldModel(kappa=1.5)
+    iso = gf.IsotropicModel("resistance", gf.ExponentialKernel(1.0, 1.5))
+    monkeypatch.setattr(graph_module, "csr_array", spy)
+    small = (gf.circle(2.0, 4), gf.star([0.7, 1.0, 1.3]), gf.tadpole(2.0, 1.0),
+             gf.figure_eight(1.0, 2.0))
+    for g in small:
+        assert g.vertex_count <= _DENSE_PHI_MAX
+        for n in (10, 40):
+            pts = [random_point(g, rng) for _ in range(n)]
+            full_cov(g, m, pts)
+            gf.iso_cov_matrix(g, iso, pts)
+    assert built == []
+    pts = [random_point(bouquet, rng) for _ in range(25)]
+    full_cov(bouquet, m, pts)
+    gf.iso_cov_matrix(bouquet, iso, pts)
+    assert built == [(25, 301)] * 2
+
+
+def _same_edge_pairs_unique(j):
+    """The grouping by np.unique that _same_edge_pairs replaced."""
+    order = np.argsort(j, kind="stable")
+    _, first, count = np.unique(j[order], return_index=True, return_counts=True)
+    size = np.repeat(count, count)
+    rows = np.repeat(order, size)
+    within = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+    cols = order[np.repeat(np.repeat(first, count), size) + within]
+    return rows, cols
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_same_edge_pairs_match_the_unique_grouping(seed):
+    rng = np.random.default_rng(seed)
+    cases = [
+        np.zeros(0, dtype=np.intp),
+        np.zeros(1, dtype=np.intp),
+        np.full(7, 3, dtype=np.intp),  # a single edge, edges 0-2 unused
+        rng.integers(50, size=250),  # most of 0..49 used, some not
+        rng.choice([2, 9, 40], size=int(rng.integers(1, 30))),
+    ]
+    for j in cases:
+        j = j.astype(np.intp)
+        got, want = _same_edge_pairs(j), _same_edge_pairs_unique(j)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[0].size == np.sum(np.bincount(j) ** 2)
 
 
 @pytest.mark.parametrize(

@@ -514,6 +514,15 @@ def test_operator_is_immutable(unit_star):
     np.testing.assert_array_equal(other.eigenvectors, before)
 
 
+def test_operator_equality_is_identity(fig8):
+    # the generated equality compared ndarray fields and raised ValueError
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.01)
+    again = assemble(fig8, FieldModel(kappa=1.5), 0.01)
+    assert again.eigenvectors is op.eigenvectors  # one cached basis
+    assert op == op and op != again and not (op == again)
+    assert len({op, again, op}) == 2 and hash(op) == hash(op)
+
+
 def _reference_cov(vecs, lam, alpha, tau, rows=slice(None)):
     """(V[rows] lambda^-alpha) V[rows]' / tau^2, the general product."""
     return (vecs[rows] * lam ** -alpha) @ vecs[rows].T / tau**2
