@@ -35,6 +35,16 @@ grounding map, and ``_precision_loglik``, the precision route of
 reader of those rows: ``_gram`` turns them into the triplets that
 ``sampling._spd_factor`` factors.
 
+Which nodes the cut graph has and which entries its rows fill depend on
+the graph and the points alone; kappa, tau and a change only the values.
+So the layout (``_layout``: the pieces of edge, the columns of B and A,
+and the Gram indices of Q and H) is cached, ``graph.CACHE_SIZE`` entries
+keyed on the graph and the bytes of the validated points' edge indices
+and arclengths, with read-only arrays. A model computes only the piece
+weights (``_piece_values``) and the factors, so a likelihood sweep over
+kappa at fixed points builds the layout once. Every check still runs on
+every call. ``_vertex_cov`` reads the layout at no points.
+
 Sampling has two paths, chosen by the number of distinct points alone. A
 small request takes the dense Cholesky factor of C. A larger one never
 forms C: add every vertex the points touch (both ends of each edge that
@@ -342,15 +352,17 @@ def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
 _REFINE_BLOCK = 256
 
 
-def _gram(cols: np.ndarray, vals: np.ndarray, scale: float = 1.0):
-    """Triplets (rows, cols, vals) of scale * sum_r b_r b_r' for the rows
-    b_r = sum_s vals[r, s] e_{cols[r, s]}, as ``_spd_factor`` takes them."""
+def _gram(cols: np.ndarray):
+    """Row and column indices of the triplets of sum_r b_r b_r', as
+    ``_spd_factor`` takes them, for the rows b_r = sum_s vals[r, s]
+    e_{cols[r, s]}; ``_gram_values(vals)`` gives the values in that order."""
     width = cols.shape[1]
-    return (
-        np.repeat(cols, width, axis=1).ravel(),
-        np.tile(cols, width).ravel(),
-        scale * (vals[:, :, None] * vals[:, None, :]).ravel(),
-    )
+    return np.repeat(cols, width, axis=1).ravel(), np.tile(cols, width).ravel()
+
+
+def _gram_values(vals: np.ndarray) -> np.ndarray:
+    """Values of the triplets of ``_gram``."""
+    return (vals[:, :, None] * vals[:, None, :]).ravel()
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -379,7 +391,7 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     the same cancellation.
     """
     cut = _cut_graph(g, m, [])
-    factor = _spd_factor(*_gram(cut.b_cols, cut.b_vals), cut.nodes)
+    factor = _spd_factor(*_gram(cut.b_cols), _gram_values(cut.b_vals), cut.nodes)
     sv = factor.solve(np.eye(cut.nodes))
     rows, width = cut.b_cols.shape
     b = csr_array((cut.b_vals.ravel(), cut.b_cols.ravel(), np.arange(0, rows * width + 1, width)),
@@ -497,53 +509,68 @@ class _CutGraph(NamedTuple):
     a_vals: np.ndarray
 
 
-def _grounded_rows(base, a, b, w_a, w_b):
+class _Layout(NamedTuple):
+    """What a cut graph takes from its graph and points alone, for every
+    model (``_layout``). Every array is read-only.
+
+    The pieces of edge: ``piece_edge`` and ``piece_length``. B's columns
+    ``b_cols``, and ``b_pick``, each entry's place in the weights
+    ``_piece_values`` lays out. A's columns and values, which hold no
+    weight. The Gram indices of Q and of H = Q + A'A / noise with the root
+    relabelled last, as ``_precision_loglik`` factors them: Q's triplets are
+    the first ``b_cols.size * b_cols.shape[1]`` of H's.
+    """
+
+    nodes: int
+    piece_edge: np.ndarray
+    piece_length: np.ndarray
+    b_cols: np.ndarray
+    b_pick: np.ndarray
+    a_cols: np.ndarray
+    a_vals: np.ndarray
+    h_rows: np.ndarray
+    h_cols: np.ndarray
+
+
+def _grounded_rows(base, a, b):
     """Rows w_a x_a + w_b x_b in the coordinates x_i = z_0 + z_base[i] + z_i
-    (the grounding map), as the pieces of edge of ``_cut_graph`` add them.
+    (the grounding map), as the pieces of edge of ``_cut_graph`` add them,
+    before their weights are known.
 
     Node 0's coordinate is z_0 alone, and base 0 means no base, so column 0
     carries every row's sum and a difference row none of it. Equal columns
-    within a row are added before anything else, so a difference row
-    across a node and its base loses that column exactly. Returns (cols,
-    vals) with one column per slot that is ever non-zero.
+    within a row are added, so a difference row across a node and its base
+    loses that column exactly. A node is never its own base and a row's two
+    nodes differ unless it is a loop's, so no slot takes more than one
+    other, and every entry is 0, w_a, w_b or w_a + w_b. Returns (cols,
+    pick) with one column per slot that is ever non-zero: pick indexes the
+    entries in [0, w_a, w_b, w_a + w_b] (``_piece_values``).
     """
+    r = a.size
     cols = np.stack([np.zeros_like(a), base[a], a, base[b], b], axis=1)
-    vals = np.stack([w_a + w_b, w_a, w_a, w_b, w_b], axis=1)
-    vals[:, 1:][cols[:, 1:] == 0] = 0.0
+    kind = np.tile([3, 1, 1, 2, 2], (r, 1))  # 0 none, 1 w_a, 2 w_b, 3 w_a + w_b
+    kind[:, 1:][cols[:, 1:] == 0] = 0
     for i, k in ((1, 3), (1, 4), (2, 3), (2, 4)):
         same = (cols[:, i] == cols[:, k]) & (cols[:, k] != 0)
-        if same.any():
-            vals[same, i] += vals[same, k]
-            vals[same, k] = 0.0
-            cols[same, k] = 0
+        kind[same, i] = 3
+        kind[same, k] = 0
+        cols[same, k] = 0
     live = cols.any(axis=0)
     live[0] = True
-    return cols[:, live], vals[:, live]
+    pick = np.where(kind == 0, 0, 1 + (kind - 1) * r + np.arange(r)[:, None])
+    return cols[:, live], pick[:, live]
 
 
-def _cut_graph(g: MetricGraph, m: FieldModel, pts) -> _CutGraph:
-    """The Markov field at the vertices and the distinct points of ``pts``.
-
-    Cutting every edge at the points leaves pieces of edge whose laws given
-    their ends do not depend on the rest of the graph, so each piece adds
-    the two rows of ``_segment_weights`` between its end nodes; an edge
-    with no point is one piece. Nodes 0 .. |V|-1 are the vertices and the
-    distinct interior points follow, sorted by (edge, t).
-
-    The coordinates are ``_vertex_cov``'s grounded ones, x = z_0 (1, ...,
-    1) + (0, z_1, ...), so the constant mode keeps full accuracy at small
-    kappa. A piece shorter than ``_CLUSTER_GAP`` times its edge would do to
-    its end nodes what the constant mode does to the vertices: its
-    difference row, of weight about 1/length, swamps every other term at
-    those nodes. Such pieces join their nodes into clusters, each with one
-    base (the vertex in it, else its first point), and a point in a
-    cluster is written relative to its base, x_p = x_base + z_p, so the
-    stiff row reads z_p alone.
-    """
-    _require_alpha_one(m)
-    _, j, t, u, v, ell = _point_arrays(g, pts)
-    ec = _edge_constants(g, m)
-    vertex, first, rank = _distinct_points(j, t, u, v, ell)
+@lru_cache(maxsize=CACHE_SIZE)
+def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
+    """The layout of the cut graph of ``g`` at the points whose validated
+    edge indices and arclengths (``_point_arrays``) have the bytes
+    ``j_key`` and ``t_key``; see ``_cut_graph``."""
+    j = np.frombuffer(j_key, dtype=np.intp)
+    t = np.frombuffer(t_key, dtype=float)
+    u, v, length = g._edge_arrays
+    ell = length[j]
+    vertex, first, rank = _distinct_points(j, t, u[j], v[j], ell)
     nv, k = g.vertex_count, first.size
     pj, pt, pl, pos = j[first], t[first], ell[first], np.arange(k)
     # the first and the last point on each edge, in (edge, t) order
@@ -567,23 +594,16 @@ def _cut_graph(g: MetricGraph, m: FieldModel, pts) -> _CutGraph:
     base = np.zeros(nv + k, dtype=np.intp)
     base[nv:] = np.where(
         run_first < edge_first,
-        ec.u[pj],
-        np.where(run_last > edge_last, ec.v[pj], np.where(run_first == pos, 0, nv + run_first)),
+        u[pj],
+        np.where(run_last > edge_last, v[pj], np.where(run_first == pos, 0, nv + run_first)),
     )
     touched = np.zeros(g.edge_count, dtype=bool)
     touched[pj] = True
     free = np.flatnonzero(~touched)
     node = nv + pos
-    a = np.concatenate([np.where(starts, ec.u[pj], node - 1), node[ends], ec.u[free]])
-    b = np.concatenate([node, ec.v[pj[ends]], ec.v[free]])
-    e = np.concatenate([pj, pj[ends], free])
-    w_sum, w_diff = _segment_weights(
-        ec.kt[e], ec.scale[e], np.concatenate([gap_in, gap_end, ec.length[free]])
-    )
-    b_cols, b_vals = _grounded_rows(
-        base, np.concatenate([a, a]), np.concatenate([b, b]),
-        np.concatenate([w_sum, w_diff]), np.concatenate([w_sum, -w_diff]),
-    )
+    a = np.concatenate([np.where(starts, u[pj], node - 1), node[ends], u[free]])
+    b = np.concatenate([node, v[pj[ends]], v[free]])
+    b_cols, b_pick = _grounded_rows(base, np.concatenate([a, a]), np.concatenate([b, b]))
     # an observation at node i reads x_i = z_0 + z_base[i] + z_i: columns
     # (0, base[i], i) with weights (1, base[i] != 0, i != 0), and a column
     # that is 0 in every row dropped as in ``_grounded_rows``
@@ -592,12 +612,77 @@ def _cut_graph(g: MetricGraph, m: FieldModel, pts) -> _CutGraph:
     a_cols = a_cols[:, a_cols.any(axis=0) | [True, False, False]]
     a_vals = (a_cols != 0).astype(float)
     a_vals[:, 0] = 1.0
-    return _CutGraph(nv + k, b_cols, b_vals, a_cols, a_vals)
+    # every observation row puts weight 1 / noise on the root coordinate
+    # z_0: relabelled last, it is eliminated last by the dense factor
+    nodes = nv + k
+    label = np.arange(-1, nodes - 1)
+    label[0] = nodes - 1
+    h_rows, h_cols = (np.concatenate(z) for z in zip(_gram(label[b_cols]), _gram(label[a_cols])))
+    out = _Layout(nodes, np.concatenate([pj, pj[ends], free]),
+                  np.concatenate([gap_in, gap_end, length[free]]), b_cols, b_pick,
+                  a_cols, a_vals, h_rows, h_cols)
+    for arr in out[1:]:
+        arr.flags.writeable = False
+    return out
+
+
+def _layout_of(g: MetricGraph, m: FieldModel, pts) -> tuple[_Layout, bool]:
+    """The layout of the cut graph at ``pts`` and whether this call built
+    it. The model and the points are checked on every call; the cache key
+    is made of the validated arrays' bytes, never of the caller's objects.
+    The flag reads the cache's miss count, so under threads it may count
+    another thread's build; only the DEBUG line reads it."""
+    _require_alpha_one(m)
+    _, j, t, *_ = _point_arrays(g, pts)
+    misses = _layout.cache_info().misses
+    layout = _layout(g, j.tobytes(), t.tobytes())
+    return layout, _layout.cache_info().misses > misses
+
+
+def _piece_values(layout: _Layout, g: MetricGraph, m: FieldModel) -> np.ndarray:
+    """B's values: each piece's two ``_segment_weights`` rows, (w_sum,
+    w_sum) and (w_diff, -w_diff) at its (start, end) node, laid out by
+    ``_grounded_rows``."""
+    ec = _edge_constants(g, m)
+    e = layout.piece_edge
+    w_sum, w_diff = _segment_weights(ec.kt[e], ec.scale[e], layout.piece_length)
+    w_a = np.concatenate([w_sum, w_diff])
+    w_b = np.concatenate([w_sum, -w_diff])
+    return np.concatenate([[0.0], w_a, w_b, w_a + w_b])[layout.b_pick]
+
+
+def _cut_graph(g: MetricGraph, m: FieldModel, pts) -> _CutGraph:
+    """The Markov field at the vertices and the distinct points of ``pts``.
+
+    Cutting every edge at the points leaves pieces of edge whose laws given
+    their ends do not depend on the rest of the graph, so each piece adds
+    the two rows of ``_segment_weights`` between its end nodes; an edge
+    with no point is one piece. Nodes 0 .. |V|-1 are the vertices and the
+    distinct interior points follow, sorted by (edge, t).
+
+    The coordinates are ``_vertex_cov``'s grounded ones, x = z_0 (1, ...,
+    1) + (0, z_1, ...), so the constant mode keeps full accuracy at small
+    kappa. A piece shorter than ``_CLUSTER_GAP`` times its edge would do to
+    its end nodes what the constant mode does to the vertices: its
+    difference row, of weight about 1/length, swamps every other term at
+    those nodes. Such pieces join their nodes into clusters, each with one
+    base (the vertex in it, else its first point), and a point in a
+    cluster is written relative to its base, x_p = x_base + z_p, so the
+    stiff row reads z_p alone.
+
+    Which nodes and which entries there are depends on the graph and the
+    points alone: that is the cached ``_layout``, and only B's values
+    (``_piece_values``) are computed for the model.
+    """
+    layout, _ = _layout_of(g, m, pts)
+    return _CutGraph(layout.nodes, layout.b_cols, _piece_values(layout, g, m),
+                     layout.a_cols, layout.a_vals)
 
 
 def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     """``inference.loglik`` of the exact field through the precision of its
-    cut graph: (value, node count, the factor's method).
+    cut graph: (value, node count, the factor's method, and whether the
+    layout was ``"reused"`` or ``"built"``).
 
     With the field x at the nodes of ``_cut_graph`` (precision Q = B'B) and
     y = A x + noise, H = Q + A'A / noise_var and b = A'y / noise_var:
@@ -609,27 +694,28 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     is the minimum over x of |y - A x|^2 / noise_var + x'Qx. It equals
     y'y / noise_var - b'mu, but as a sum of two non-negative terms it does
     not lose digits to that difference at small noise. No n x n covariance
-    and no |V| x |V| table is formed.
+    and no |V| x |V| table is formed. Q and H are factored with the root
+    last (``_Layout``): node i is their row i - 1, and the root their last.
     """
-    cut = _cut_graph(g, m, obs)
-    # every observation row puts weight 1 / noise_var on the root coordinate
-    # z_0: renumbered last, it is eliminated last by the dense factor
-    nodes = cut.nodes
-    label = np.arange(-1, nodes - 1)
-    label[0] = nodes - 1
-    b_cols, a_cols = label[cut.b_cols], label[cut.a_cols]
-    q = _gram(b_cols, cut.b_vals)
-    h = [np.concatenate(z) for z in zip(q, _gram(a_cols, cut.a_vals, 1.0 / noise_var))]
-    q_factor = _spd_factor(*q, nodes)
-    h_factor = _spd_factor(*h, nodes)
-    b = np.bincount(a_cols.ravel(), (cut.a_vals * y[:, None]).ravel(), minlength=nodes)
-    mu = h_factor.solve(b / noise_var)
-    resid = y - np.sum(cut.a_vals * mu[a_cols], axis=1)
-    prior = np.sum(cut.b_vals * mu[b_cols], axis=1)
+    layout, built = _layout_of(g, m, obs)
+    nodes = layout.nodes
+    b_vals = _piece_values(layout, g, m)
+    q_vals = _gram_values(b_vals)
+    nq = q_vals.size
+    q_factor = _spd_factor(layout.h_rows[:nq], layout.h_cols[:nq], q_vals, nodes)
+    h_vals = np.concatenate([q_vals, (1.0 / noise_var) * _gram_values(layout.a_vals)])
+    h_factor = _spd_factor(layout.h_rows, layout.h_cols, h_vals, nodes)
+    b = np.bincount(layout.a_cols.ravel(), (layout.a_vals * y[:, None]).ravel(),
+                    minlength=nodes)
+    mu = h_factor.solve(np.concatenate((b[1:], b[:1])) / noise_var)
+    mu = np.concatenate((mu[-1:], mu[:-1]))  # the root back first
+    resid = y - np.sum(layout.a_vals * mu[layout.a_cols], axis=1)
+    prior = np.sum(b_vals * mu[layout.b_cols], axis=1)
     n = len(y)
     quad = float(resid @ resid) / noise_var + float(prior @ prior)
     logdet = n * np.log(noise_var) + h_factor.logdet - q_factor.logdet
-    return -0.5 * (quad + logdet + n * np.log(2.0 * np.pi)), nodes, h_factor.method
+    return (-0.5 * (quad + logdet + n * np.log(2.0 * np.pi)), nodes, h_factor.method,
+            "built" if built else "reused")
 
 
 def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:

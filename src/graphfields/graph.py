@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .errors import (
     DanglingEndpointError,
@@ -407,6 +407,33 @@ def vertex_distance_matrix(g: MetricGraph) -> np.ndarray:
     return dist
 
 
+#: ``_edges_are_geodesics`` runs Dijkstra from this many sources at a time
+_DIJKSTRA_BLOCK = 256
+
+
+def _edges_are_geodesics(g: MetricGraph) -> bool:
+    """Whether every edge's length is, within 1e-12 relative, the geodesic
+    distance between its ends, for a graph with no loop and no multi-edge.
+
+    No path longer than the longest edge decides anything, so Dijkstra runs
+    from the edge starts with that limit, a block of sources at a time,
+    and never forms the all-pairs table.
+    """
+    u, v, length = g._edge_arrays
+    n = g.vertex_count
+    adjacency = csr_matrix((length, (u, v)), shape=(n, n))
+    sources, row = np.unique(u, return_inverse=True)
+    limit = length.max()
+    for lo in range(0, sources.size, _DIJKSTRA_BLOCK):
+        dist = dijkstra(adjacency, directed=False, indices=sources[lo:lo + _DIJKSTRA_BLOCK],
+                        limit=limit)
+        mine = (row >= lo) & (row < lo + _DIJKSTRA_BLOCK)
+        ell = length[mine]
+        if np.any(np.abs(dist[row[mine] - lo, v[mine]] - ell) > 1e-12 * np.maximum(1.0, ell)):
+            return False
+    return True
+
+
 def classify(g: MetricGraph) -> GraphClass:
     """Compute structural flags.
 
@@ -421,14 +448,7 @@ def classify(g: MetricGraph) -> GraphClass:
     has_multi = len(pairs) != len(set(pairs)) or len(loop_vs) != len(set(loop_vs))
     tree = (not has_loops) and g.edge_count == g.vertex_count - 1
 
-    euclidean = not has_loops and not has_multi
-    if euclidean:
-        dist = vertex_distance_matrix(g)
-        for e in g.edges:
-            tol = 1e-12 * max(1.0, e.length)
-            if abs(dist[e.u, e.v] - e.length) > tol:
-                euclidean = False
-                break
+    euclidean = not has_loops and not has_multi and _edges_are_geodesics(g)
 
     cycle = (
         euclidean

@@ -18,12 +18,15 @@ location.
 precision route, ``exact._precision_loglik``: the field at the vertices and
 the observation points is a Gaussian Markov field with a sparse precision,
 which ``exact`` builds and factors beside its rows, and neither the n x n
-covariance nor the |V| x |V| vertex table is formed. That route also keeps
+covariance nor the |V| x |V| vertex table is formed. Its layout depends on
+the graph and the points alone and is cached, so a sweep over the model at
+fixed points recomputes only the weights and the factors, and the DEBUG
+line says whether the layout was built or reused. That route also keeps
 full accuracy at small kappa, where the dense route's Cholesky of
-C + noise I loses the O(1) part of C under its 1/(kappa^2 |Gamma|) constant
-mode. Zero noise, every other source and ``krige`` take the dense route
-through the joint covariance. This module chooses the route and logs it at
-DEBUG on ``graphfields.inference``, once per call.
+C + noise I loses the O(1) part of C under its 1/(kappa^2 |Gamma|)
+constant mode. Zero noise, every other source and ``krige`` take the dense
+route through the joint covariance. This module chooses the route and logs
+it at DEBUG on ``graphfields.inference``, once per call.
 """
 from __future__ import annotations
 
@@ -199,7 +202,8 @@ def loglik(
     source = inspect.unwrap(cov_source)
     if noise_var > 0.0 and isinstance(source, _ExactSource):
         value, *how = exact._precision_loglik(source.g, source.m, obs_pts, y, noise_var)
-        _log.debug("loglik: precision route, %d points, %d nodes, %s", len(obs_pts), *how)
+        _log.debug("loglik: precision route, %d points, %d nodes, %s, layout %s",
+                   len(obs_pts), *how)
         return value
     _log.debug("loglik: dense route, %d points (%s)", len(obs_pts),
                "zero noise" if noise_var == 0.0 else "source is not exact")

@@ -95,7 +95,6 @@ class ResistanceStructure:
     _r_v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: True or 1.0 must not hit root 1
 def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     """Build the grounded vertex Laplacian, its inverse and R_V.
 
@@ -108,13 +107,24 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     Then ``linv`` = 1 + G is exactly the inverse of the Laplacian with +1
     at v0, and R_V = diag(G) + diag(G)' - 2 G never passes through that
     constant 1.
+
+    ``v0`` is checked as a count on every call (True or 1.0 is rejected),
+    and the structure is cached on (g, int v0), so ``(g)``, ``(g, 0)`` and
+    ``(g, v0=0)`` share one entry; ``resistance_structure.cache_info()``
+    reports that cache.
     """
+    v0 = _count(v0, "root vertex", 0, g.vertex_count - 1, error=UnsupportedGraphError)
+    return _resistance_structure(g, v0)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _resistance_structure(g: MetricGraph, v0: int) -> ResistanceStructure:
+    """``resistance_structure`` for a root already checked as a count."""
     if not classify(g).euclidean_edges:
         raise UnsupportedGraphError(
             "resistance metric requires a graph with Euclidean edges"
         )
     n = g.vertex_count
-    v0 = _count(v0, "root vertex", 0, n - 1, error=UnsupportedGraphError)
     u, v, length = g._edge_arrays
     w = 1.0 / length
     c = np.zeros((n, n))
@@ -133,6 +143,9 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     for arr in (c, lap, linv, r_v):
         arr.flags.writeable = False
     return ResistanceStructure(v0, c, lap, linv, r_v)
+
+
+resistance_structure.cache_info = _resistance_structure.cache_info
 
 
 def _resistance_matrix(

@@ -1053,7 +1053,8 @@ def test_kirchhoff_residual_needs_fine_mesh(unit_star):
 # --- ownership of the cut graph ---------------------------------------------
 
 #: the cut graph's rows and everything that reads them live in ``exact``
-_CUT_GRAPH_NAMES = {"_cut_graph", "_CutGraph", "_grounded_rows", "_gram", "_DENSE_SAMPLE_MAX"}
+_CUT_GRAPH_NAMES = {"_cut_graph", "_CutGraph", "_grounded_rows", "_gram", "_DENSE_SAMPLE_MAX",
+                    "_layout", "_Layout", "_layout_of", "_piece_values", "_gram_values"}
 
 
 def _names(tree):

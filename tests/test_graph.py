@@ -27,7 +27,7 @@ from graphfields.graph import (
 )
 from graphfields.metrics import geodesic_distance
 
-from conftest import random_point
+from conftest import grid, random_point
 from oracles import mesh_rule
 
 
@@ -187,6 +187,56 @@ def test_classify_unit_cycle(circle24):
 def test_classify_loop_flags(loop_graph):
     flags = gf.classify(loop_graph)
     assert flags.has_loops and not flags.euclidean_edges and not flags.tree
+
+
+def _triangle(third):
+    return MetricGraph(3, (Edge("a", 0, 1, 1.0), Edge("b", 1, 2, 1.0), Edge("c", 0, 2, third)))
+
+
+def _grid_with_shortcut(side, v, length):
+    """A side x side grid of unit edges plus an edge from v to v + 2."""
+    return MetricGraph(side * side, grid(side).edges + (Edge("x", v, v + 2, length),))
+
+
+#: graphs without loops or multi-edges, and whether every edge is a geodesic
+EUCLIDEAN_VERDICTS = {
+    "interval": (lambda: gf.interval(2.5), True),
+    "circle": (lambda: gf.circle(2.0, 4), True),
+    "star": (lambda: gf.star([0.5, 1.0, 1.5]), True),
+    "tadpole": (lambda: gf.tadpole(2.0, 1.0), True),
+    "figure-eight": (lambda: gf.figure_eight(1.0, 2.0), True),
+    "grid-10": (lambda: grid(10), True),
+    # the long edge is cut short by the two-edge path
+    "shortcut": (lambda: _triangle(3.0), False),
+    # an edge exactly as long as the path, one inside the 1e-12 relative
+    # slack and one outside it
+    "tight": (lambda: _triangle(2.0), True),
+    "tight-slack": (lambda: _triangle(2.0 + 1e-12), True),
+    "just-long": (lambda: _triangle(2.0 + 5e-12), False),
+    # 289 sources: the shortcut's start lies in the second block of 256
+    "grid-17-shortcut": (lambda: _grid_with_shortcut(17, 280, 3.0), False),
+    "grid-17-tight": (lambda: _grid_with_shortcut(17, 280, 2.0), True),
+}
+
+
+@pytest.mark.parametrize("name", list(EUCLIDEAN_VERDICTS))
+def test_classify_matches_the_all_pairs_verdict(name):
+    make, want = EUCLIDEAN_VERDICTS[name]
+    g = make()
+    dist = vertex_distance_matrix(g)
+    all_pairs = all(abs(dist[e.u, e.v] - e.length) <= 1e-12 * max(1.0, e.length)
+                    for e in g.edges)
+    assert gf.classify(g).euclidean_edges == all_pairs == want
+
+
+def test_classify_forms_no_all_pairs_table(monkeypatch):
+    def spy(g):
+        raise AssertionError("classify read the all-pairs distance table")
+
+    monkeypatch.setattr(graph_module, "vertex_distance_matrix", spy)
+    assert gf.classify(grid(10)).euclidean_edges
+    assert not gf.classify(_grid_with_shortcut(17, 280, 3.0)).euclidean_edges
+    assert gf.resistance_structure(gf.star([0.25, 0.5, 0.75])).root == 0
 
 
 def test_one_sum_of_intervals_is_path():

@@ -3,12 +3,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfields as gf
-from graphfields import FieldModel, NotPositiveDefiniteError, ValidationError, exact, sampling
+from graphfields import (
+    Edge,
+    FieldModel,
+    MetricGraph,
+    NotPositiveDefiniteError,
+    PointOnGraph,
+    ValidationError,
+    exact,
+    sampling,
+)
+from graphfields.graph import CACHE_SIZE
 from graphfields.inference import exact_cov_source, krige, loglik
 
-from conftest import grid
+from conftest import grid, random_point
 from oracles import circle_loglik_mp, dense_loglik
 
 
@@ -330,6 +342,143 @@ def test_precision_route_on_cluster_bases_matches_mpmath_at_small_kappa(name, ki
     assert got == pytest.approx(want, rel=1e-12)
 
 
+# --- the cut graph's layout, cached per set of points --------------------------
+
+
+def _bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _cold_and_warm(g, pts, y, models, noises):
+    """``_precision_loglik`` for every model and noise, first with the
+    layout cache cleared before each call, then with the layout built once
+    by a model outside the list, which every warm call must reuse."""
+    cold = []
+    for m in models:
+        for noise in noises:
+            exact._layout.cache_clear()
+            value, *_, how = exact._precision_loglik(g, m, pts, y, noise)
+            assert how == "built"
+            cold.append(value)
+    exact._layout.cache_clear()
+    exact._precision_loglik(g, FieldModel(kappa=3.0, tau=1.3), pts, y, 0.5)
+    warm = []
+    for m in models:
+        for noise in noises:
+            value, *_, how = exact._precision_loglik(g, m, pts, y, noise)
+            assert how == "reused"
+            warm.append(value)
+    return cold, warm
+
+
+@pytest.mark.parametrize("kind", CLUSTER_KINDS)
+@pytest.mark.parametrize("name", list(ROUTE_GRAPHS))
+def test_layout_cache_keeps_every_likelihood_byte(name, kind):
+    g = ROUTE_GRAPHS[name]()
+    rng = np.random.default_rng(8)
+    pts = _cluster_points(g, kind, rng)
+    y = rng.normal(size=len(pts))
+    models = [FieldModel(kappa=k, tau=tau) for k, tau in ((1e-6, 1.0), (1.0, 0.7), (1e3, 2.0))]
+    models += [_per_edge_model(g, k) for k in (1e-6, 1.0, 1e3)]
+    cold, warm = _cold_and_warm(g, pts, y, models, (1e-8, 0.01))
+    assert np.all(np.isfinite(cold))
+    assert _bytes(cold) == _bytes(warm)
+
+
+def test_layout_cache_is_bounded():
+    g = gf.tadpole(2.0, 1.0)
+    source = exact_cov_source(g, FieldModel(kappa=1.5))
+    rng = np.random.default_rng(20)
+    misses = exact._layout.cache_info().misses
+    for k in range(20):
+        pts = [random_point(g, rng) for _ in range(5 + k)]
+        loglik(source, pts, rng.normal(size=len(pts)), 0.01)
+    info = exact._layout.cache_info()
+    assert info.misses - misses == 20
+    assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE
+
+
+def test_layout_is_never_reused_for_other_points():
+    g = gf.figure_eight(1.0, 2.0)
+    m = FieldModel(kappa=1.5)
+    rng = np.random.default_rng(21)
+    origin = PointOnGraph(g.edges[0].id, 0.0)
+    pts = [random_point(g, rng) for _ in range(12)] + [origin]
+    y = rng.normal(size=len(pts))
+    # one point 1 ulp further along its edge; the vertex at -0.0, not 0.0
+    moved = list(pts)
+    moved[5] = PointOnGraph(pts[5].edge, float(np.nextafter(pts[5].t, np.inf)))
+    signed = pts[:-1] + [PointOnGraph(origin.edge, -0.0)]
+
+    def cold(points):
+        exact._layout.cache_clear()
+        return exact._precision_loglik(g, m, points, y, 0.01)[0]
+
+    want = {key: cold(points) for key, points in
+            (("pts", pts), ("moved", moved), ("signed", signed))}
+    exact._layout.cache_clear()
+    mutated = list(pts)
+    value, *_, how = exact._precision_loglik(g, m, mutated, y, 0.01)
+    assert (how, _bytes(value)) == ("built", _bytes(want["pts"]))
+    mutated[5] = moved[5]  # the same list, changed in place
+    value, *_, how = exact._precision_loglik(g, m, mutated, y, 0.01)
+    assert (how, _bytes(value)) == ("built", _bytes(want["moved"]))
+    value, *_, how = exact._precision_loglik(g, m, signed, y, 0.01)
+    assert (how, _bytes(value)) == ("built", _bytes(want["signed"]))
+    value, *_, how = exact._precision_loglik(g, m, pts, y, 0.01)
+    assert (how, _bytes(value)) == ("reused", _bytes(want["pts"]))
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
+    "a point nearer a vertex than the smallest normal double makes a piece "
+    "whose difference-row weight sqrt(c coth(x / 2) / 2) overflows"))
+def test_precision_route_at_a_subnormal_gap():
+    g = ROUTE_GRAPHS["loop"]()
+    pts = [g.point("loop", 2.2e-313)]
+    source = exact_cov_source(g, FieldModel())
+    got = loglik(source, pts, [0.3], 1e-4)
+    assert got == pytest.approx(loglik(_dense(source), pts, [0.3], 1e-4), rel=1e-12)
+
+
+#: fractions of an edge that put points at its ends, within 1e-12 and 1e-4
+#: of them (clusters with a vertex base) and of each other (a point base)
+_FRACTIONS = [0.0, 1.0, 1e-12, 1e-4, 1.0 - 1e-12, 1.0 - 1e-4, 0.5, 0.5 + 1e-12, 0.5 + 1e-4]
+
+
+@st.composite
+def _graphs_with_points(draw):
+    """A connected multigraph of 1-6 vertices (loops and multi-edges
+    allowed) with clustered, repeated and vertex points."""
+    nv = draw(st.integers(1, 6))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    ends += draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                          min_size=1 if nv == 1 else 0, max_size=3))
+    lengths = draw(st.lists(st.floats(1e-3, 1e2), min_size=len(ends), max_size=len(ends)))
+    g = MetricGraph(nv, tuple(Edge(f"e{k}", u, v, ell)
+                              for k, ((u, v), ell) in enumerate(zip(ends, lengths))))
+    picks = draw(st.lists(st.tuples(st.integers(0, g.edge_count - 1),
+                                    # no subnormal gap at a vertex: see the xfail above
+                                    st.sampled_from(_FRACTIONS) | st.floats(1e-300, 1.0)),
+                          min_size=1, max_size=14))
+    pts = [g.point(g.edges[k].id, frac * g.edges[k].length) for k, frac in picks]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    kappa = 10.0 ** draw(st.floats(-3.0, 3.0))
+    noise = draw(st.sampled_from([1e-4, 0.01, 1.0]))
+    return g, pts, kappa, noise
+
+
+# on a failure, hypothesis writes a patch with libcst, whose import warns
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_graphs_with_points())
+def test_layout_cache_keeps_the_bytes_on_random_graphs(case):
+    g, pts, kappa, noise = case
+    y = np.random.default_rng(len(pts)).normal(size=len(pts))
+    models = [FieldModel(kappa=kappa), _per_edge_model(g, kappa)]
+    cold, warm = _cold_and_warm(g, pts, y, models, (noise,))
+    assert _bytes(cold) == _bytes(warm)
+
+
 def _small_batch_circle():
     """small-batch's circle: four edges, 40 observations, noise 0.01; the
     arclength p of a point is exactly 0.5 k + t on edge k."""
@@ -379,16 +528,20 @@ def test_krige_likelihood_matches_mpmath_at_tiny_kappa():
 
 def test_loglik_logs_its_route(unit_star, star_source, caplog):
     obs = [unit_star.point("e0", 0.3), unit_star.point("e1", 1.0)]
+    exact._layout.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
         loglik(star_source, obs, [1.0, 2.0], 0.1)
         loglik(star_source, obs, [1.0, 2.0], 0.0)
         loglik(_dense(star_source), obs, [1.0, 2.0], 0.1)
-    assert [r.name for r in caplog.records] == ["graphfields.inference"] * 3
-    precision, zero, other = (r.getMessage() for r in caplog.records)
-    # the star's 4 vertices plus the one interior point
-    assert precision == "loglik: precision route, 2 points, 5 nodes, dense Cholesky"
+        loglik(exact_cov_source(unit_star, FieldModel(kappa=2.0)), obs, [1.0, 2.0], 0.1)
+    assert [r.name for r in caplog.records] == ["graphfields.inference"] * 4
+    precision, zero, other, again = (r.getMessage() for r in caplog.records)
+    # the star's 4 vertices plus the one interior point; the second model
+    # at the same points reuses the layout the first built
+    assert precision == "loglik: precision route, 2 points, 5 nodes, dense Cholesky, layout built"
     assert zero == "loglik: dense route, 2 points (zero noise)"
     assert other == "loglik: dense route, 2 points (source is not exact)"
+    assert again == "loglik: precision route, 2 points, 5 nodes, dense Cholesky, layout reused"
 
 
 def test_loglik_memory_stays_far_below_the_dense_covariance():

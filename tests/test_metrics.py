@@ -65,6 +65,22 @@ def test_resistance_structure_is_positive_definite(fig8):
     assert np.linalg.eigvalsh(rs.laplacian)[0] > 0.0
 
 
+def test_resistance_structure_call_forms_share_one_entry():
+    g = gf.star([0.3, 0.7, 1.9])
+    before = resistance_structure.cache_info()
+    rs = resistance_structure(g)
+    for same in (resistance_structure(g, 0), resistance_structure(g, v0=0),
+                 resistance_structure(g, np.int64(0))):
+        assert same is rs
+    after = resistance_structure.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
+    # a bool or a float is never read as a root, not even from the cache
+    for bad in (True, 1.0, False, 0.0):
+        with pytest.raises(UnsupportedGraphError):
+            resistance_structure(g, bad)
+    assert resistance_structure(g, 1).root == 1
+
+
 def test_resistance_rejects_non_euclidean(loop_graph, multi_graph):
     for g in (loop_graph, multi_graph):
         with pytest.raises(UnsupportedGraphError):
