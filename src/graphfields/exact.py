@@ -18,9 +18,9 @@ a Gaussian Markov random field whose precision Q = sum_e A_e' Sigma_e^{-1}
 A_e is sparse (Bolin, Simas & Wallin, "Gaussian Whittle-Matern fields on
 metric graphs"), A_e picking edge e's two end vertices. S_V = Q^{-1} comes
 from solves with the sparse factor of Q in grounded coordinates (the rows
-of ``_cut_graph`` with no points), and the covariance at any points is
-C = Phi S_V Phi' + bridges, with Phi the sparse matrix of G1, G2 values at
-each point's two end vertices. The dense route (``endpoint_prior_cov``,
+of the cut graph, ``_layout``, at no points), and the covariance at any
+points is C = Phi S_V Phi' + bridges, with Phi the sparse matrix of G1, G2
+values at each point's two end vertices. The dense route (``endpoint_prior_cov``,
 ``continuity_constraints``, ``condition_on_constraints``) conditions the
 block-diagonal endpoint covariance directly; it is the reference behind
 ``full_cov(..., constraints=K)``.
@@ -28,22 +28,25 @@ block-diagonal endpoint covariance directly; it is the reference behind
 The likelihood never forms C either. Cutting every edge at the points
 leaves pieces of edge that are independent given their ends, so the field
 at the vertices and the distinct points is again a Gaussian Markov field,
-with two rows per piece in its precision (``_cut_graph``, the same rows as
-the vertex precision's). An observation reads its node's row of the
-grounding map, and ``_precision_loglik``, the precision route of
+with two rows per piece in its precision (the cut graph, ``_layout``, the
+same rows as the vertex precision's). An observation reads its node's row
+of the grounding map, and ``_precision_loglik``, the precision route of
 ``inference.loglik``, factors the sparse matrix. This module is the one
-reader of those rows: ``_gram`` turns them into the triplets that
-``sampling._spd_factor`` factors.
+reader of those rows: ``_gram`` turns them into the triplets whose pattern
+``sampling._spd_pattern`` analyses and ``sampling._spd_numeric`` factors.
 
 Which nodes the cut graph has and which entries its rows fill depend on
 the graph and the points alone; kappa, tau and a change only the values.
 So the layout (``_layout``: the pieces of edge, the columns of B and A,
-and the Gram indices of Q and H) is cached, ``graph.CACHE_SIZE`` entries
-keyed on the graph and the bytes of the validated points' edge indices
-and arclengths, with read-only arrays. A model computes only the piece
-weights (``_piece_values``) and the factors, so a likelihood sweep over
-kappa at fixed points builds the layout once. Every check still runs on
-every call. ``_vertex_cov`` reads the layout at no points.
+and the ``sampling._spd_pattern`` of H, with its fill-reducing order) is
+cached, ``graph.CACHE_SIZE`` entries keyed on the graph and the bytes of
+the validated points' edge indices and arclengths, with read-only arrays.
+Q is factored on H's pattern, so the two share one order. A model
+computes only the piece weights (``_piece_values``) and the numeric
+factors (``sampling._spd_numeric``), so a likelihood sweep over kappa at
+fixed points builds the layout and finds the order once. Every check
+still runs on every call. ``_vertex_cov`` reads the layout at no points
+the same way.
 
 Sampling has two paths, chosen by the number of distinct points alone. A
 small request takes the dense Cholesky factor of C. A larger one never
@@ -90,7 +93,7 @@ from .graph import (
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import _spd_factor, replicate_normals, safe_cholesky
+from .sampling import _Pattern, _spd_numeric, _spd_pattern, replicate_normals, safe_cholesky
 
 __all__ = [
     "neumann_edge_cov",
@@ -300,12 +303,18 @@ def condition_on_constraints(
 
     Returns sigma - sigma K' (K sigma K')^+ K sigma, where the inverse drops
     eigenvalues below ``rcond`` times the largest (redundant constraint rows
-    are fine). Raises ConditioningError when the constraint Gram matrix is
-    entirely degenerate, which signals bad input.
+    are fine). The rank kept and the count dropped are logged at DEBUG on
+    ``graphfields.exact``. Raises ConditioningError when the constraint Gram
+    matrix is entirely degenerate, which signals bad input.
     """
+    return _conditioned(sigma, constraints, rcond)[0]
+
+
+def _conditioned(sigma, constraints, rcond: float = 1e-12) -> tuple[np.ndarray, int]:
+    """``condition_on_constraints`` and the rank of the Gram inverse it kept."""
     K = np.asarray(constraints, dtype=float)
     if K.shape[0] == 0:
-        return np.array(sigma, dtype=float)
+        return np.array(sigma, dtype=float), 0
     ks = K @ sigma
     gram = ks @ K.T
     gram = 0.5 * (gram + gram.T)
@@ -313,9 +322,12 @@ def condition_on_constraints(
     if not np.all(np.isfinite(vals)) or vals[-1] <= 0.0:
         raise ConditioningError("constraint Gram matrix is singular")
     keep = vals > rcond * vals[-1]
+    rank = int(np.count_nonzero(keep))
+    _log.debug("condition_on_constraints: %d constraint rows, rank %d kept, %d dropped "
+               "below rcond %.3g", K.shape[0], rank, K.shape[0] - rank, rcond)
     inv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
     out = sigma - ks.T @ inv @ ks
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.T), rank
 
 
 def _segment_weights(kt, scale, length):
@@ -354,7 +366,7 @@ _REFINE_BLOCK = 256
 
 def _gram(cols: np.ndarray):
     """Row and column indices of the triplets of sum_r b_r b_r', as
-    ``_spd_factor`` takes them, for the rows b_r = sum_s vals[r, s]
+    ``sampling._spd_pattern`` takes them, for the rows b_r = sum_s vals[r, s]
     e_{cols[r, s]}; ``_gram_values(vals)`` gives the values in that order."""
     width = cols.shape[1]
     return np.repeat(cols, width, axis=1).ravel(), np.tile(cols, width).ravel()
@@ -370,14 +382,15 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     """Vertex covariance S_V = Q^{-1}, the per-edge constants behind it, and
     the factor's method and smallest pivot.
 
-    Q = B'B for the rows of ``_cut_graph(g, m, [])``, one pair of
+    Q = B'B for the rows of the cut graph at no points, one pair of
     ``_segment_weights`` rows per edge, in the grounded coordinates
     x = z_0 (1, ..., 1) + (0, z_1, ...). There column 0 of B is B 1, which
     the difference rows annihilate exactly: the constant vector's
     precision, made of the tanh terms alone, never mixes with the coth
     terms, so the constant mode that dominates S_V at small kt L keeps full
-    relative accuracy although ``sampling._spd_factor`` forms Q. Solves for
-    the identity give Cov(z), and x = z_0 1 + z maps it to the vertices.
+    relative accuracy although ``sampling._spd_numeric`` forms Q, on the
+    pattern the layout at no points keeps. Solves for the identity give
+    Cov(z), and x = z_0 1 + z maps it to the vertices.
 
     One step of iterative refinement mends the root's entry on large
     graphs at kt L of order one. z_0 couples to every vertex: its diagonal
@@ -390,13 +403,15 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     ``_REFINE_BLOCK`` columns; a residual through the formed Q would carry
     the same cancellation.
     """
-    cut = _cut_graph(g, m, [])
-    factor = _spd_factor(*_gram(cut.b_cols), _gram_values(cut.b_vals), cut.nodes)
-    sv = factor.solve(np.eye(cut.nodes))
-    rows, width = cut.b_cols.shape
-    b = csr_array((cut.b_vals.ravel(), cut.b_cols.ravel(), np.arange(0, rows * width + 1, width)),
-                  shape=(rows, cut.nodes))
-    for lo in range(0, cut.nodes, _REFINE_BLOCK):
+    layout, _ = _layout_of(g, m, [])
+    b_vals = _piece_values(layout, g, m)
+    factor = _spd_numeric(layout.h_pattern, _gram_values(b_vals))
+    nodes = layout.nodes
+    sv = factor.solve(np.eye(nodes))
+    rows, width = layout.b_cols.shape
+    b = csr_array((b_vals.ravel(), layout.b_cols.ravel(), np.arange(0, rows * width + 1, width)),
+                  shape=(rows, nodes))
+    for lo in range(0, nodes, _REFINE_BLOCK):
         block = slice(lo, lo + _REFINE_BLOCK)
         resid = -(b.T @ (b @ sv[:, block]))
         diag = np.arange(resid.shape[1])
@@ -446,7 +461,8 @@ def full_cov(
     are the 2|E| edge endpoints.
     ``info["route"]`` is ``"vertex"`` or ``"constraints"``; the vertex route
     adds the vertex factor's method and smallest pivot, as
-    :func:`vertex_field_cov` reports them.
+    :func:`vertex_field_cov` reports them, and the constraints route the
+    ``"constraint_rank"`` that :func:`condition_on_constraints` kept.
     """
     _require_alpha_one(m)
     pts, j, t, *_ = _point_arrays(g, pts)
@@ -455,9 +471,9 @@ def full_cov(
         col_u, col_v = ec.u, ec.v
         info = {"route": "vertex", "factor": method, "min_pivot": min_pivot}
     else:
-        info = {"route": "constraints"}
         ec = _edge_constants(g, m)
-        ends = condition_on_constraints(endpoint_prior_cov(g, m), constraints)
+        ends, rank = _conditioned(endpoint_prior_cov(g, m), constraints)
+        info = {"route": "constraints", "constraint_rank": rank}
         col_u = 2 * np.arange(g.edge_count)
         col_v = col_u + 1
     weights = _basis(ec.kt[j], ec.length[j], t)
@@ -470,55 +486,47 @@ def full_cov(
     return CovMatrix(C, tuple(pts), "exact", info=info)
 
 
-def _distinct_points(j, t, u, v, ell):
+def _distinct_points(j, t, u, v, ell, merge: float = 0.0):
     """The distinct locations among points given as ``_point_arrays`` arrays.
 
     Returns (vertex, first, rank): ``vertex`` is each point's vertex, or -1
     inside an edge; ``first`` holds, for each distinct interior (edge, t)
     sorted by (edge, t), the input index of its first point; ``rank`` maps
     every interior point to its position in ``first`` (0 at vertices).
+    A point no farther than ``merge`` from an end of its edge is at that
+    end's vertex, and one no farther than ``merge`` from the point before
+    it on its edge is at that point's location; the default, 0, merges
+    equal arclengths only.
     """
-    vertex = np.where(t == 0.0, u, np.where(t == ell, v, -1))
+    vertex = np.where(t <= merge, u, np.where(ell - t <= merge, v, -1))
     inner = np.flatnonzero(vertex < 0)
     inner = inner[np.lexsort((t[inner], j[inner]))]  # stable: ties keep input order
     new = np.ones(inner.size, dtype=bool)
-    new[1:] = (j[inner[1:]] != j[inner[:-1]]) | (t[inner[1:]] != t[inner[:-1]])
+    new[1:] = (j[inner[1:]] != j[inner[:-1]]) | (t[inner[1:]] - t[inner[:-1]] > merge)
     rank = np.zeros(t.size, dtype=np.intp)
     rank[inner] = np.cumsum(new) - 1
     return vertex, inner[new], rank
 
 
 #: a piece of edge shorter than this fraction of its edge puts its two
-#: nodes in one cluster of ``_cut_graph``
+#: nodes in one cluster of the cut graph (``_layout``)
 _CLUSTER_GAP = 1e-3
-
-
-class _CutGraph(NamedTuple):
-    """The field at the vertices and the distinct points as a Markov field.
-
-    Its precision is Q = B'B and the observations are A x, both in grounded
-    coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}; B
-    has two rows per piece of edge, and A one row per input point: its
-    node's row of the grounding map. ``nodes`` is the number of coordinates.
-    """
-
-    nodes: int
-    b_cols: np.ndarray
-    b_vals: np.ndarray
-    a_cols: np.ndarray
-    a_vals: np.ndarray
 
 
 class _Layout(NamedTuple):
     """What a cut graph takes from its graph and points alone, for every
-    model (``_layout``). Every array is read-only.
+    model (``_layout``). Every array is read-only. ``nodes`` is the number
+    of coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}.
 
     The pieces of edge: ``piece_edge`` and ``piece_length``. B's columns
     ``b_cols``, and ``b_pick``, each entry's place in the weights
     ``_piece_values`` lays out. A's columns and values, which hold no
-    weight. The Gram indices of Q and of H = Q + A'A / noise with the root
-    relabelled last, as ``_precision_loglik`` factors them: Q's triplets are
-    the first ``b_cols.size * b_cols.shape[1]`` of H's.
+    weight. ``label``, node i's row and column in Q and H = Q + A'A / noise:
+    the root is relabelled last when there are observations. And
+    ``h_pattern``, the ``sampling._spd_pattern`` of H's Gram triplets, so
+    its fill-reducing order is found once per layout. Q's triplets are the
+    first ``b_cols.size * b_cols.shape[1]`` of H's, so Q is factored on
+    H's pattern with A's entries as explicit zeros, in the same order.
     """
 
     nodes: int
@@ -528,13 +536,13 @@ class _Layout(NamedTuple):
     b_pick: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
-    h_rows: np.ndarray
-    h_cols: np.ndarray
+    label: np.ndarray
+    h_pattern: _Pattern
 
 
 def _grounded_rows(base, a, b):
     """Rows w_a x_a + w_b x_b in the coordinates x_i = z_0 + z_base[i] + z_i
-    (the grounding map), as the pieces of edge of ``_cut_graph`` add them,
+    (the grounding map), as the pieces of edge of the cut graph add them,
     before their weights are known.
 
     Node 0's coordinate is z_0 alone, and base 0 means no base, so column 0
@@ -563,14 +571,44 @@ def _grounded_rows(base, a, b):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
-    """The layout of the cut graph of ``g`` at the points whose validated
-    edge indices and arclengths (``_point_arrays``) have the bytes
-    ``j_key`` and ``t_key``; see ``_cut_graph``."""
+    """The cut graph of ``g`` at the points whose validated edge indices
+    and arclengths (``_point_arrays``) have the bytes ``j_key`` and
+    ``t_key``: the field at the vertices and the distinct points as a
+    Markov field, with precision Q = B'B and observations A x, both in
+    grounded coordinates. B has two rows per piece of edge, and A one row
+    per input point: its node's row of the grounding map.
+
+    Cutting every edge at the points leaves pieces of edge whose laws given
+    their ends do not depend on the rest of the graph, so each piece adds
+    the two rows of ``_segment_weights`` between its end nodes; an edge
+    with no point is one piece. Nodes 0 .. |V|-1 are the vertices and the
+    distinct interior points follow, sorted by (edge, t).
+
+    The coordinates are ``_vertex_cov``'s grounded ones, x = z_0 (1, ...,
+    1) + (0, z_1, ...), so the constant mode keeps full accuracy at small
+    kappa. A piece shorter than ``_CLUSTER_GAP`` times its edge would do to
+    its end nodes what the constant mode does to the vertices: its
+    difference row, of weight about 1/length, swamps every other term at
+    those nodes. Such pieces join their nodes into clusters, each with one
+    base (the vertex in it, else its first point), and a point in a
+    cluster is written relative to its base, x_p = x_base + z_p, so the
+    stiff row reads z_p alone. A point within the smallest normal double
+    of a vertex or of the point before it on its edge is put at that node,
+    so no piece is shorter than that.
+
+    Which nodes and which entries there are depends on the graph and the
+    points alone: this is the layout, and only B's values
+    (``_piece_values``) are computed for a model.
+    """
     j = np.frombuffer(j_key, dtype=np.intp)
     t = np.frombuffer(t_key, dtype=float)
     u, v, length = g._edge_arrays
     ell = length[j]
-    vertex, first, rank = _distinct_points(j, t, u[j], v[j], ell)
+    # a piece of length d has a difference weight whose square is about
+    # tau^2 a / d, which overflows for d below the smallest normal double
+    # at tau^2 a of order one: a point that near the vertex or the point
+    # before it is put at that node
+    vertex, first, rank = _distinct_points(j, t, u[j], v[j], ell, np.finfo(float).tiny)
     nv, k = g.vertex_count, first.size
     pj, pt, pl, pos = j[first], t[first], ell[first], np.arange(k)
     # the first and the last point on each edge, in (edge, t) order
@@ -613,16 +651,20 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     a_vals = (a_cols != 0).astype(float)
     a_vals[:, 0] = 1.0
     # every observation row puts weight 1 / noise on the root coordinate
-    # z_0: relabelled last, it is eliminated last by the dense factor
+    # z_0: relabelled last, it is eliminated last by the dense factor. With
+    # no observation it keeps its place first, where ``_vertex_cov`` has it
     nodes = nv + k
-    label = np.arange(-1, nodes - 1)
-    label[0] = nodes - 1
+    label = np.arange(nodes)
+    if j.size:
+        label = np.roll(label, 1)
     h_rows, h_cols = (np.concatenate(z) for z in zip(_gram(label[b_cols]), _gram(label[a_cols])))
+    pattern = _spd_pattern(h_rows, h_cols, nodes)
     out = _Layout(nodes, np.concatenate([pj, pj[ends], free]),
                   np.concatenate([gap_in, gap_end, length[free]]), b_cols, b_pick,
-                  a_cols, a_vals, h_rows, h_cols)
-    for arr in out[1:]:
-        arr.flags.writeable = False
+                  a_cols, a_vals, label, pattern)
+    for arr in (*out[1:-1], *pattern[1:]):
+        if arr is not None:
+            arr.flags.writeable = False
     return out
 
 
@@ -651,40 +693,12 @@ def _piece_values(layout: _Layout, g: MetricGraph, m: FieldModel) -> np.ndarray:
     return np.concatenate([[0.0], w_a, w_b, w_a + w_b])[layout.b_pick]
 
 
-def _cut_graph(g: MetricGraph, m: FieldModel, pts) -> _CutGraph:
-    """The Markov field at the vertices and the distinct points of ``pts``.
-
-    Cutting every edge at the points leaves pieces of edge whose laws given
-    their ends do not depend on the rest of the graph, so each piece adds
-    the two rows of ``_segment_weights`` between its end nodes; an edge
-    with no point is one piece. Nodes 0 .. |V|-1 are the vertices and the
-    distinct interior points follow, sorted by (edge, t).
-
-    The coordinates are ``_vertex_cov``'s grounded ones, x = z_0 (1, ...,
-    1) + (0, z_1, ...), so the constant mode keeps full accuracy at small
-    kappa. A piece shorter than ``_CLUSTER_GAP`` times its edge would do to
-    its end nodes what the constant mode does to the vertices: its
-    difference row, of weight about 1/length, swamps every other term at
-    those nodes. Such pieces join their nodes into clusters, each with one
-    base (the vertex in it, else its first point), and a point in a
-    cluster is written relative to its base, x_p = x_base + z_p, so the
-    stiff row reads z_p alone.
-
-    Which nodes and which entries there are depends on the graph and the
-    points alone: that is the cached ``_layout``, and only B's values
-    (``_piece_values``) are computed for the model.
-    """
-    layout, _ = _layout_of(g, m, pts)
-    return _CutGraph(layout.nodes, layout.b_cols, _piece_values(layout, g, m),
-                     layout.a_cols, layout.a_vals)
-
-
 def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     """``inference.loglik`` of the exact field through the precision of its
     cut graph: (value, node count, the factor's method, and whether the
     layout was ``"reused"`` or ``"built"``).
 
-    With the field x at the nodes of ``_cut_graph`` (precision Q = B'B) and
+    With the field x at the nodes of the cut graph (precision Q = B'B) and
     y = A x + noise, H = Q + A'A / noise_var and b = A'y / noise_var:
 
         log|C + noise_var I| = n log noise_var + log|H| - log|Q|,
@@ -694,21 +708,22 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     is the minimum over x of |y - A x|^2 / noise_var + x'Qx. It equals
     y'y / noise_var - b'mu, but as a sum of two non-negative terms it does
     not lose digits to that difference at small noise. No n x n covariance
-    and no |V| x |V| table is formed. Q and H are factored with the root
-    last (``_Layout``): node i is their row i - 1, and the root their last.
+    and no |V| x |V| table is formed. Q and H are factored in the layout's
+    ``label`` order (the root last) on the layout's one pattern, so only
+    their values and numeric factors are computed here.
     """
     layout, built = _layout_of(g, m, obs)
     nodes = layout.nodes
     b_vals = _piece_values(layout, g, m)
     q_vals = _gram_values(b_vals)
-    nq = q_vals.size
-    q_factor = _spd_factor(layout.h_rows[:nq], layout.h_cols[:nq], q_vals, nodes)
+    q_factor = _spd_numeric(layout.h_pattern, q_vals)
     h_vals = np.concatenate([q_vals, (1.0 / noise_var) * _gram_values(layout.a_vals)])
-    h_factor = _spd_factor(layout.h_rows, layout.h_cols, h_vals, nodes)
+    h_factor = _spd_numeric(layout.h_pattern, h_vals)
     b = np.bincount(layout.a_cols.ravel(), (layout.a_vals * y[:, None]).ravel(),
                     minlength=nodes)
-    mu = h_factor.solve(np.concatenate((b[1:], b[:1])) / noise_var)
-    mu = np.concatenate((mu[-1:], mu[:-1]))  # the root back first
+    rhs = np.empty(nodes)
+    rhs[layout.label] = b / noise_var
+    mu = h_factor.solve(rhs)[layout.label]
     resid = y - np.sum(layout.a_vals * mu[layout.a_cols], axis=1)
     prior = np.sum(b_vals * mu[layout.b_cols], axis=1)
     n = len(y)

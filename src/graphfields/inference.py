@@ -19,9 +19,11 @@ precision route, ``exact._precision_loglik``: the field at the vertices and
 the observation points is a Gaussian Markov field with a sparse precision,
 which ``exact`` builds and factors beside its rows, and neither the n x n
 covariance nor the |V| x |V| vertex table is formed. Its layout depends on
-the graph and the points alone and is cached, so a sweep over the model at
-fixed points recomputes only the weights and the factors, and the DEBUG
-line says whether the layout was built or reused. That route also keeps
+the graph and the points alone and is cached with the sparse pattern of
+the precisions and its fill-reducing order, which Q and H share, so a
+sweep over the model at fixed points recomputes only the weights and the
+numeric factors, and the DEBUG line says whether the layout was built or
+reused. That route also keeps
 full accuracy at small kappa, where the dense route's Cholesky of
 C + noise I loses the O(1) part of C under its 1/(kappa^2 |Gamma|)
 constant mode. Zero noise, every other source and ``krige`` take the dense

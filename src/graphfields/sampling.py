@@ -4,6 +4,16 @@ precision given as triplets (``_spd_factor``, for ``exact``'s cut-graph
 precisions and ``metrics``' grounded Laplacian, each of which builds its
 own triplets).
 
+The sparse factor has two steps. The pattern step (``_spd_pattern``) reads
+the triplets' rows and columns alone: the dense or SuperLU branch, each
+triplet's slot in the assembled data, and on the SuperLU branch the
+fill-reducing order and the CSC pattern permuted by it. The numeric step
+(``_spd_numeric``) sums the values into their slots and factors. ``exact``
+keeps the pattern of a cut graph in its cached layout, so a new model pays
+only the numeric step; a one-off caller takes both through
+``_spd_factor``. This module is the one home of the sparse factor: no other
+module calls ``splu`` or another sparse factor or solve.
+
 Every dense Cholesky factor in the package comes from ``_potrf``: one
 copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
 factor L is C-contiguous, so ``L.T`` is the F-contiguous upper factor that
@@ -83,11 +93,13 @@ def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
 
 
 #: ``_spd_factor`` factors a dense matrix up to this order and uses SuperLU
-#: above it. The two took equal time between 225 and 250 nodes in the
-#: likelihood of cut graphs (figure-eight, 20- and 8-cycle bouquets;
-#: single-thread BLAS on a 2-core Xeon); the dense factor took half the
-#: time at 100 nodes and SuperLU half at 350.
-_DENSE_MAX = 225
+#: above it. In the likelihood of cut graphs at a new kappa, with the
+#: pattern and its order cached (figure-eight, 20- and 8-cycle bouquets;
+#: single-thread BLAS on a 2-core Xeon), the two took equal time between
+#: 185 and 200 nodes; the dense factor took half the time at 100-120 nodes,
+#: and SuperLU 1.3-1.4x less at 210 and 1.7-2.0x less at 225. When SuperLU
+#: found its order on every call, the two were equal at 225-250 nodes.
+_DENSE_MAX = 200
 
 class _Factor(NamedTuple):
     """log|M| of an SPD matrix M, a solve x -> M^{-1} x, the method and the
@@ -99,22 +111,77 @@ class _Factor(NamedTuple):
     min_pivot: float
 
 
-def _spd_factor(rows, cols, vals, n: int) -> _Factor:
-    """Factor the n x n SPD matrix sum of triplets (rows, cols, vals).
+class _Pattern(NamedTuple):
+    """What ``_spd_factor`` takes from the triplets' rows and columns alone
+    (``_spd_pattern``), for any values: ``slot``, each triplet's place in
+    the assembled data. The dense branch's data is the n x n matrix in C
+    order. The SuperLU branch's is the CSC data of P'MP, whose pattern is
+    ``indptr`` and ``indices``, with ``perm[i]`` the new place of row and
+    column i and ``order`` its inverse; ``perm`` is None on the dense
+    branch."""
 
-    Repeated (row, col) pairs add. Up to ``_DENSE_MAX`` the matrix is
-    assembled with ``np.bincount`` and factored by ``_potrf``, which at
-    that size is cheaper than any sparse set-up, and the solve is LAPACK
-    ``dpotrs`` on the same factor. Above it,
-    ``scipy.sparse.linalg.splu`` factors it as P'MP = L D L' with no
-    off-diagonal pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``) and
-    a minimum-degree ordering of M + M', and log|M| is the sum of log D.
-    The smallest pivot is the least D, or the least squared Cholesky
-    diagonal on the dense branch. Raises NotPositiveDefiniteError on a
-    pivot that is not positive.
+    n: int
+    slot: np.ndarray
+    perm: np.ndarray | None = None
+    order: np.ndarray | None = None
+    indptr: np.ndarray | None = None
+    indices: np.ndarray | None = None
+
+
+def _splu(mat, permc_spec: str):
+    """SuperLU's P'MP = L D L' with no off-diagonal pivoting."""
+    return splu(mat, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _spd_pattern(rows, cols, n: int) -> _Pattern:
+    """The pattern step of ``_spd_factor`` for the n x n matrix with the
+    triplet rows and columns (rows, cols) and a symmetric pattern.
+
+    Up to ``_DENSE_MAX`` it is each triplet's flat place. Above it,
+    SuperLU's minimum-degree order of M + M' is found once, from a
+    stand-in SPD matrix with the same pattern (-1 off the diagonal, one
+    more than the row's off-diagonal count on it): the order reads the
+    pattern alone. ``lu.perm_c[j]`` is the new place of column j, so the
+    pattern is stored permuted by it, as CSC.
     """
+    flat = np.asarray(rows, dtype=np.intp) * n + np.asarray(cols, dtype=np.intp)
     if n <= _DENSE_MAX:
-        chol = _potrf(np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n))
+        return _Pattern(n, flat)
+    entries, slot = np.unique(flat, return_inverse=True)
+    r, c = np.divmod(entries, n)
+    off = r != c
+    diag = np.arange(n)
+    stand_in = csc_matrix(
+        (np.concatenate([np.full(np.count_nonzero(off), -1.0),
+                         1.0 + np.bincount(r[off], minlength=n)]),
+         (np.concatenate([r[off], diag]), np.concatenate([c[off], diag]))),
+        shape=(n, n))
+    perm = _splu(stand_in, "MMD_AT_PLUS_A").perm_c.astype(np.intp)
+    r, c = perm[r], perm[c]
+    by_column = np.lexsort((r, c))  # CSC order: by column, then by row
+    place = np.empty_like(by_column)
+    place[by_column] = np.arange(by_column.size)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
+    return _Pattern(n, place[slot], perm, np.argsort(perm), indptr,
+                    r[by_column].astype(np.intc))
+
+
+def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
+    """The numeric step of ``_spd_factor``: factor the SPD matrix of the
+    first ``len(vals)`` triplets of ``pattern`` with the values ``vals``;
+    the pattern's other entries are explicit zeros.
+
+    The data is ``np.bincount`` of the values by slot. The dense branch
+    factors it by ``_potrf`` and solves with LAPACK ``dpotrs`` on the same
+    factor. The SuperLU branch factors P'MP in its natural order and
+    permutes the solve's right-hand side in and its result out.
+    """
+    n = pattern.n
+    slot = pattern.slot[: len(vals)]
+    if pattern.perm is None:
+        chol = _potrf(np.bincount(slot, vals, minlength=n * n).reshape(n, n))
         if chol is None:
             raise NotPositiveDefiniteError("precision is not positive definite")
         diag = np.diag(chol)
@@ -124,13 +191,29 @@ def _spd_factor(rows, cols, vals, n: int) -> _Factor:
             "dense Cholesky",
             float(diag.min()) ** 2,
         )
-    lu = splu(
-        csc_matrix((vals, (rows, cols)), shape=(n, n)),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    data = np.bincount(slot, vals, minlength=pattern.indices.size)
+    lu = _splu(csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)), "NATURAL")
     pivots = lu.U.diagonal()
     if not (np.all(pivots > 0.0) and np.array_equal(lu.perm_r, lu.perm_c)):
         raise NotPositiveDefiniteError("precision is not positive definite")
-    return _Factor(float(np.sum(np.log(pivots))), lu.solve, "SuperLU", float(pivots.min()))
+    perm, order = pattern.perm, pattern.order
+    return _Factor(float(np.sum(np.log(pivots))), lambda b: lu.solve(b[order])[perm],
+                   "SuperLU", float(pivots.min()))
+
+
+def _spd_factor(rows, cols, vals, n: int) -> _Factor:
+    """Factor the n x n SPD matrix sum of triplets (rows, cols, vals), with
+    a symmetric pattern: ``_spd_pattern``, then ``_spd_numeric``.
+
+    Repeated (row, col) pairs add. Up to ``_DENSE_MAX`` the matrix is
+    assembled with ``np.bincount`` and factored by ``_potrf``, which at
+    that size is cheaper than any sparse set-up. Above it,
+    ``scipy.sparse.linalg.splu`` factors it as P'MP = L D L' with no
+    off-diagonal pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``) and
+    a minimum-degree ordering of M + M', and log|M| is the sum of log D.
+    The smallest pivot is the least D, or the least squared Cholesky
+    diagonal on the dense branch. Raises NotPositiveDefiniteError on a
+    pivot that is not positive. A caller that factors many matrices of one
+    pattern keeps the pattern and calls ``_spd_numeric`` alone.
+    """
+    return _spd_numeric(_spd_pattern(rows, cols, n), vals)

@@ -263,6 +263,18 @@ def test_constraint_choice_invariance(unit_star):
     np.testing.assert_allclose(default, base, atol=1e-12)
 
 
+def test_constraint_rank_reports_a_duplicated_row(unit_star, caplog):
+    m = FieldModel(kappa=1.3, tau=0.9)
+    pts = [unit_star.point("e0", 0.25), unit_star.point("e1", 0.7)]
+    k = continuity_constraints(unit_star)
+    twice = np.vstack([k, k[:1]])
+    with caplog.at_level(logging.DEBUG, logger="graphfields.exact"):
+        cov = full_cov(unit_star, m, pts, constraints=twice)
+    assert cov.info == {"route": "constraints", "constraint_rank": 2}
+    assert "3 constraint rows, rank 2 kept, 1 dropped" in caplog.text
+    np.testing.assert_allclose(cov.matrix, full_cov(unit_star, m, pts).matrix, atol=1e-12)
+
+
 def test_degenerate_constraints_raise():
     sigma = np.eye(2)
     with pytest.raises(ConditioningError):
@@ -315,7 +327,8 @@ def test_full_cov_info_names_its_route(unit_star, fig8):
     k = continuity_constraints(unit_star)
     for pts in ([], [unit_star.point("e0", 0.5)]):
         cov = full_cov(unit_star, FieldModel(), pts, constraints=k)
-        assert cov.info == {"route": "constraints"}
+        # the star's centre ties three ends with two independent rows
+        assert cov.info == {"route": "constraints", "constraint_rank": 2}
 
 
 def test_vertex_field_cov_star_center_endpoints_agree(unit_star):
@@ -1053,7 +1066,7 @@ def test_kirchhoff_residual_needs_fine_mesh(unit_star):
 # --- ownership of the cut graph ---------------------------------------------
 
 #: the cut graph's rows and everything that reads them live in ``exact``
-_CUT_GRAPH_NAMES = {"_cut_graph", "_CutGraph", "_grounded_rows", "_gram", "_DENSE_SAMPLE_MAX",
+_CUT_GRAPH_NAMES = {"_grounded_rows", "_gram", "_DENSE_SAMPLE_MAX",
                     "_layout", "_Layout", "_layout_of", "_piece_values", "_gram_values"}
 
 

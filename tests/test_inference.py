@@ -228,13 +228,8 @@ def test_precision_route_with_every_point_on_one_edge(kappa):
 
 @pytest.mark.parametrize("side", ["dense Cholesky", "SuperLU"])
 def test_precision_route_on_both_sides_of_the_factor_crossover(side, caplog):
-    g = _bouquet()
-    limit = sampling._DENSE_MAX - g.vertex_count
-    n = limit - 10 if side == "dense Cholesky" else limit + 60
-    rng = np.random.default_rng(n)
-    pts = [g.point(e.id, float(rng.uniform(0.05, 0.95) * e.length))
-           for e in (g.edges[i] for i in rng.integers(g.edge_count, size=n))]
-    y = rng.normal(size=n)
+    g, pts, y = _bouquet_request(side)
+    n = len(pts)
     source = exact_cov_source(g, _per_edge_model(g, 1.0))
     with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
         got = loglik(source, pts, y, 0.01)
@@ -260,6 +255,72 @@ def test_spd_factor_on_both_sides_of_the_crossover(n):
     np.testing.assert_allclose(factor.solve(b), np.linalg.solve(mat, b), rtol=1e-10)
     with pytest.raises(NotPositiveDefiniteError):
         sampling._spd_factor(rows, cols, -mat[rows, cols], n)
+
+
+def _bouquet_request(side):
+    """Points on the 40-cycle bouquet whose cut graph takes the factor
+    ``side``, 10 nodes inside or 60 beyond ``sampling._DENSE_MAX``."""
+    g = _bouquet()
+    limit = sampling._DENSE_MAX - g.vertex_count
+    n = limit - 10 if side == "dense Cholesky" else limit + 60
+    rng = np.random.default_rng(n)
+    pts = [g.point(e.id, float(rng.uniform(0.05, 0.95) * e.length))
+           for e in (g.edges[i] for i in rng.integers(g.edge_count, size=n))]
+    return g, pts, rng.normal(size=n)
+
+
+@pytest.mark.parametrize("side", ["dense Cholesky", "SuperLU"])
+def test_a_kappa_sweep_orders_its_pattern_once(side, monkeypatch):
+    g, pts, y = _bouquet_request(side)
+    orders, fill = [], []
+    real = sampling.splu
+
+    def spy(mat, permc_spec, **kwargs):
+        lu = real(mat, permc_spec=permc_spec, **kwargs)
+        orders.append(permc_spec)
+        fill.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(sampling, "splu", spy)
+    exact._layout.cache_clear()
+    values = [loglik(exact_cov_source(g, FieldModel(kappa=kappa)), pts, y, 0.01)
+              for kappa in (0.3, 0.7, 1.0, 2.5, 6.0)]
+    if side == "SuperLU":
+        # one minimum-degree order for the layout; Q and H of every kappa
+        # are factored in it, with the fill of the order's own factor (the
+        # pattern permuted by the inverse order would fill several times more)
+        assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 10
+        assert set(fill) == {fill[0]}
+    else:
+        assert orders == []
+    monkeypatch.undo()
+    for kappa, value in zip((0.3, 6.0), (values[0], values[-1])):
+        source = exact_cov_source(g, FieldModel(kappa=kappa))
+        assert value == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
+
+
+def test_layout_keeps_one_index_array_per_triplet():
+    for side in ("dense Cholesky", "SuperLU"):
+        g, pts, _ = _bouquet_request(side)
+        layout, _ = exact._layout_of(g, FieldModel(), pts)
+        pattern = layout.h_pattern
+        triplets = sum(len(cols) * cols.shape[1] ** 2 for cols in (layout.b_cols, layout.a_cols))
+        arrays = [x for x in (*layout, *pattern) if isinstance(x, np.ndarray)]
+        assert [x.size for x in arrays].count(triplets) == 1
+        assert pattern.slot.size == triplets
+        assert not any(x.flags.writeable for x in arrays)
+        assert (pattern.perm is None) == (side == "dense Cholesky")
+
+
+@pytest.mark.parametrize("side, n, kappa", [(20, 500, 0.05), (20, 500, 1.3), (30, 800, 3.0)])
+def test_precision_route_matches_dense_route_on_grids(side, n, kappa):
+    g = grid(side)
+    rng = np.random.default_rng(side + n)
+    pts = [random_point(g, rng) for _ in range(n)]
+    y = rng.normal(size=n)
+    source = exact_cov_source(g, FieldModel(kappa=kappa))
+    got = loglik(source, pts, y, 0.01)
+    assert got == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
 
 
 def _circle_positions(g, pts):
@@ -301,7 +362,7 @@ def _cluster_points(g, kind, rng):
 
 def _last_base(g, m, pts):
     """The base of the last point's node in the cut graph, 0 for none."""
-    cols = exact._cut_graph(g, m, pts).a_cols[-1]
+    cols = exact._layout_of(g, m, pts)[0].a_cols[-1]
     return cols[1] if cols.size == 3 else 0
 
 
@@ -352,14 +413,16 @@ def _bytes(values):
 def _cold_and_warm(g, pts, y, models, noises):
     """``_precision_loglik`` for every model and noise, first with the
     layout cache cleared before each call, then with the layout built once
-    by a model outside the list, which every warm call must reuse."""
-    cold = []
+    by a model outside the list, which every warm call must reuse; and the
+    set of factor methods the cold calls took."""
+    cold, methods = [], set()
     for m in models:
         for noise in noises:
             exact._layout.cache_clear()
-            value, *_, how = exact._precision_loglik(g, m, pts, y, noise)
+            value, _, method, how = exact._precision_loglik(g, m, pts, y, noise)
             assert how == "built"
             cold.append(value)
+            methods.add(method)
     exact._layout.cache_clear()
     exact._precision_loglik(g, FieldModel(kappa=3.0, tau=1.3), pts, y, 0.5)
     warm = []
@@ -368,7 +431,7 @@ def _cold_and_warm(g, pts, y, models, noises):
             value, *_, how = exact._precision_loglik(g, m, pts, y, noise)
             assert how == "reused"
             warm.append(value)
-    return cold, warm
+    return cold, warm, methods
 
 
 @pytest.mark.parametrize("kind", CLUSTER_KINDS)
@@ -380,9 +443,13 @@ def test_layout_cache_keeps_every_likelihood_byte(name, kind):
     y = rng.normal(size=len(pts))
     models = [FieldModel(kappa=k, tau=tau) for k, tau in ((1e-6, 1.0), (1.0, 0.7), (1e3, 2.0))]
     models += [_per_edge_model(g, k) for k in (1e-6, 1.0, 1e3)]
-    cold, warm = _cold_and_warm(g, pts, y, models, (1e-8, 0.01))
+    cold, warm, methods = _cold_and_warm(g, pts, y, models, (1e-8, 0.01))
     assert np.all(np.isfinite(cold))
     assert _bytes(cold) == _bytes(warm)
+    # a node inside each of the bouquet's 160 edges, or the 1,000 points
+    # of "whole", put the cut graph on the SuperLU side
+    sparse = name == "bouquet-40" or kind == "whole"
+    assert methods == {"SuperLU" if sparse else "dense Cholesky"}
 
 
 def test_layout_cache_is_bounded():
@@ -429,15 +496,27 @@ def test_layout_is_never_reused_for_other_points():
     assert (how, _bytes(value)) == ("reused", _bytes(want["pts"]))
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
-    "a point nearer a vertex than the smallest normal double makes a piece "
-    "whose difference-row weight sqrt(c coth(x / 2) / 2) overflows"))
 def test_precision_route_at_a_subnormal_gap():
     g = ROUTE_GRAPHS["loop"]()
     pts = [g.point("loop", 2.2e-313)]
     source = exact_cov_source(g, FieldModel())
     got = loglik(source, pts, [0.3], 1e-4)
     assert got == pytest.approx(loglik(_dense(source), pts, [0.3], 1e-4), rel=1e-12)
+
+
+def test_precision_route_at_a_subnormal_gap_between_points():
+    # two points 1 ulp apart near 1e-300 are a subnormal 1.4e-316 apart: the
+    # cut graph puts them at one node, as it puts a point at its vertex
+    g = ROUTE_GRAPHS["loop"]()
+    t = 1e-300
+    pts = [g.point("loop", t), g.point("loop", float(np.nextafter(t, 1.0))),
+           g.point("loop", 1.0), g.point("loop", 5e-324)]
+    layout, _ = exact._layout_of(g, FieldModel(), pts)
+    assert layout.nodes == 3  # the vertex, the point pair and the point at 1
+    y = [0.3, -0.2, 0.5, 0.1]
+    source = exact_cov_source(g, FieldModel())
+    got = loglik(source, pts, y, 1e-4)
+    assert got == pytest.approx(loglik(_dense(source), pts, y, 1e-4), rel=1e-12)
 
 
 #: fractions of an edge that put points at its ends, within 1e-12 and 1e-4
@@ -457,8 +536,7 @@ def _graphs_with_points(draw):
     g = MetricGraph(nv, tuple(Edge(f"e{k}", u, v, ell)
                               for k, ((u, v), ell) in enumerate(zip(ends, lengths))))
     picks = draw(st.lists(st.tuples(st.integers(0, g.edge_count - 1),
-                                    # no subnormal gap at a vertex: see the xfail above
-                                    st.sampled_from(_FRACTIONS) | st.floats(1e-300, 1.0)),
+                                    st.sampled_from(_FRACTIONS) | st.floats(0.0, 1.0)),
                           min_size=1, max_size=14))
     pts = [g.point(g.edges[k].id, frac * g.edges[k].length) for k, frac in picks]
     pts += draw(st.lists(st.sampled_from(pts), max_size=3))
@@ -475,7 +553,7 @@ def test_layout_cache_keeps_the_bytes_on_random_graphs(case):
     g, pts, kappa, noise = case
     y = np.random.default_rng(len(pts)).normal(size=len(pts))
     models = [FieldModel(kappa=kappa), _per_edge_model(g, kappa)]
-    cold, warm = _cold_and_warm(g, pts, y, models, (noise,))
+    cold, warm, _ = _cold_and_warm(g, pts, y, models, (noise,))
     assert _bytes(cold) == _bytes(warm)
 
 

@@ -116,19 +116,36 @@ def test_check_indices_rejects_at_the_first_bad_entry(indices, bad):
 # ``sampling._potrf`` and LAPACK's own triangular solves.
 _FORBIDDEN = {"cholesky", "cho_factor", "cho_solve", "solve_triangular"}
 
+# Sparse factors and solves: ``sampling._spd_factor`` is the one kernel.
+_SPARSE_FACTORS = {"splu", "spsolve", "factorized", "spilu"}
 
-def test_no_dense_cholesky_outside_the_kernel():
+
+def _uses(names, skip=()):
+    """Every call or ``from`` import of one of ``names`` in the package's
+    modules other than ``skip``, as "file:line name"."""
     src = Path(graphfields.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
+        if path.stem in skip:
+            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             elif isinstance(node, ast.ImportFrom):
-                name = next((a.name for a in node.names if a.name in _FORBIDDEN), None)
+                name = next((a.name for a in node.names if a.name in names), None)
             else:
                 continue
-            if name in _FORBIDDEN:
+            if name in names:
                 found.append(f"{path.name}:{node.lineno} {name}")
-    assert not found
+    return found
+
+
+def test_no_dense_cholesky_outside_the_kernel():
+    assert not _uses(_FORBIDDEN)
+
+
+def test_no_sparse_factor_outside_the_kernel():
+    assert not _uses(_SPARSE_FACTORS, skip={"sampling"})
+    # the check sees the kernel's own import and calls
+    assert any(f.startswith("sampling.py") for f in _uses(_SPARSE_FACTORS))
