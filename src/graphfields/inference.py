@@ -26,14 +26,17 @@ numeric factors, and the DEBUG line says whether the layout was built or
 reused. That route also keeps
 full accuracy at small kappa, where the dense route's Cholesky of
 C + noise I loses the O(1) part of C under its 1/(kappa^2 |Gamma|)
-constant mode. Zero noise, every other source and ``krige`` take the dense
-route through the joint covariance. This module chooses the route and logs
-it at DEBUG on ``graphfields.inference``, once per call.
+constant mode. Zero noise, every other source, a precision route that
+fails (a factor that is not positive definite, or a value that is not
+finite) and ``krige`` take the dense route through the joint covariance.
+This module chooses the route and logs it at DEBUG on
+``graphfields.inference``, once per call.
 """
 from __future__ import annotations
 
 import inspect
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +44,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import exact
-from .errors import ValidationError
+from .errors import NotPositiveDefiniteError, ValidationError
 from .graph import MetricGraph, PointOnGraph
 from .models import CovMatrix, FieldModel, _scalar
 from .sampling import safe_cholesky
@@ -197,17 +200,31 @@ def loglik(
     With noise on an exact source (``exact_cov_source``, or a wrapper of one
     that sets ``__wrapped__`` as ``functools.wraps`` does) this takes the
     precision route (``exact._precision_loglik``); zero noise and every other
-    source take the dense route through C_oo. The route is logged at DEBUG.
+    source take the dense route through C_oo. So does a precision route that
+    fails: a precision that is not positive definite, or a value that is
+    not finite (seen with a point within about tau^2 a times the smallest
+    normal double of a node, whose weights overflow, and with a noise
+    variance below about 1e-300). The route, and why the dense one, is
+    logged at DEBUG.
     """
     obs_pts = list(obs_pts)
     y, noise_var = _check_obs(obs_pts, y, noise_var)
     source = inspect.unwrap(cov_source)
+    why = "zero noise" if noise_var == 0.0 else "source is not exact"
     if noise_var > 0.0 and isinstance(source, _ExactSource):
-        value, *how = exact._precision_loglik(source.g, source.m, obs_pts, y, noise_var)
-        _log.debug("loglik: precision route, %d points, %d nodes, %s, layout %s",
-                   len(obs_pts), *how)
-        return value
-    _log.debug("loglik: dense route, %d points (%s)", len(obs_pts),
-               "zero noise" if noise_var == 0.0 else "source is not exact")
+        try:
+            # an overflow shows as a value that is not finite, checked below
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value, *how = exact._precision_loglik(source.g, source.m, obs_pts, y,
+                                                      noise_var)
+        except NotPositiveDefiniteError as err:
+            why = f"precision route: {err}"
+        else:
+            if math.isfinite(value):
+                _log.debug("loglik: precision route, %d points, %d nodes, %s, layout %s",
+                           len(obs_pts), *how)
+                return value
+            why = "precision route: value is not finite"
+    _log.debug("loglik: dense route, %d points (%s)", len(obs_pts), why)
     _, chol, _ = _condition(cov_source, obs_pts, y, noise_var)
     return _gauss_loglik(chol, _tri_solve(chol, y))

@@ -23,17 +23,23 @@ pair of (A, M) is known exactly (A 1 = 0, and 1'M1 is the total length),
 so it is pinned to mu_0 = 0 and v_0 = +-1/sqrt(1'M1), which makes
 lambda_0 = kappa^2 exact. Bases are kept read-only in an LRU cache of
 ``graph.CACHE_SIZE`` entries keyed on (graph, h, n_modes, per-edge
-(a_e, kappa_e^2 - kappa_min^2)). The mass and stiffness matrices are
-assembled sparse (CSR, one build over all elements), and a dense n_dof^2
-array is formed only where the math needs one: the pencil that the
-eigensolve factors, once per basis and freed after it; the eigenvectors;
-the covariance memo; the Karhunen-Loeve draws; and the public dense
-``mass`` and ``stiffness``, built on first read. So a full-spectrum entry
-holds two n_dof^2 arrays of 8-byte floats (23 MB at 1,199 dof), shared by
-every operator on the basis: the eigenvectors and a one-slot memo of the
-last whole-mesh covariance that ``spectral_cov`` formed, plus a third,
-the dense mass, once ``mass`` is read. Nodes follow the one mesh layout of
-``graph._mesh``, as ``graph.mesh`` does.
+(a_e, kappa_e^2 - kappa_min^2)).
+
+An operator holds its graph, model and mesh spacing, the mesh's node
+layout (``graph._mesh``, as ``graph.mesh`` has it), the shifted
+eigenvalues, and, shared with every operator on its basis, the
+eigenvectors, the sparse mass matrix (CSR, one build over all elements)
+and one private slot. The eigenvectors are C-ordered, so the rows of a
+set of nodes are one contiguous gather. Nothing else is assembled per
+model: a dense n_dof^2 array is formed only where the math needs one,
+namely the pencil that the eigensolve factors, once per basis and freed
+after it; the eigenvectors; the covariance memo; the Karhunen-Loeve
+draws; and the public dense ``mass`` (kept in the slot) and
+``stiffness`` (built from the mesh and the model), each built on first
+read. So a full-spectrum entry holds two n_dof^2 arrays of 8-byte floats
+(23 MB at 1,199 dof): the eigenvectors and a one-slot memo of the last
+whole-mesh covariance that ``spectral_cov`` formed, plus a third, the
+dense mass, once ``mass`` is read.
 """
 from __future__ import annotations
 
@@ -62,6 +68,10 @@ _log = logging.getLogger(__name__)
 #: (alternated runs, single-thread BLAS, 2-core Xeon)
 _KL_BLOCK_BYTES = 16 << 20
 
+#: ``node_index`` takes a point for a node within this many edge lengths
+#: of it (absolute, on edges shorter than 1)
+_NODE_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
@@ -70,10 +80,12 @@ class DiscreteOperator:
     Degrees of freedom 0 .. vertex_count-1 are the graph vertices; interior
     edge nodes follow in edge order. ``eigenvectors[:, k]`` is the k-th
     mass-orthonormal eigenvector with eigenvalue ``eigenvalues[k]``
-    (ascending). Immutable: the fields cannot be rebound and the arrays
-    are read-only, since operators on one mesh share one cached basis.
-    The mass and stiffness matrices are held sparse (CSR, private); the
-    dense ``mass`` and ``stiffness`` are built on first read.
+    (ascending); the array is C-ordered, one row per node. Immutable: the
+    fields cannot be rebound and the arrays are read-only, since operators
+    on one mesh share one cached basis. The mass matrix is held sparse
+    (CSR, private, the basis's own); the dense ``mass`` and ``stiffness``
+    are built on first read, the stiffness from the mesh and the model, so
+    no per-model matrix is assembled.
     Operators from :func:`assemble` on one basis also share that basis's
     private slot, which holds the one-slot covariance memo (see
     :func:`spectral_cov`) and the dense mass once read; an operator built
@@ -90,7 +102,6 @@ class DiscreteOperator:
     node_points: tuple[PointOnGraph, ...]
     edge_nodes: tuple[tuple[int, ...], ...]
     _mass_csr: scipy.sparse.csr_array = field(repr=False)
-    _stiffness_csr: scipy.sparse.csr_array = field(repr=False)
     _cov_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -104,9 +115,10 @@ class DiscreteOperator:
 
     @cached_property
     def stiffness(self) -> np.ndarray:
-        """Dense stiffness-plus-reaction matrix, read-only, built on first
-        read."""
-        return _dense(self._stiffness_csr)
+        """Dense stiffness-plus-reaction matrix A + R + kappa_min^2 M,
+        read-only, built on first read from the mesh and the model."""
+        coeffs, kappa2_min = _coefficients(self.graph, self.model)
+        return _dense(_stiffness(_mesh(self.graph, self.h), coeffs, kappa2_min))
 
     @property
     def n_dof(self) -> int:
@@ -123,15 +135,16 @@ class DiscreteOperator:
         """DOF indices along an edge, endpoint to endpoint."""
         return self.edge_nodes[self.graph.edge_index(edge_id)]
 
-    def node_index(self, p: PointOnGraph, tol: float = 1e-9) -> int:
-        """Index of the mesh node at (or within tol of) the given point."""
+    def node_index(self, p: PointOnGraph) -> int:
+        """Index of the mesh node at the given point, or within
+        ``_NODE_TOL`` edge lengths of it (absolute below length 1)."""
         j = self.graph.edge_index(p.edge)
         length = self.graph.edges[j].length
         idx = self.edge_nodes[j]
         nel = len(idx) - 1
         k = min(max(round(p.t / length * nel), 0), nel) if math.isfinite(p.t) else 0
         t = length * (k / nel)
-        if not abs(t - p.t) <= tol * max(1.0, length):
+        if not abs(t - p.t) <= _NODE_TOL * max(1.0, length):
             raise PointError(f"no mesh node at {p} (closest t = {t})")
         return idx[k]
 
@@ -160,10 +173,6 @@ def _p1_matrix(mesh: _Mesh, diag: np.ndarray, off: np.ndarray) -> scipy.sparse.c
     return mat
 
 
-def _mass(mesh: _Mesh) -> scipy.sparse.csr_array:
-    return _p1_matrix(mesh, mesh.he / 3.0, mesh.he / 6.0)
-
-
 def _stiffness(mesh: _Mesh, coeffs, shift: float) -> scipy.sparse.csr_array:
     """A + R + shift * M, summed per element: the a/h stiffness plus the
     reaction (kappa_e^2 - kappa_min^2 + shift) times the element mass."""
@@ -187,9 +196,10 @@ def _eigenbasis(
     """Read-only lowest ``n_modes`` eigenpairs (mu, V) of the kappa-free
     pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`, the
     CSR mass matrix M they are orthonormal in, and the empty slot that
-    every operator on this basis shares."""
+    every operator on this basis shares. The eigenvectors are C-ordered.
+    """
     mesh = _mesh(g, h)
-    mass = _mass(mesh)
+    mass = _p1_matrix(mesh, mesh.he / 3.0, mesh.he / 6.0)
     subset = None if n_modes == mesh.n_dof else [0, n_modes - 1]
     # the dense pencil exists only for the solve, which factors it in place
     mu, vecs = scipy.linalg.eigh(
@@ -209,6 +219,9 @@ def _eigenbasis(
         mu[0] = 0.0
         vecs[:, 0] = c
         vecs[:, 1:] -= c * ((c * mass_ones) @ vecs[:, 1:])
+    # one C-ordered copy after the solve, so that the rows of a set of
+    # nodes are one gather of contiguous rows
+    vecs = np.ascontiguousarray(vecs)
     for arr in (mu, vecs):
         arr.flags.writeable = False
     return mu, vecs, mass, {}
@@ -217,10 +230,10 @@ def _eigenbasis(
 def assemble(
     g: MetricGraph, m: FieldModel, h: float, n_modes: int | None = None
 ) -> DiscreteOperator:
-    """Assemble sparse mass/stiffness matrices on a mesh of spacing <= h,
-    with the generalized eigenpairs taken from the mesh's cached
-    kappa-free basis. No n_dof x n_dof array is formed once that basis is
-    cached.
+    """The operator on a mesh of spacing <= h, with the generalized
+    eigenpairs and the sparse mass matrix taken from the mesh's cached
+    kappa-free basis. Once that basis is cached, nothing is assembled: no
+    matrix is built, sparse or dense.
 
     Per-edge constants kappa, a are taken from the model (constant on each
     edge, so the element integrals are exact). ``n_modes`` limits the number
@@ -243,7 +256,6 @@ def assemble(
         node_points=mesh.node_points,
         edge_nodes=mesh.edge_nodes,
         _mass_csr=mass,
-        _stiffness_csr=_stiffness(mesh, coeffs, kappa2_min),
         _cov_memo=memo,
     )
 
@@ -257,17 +269,10 @@ def _spectral_params(op: DiscreteOperator, alpha, tau, k=None):
     return alpha, _scalar(tau, "tau"), k
 
 
-def _scaled_basis(op: DiscreteOperator, alpha, tau, k, rows=None):
+def _scaled_basis(op: DiscreteOperator, alpha, tau, k, rows=slice(None)):
     """B = V[rows, :k] lambda^{-alpha/2} / tau for checked parameters (all
     rows by default), so that B B' is the covariance at those rows."""
-    scale = op.eigenvalues[:k] ** (-alpha / 2.0) / tau
-    if rows is None:
-        return op.eigenvectors[:, :k] * scale
-    # one gather into a new array, scaled in place (``take`` would first
-    # copy the whole F-ordered eigenvector array into C order)
-    basis = op.eigenvectors[rows, :k]
-    basis *= scale
-    return basis
+    return op.eigenvectors[rows, :k] * (op.eigenvalues[:k] ** (-alpha / 2.0) / tau)
 
 
 def _tail_estimate(op: DiscreteOperator, alpha: float, k: int) -> float:

@@ -519,6 +519,49 @@ def test_precision_route_at_a_subnormal_gap_between_points():
     assert got == pytest.approx(loglik(_dense(source), pts, y, 1e-4), rel=1e-12)
 
 
+def _fallback(g, m, pts, y, noise, caplog):
+    """loglik on the exact source, the same on the dense route, and the
+    one DEBUG line the first call logged."""
+    source = exact_cov_source(g, m)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
+        got = loglik(source, pts, y, noise)
+    [record] = caplog.records
+    return got, loglik(_dense(source), pts, y, noise), record.getMessage()
+
+
+@pytest.mark.parametrize("m, t", [
+    (FieldModel(tau=10.0), 3e-308),
+    (FieldModel(tau=10.0), 1e-307),
+    (FieldModel(a=100.0), 3e-308),
+    (FieldModel(tau=3.0), 2.3e-308),
+])
+def test_loglik_falls_back_to_dense_where_the_weights_overflow(m, t, caplog):
+    # at tau^2 a > 4 a piece of edge longer than the smallest normal double,
+    # which the layout keeps, can still have a difference weight whose
+    # square, about tau^2 a / t, overflows
+    g = ROUTE_GRAPHS["loop"]()
+    pts = [g.point("loop", t)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(exact._precision_loglik(g, m, pts, np.array([0.3]), 1e-4)[0])
+    got, dense, message = _fallback(g, m, pts, [0.3], 1e-4, caplog)
+    assert got == pytest.approx(dense, rel=1e-12)
+    assert message == "loglik: dense route, 1 points (precision route: value is not finite)"
+
+
+@pytest.mark.parametrize("noise, failure", [
+    (1e-308, "value is not finite"),
+    (5e-324, "value is not finite"),
+    (1e-300, "precision is not positive definite"),
+])
+def test_loglik_falls_back_to_dense_at_extreme_noise(noise, failure, caplog):
+    g = ROUTE_GRAPHS["loop"]()
+    pts = [g.point("loop", 0.5), g.point("loop", 1.5)]
+    got, dense, message = _fallback(g, FieldModel(), pts, [0.3, -0.2], noise, caplog)
+    assert got == pytest.approx(dense, rel=1e-12)
+    assert message == f"loglik: dense route, 2 points (precision route: {failure})"
+
+
 #: fractions of an edge that put points at its ends, within 1e-12 and 1e-4
 #: of them (clusters with a vertex base) and of each other (a point base)
 _FRACTIONS = [0.0, 1.0, 1e-12, 1e-4, 1.0 - 1e-12, 1.0 - 1e-4, 0.5, 0.5 + 1e-12, 0.5 + 1e-4]
@@ -592,6 +635,21 @@ def test_loglik_at_tiny_noise_over_random_circles():
         errs.append(abs(loglik(source, pts, y, 1e-8) - want) / abs(want))
     assert np.mean(errs) < 1e-12
     assert max(errs) < 1e-11
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the precision route's error grows like 1/noise: every observation adds "
+    "1/noise to H, and log|H| cancels it down to O(1) (4.9e-8 relative off "
+    "here, 1.9e-11 at noise 1e-8), where the dense route is within 1e-15"))
+def test_loglik_matches_mpmath_at_noise_1e_12():
+    g = gf.circle(2.0, 4)
+    rng = np.random.default_rng(7)
+    pos = rng.uniform(0.0, 2.0, 12)
+    pts = [g.point(f"e{int(p // 0.5)}", float(p % 0.5)) for p in pos]
+    y = rng.standard_normal(12)
+    want = circle_loglik_mp(pos, y, 1.0, 1.0, 2.0, 1e-12, dps=60)
+    assert loglik(exact_cov_source(g, FieldModel()), pts, y, 1e-12) == pytest.approx(
+        want, rel=1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -311,6 +311,45 @@ def test_dense_pencil_is_built_on_first_read(fig8, per_edge):
             mat[0, 0] = 1.0
 
 
+def test_assemble_builds_no_matrix_and_stiffness_builds_once(fig8, monkeypatch):
+    assemble(fig8, FieldModel(kappa=1.5), 0.01)  # the basis is cached here
+    calls = []
+    build = spectral._p1_matrix
+    monkeypatch.setattr(spectral, "_p1_matrix",
+                        lambda *args: calls.append(args) or build(*args))
+    ops = [assemble(fig8, FieldModel(kappa=kappa, tau=2.0), 0.01)
+           for kappa in (0.5, 1.5, 3.0)]
+    assert not calls
+    stiffness = ops[-1].stiffness
+    assert len(calls) == 1
+    assert ops[-1].stiffness is stiffness
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_modes", [None, 7])
+@pytest.mark.parametrize("per_edge", [False, True])
+def test_eigenvectors_are_c_ordered_and_read_only(fig8, n_modes, per_edge):
+    m = FieldModel(kappa={e.id: 0.5 + 0.3 * j for j, e in enumerate(fig8.edges)}
+                   if per_edge else 1.5)
+    op = assemble(fig8, m, 0.02, n_modes=n_modes)
+    vecs = op.eigenvectors
+    assert vecs.shape == (op.n_dof, op.n_modes)
+    assert vecs.flags.c_contiguous and not vecs.flags.writeable
+
+
+def test_node_index_takes_a_point_within_a_billionth_of_the_edge():
+    # edges of length >= 1, where the tolerance is relative to the length
+    g = MetricGraph(2, (Edge("short", 0, 1, 1.0), Edge("long", 0, 1, 3.0)))
+    op = assemble(g, FieldModel(), 0.25, n_modes=1)
+    for e in g.edges:
+        for node in op.nodes_on_edge(e.id)[1:-1]:
+            t = op.node_points[node].t
+            for sign in (-1.0, 1.0):
+                assert op.node_index(g.point(e.id, t + sign * 5e-10 * e.length)) == node
+                with pytest.raises(gf.PointError):
+                    op.node_index(g.point(e.id, t + sign * 2e-9 * e.length))
+
+
 def test_kl_sample_variance_matches_spectral_cov(unit_star):
     op = assemble(unit_star, FieldModel(), 0.25)
     n = 20000
