@@ -213,8 +213,11 @@ def loglik(
     why = "zero noise" if noise_var == 0.0 else "source is not exact"
     if noise_var > 0.0 and isinstance(source, _ExactSource):
         try:
-            # an overflow shows as a value that is not finite, checked below
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the piece weights (exact._segment_weights) overflow on a piece
+            # shorter than about tau^2 a times the smallest normal double, and
+            # b / noise_var at a noise near 5e-324: the value is then not
+            # finite, checked below
+            with np.errstate(over="ignore", invalid="ignore"):
                 value, *how = exact._precision_loglik(source.g, source.m, obs_pts, y,
                                                       noise_var)
         except NotPositiveDefiniteError as err:

@@ -194,6 +194,13 @@ def _route_points(g, rng, n):
     return pts
 
 
+def _precision(source, pts, y, noise):
+    """The precision route's value on an exact source, called directly:
+    ``loglik`` answers a failed precision route by the dense one."""
+    return exact._precision_loglik(source.g, source.m, list(pts),
+                                   np.asarray(y, dtype=float), noise)[0]
+
+
 def _per_edge_model(g, kappa):
     ids = [e.id for e in g.edges]
     return FieldModel(kappa={i: kappa * (1.0 + 0.3 * (k % 3)) for k, i in enumerate(ids)},
@@ -209,7 +216,7 @@ def test_precision_route_matches_dense_route(name, kappa, noise):
     pts = _route_points(g, rng, 30)
     y = rng.normal(size=len(pts))
     source = exact_cov_source(g, _per_edge_model(g, kappa))
-    got = loglik(source, pts, y, noise)
+    got = _precision(source, pts, y, noise)
     assert got == pytest.approx(loglik(_dense(source), pts, y, noise), rel=1e-12)
 
 
@@ -222,7 +229,7 @@ def test_precision_route_with_every_point_on_one_edge(kappa):
     pts = [g.point(tail.id, float(t)) for t in ts]
     y = rng.normal(size=len(pts))
     source = exact_cov_source(g, _per_edge_model(g, kappa))
-    got = loglik(source, pts, y, 0.05)
+    got = _precision(source, pts, y, 0.05)
     assert got == pytest.approx(loglik(_dense(source), pts, y, 0.05), rel=1e-12)
 
 
@@ -283,7 +290,7 @@ def test_a_kappa_sweep_orders_its_pattern_once(side, monkeypatch):
 
     monkeypatch.setattr(sampling, "splu", spy)
     exact._layout.cache_clear()
-    values = [loglik(exact_cov_source(g, FieldModel(kappa=kappa)), pts, y, 0.01)
+    values = [_precision(exact_cov_source(g, FieldModel(kappa=kappa)), pts, y, 0.01)
               for kappa in (0.3, 0.7, 1.0, 2.5, 6.0)]
     if side == "SuperLU":
         # one minimum-degree order for the layout; Q and H of every kappa
@@ -319,7 +326,7 @@ def test_precision_route_matches_dense_route_on_grids(side, n, kappa):
     pts = [random_point(g, rng) for _ in range(n)]
     y = rng.normal(size=n)
     source = exact_cov_source(g, FieldModel(kappa=kappa))
-    got = loglik(source, pts, y, 0.01)
+    got = _precision(source, pts, y, 0.01)
     assert got == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
 
 
@@ -339,7 +346,7 @@ def test_precision_route_at_tiny_noise_matches_mpmath(name, kappa):
     pts = _route_points(g, rng, 20)
     y = rng.normal(size=len(pts))
     want = circle_loglik_mp(_circle_positions(g, pts), y, kappa, 0.7, g.total_length, 1e-8)
-    got = loglik(exact_cov_source(g, FieldModel(kappa=kappa, tau=0.7)), pts, y, 1e-8)
+    got = _precision(exact_cov_source(g, FieldModel(kappa=kappa, tau=0.7)), pts, y, 1e-8)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -385,7 +392,7 @@ def test_precision_route_on_every_cluster_base(name, kind, kappa):
     else:
         assert base == {"start": e.u, "end": e.v, "whole": last.u}[kind]
     source = exact_cov_source(g, m)
-    got = loglik(source, pts, y, 0.01)
+    got = _precision(source, pts, y, 0.01)
     assert got == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
 
 
@@ -399,7 +406,7 @@ def test_precision_route_on_cluster_bases_matches_mpmath_at_small_kappa(name, ki
     pts = _cluster_points(g, kind, rng)
     y = rng.normal(size=len(pts))
     want = circle_loglik_mp(_circle_positions(g, pts), y, 1e-3, 0.7, g.total_length, 0.01)
-    got = loglik(exact_cov_source(g, FieldModel(kappa=1e-3, tau=0.7)), pts, y, 0.01)
+    got = _precision(exact_cov_source(g, FieldModel(kappa=1e-3, tau=0.7)), pts, y, 0.01)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -500,7 +507,7 @@ def test_precision_route_at_a_subnormal_gap():
     g = ROUTE_GRAPHS["loop"]()
     pts = [g.point("loop", 2.2e-313)]
     source = exact_cov_source(g, FieldModel())
-    got = loglik(source, pts, [0.3], 1e-4)
+    got = _precision(source, pts, [0.3], 1e-4)
     assert got == pytest.approx(loglik(_dense(source), pts, [0.3], 1e-4), rel=1e-12)
 
 
@@ -515,7 +522,7 @@ def test_precision_route_at_a_subnormal_gap_between_points():
     assert layout.nodes == 3  # the vertex, the point pair and the point at 1
     y = [0.3, -0.2, 0.5, 0.1]
     source = exact_cov_source(g, FieldModel())
-    got = loglik(source, pts, y, 1e-4)
+    got = _precision(source, pts, y, 1e-4)
     assert got == pytest.approx(loglik(_dense(source), pts, y, 1e-4), rel=1e-12)
 
 

@@ -337,19 +337,6 @@ def test_eigenvectors_are_c_ordered_and_read_only(fig8, n_modes, per_edge):
     assert vecs.flags.c_contiguous and not vecs.flags.writeable
 
 
-def test_node_index_takes_a_point_within_a_billionth_of_the_edge():
-    # edges of length >= 1, where the tolerance is relative to the length
-    g = MetricGraph(2, (Edge("short", 0, 1, 1.0), Edge("long", 0, 1, 3.0)))
-    op = assemble(g, FieldModel(), 0.25, n_modes=1)
-    for e in g.edges:
-        for node in op.nodes_on_edge(e.id)[1:-1]:
-            t = op.node_points[node].t
-            for sign in (-1.0, 1.0):
-                assert op.node_index(g.point(e.id, t + sign * 5e-10 * e.length)) == node
-                with pytest.raises(gf.PointError):
-                    op.node_index(g.point(e.id, t + sign * 2e-9 * e.length))
-
-
 def test_kl_sample_variance_matches_spectral_cov(unit_star):
     op = assemble(unit_star, FieldModel(), 0.25)
     n = 20000
@@ -388,6 +375,17 @@ def test_node_index_lookup(unit_star):
     assert op.node_index(unit_star.point("e1", 1.0)) == 3
     with pytest.raises(gf.PointError):
         op.node_index(unit_star.point("e0", 0.1301))
+    # the tolerance is a billionth of the edge: on edges of length 1 and 3 a
+    # node takes a point 5e-10 L off it and rejects one 2e-9 L off
+    g = MetricGraph(2, (Edge("short", 0, 1, 1.0), Edge("long", 0, 1, 3.0)))
+    op = assemble(g, FieldModel(), 0.25, n_modes=1)
+    for e in g.edges:
+        for node in op.nodes_on_edge(e.id)[1:-1]:
+            t = op.node_points[node].t
+            for sign in (-1.0, 1.0):
+                assert op.node_index(g.point(e.id, t + sign * 5e-10 * e.length)) == node
+                with pytest.raises(gf.PointError):
+                    op.node_index(g.point(e.id, t + sign * 2e-9 * e.length))
 
 
 _VERTEX_CASES = [
