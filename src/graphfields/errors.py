@@ -19,7 +19,7 @@ class GraphValidationError(ValidationError):
 
 
 class NonPositiveLengthError(GraphValidationError):
-    """An edge has length <= 0."""
+    """An edge length is not a finite number > 0."""
 
 
 class DanglingEndpointError(GraphValidationError):

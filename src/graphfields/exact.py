@@ -29,10 +29,14 @@ The likelihood never forms C either. Cutting every edge at the points
 leaves pieces of edge that are independent given their ends, so the field
 at the vertices and the distinct points is again a Gaussian Markov field,
 with two rows per piece in its precision (the cut graph, ``_layout``, the
-same rows as the vertex precision's). An observation reads its node's row
-of the grounding map, and ``_precision_loglik``, the precision route of
-``inference.loglik``, factors the sparse matrix. This module is the one
-reader of those rows: ``_gram`` turns them into the triplets whose pattern
+same rows as the vertex precision's). ``_precision_loglik``, the one
+route of ``inference.loglik`` on this field, factors Q in grounded
+coordinates and a second sparse matrix in one of two forms: the scaled
+form pins every observed node at the mean of its observations in absolute
+coordinates, the grounded form reads each observation as its node's row
+of the grounding map, and one rule on the noise variance and the stiffest
+and loosest pieces picks the form. This module is the one reader of those
+rows: ``_gram`` turns them into the triplets whose pattern
 ``sampling._spd_pattern`` analyses and ``sampling._spd_numeric`` factors.
 
 Which nodes the cut graph has and which entries its rows fill depend on
@@ -41,7 +45,8 @@ So the layout (``_layout``: the pieces of edge, the columns of B and A,
 and the ``sampling._spd_pattern`` of H, with its fill-reducing order) is
 cached, ``graph.CACHE_SIZE`` entries keyed on the graph and the bytes of
 the validated points' edge indices and arclengths, with read-only arrays.
-Q is factored on H's pattern, so the two share one order. A model
+Q and the scaled form's M are factored on H's pattern, so all three share
+one order. A model
 computes only the piece weights (``_piece_values``) and the numeric
 factors (``sampling._spd_numeric``), so a likelihood sweep over kappa at
 fixed points builds the layout and finds the order once. Every check
@@ -78,6 +83,7 @@ from scipy.sparse import csr_array
 from .errors import (
     ConditioningError,
     MeshResolutionError,
+    NumericalError,
     PointError,
     UnsupportedAlphaError,
     ValidationError,
@@ -93,7 +99,8 @@ from .graph import (
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import _Pattern, _spd_numeric, _spd_pattern, replicate_normals, safe_cholesky
+from .sampling import (_Pattern, _spd_numeric, _spd_pattern, _spd_slots, replicate_normals,
+                       safe_cholesky)
 
 __all__ = [
     "neumann_edge_cov",
@@ -296,21 +303,24 @@ def endpoint_prior_cov(g: MetricGraph, m: FieldModel) -> np.ndarray:
     return sigma
 
 
-def condition_on_constraints(
-    sigma: np.ndarray, constraints: np.ndarray, rcond: float = 1e-12
-) -> np.ndarray:
+#: ``condition_on_constraints`` drops the constraint Gram matrix's
+#: eigenvalues below this fraction of the largest
+_RCOND = 1e-12
+
+
+def condition_on_constraints(sigma: np.ndarray, constraints: np.ndarray) -> np.ndarray:
     """Covariance of a Gaussian vector conditioned on K x = 0.
 
     Returns sigma - sigma K' (K sigma K')^+ K sigma, where the inverse drops
-    eigenvalues below ``rcond`` times the largest (redundant constraint rows
-    are fine). The rank kept and the count dropped are logged at DEBUG on
-    ``graphfields.exact``. Raises ConditioningError when the constraint Gram
-    matrix is entirely degenerate, which signals bad input.
+    eigenvalues below ``_RCOND`` times the largest (redundant constraint
+    rows are fine). The rank kept and the count dropped are logged at DEBUG
+    on ``graphfields.exact``. Raises ConditioningError when the constraint
+    Gram matrix is entirely degenerate, which signals bad input.
     """
-    return _conditioned(sigma, constraints, rcond)[0]
+    return _conditioned(sigma, constraints)[0]
 
 
-def _conditioned(sigma, constraints, rcond: float = 1e-12) -> tuple[np.ndarray, int]:
+def _conditioned(sigma, constraints) -> tuple[np.ndarray, int]:
     """``condition_on_constraints`` and the rank of the Gram inverse it kept."""
     K = np.asarray(constraints, dtype=float)
     if K.shape[0] == 0:
@@ -321,10 +331,10 @@ def _conditioned(sigma, constraints, rcond: float = 1e-12) -> tuple[np.ndarray, 
     vals, vecs = np.linalg.eigh(gram)
     if not np.all(np.isfinite(vals)) or vals[-1] <= 0.0:
         raise ConditioningError("constraint Gram matrix is singular")
-    keep = vals > rcond * vals[-1]
+    keep = vals > _RCOND * vals[-1]
     rank = int(np.count_nonzero(keep))
     _log.debug("condition_on_constraints: %d constraint rows, rank %d kept, %d dropped "
-               "below rcond %.3g", K.shape[0], rank, K.shape[0] - rank, rcond)
+               "below rcond %.3g", K.shape[0], rank, K.shape[0] - rank, _RCOND)
     inv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
     out = sigma - ks.T @ inv @ ks
     return 0.5 * (out + out.T), rank
@@ -339,9 +349,20 @@ def _segment_weights(kt, scale, length):
     from node a to node b adds the rows sqrt(c tanh(x/2) / 2) (e_a + e_b)
     and sqrt(c coth(x/2) / 2) (e_a - e_b). Returns the two weights;
     broadcasts over all arguments.
+
+    The square of the second weight, the precision of the field's increment
+    across the piece (about tau^2 a / L for a short piece), is capped at
+    ``_MAX_PRECISION``, so it and the sums it enters stay finite for a piece
+    only a few doubles long at any tau^2 a. Only a piece whose increment
+    variance is below 1 / ``_MAX_PRECISION`` is weighted as if it were
+    longer.
     """
-    th = np.tanh(0.5 * kt * length)
+    th = np.maximum(np.tanh(0.5 * kt * length), 0.5 * scale / _MAX_PRECISION)
     return np.sqrt(0.5 * scale * th), np.sqrt(0.5 * scale / th)
+
+
+#: the largest square ``_segment_weights`` gives a difference weight
+_MAX_PRECISION = 1e300
 
 
 class _EdgeConstants(NamedTuple):
@@ -404,7 +425,7 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     the same cancellation.
     """
     layout, _ = _layout_of(g, m, [])
-    b_vals = _piece_values(layout, g, m)
+    b_vals, *_ = _piece_values(layout, g, m)
     factor = _spd_numeric(layout.h_pattern, _gram_values(b_vals))
     nodes = layout.nodes
     sv = factor.solve(np.eye(nodes))
@@ -518,26 +539,33 @@ class _Layout(NamedTuple):
     model (``_layout``). Every array is read-only. ``nodes`` is the number
     of coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}.
 
-    The pieces of edge: ``piece_edge`` and ``piece_length``. B's columns
+    The pieces of edge: ``piece_edge``, ``piece_length``, and ``ends``, the
+    two nodes of each row of B (``_piece_values`` order). B's columns
     ``b_cols``, and ``b_pick``, each entry's place in the weights
     ``_piece_values`` lays out. A's columns and values, which hold no
-    weight. ``label``, node i's row and column in Q and H = Q + A'A / noise:
-    the root is relabelled last when there are observations. And
-    ``h_pattern``, the ``sampling._spd_pattern`` of H's Gram triplets, so
-    its fill-reducing order is found once per layout. Q's triplets are the
-    first ``b_cols.size * b_cols.shape[1]`` of H's, so Q is factored on
-    H's pattern with A's entries as explicit zeros, in the same order.
+    weight, and ``obs``, each observation's node. ``label``, node i's row
+    and column in Q, H = Q + A'A / noise and M (``_scaled_form``): the root
+    is relabelled last when there are observations. ``h_pattern``, the
+    ``sampling._spd_pattern`` of H's Gram triplets, so its fill-reducing
+    order is found once per layout. Q's triplets are the first
+    ``b_cols.size * b_cols.shape[1]`` of H's, so Q is factored on H's
+    pattern with A's entries as explicit zeros, in the same order. And
+    ``m_pattern``, H's pattern with the slots of M's triplets, which lie
+    in it.
     """
 
     nodes: int
     piece_edge: np.ndarray
     piece_length: np.ndarray
+    ends: np.ndarray
     b_cols: np.ndarray
     b_pick: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
+    obs: np.ndarray
     label: np.ndarray
     h_pattern: _Pattern
+    m_pattern: _Pattern
 
 
 def _grounded_rows(base, a, b):
@@ -641,7 +669,8 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     node = nv + pos
     a = np.concatenate([np.where(starts, u[pj], node - 1), node[ends], u[free]])
     b = np.concatenate([node, v[pj[ends]], v[free]])
-    b_cols, b_pick = _grounded_rows(base, np.concatenate([a, a]), np.concatenate([b, b]))
+    row_ends = np.stack([np.concatenate([a, a]), np.concatenate([b, b])], axis=1)
+    b_cols, b_pick = _grounded_rows(base, *row_ends.T)
     # an observation at node i reads x_i = z_0 + z_base[i] + z_i: columns
     # (0, base[i], i) with weights (1, base[i] != 0, i != 0), and a column
     # that is 0 in every row dropped as in ``_grounded_rows``
@@ -659,10 +688,13 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
         label = np.roll(label, 1)
     h_rows, h_cols = (np.concatenate(z) for z in zip(_gram(label[b_cols]), _gram(label[a_cols])))
     pattern = _spd_pattern(h_rows, h_cols, nodes)
+    # every node is its own column in its pieces' rows of B, so M's
+    # entries, at the rows' two nodes, are H's too
+    m_pattern = _spd_slots(pattern, *(np.concatenate([z, label]) for z in _gram(label[row_ends])))
     out = _Layout(nodes, np.concatenate([pj, pj[ends], free]),
-                  np.concatenate([gap_in, gap_end, length[free]]), b_cols, b_pick,
-                  a_cols, a_vals, label, pattern)
-    for arr in (*out[1:-1], *pattern[1:]):
+                  np.concatenate([gap_in, gap_end, length[free]]), row_ends, b_cols, b_pick,
+                  a_cols, a_vals, obs, label, pattern, m_pattern)
+    for arr in (*out[1:-2], *pattern[1:], m_pattern.slot):
         if arr is not None:
             arr.flags.writeable = False
     return out
@@ -681,56 +713,138 @@ def _layout_of(g: MetricGraph, m: FieldModel, pts) -> tuple[_Layout, bool]:
     return layout, _layout.cache_info().misses > misses
 
 
-def _piece_values(layout: _Layout, g: MetricGraph, m: FieldModel) -> np.ndarray:
-    """B's values: each piece's two ``_segment_weights`` rows, (w_sum,
-    w_sum) and (w_diff, -w_diff) at its (start, end) node, laid out by
-    ``_grounded_rows``."""
+def _piece_values(layout: _Layout, g: MetricGraph, m: FieldModel):
+    """B's values in grounded coordinates, laid out by ``_grounded_rows``,
+    and (w_a, w_b), the weights of B's rows at their two ``ends``: each
+    piece's two ``_segment_weights`` rows, (w_sum, w_sum) for every piece,
+    then (w_diff, -w_diff)."""
     ec = _edge_constants(g, m)
     e = layout.piece_edge
     w_sum, w_diff = _segment_weights(ec.kt[e], ec.scale[e], layout.piece_length)
     w_a = np.concatenate([w_sum, w_diff])
     w_b = np.concatenate([w_sum, -w_diff])
-    return np.concatenate([[0.0], w_a, w_b, w_a + w_b])[layout.b_pick]
+    return np.concatenate([[0.0], w_a, w_b, w_a + w_b])[layout.b_pick], w_a, w_b
+
+
+#: ``_precision_loglik`` takes the scaled form where the noise variance is
+#: at most this times 1 / (w_max w_min), the geometric mean of the
+#: increment variances across the stiffest and the loosest piece, and the
+#: grounded form above it. The scaled form's error grows like noise_var
+#: w_max^2 and the grounded form's like 1 / (noise_var w_min^2), so the
+#: rule weighs one against the other. On 700 random circles (1 or 4 edges,
+#: 5-32 points with up to two more 1e-13 to 1e-3 from a vertex or a point,
+#: kappa 1e-4 to 1e3, tau 0.5 to 3, noise 1e-16 to 1e4), against 50-digit
+#: mpmath, every threshold from 0.05 to 1 kept every case within 1.2e-14
+#: relative, while the rule noise_var w_max^2 <= 1 left 3 above 1e-12. The
+#: benchmark's fit requests (``bench/workloads.py``, noise 0.01) read at
+#: least 0.126 on seeds 1-199, so they stay on the grounded form.
+_SCALED_MAX = 0.05
+
+
+def _scaled_form(layout: _Layout, w_a, w_b, y, noise_var: float):
+    """The quadratic form, log|M| plus the repeated locations' terms, and
+    the factor's method, in absolute coordinates with every observed node
+    pinned.
+
+    Node i observed k_i times reads the mean ybar_i of its observations,
+    with noise variance noise_var / k_i, and is written x_i = ybar_i + s_i
+    v_i with s_i = sqrt(noise_var / k_i); an unobserved node keeps x_i.
+    In these coordinates u, B x = R u + r and the density of ybar is
+
+        log|C_ybar + D| = log|M| - log|Q|,  M = R'R + I_observed,
+        ybar'(C_ybar + D)^{-1} ybar = min_u |R u + r|^2 + |v|^2,
+
+    where M = [[Q_UU, Q_UO S], [S Q_OU, S Q_OO S + I]]: at zero noise
+    Q_UU + I, and no 1 / noise_var appears. M's triplets are those of the
+    rows R at ``ends``, then one per node on the diagonal (``m_pattern``).
+    Each repeated location adds its spread about ybar_i over noise_var,
+    (k_i - 1) log noise_var and log k_i. At zero noise a location observed
+    twice is rejected.
+    """
+    nodes, obs, ends, label = layout.nodes, layout.obs, layout.ends, layout.label
+    count = np.bincount(obs, minlength=nodes)
+    if noise_var == 0.0 and count.max() > 1:
+        raise ValidationError("duplicate observation points need positive noise variance")
+    seen, k = count > 0, np.maximum(count, 1)
+    pin = np.bincount(obs, y, minlength=nodes) / k  # ybar, and 0 where unobserved
+    rows = np.stack([w_a, w_b], axis=1) * np.where(seen, np.sqrt(noise_var / k), 1.0)[ends]
+    offset = w_a * pin[ends[:, 0]] + w_b * pin[ends[:, 1]]
+    factor = _spd_numeric(layout.m_pattern, np.concatenate([_gram_values(rows), seen * 1.0]))
+    rhs = np.empty(nodes)
+    rhs[label] = -np.bincount(ends.ravel(), (rows * offset[:, None]).ravel(), minlength=nodes)
+    u = factor.solve(rhs)[label]
+    resid = np.sum(rows * u[ends], axis=1) + offset
+    quad = float(resid @ resid) + float(u[seen] @ u[seen])
+    logdet = factor.logdet + float(np.sum(np.log(k)))
+    repeats = len(y) - np.count_nonzero(seen)
+    if repeats:
+        spread = y - pin[obs]
+        quad += float(spread @ spread) / noise_var
+        logdet += repeats * np.log(noise_var)
+    return quad, logdet, factor.method
 
 
 def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     """``inference.loglik`` of the exact field through the precision of its
-    cut graph: (value, node count, the factor's method, and whether the
-    layout was ``"reused"`` or ``"built"``).
+    cut graph: (value, node count, the factor's method, the form,
+    ``"scaled"`` or ``"grounded"``, and whether the layout was ``"reused"``
+    or ``"built"``).
 
     With the field x at the nodes of the cut graph (precision Q = B'B) and
-    y = A x + noise, H = Q + A'A / noise_var and b = A'y / noise_var:
+    y = A x + noise,
 
-        log|C + noise_var I| = n log noise_var + log|H| - log|Q|,
-        y'(C + noise_var I)^{-1} y = |y - A mu|^2 / noise_var + |B mu|^2,
+        log p(y) = -(quad + log|C + noise_var I| + n log 2 pi) / 2,
+        log|C + noise_var I| = log|F| - log|Q|,
 
-    with mu = H^{-1} b the posterior mean at the nodes. The quadratic form
-    is the minimum over x of |y - A x|^2 / noise_var + x'Qx. It equals
-    y'y / noise_var - b'mu, but as a sum of two non-negative terms it does
-    not lose digits to that difference at small noise. No n x n covariance
-    and no |V| x |V| table is formed. Q and H are factored in the layout's
-    ``label`` order (the root last) on the layout's one pattern, so only
-    their values and numeric factors are computed here.
+    where log|Q| comes from Q's factor in grounded coordinates (the
+    grounding map has determinant 1) and F is the second matrix of one of
+    two forms, both factored in the layout's ``label`` order on its one
+    pattern. The scaled form (``_scaled_form``) pins each observed node
+    and factors M, with no 1 / noise_var. The grounded form factors
+    H = Q + A'A / noise_var in grounded coordinates, so n log noise_var +
+    log|H| = log|F|; with b = A'y / noise_var and mu = H^{-1} b, the
+    posterior mean at the nodes, the quadratic form is |y - A mu|^2 /
+    noise_var + |B mu|^2, the minimum over x of |y - A x|^2 / noise_var +
+    x'Qx as a sum of two non-negative terms.
+
+    The scaled form loses digits as noise_var w_max^2 grows, w_max^2 being
+    the precision of the increment across the stiffest piece (about
+    tau^2 a / L for a piece of length L). The grounded form loses them as
+    noise_var w_min^2 falls, w_min for the loosest piece: every
+    observation row adds 1 / noise_var to H's root entry, which the factor
+    cuts down to O(1). So the rule: scaled where noise_var w_max w_min is
+    at most ``_SCALED_MAX``, grounded above it. No n x n covariance and no
+    |V| x |V| table is formed. Raises ``NumericalError`` if the value is
+    not finite.
     """
     layout, built = _layout_of(g, m, obs)
-    nodes = layout.nodes
-    b_vals = _piece_values(layout, g, m)
+    b_vals, w_a, w_b = _piece_values(layout, g, m)
     q_vals = _gram_values(b_vals)
-    q_factor = _spd_numeric(layout.h_pattern, q_vals)
-    h_vals = np.concatenate([q_vals, (1.0 / noise_var) * _gram_values(layout.a_vals)])
-    h_factor = _spd_numeric(layout.h_pattern, h_vals)
-    b = np.bincount(layout.a_cols.ravel(), (layout.a_vals * y[:, None]).ravel(),
-                    minlength=nodes)
-    rhs = np.empty(nodes)
-    rhs[layout.label] = b / noise_var
-    mu = h_factor.solve(rhs)[layout.label]
-    resid = y - np.sum(layout.a_vals * mu[layout.a_cols], axis=1)
-    prior = np.sum(b_vals * mu[layout.b_cols], axis=1)
+    q_logdet = _spd_numeric(layout.h_pattern, q_vals).logdet
+    w_diff = w_a[w_a.size // 2:]
     n = len(y)
-    quad = float(resid @ resid) / noise_var + float(prior @ prior)
-    logdet = n * np.log(noise_var) + h_factor.logdet - q_factor.logdet
-    return (-0.5 * (quad + logdet + n * np.log(2.0 * np.pi)), nodes, h_factor.method,
-            "built" if built else "reused")
+    if noise_var * w_diff.max() * w_diff.min() <= _SCALED_MAX:
+        form, (quad, logdet, method) = "scaled", _scaled_form(layout, w_a, w_b, y, noise_var)
+    else:
+        form, nodes, label = "grounded", layout.nodes, layout.label
+        h_factor = _spd_numeric(layout.h_pattern, np.concatenate(
+            [q_vals, (1.0 / noise_var) * _gram_values(layout.a_vals)]))
+        b = np.bincount(layout.a_cols.ravel(), (layout.a_vals * y[:, None]).ravel(),
+                        minlength=nodes)
+        rhs = np.empty(nodes)
+        rhs[label] = b / noise_var
+        mu = h_factor.solve(rhs)[label]
+        resid = y - np.sum(layout.a_vals * mu[layout.a_cols], axis=1)
+        prior = np.sum(b_vals * mu[layout.b_cols], axis=1)
+        quad = float(resid @ resid) / noise_var + float(prior @ prior)
+        logdet, method = n * np.log(noise_var) + h_factor.logdet, h_factor.method
+    logdet -= q_logdet
+    # no observation has density 1, which log|M| - log|Q| gives to rounding
+    value = -0.5 * (quad + logdet + n * np.log(2.0 * np.pi)) if n else 0.0
+    if not np.isfinite(value):
+        raise NumericalError(f"log-likelihood is not finite ({form} form): quadratic form "
+                             f"{quad:.3g}, log-determinant {logdet:.3g}")
+    return value, layout.nodes, method, form, "built" if built else "reused"
 
 
 def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:

@@ -69,6 +69,23 @@ def _count(value, name: str, low: int = 0, high: float = math.inf, *,
     return int(value)
 
 
+def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
+            error: type = ValidationError) -> float:
+    """``value`` as a finite float above ``low`` (at or above it when not
+    ``strict``); bools are rejected. The one check every scalar parameter
+    goes through (edge lengths included, so it lives below ``models``)."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        op = ">" if strict else ">="
+        raise error(f"{name} must be finite and {op} {low:g}, got {x}")
+    return x
+
+
 class Edge(NamedTuple):
     id: str
     u: int
@@ -104,6 +121,8 @@ class MetricGraph:
         Number of vertices, indexed 0 .. vertex_count - 1.
     edges : sequence of Edge
         Edges with unique ids, valid endpoint indices and positive lengths.
+        Each length goes through ``_scalar`` and is stored as a Python float
+        (a bool, None or a non-number raises ``NonPositiveLengthError``).
         Edge order is preserved and meaningful (meshes, covariance layouts).
     """
 
@@ -124,7 +143,9 @@ class MetricGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertex_count", _count(
             self.vertex_count, "vertex count", 1, error=GraphValidationError))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        edges = tuple(Edge(*e) for e in self.edges)
+        object.__setattr__(self, "edges", tuple(e._replace(length=_scalar(
+            e.length, f"edge {e.id!r} length", error=NonPositiveLengthError)) for e in edges))
         if not self.edges:
             raise GraphValidationError("graph needs at least one edge")
         seen: set[str] = set()
@@ -138,10 +159,6 @@ class MetricGraph:
             if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
                 raise DanglingEndpointError(
                     f"edge {e.id!r} endpoint outside [0, {self.vertex_count})"
-                )
-            if not (e.length > 0.0 and math.isfinite(e.length)):
-                raise NonPositiveLengthError(
-                    f"edge {e.id!r} has non-positive length {e.length}"
                 )
         object.__setattr__(self, "_index", {e.id: j for j, e in enumerate(self.edges)})
         _, u, v, length = zip(*self.edges)
@@ -267,13 +284,14 @@ def build_graph(spec: Mapping) -> MetricGraph:
 
     Expected shape: ``{"vertices": N, "edges": [{"id", "u", "v", "length"}]}``.
     Edge ids default to ``e<position>`` when omitted. ``MetricGraph`` checks
-    the vertex count and the vertex indices as counts: a float such as 2.9
-    or 0.5 is rejected, never truncated.
+    the vertex count and the vertex indices as counts (a float such as 2.9
+    or 0.5 is rejected, never truncated) and the lengths as scalars (a bool
+    is rejected).
     """
     try:
         nv = spec["vertices"]
         edges = tuple(
-            Edge(str(ed.get("id", f"e{j}")), ed["u"], ed["v"], float(ed["length"]))
+            Edge(str(ed.get("id", f"e{j}")), ed["u"], ed["v"], ed["length"])
             for j, ed in enumerate(spec["edges"])
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -522,7 +540,7 @@ def one_sum(
 
 def interval(length: float = 1.0) -> MetricGraph:
     """Single edge between vertices 0 and 1."""
-    return MetricGraph(2, (Edge("e0", 0, 1, float(length)),))
+    return MetricGraph(2, (Edge("e0", 0, 1, length),))
 
 
 def circle(length: float = 1.0, n: int = 4) -> MetricGraph:
@@ -532,16 +550,14 @@ def circle(length: float = 1.0, n: int = 4) -> MetricGraph:
     Euclidean edges (a Euclidean cycle).
     """
     n = _count(n, "circle vertex count", 1, error=GraphValidationError)
-    if not length > 0:
-        raise NonPositiveLengthError(f"non-positive circle length {length}")
-    piece = float(length) / n
+    piece = _scalar(length, "circle length", error=NonPositiveLengthError) / n
     edges = tuple(Edge(f"e{j}", j, (j + 1) % n, piece) for j in range(n))
     return MetricGraph(n, edges)
 
 
 def star(lengths: Iterable[float]) -> MetricGraph:
     """Star with leaves 0..k-1 and center k; edge j runs leaf -> center."""
-    ls = [float(x) for x in lengths]
+    ls = list(lengths)
     if not ls:
         raise GraphValidationError("star needs at least one edge")
     k = len(ls)

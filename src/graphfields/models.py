@@ -1,12 +1,13 @@
 """Shared model and result types: field parameters and covariance matrices.
 
 This module is also the one place the package checks scalar input:
-``_scalar`` (a finite float above a bound: kappa, a, tau, lengths, alpha,
-kernel scales, noise), ``_count`` (an integer in a range, never a bool or a
-float: replicate counts, mode counts, grid sizes; it lives in ``graph``, whose
-vertex indices it also checks) and ``_check_indices``
-(indices into a matrix). Other modules call these rather than write their
-own comparisons, so every parameter is held to the same rule.
+``_scalar`` (a finite float above a bound, never a bool: kappa, a, tau,
+lengths, alpha, kernel scales, noise), ``_count`` (an integer in a range,
+never a bool or a float: replicate counts, mode counts, grid sizes) and
+``_check_indices`` (indices into a matrix). The first two live in
+``graph``, whose edge lengths and vertex indices they also check, and are
+re-exported here. Other modules call these rather than write their own
+comparisons, so every parameter is held to the same rule.
 """
 from __future__ import annotations
 
@@ -17,23 +18,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Edge, _count
+from .graph import Edge, _count, _scalar
+from .sampling import _PSD_TOL
 
 __all__ = ["FieldModel", "CovMatrix"]
-
-
-def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
-            error: type = ValidationError) -> float:
-    """``value`` as a finite float above ``low`` (at or above it when not
-    ``strict``): the one check every scalar parameter goes through."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise error(f"{name} must be a number, got {value!r}") from None
-    if not (math.isfinite(x) and (x > low if strict else x >= low)):
-        op = ">" if strict else ">="
-        raise error(f"{name} must be finite and {op} {low:g}, got {x}")
-    return x
 
 
 def _normalize(value, name: str):
@@ -144,6 +132,6 @@ class CovMatrix:
             self.info[key] = float(vals[0]) if vals.size else math.inf
         return self.info[key]
 
-    def is_psd(self, tol_factor: float = 1e-10) -> bool:
-        """PSD up to rounding: min eigenvalue >= -tol_factor * trace."""
-        return self.min_eigenvalue() >= -tol_factor * float(np.trace(self.matrix))
+    def is_psd(self) -> bool:
+        """PSD up to rounding: min eigenvalue >= -``sampling._PSD_TOL`` * trace."""
+        return self.min_eigenvalue() >= -_PSD_TOL * float(np.trace(self.matrix))

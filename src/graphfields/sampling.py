@@ -8,11 +8,13 @@ The sparse factor has two steps. The pattern step (``_spd_pattern``) reads
 the triplets' rows and columns alone: the dense or SuperLU branch, each
 triplet's slot in the assembled data, and on the SuperLU branch the
 fill-reducing order and the CSC pattern permuted by it. The numeric step
-(``_spd_numeric``) sums the values into their slots and factors. ``exact``
-keeps the pattern of a cut graph in its cached layout, so a new model pays
-only the numeric step; a one-off caller takes both through
-``_spd_factor``. This module is the one home of the sparse factor: no other
-module calls ``splu`` or another sparse factor or solve.
+(``_spd_numeric``) sums the values into their slots and factors.
+``_spd_slots`` places the triplets of a second matrix whose entries lie in
+a pattern, so it is factored in the same order. ``exact`` keeps the
+patterns of a cut graph in its cached layout, so a new model pays only the
+numeric step; a one-off caller takes both through ``_spd_factor``. This
+module is the one home of the sparse factor: no other module calls
+``splu`` or another sparse factor or solve.
 
 Every dense Cholesky factor in the package comes from ``_potrf``: one
 copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
@@ -63,14 +65,19 @@ def _potrf(mat: np.ndarray, shift: float = 0.0) -> np.ndarray | None:
     return upper.T if info == 0 else None
 
 
-def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
+#: a matrix whose least eigenvalue is at least -_PSD_TOL times its trace
+#: is PSD up to rounding (``safe_cholesky``, ``CovMatrix.is_psd``)
+_PSD_TOL = 1e-10
+
+
+def safe_cholesky(mat: np.ndarray):
     """Cholesky factor of a PSD-up-to-rounding matrix.
 
     Escalates a diagonal jitter of (1e-12, 1e-10, 1e-8) * trace/n before
     giving up. Returns (lower factor, jitter used); the factor is
     ``_potrf``'s, C-contiguous with exact zeros above the diagonal, and
     ``mat`` is not written on any attempt. Raises NotPositiveDefiniteError
-    if the matrix is indefinite beyond ``tol_factor * trace`` or no jitter
+    if the matrix is indefinite beyond ``_PSD_TOL * trace`` or no jitter
     level succeeds.
     """
     mat = np.asarray(mat, dtype=float)
@@ -80,7 +87,7 @@ def safe_cholesky(mat: np.ndarray, tol_factor: float = 1e-10):
     if chol is not None:
         return chol, 0.0
     min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < -tol_factor * float(np.trace(mat)):
+    if min_eig < -_PSD_TOL * float(np.trace(mat)):
         raise NotPositiveDefiniteError(
             f"matrix is not PSD within tolerance (min eigenvalue {min_eig:.3e})"
         )
@@ -166,6 +173,20 @@ def _spd_pattern(rows, cols, n: int) -> _Pattern:
     np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
     return _Pattern(n, place[slot], perm, np.argsort(perm), indptr,
                     r[by_column].astype(np.intc))
+
+
+def _spd_slots(pattern: _Pattern, rows, cols) -> _Pattern:
+    """``pattern`` with the slots of the triplets (rows, cols) in place of
+    its own, for a second matrix whose entries all lie in the pattern: it
+    is factored in the same order, with the pattern's other entries as
+    explicit zeros. On the SuperLU branch the data is sorted by (column,
+    row) of P'MP, so a triplet's slot is found by bisection."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    n = pattern.n
+    if pattern.perm is None:
+        return pattern._replace(slot=rows * n + cols)
+    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+    return pattern._replace(slot=np.searchsorted(keys, pattern.perm[cols] * n + pattern.perm[rows]))
 
 
 def _spd_numeric(pattern: _Pattern, vals) -> _Factor:

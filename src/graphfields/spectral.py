@@ -271,8 +271,15 @@ def _spectral_params(op: DiscreteOperator, alpha, tau, k=None):
 
 def _scaled_basis(op: DiscreteOperator, alpha, tau, k, rows=slice(None)):
     """B = V[rows, :k] lambda^{-alpha/2} / tau for checked parameters (all
-    rows by default), so that B B' is the covariance at those rows."""
-    return op.eigenvectors[rows, :k] * (op.eigenvalues[:k] ** (-alpha / 2.0) / tau)
+    rows by default), so that B B' is the covariance at those rows. A list
+    of rows gathers a fresh copy, scaled in place; a slice is a view of the
+    read-only eigenvectors, scaled into a new array."""
+    scale = op.eigenvalues[:k] ** (-alpha / 2.0) / tau
+    if isinstance(rows, slice):
+        return op.eigenvectors[rows, :k] * scale
+    basis = op.eigenvectors[rows, :k]
+    basis *= scale
+    return basis
 
 
 def _tail_estimate(op: DiscreteOperator, alpha: float, k: int) -> float:

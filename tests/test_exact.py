@@ -1080,7 +1080,8 @@ def test_kirchhoff_residual_needs_fine_mesh(unit_star):
 
 #: the cut graph's rows and everything that reads them live in ``exact``
 _CUT_GRAPH_NAMES = {"_grounded_rows", "_gram", "_DENSE_SAMPLE_MAX",
-                    "_layout", "_Layout", "_layout_of", "_piece_values", "_gram_values"}
+                    "_layout", "_Layout", "_layout_of", "_piece_values", "_gram_values",
+                    "_scaled_form", "_SCALED_MAX"}
 
 
 def _names(tree):
@@ -1112,3 +1113,7 @@ def test_exact_alone_reads_the_cut_graph():
                and isinstance(n.value, ast.Name) and n.value.id in trees
                and n.attr.startswith("_")}
     assert private == {("exact", "_precision_loglik")}
+    # and it has one route per source, with no fallback: nothing is caught,
+    # and no floating-point warning is silenced
+    assert not [n for n in inference if isinstance(n, ast.Try)]
+    assert "errstate" not in set(_names(trees["inference"]))

@@ -52,6 +52,34 @@ def test_build_preserves_edge_order_and_ids():
     assert g.to_json() == doc
 
 
+@pytest.mark.parametrize("length, stored", [
+    ("1.0", 1.0), (1, 1.0), (np.float32(1.0), 1.0), (np.int64(2), 2.0), (0.5, 0.5),
+    (None, None), (True, None), (np.True_, None), ("abc", None), ([1.0], None),
+    (0.0, None), (-1.0, None), (float("nan"), None), (float("inf"), None),
+])
+def test_edge_lengths_go_through_the_scalar_check(length, stored):
+    # every length is read through graph._scalar: stored as a Python float,
+    # or rejected with a GraphValidationError subclass, never a bare TypeError
+    if stored is None:
+        with pytest.raises(NonPositiveLengthError):
+            MetricGraph(2, [("e", 0, 1, length)])
+        return
+    g = MetricGraph(2, [("e", 0, 1, length)])
+    assert type(g.edges[0].length) is float and g.edges[0].length == stored
+    assert g == MetricGraph(2, [("e", 0, 1, stored)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gf.FieldModel(kappa=True), lambda: gf.FieldModel(tau=np.True_),
+    lambda: gf.FieldModel(a={"e0": False}), lambda: gf.interval(True),
+    lambda: gf.circle(True), lambda: gf.build_graph(
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "length": True}]}),
+])
+def test_scalar_rejects_bools(make):
+    with pytest.raises(gf.ValidationError, match="must be a number"):
+        make()
+
+
 def test_build_three_cycle_distance_consistency():
     g = gf.circle(3.0, 3)
     assert gf.classify(g).euclidean_edges

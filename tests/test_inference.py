@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from graphfields import (
     PointOnGraph,
     ValidationError,
     exact,
+    inference,
     sampling,
 )
 from graphfields.graph import CACHE_SIZE
@@ -195,8 +197,7 @@ def _route_points(g, rng, n):
 
 
 def _precision(source, pts, y, noise):
-    """The precision route's value on an exact source, called directly:
-    ``loglik`` answers a failed precision route by the dense one."""
+    """The precision route's value on an exact source, called directly."""
     return exact._precision_loglik(source.g, source.m, list(pts),
                                    np.asarray(y, dtype=float), noise)[0]
 
@@ -336,18 +337,23 @@ def _circle_positions(g, pts):
     return [-p.t if p.edge == "long" else p.t for p in pts]
 
 
-@pytest.mark.parametrize("kappa", [1.0, 10.0])
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 10.0])
 @pytest.mark.parametrize("name", ["loop", "double-edge"])
 def test_precision_route_at_tiny_noise_matches_mpmath(name, kappa):
     # at noise 1e-8 the dense route is no reference: C + noise I is too
-    # ill-conditioned for 1e-12 (it reads up to 6e-9 off the routes here)
+    # ill-conditioned for 1e-12 (it reads up to 6e-9 off the routes here).
+    # A repeated point, a vertex addressed twice and a point 1e-12 from a
+    # vertex: the scaled form pins the mean of a repeat, the grounded form
+    # keeps the near point in a cluster
     g = ROUTE_GRAPHS[name]()
     rng = np.random.default_rng(11)
     pts = _route_points(g, rng, 20)
     y = rng.normal(size=len(pts))
-    want = circle_loglik_mp(_circle_positions(g, pts), y, kappa, 0.7, g.total_length, 1e-8)
-    got = _precision(exact_cov_source(g, FieldModel(kappa=kappa, tau=0.7)), pts, y, 1e-8)
-    assert got == pytest.approx(want, rel=1e-12)
+    source = exact_cov_source(g, FieldModel(kappa=kappa, tau=0.7))
+    for noise in (1e-16, 1e-8, 1e-4, 1e-2, 1.0):
+        want = circle_loglik_mp(_circle_positions(g, pts), y, kappa, 0.7, g.total_length,
+                                noise, dps=60)
+        assert _precision(source, pts, y, noise) == pytest.approx(want, rel=1e-12), noise
 
 
 def _cluster_points(g, kind, rng):
@@ -426,7 +432,7 @@ def _cold_and_warm(g, pts, y, models, noises):
     for m in models:
         for noise in noises:
             exact._layout.cache_clear()
-            value, _, method, how = exact._precision_loglik(g, m, pts, y, noise)
+            value, _, method, _, how = exact._precision_loglik(g, m, pts, y, noise)
             assert how == "built"
             cold.append(value)
             methods.add(method)
@@ -528,7 +534,9 @@ def test_precision_route_at_a_subnormal_gap_between_points():
 
 def _fallback(g, m, pts, y, noise, caplog):
     """loglik on the exact source, the same on the dense route, and the
-    one DEBUG line the first call logged."""
+    one DEBUG line the first call logged. These requests once took the
+    dense route because the precision route failed on them; now they take
+    the precision route, which must give the dense route's value."""
     source = exact_cov_source(g, m)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
@@ -546,27 +554,30 @@ def _fallback(g, m, pts, y, noise, caplog):
 def test_loglik_falls_back_to_dense_where_the_weights_overflow(m, t, caplog):
     # at tau^2 a > 4 a piece of edge longer than the smallest normal double,
     # which the layout keeps, can still have a difference weight whose
-    # square, about tau^2 a / t, overflows
+    # square, about tau^2 a / t, overflowed before ``exact._segment_weights``
+    # capped it
     g = ROUTE_GRAPHS["loop"]()
     pts = [g.point("loop", t)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(exact._precision_loglik(g, m, pts, np.array([0.3]), 1e-4)[0])
     got, dense, message = _fallback(g, m, pts, [0.3], 1e-4, caplog)
     assert got == pytest.approx(dense, rel=1e-12)
-    assert message == "loglik: dense route, 1 points (precision route: value is not finite)"
+    assert message.startswith("loglik: precision route, 1 points, 2 nodes, dense Cholesky, "
+                              "grounded form, layout ")
 
 
-@pytest.mark.parametrize("noise, failure", [
+# ``former`` names how the grounded form, the one precision form there was
+# then, failed at this noise; it stays in the test ids
+@pytest.mark.parametrize("noise, former", [
     (1e-308, "value is not finite"),
     (5e-324, "value is not finite"),
     (1e-300, "precision is not positive definite"),
 ])
-def test_loglik_falls_back_to_dense_at_extreme_noise(noise, failure, caplog):
+def test_loglik_falls_back_to_dense_at_extreme_noise(noise, former, caplog):
     g = ROUTE_GRAPHS["loop"]()
     pts = [g.point("loop", 0.5), g.point("loop", 1.5)]
     got, dense, message = _fallback(g, FieldModel(), pts, [0.3, -0.2], noise, caplog)
     assert got == pytest.approx(dense, rel=1e-12)
-    assert message == f"loglik: dense route, 2 points (precision route: {failure})"
+    assert message.startswith("loglik: precision route, 2 points, 3 nodes, dense Cholesky, "
+                              "scaled form, layout ")
 
 
 #: fractions of an edge that put points at its ends, within 1e-12 and 1e-4
@@ -589,10 +600,30 @@ def _graphs_with_points(draw):
                                     st.sampled_from(_FRACTIONS) | st.floats(0.0, 1.0)),
                           min_size=1, max_size=14))
     pts = [g.point(g.edges[k].id, frac * g.edges[k].length) for k, frac in picks]
-    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-4, 0.01, 1.0]))
+    if noise:  # repeats, which zero noise rejects
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    elif len(set(exact._layout_of(g, FieldModel(), pts)[0].obs)) < len(pts):
+        noise = 1e-12  # a location the picks hit twice
     kappa = 10.0 ** draw(st.floats(-3.0, 3.0))
-    noise = draw(st.sampled_from([1e-4, 0.01, 1.0]))
     return g, pts, kappa, noise
+
+
+def _in_form(form, g, m, pts, y, noise):
+    """``exact._precision_loglik``'s value with its rule set to ``form``."""
+    with mock.patch.object(exact, "_SCALED_MAX", np.inf if form == "scaled" else -1.0):
+        value, *_, taken, _ = exact._precision_loglik(g, m, pts, y, noise)
+    assert taken == form
+    return value
+
+
+def _both_forms_hold(g, m, pts, noise):
+    """Where the ``exact._precision_loglik`` docstring says both forms
+    hold: noise w_max^2 <= 1e4 and noise w_min^2 >= 1e-4, for the largest
+    and the smallest difference weight of the cut graph."""
+    _, w_a, _ = exact._piece_values(exact._layout_of(g, m, pts)[0], g, m)
+    w_diff = w_a[w_a.size // 2:]
+    return noise * w_diff.max() ** 2 <= 1e4 and noise * w_diff.min() ** 2 >= 1e-4
 
 
 # on a failure, hypothesis writes a patch with libcst, whose import warns
@@ -605,6 +636,11 @@ def test_layout_cache_keeps_the_bytes_on_random_graphs(case):
     models = [FieldModel(kappa=kappa), _per_edge_model(g, kappa)]
     cold, warm, _ = _cold_and_warm(g, pts, y, models, (noise,))
     assert _bytes(cold) == _bytes(warm)
+    for m in models:
+        if _both_forms_hold(g, m, pts, noise):
+            scaled, grounded = (_in_form(form, g, m, pts, y, noise)
+                                for form in ("scaled", "grounded"))
+            assert scaled == pytest.approx(grounded, rel=1e-12)
 
 
 def _small_batch_circle():
@@ -626,10 +662,11 @@ def test_loglik_matches_mpmath_from_tiny_to_large_kappa(kappa):
 
 
 def test_loglik_at_tiny_noise_over_random_circles():
-    # noise 1e-8 puts weight 1e8 on the root coordinate of every observation
-    # row; with that coordinate eliminated first the mean error over these
-    # circles was 1.6e-12 (worst 9.7e-12), with it eliminated last 6.4e-13
-    # (worst 5.5e-12): the errors scatter from circle to circle
+    # at noise 1e-8 these circles take the scaled form, with a mean error of
+    # 1.5e-16 (worst 6.4e-16) against 30-digit mpmath. The grounded form,
+    # whose observation rows put weight 1e8 on the root coordinate, read a
+    # mean error of 1.6e-12 (worst 9.7e-12) with that coordinate eliminated
+    # first and 6.4e-13 (worst 5.5e-12) with it eliminated last
     g = gf.circle(2.0, 4)
     source = exact_cov_source(g, FieldModel())
     errs = []
@@ -644,10 +681,6 @@ def test_loglik_at_tiny_noise_over_random_circles():
     assert max(errs) < 1e-11
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the precision route's error grows like 1/noise: every observation adds "
-    "1/noise to H, and log|H| cancels it down to O(1) (4.9e-8 relative off "
-    "here, 1.9e-11 at noise 1e-8), where the dense route is within 1e-15"))
 def test_loglik_matches_mpmath_at_noise_1e_12():
     g = gf.circle(2.0, 4)
     rng = np.random.default_rng(7)
@@ -657,6 +690,100 @@ def test_loglik_matches_mpmath_at_noise_1e_12():
     want = circle_loglik_mp(pos, y, 1.0, 1.0, 2.0, 1e-12, dps=60)
     assert loglik(exact_cov_source(g, FieldModel()), pts, y, 1e-12) == pytest.approx(
         want, rel=1e-12)
+
+
+def _circle_request(n, seed=7):
+    """n uniform points on the four-edge circle of length 2 and standard
+    normal values, drawn from ``seed``, with each point's arclength."""
+    g = gf.circle(2.0, 4)
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 2.0, n)
+    pts = [g.point(f"e{int(p // 0.5)}", float(p % 0.5)) for p in pos]
+    return g, pts, pos, rng.standard_normal(n)
+
+
+_EVERY_NOISE = [0.0, 1e-200, 1e-16, 1e-12, 1e-8, 1e-2, 1.0, 1e2, 1e6]
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-3, 1.0, 1e3])
+def test_loglik_matches_mpmath_at_every_noise(kappa):
+    # the dense route read up to 2.6e-3 off at zero noise and kappa 1e-6,
+    # and the grounded form alone 2.3e-2 off at noise 1e-16
+    for n, noises in ((12, _EVERY_NOISE), (40, [0.0, 1e-16, 1e6])):
+        g, pts, pos, y = _circle_request(n)
+        source = exact_cov_source(g, FieldModel(kappa=kappa))
+        for noise in noises:
+            want = circle_loglik_mp(pos, y, kappa, 1.0, 2.0, noise, dps=60)
+            got = loglik(source, pts, y, noise)
+            assert got == pytest.approx(want, rel=1e-12), (n, noise)
+
+
+@pytest.mark.parametrize("noise, form", [
+    (0.0, "scaled"), (5e-324, "scaled"), (1e-300, "scaled"), (1e-16, "scaled"),
+    (1e-2, "grounded"), (1e6, "grounded"),
+])
+def test_loglik_on_an_exact_source_takes_no_dense_step(noise, form, monkeypatch, caplog):
+    g = ROUTE_GRAPHS["double-edge"]()
+    rng = np.random.default_rng(12)
+    pts = _route_points(g, rng, 10)[:-3]  # no location twice, so zero noise is allowed
+    y = rng.normal(size=len(pts))
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((inference, "_condition"), (inference, "safe_cholesky"),
+                         (sampling, "safe_cholesky"), (exact, "safe_cholesky"),
+                         (exact, "full_cov")):
+        spy(module, name)
+    with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
+        value = loglik(exact_cov_source(g, FieldModel(kappa=1.3)), pts, y, noise)
+    assert np.isfinite(value)
+    assert calls == []
+    [record] = caplog.records
+    assert f", {form} form, layout " in record.getMessage()
+
+
+def test_loglik_raises_where_the_density_underflows():
+    # two different values at one location under noise 5e-324: their
+    # spread over the noise overflows, so the log density is -inf
+    g = ROUTE_GRAPHS["loop"]()
+    pts = [g.point("loop", 0.5), g.point("loop", 0.5), g.point("loop", 1.5)]
+    source = exact_cov_source(g, FieldModel())
+    with pytest.raises(gf.NumericalError, match="not finite .scaled form.: quadratic form inf"):
+        loglik(source, pts, [0.3, -0.2, 0.1], 5e-324)
+    assert np.isfinite(loglik(source, pts, [0.3, 0.3, 0.1], 5e-324))
+
+
+@pytest.mark.parametrize("side", ["dense Cholesky", "SuperLU"])
+def test_scaled_form_factors_its_matrix_on_the_layout_pattern(side):
+    # M's triplets, placed by the slots ``sampling._spd_slots`` found in H's
+    # pattern, assemble the same matrix as the triplets summed directly
+    g, pts, _ = _bouquet_request(side)
+    layout, _ = exact._layout_of(g, FieldModel(), pts)
+    pattern, n = layout.m_pattern, layout.nodes
+    assert (pattern.perm is None) == (side == "dense Cholesky")
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(0.5, 1.5, pattern.slot.size)
+    label = np.roll(np.arange(n), 1)  # the root last
+    rows, cols = (np.concatenate([z, label]) for z in exact._gram(label[layout.ends]))
+    want = np.zeros((n, n))
+    np.add.at(want, (rows, cols), vals)
+    if pattern.perm is None:
+        got = np.bincount(pattern.slot, vals, minlength=n * n).reshape(n, n)
+    else:
+        data = np.bincount(pattern.slot, vals, minlength=pattern.indices.size)
+        permuted = np.zeros((n, n))
+        col = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        permuted[pattern.indices, col] = data
+        got = permuted[np.ix_(pattern.perm, pattern.perm)]
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -681,10 +808,13 @@ def test_loglik_logs_its_route(unit_star, star_source, caplog):
     precision, zero, other, again = (r.getMessage() for r in caplog.records)
     # the star's 4 vertices plus the one interior point; the second model
     # at the same points reuses the layout the first built
-    assert precision == "loglik: precision route, 2 points, 5 nodes, dense Cholesky, layout built"
-    assert zero == "loglik: dense route, 2 points (zero noise)"
+    assert precision == ("loglik: precision route, 2 points, 5 nodes, dense Cholesky, "
+                         "grounded form, layout built")
+    assert zero == ("loglik: precision route, 2 points, 5 nodes, dense Cholesky, "
+                    "scaled form, layout reused")
     assert other == "loglik: dense route, 2 points (source is not exact)"
-    assert again == "loglik: precision route, 2 points, 5 nodes, dense Cholesky, layout reused"
+    assert again == ("loglik: precision route, 2 points, 5 nodes, dense Cholesky, "
+                     "grounded form, layout reused")
 
 
 def test_loglik_memory_stays_far_below_the_dense_covariance():
@@ -715,6 +845,8 @@ def test_no_observations_give_the_prior(unit_star, star_source):
     np.testing.assert_array_equal(result.cov, star_source(pred))
     assert result.log_likelihood == 0.0
     assert loglik(_dense(star_source), [], [], 0.0) == 0.0
+    for noise in (0.0, 0.1):  # both forms of the precision route
+        assert loglik(star_source, [], [], noise) == 0.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

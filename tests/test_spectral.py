@@ -160,6 +160,23 @@ def test_spectral_cov_symmetric_product(fig8, nodes):
     assert np.max(np.abs(mat - general)) <= 1e-13 * np.max(np.abs(general))
 
 
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0])
+def test_product_route_scales_its_gather_in_place_with_the_same_bytes(fig8, alpha):
+    op = assemble(fig8, FieldModel(kappa=1.5), 0.05)
+    op._cov_memo.clear()  # no whole-mesh memo: half the nodes take the product route
+    rows = list(range(0, op.n_dof, 2)) + [3, 3]
+    k = op.eigenvalues.size
+    # the expression the gather scaled in place must match, byte for byte
+    basis = op.eigenvectors[rows, :k] * (op.eigenvalues[:k] ** (-alpha / 2.0) / 1.3)
+    want = basis @ basis.T
+    first = [rows.index(i) for i in rows]
+    want = want.take(first, 0).take(first, 1)
+    assert spectral_cov(op, alpha, 1.3, nodes=rows).matrix.tobytes() == want.tobytes()
+    whole = op.eigenvectors * (op.eigenvalues ** (-alpha / 2.0) / 1.3)
+    assert spectral._scaled_basis(op, alpha, 1.3, k).tobytes() == whole.tobytes()
+    assert not op.eigenvectors.flags.writeable
+
+
 def test_variance_nonincreasing_in_alpha_when_spectrum_above_one():
     g = gf.interval(1.0)
     op = assemble(g, FieldModel(kappa=1.2), 0.05)
