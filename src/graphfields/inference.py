@@ -29,14 +29,25 @@ full accuracy at small kappa, where a Cholesky of C + noise I loses the
 O(1) part of C under its 1/(kappa^2 |Gamma|) constant mode. Nothing falls
 back: where the route cannot evaluate, it raises ``NumericalError``. Every
 other source, and ``krige`` on any source, take the dense route through
-the joint covariance. The DEBUG line on ``graphfields.inference``, once
-per call, names the route, and on the precision route the factor, the
-form and whether the layout was built or reused.
+the joint covariance.
+
+An exact source keeps the last point set it computed, with its matrix, in
+a one-slot memo keyed on each point's ``(edge, t)``: a request over points
+all in the slot, in any order and with any repeats, is a gather from that
+matrix with no ``full_cov`` call (see :func:`exact_cov_source`). So a
+leave-one-out sweep of ``krige`` computes one covariance, and the memory
+held is at most one n x n matrix per source.
+
+The DEBUG line on ``graphfields.inference``, once per call, names the
+route, and on the precision route the factor, the form and whether the
+layout was built or reused, and for ``krige`` whether the joint
+covariance was gathered from an exact source's memo or computed.
 """
 from __future__ import annotations
 
 import inspect
 import logging
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,21 +81,74 @@ class KrigingResult:
         return np.diag(self.cov).copy()
 
 
-class _ExactSource:
-    """``exact.full_cov`` at the points, keeping the graph and model for
-    ``loglik``'s precision route."""
+class _LastCall(threading.local):
+    """Per thread, whether an exact source's last call gathered from its
+    memo."""
 
-    __slots__ = ("g", "m")
+    gathered = False
+
+
+class _ExactSource:
+    """``exact.full_cov`` at the points behind a one-slot memo (see
+    :func:`exact_cov_source`), keeping the graph and model for ``loglik``'s
+    precision route. The slot is one tuple (points, read-only matrix, row
+    map or None), read once per call and replaced in one assignment, so
+    callers that share a source never see one set's rows beside another
+    set's matrix. ``last`` tells, per thread, whether that thread's last
+    call gathered, for ``krige``'s DEBUG line.
+    """
+
+    __slots__ = ("g", "m", "last", "_slot")
 
     def __init__(self, g: MetricGraph, m: FieldModel):
         self.g, self.m = g, m
+        self.last = _LastCall()
+        self._slot = None
 
     def __call__(self, pts: Sequence[PointOnGraph]) -> np.ndarray:
-        return exact.full_cov(self.g, self.m, pts).matrix
+        pts = list(pts)
+        slot = self._slot
+        if slot is not None:
+            old, cov, index = slot
+            if index is None:
+                index = {(p.edge, float(p.t)): i for i, p in enumerate(old)}
+                self._slot = (old, cov, index)
+            get = index.get
+            rows = [get((p.edge, float(p.t)), -1) for p in pts]
+            if -1 not in rows:
+                self.last.gathered = True
+                rows = np.array(rows, dtype=np.intp)
+                return cov.take(rows, 0).take(rows, 1)
+        cov = exact.full_cov(self.g, self.m, pts).matrix
+        self.last.gathered = False
+        cov.flags.writeable = False
+        self._slot = (pts, cov, None)
+        return cov.copy()
 
 
 def exact_cov_source(g: MetricGraph, m: FieldModel) -> CovSource:
-    """Covariance source backed by the exact unit-exponent construction."""
+    """Covariance source backed by the exact unit-exponent construction.
+
+    The source keeps a one-slot memo: the last point set it computed with
+    ``exact.full_cov``, that set's matrix (read-only) and, built on the
+    first lookup, a map from each of its points' ``(edge, float(t))``, as
+    given, to its row (``full_cov`` reads nothing else of a point). A
+    request whose every point is in the map is a gather from that matrix,
+    rows then columns, with no ``full_cov`` call; any other request calls
+    ``full_cov`` and takes the slot. So the requests of a leave-one-out
+    sweep, each the same point set in a new order, compute one covariance
+    between them. A key is in the map only because ``full_cov`` validated
+    that same ``(edge, t)`` (clamped within the 1e-12 slack) on this
+    immutable graph, so a point it would reject (an unknown edge, a NaN
+    ``t``, a ``t`` past the slack) always misses and raises as before, and
+    a failed request leaves the slot as it was. Gathered equals computed
+    to the byte on the tested graphs (the circle, star, tadpole,
+    figure-eight and a 301-vertex bouquet). The memory is one n x n matrix
+    per source, for the n points it last computed, freed with the source.
+    Every call returns a new writable array: a gather, or one copy of the
+    slot's matrix on a miss. ``krige``'s DEBUG line tells which its call
+    was.
+    """
     return _ExactSource(g, m)
 
 
@@ -170,9 +234,14 @@ def krige(
     """
     obs_pts = list(obs_pts)
     y, noise_var = _check_obs(obs_pts, y, noise_var)
-    _log.debug("krige: dense route, %d points (krige has no precision route)",
-               len(obs_pts))
     joint, chol, jitter = _condition(cov_source, obs_pts, y, noise_var, pred_pts)
+    source = inspect.unwrap(cov_source)
+    if not isinstance(source, _ExactSource):
+        how = "from a source that is not exact"
+    else:
+        how = "gathered from the source's memo" if source.last.gathered else "computed"
+    _log.debug("krige: dense route, %d points, joint covariance %s "
+               "(krige has no precision route)", len(obs_pts), how)
     no = len(obs_pts)
     cpo = joint[no:, :no]
     cpp = joint[no:, no:]

@@ -1,5 +1,10 @@
+import ast
+import functools
 import logging
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -532,7 +537,7 @@ def test_precision_route_at_a_subnormal_gap_between_points():
     assert got == pytest.approx(loglik(_dense(source), pts, y, 1e-4), rel=1e-12)
 
 
-def _fallback(g, m, pts, y, noise, caplog):
+def _against_dense(g, m, pts, y, noise, caplog):
     """loglik on the exact source, the same on the dense route, and the
     one DEBUG line the first call logged. These requests once took the
     dense route because the precision route failed on them; now they take
@@ -551,14 +556,14 @@ def _fallback(g, m, pts, y, noise, caplog):
     (FieldModel(a=100.0), 3e-308),
     (FieldModel(tau=3.0), 2.3e-308),
 ])
-def test_loglik_falls_back_to_dense_where_the_weights_overflow(m, t, caplog):
+def test_loglik_matches_dense_where_the_weights_overflow(m, t, caplog):
     # at tau^2 a > 4 a piece of edge longer than the smallest normal double,
     # which the layout keeps, can still have a difference weight whose
     # square, about tau^2 a / t, overflowed before ``exact._segment_weights``
     # capped it
     g = ROUTE_GRAPHS["loop"]()
     pts = [g.point("loop", t)]
-    got, dense, message = _fallback(g, m, pts, [0.3], 1e-4, caplog)
+    got, dense, message = _against_dense(g, m, pts, [0.3], 1e-4, caplog)
     assert got == pytest.approx(dense, rel=1e-12)
     assert message.startswith("loglik: precision route, 1 points, 2 nodes, dense Cholesky, "
                               "grounded form, layout ")
@@ -571,10 +576,10 @@ def test_loglik_falls_back_to_dense_where_the_weights_overflow(m, t, caplog):
     (5e-324, "value is not finite"),
     (1e-300, "precision is not positive definite"),
 ])
-def test_loglik_falls_back_to_dense_at_extreme_noise(noise, former, caplog):
+def test_loglik_matches_dense_at_extreme_noise(noise, former, caplog):
     g = ROUTE_GRAPHS["loop"]()
     pts = [g.point("loop", 0.5), g.point("loop", 1.5)]
-    got, dense, message = _fallback(g, FieldModel(), pts, [0.3, -0.2], noise, caplog)
+    got, dense, message = _against_dense(g, FieldModel(), pts, [0.3, -0.2], noise, caplog)
     assert got == pytest.approx(dense, rel=1e-12)
     assert message.startswith("loglik: precision route, 2 points, 3 nodes, dense Cholesky, "
                               "scaled form, layout ")
@@ -869,3 +874,243 @@ def test_a_source_that_is_not_finite_is_rejected(unit_star, star_source, block, 
         for noise in (0.0, 0.1):  # the dense route, with and without noise
             with pytest.raises(ValidationError, match="not finite"):
                 loglik(source, obs, [1.0, -0.5], noise)
+
+
+# -- the exact source's one-slot memo -------------------------------------------
+
+
+MEMO_GRAPHS = {
+    "circle": (lambda: gf.circle(2.0, 4), 40),
+    "star": (lambda: gf.star([0.7, 1.0, 1.3]), 40),
+    "tadpole": (lambda: gf.tadpole(2.0, 1.0), 40),
+    "figure_eight": (lambda: gf.figure_eight(1.0, 2.0), 40),
+    # 301 vertices, above graph._DENSE_PHI_MAX: the CSR Phi
+    "bouquet-100": (lambda: _bouquet(100), 60),
+}
+
+
+def _memo_points(g, n, seed=0):
+    """n points: random ones, both ends of the first edge, a point 1e-13
+    past the last edge's end (clamped onto it) and a repeat of the first."""
+    rng = np.random.default_rng(seed)
+    first, last = g.edges[0], g.edges[-1]
+    pts = [g.point(e.id, float(rng.uniform(0.0, e.length)))
+           for e in (g.edges[i] for i in rng.integers(g.edge_count, size=n - 4))]
+    return pts + [PointOnGraph(first.id, 0.0), PointOnGraph(first.id, first.length),
+                  PointOnGraph(last.id, last.length + 1e-13), pts[0]]
+
+
+def _counting_full_cov(monkeypatch):
+    """The number of points of each ``exact.full_cov`` call from now on."""
+    calls = []
+    full_cov = exact.full_cov
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return full_cov(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "full_cov", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(MEMO_GRAPHS))
+def test_memo_gathers_the_bytes_of_a_fresh_full_cov(name, monkeypatch):
+    make, n = MEMO_GRAPHS[name]
+    g, m = make(), FieldModel(kappa=1.5)
+    pts = _memo_points(g, n)
+    rng = np.random.default_rng(1)
+    requests = [pts[:i] + pts[i + 1:] + [pts[i]] for i in range(n)]
+    requests += [pts[::-1], pts[3:17], [pts[i] for i in rng.permutation(n)],
+                 [pts[i] for i in rng.choice(n, n // 2, replace=False)], pts[-12:], []]
+    want = [exact.full_cov(g, m, req).matrix for req in [pts] + requests]
+    source = exact_cov_source(g, m)
+    calls = _counting_full_cov(monkeypatch)
+    got = [source(req) for req in [pts] + requests]
+    assert calls == [n]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_memo_recomputes_and_replaces_its_slot_for_a_new_point(monkeypatch):
+    g, m = gf.figure_eight(1.0, 2.0), FieldModel()
+    pts = _memo_points(g, 20)
+    req = pts[5:] + [g.point(g.edges[1].id, 0.123)]
+    want = exact.full_cov(g, m, req).matrix
+    source = exact_cov_source(g, m)
+    calls = _counting_full_cov(monkeypatch)
+    source(pts)
+    source(pts[::-1])
+    assert calls == [20]
+    got = source(req)
+    assert calls == [20, 16]
+    assert got.tobytes() == want.tobytes()
+    # the slot now holds the new set: its points gather, the dropped ones miss
+    source(req[::-1])
+    assert calls == [20, 16]
+    source(pts[:5])
+    assert calls == [20, 16, 5]
+
+
+def test_writing_into_a_returned_matrix_leaves_later_answers(monkeypatch):
+    g, m = gf.tadpole(2.0, 1.0), FieldModel()
+    pts = _memo_points(g, 12)
+    want = exact.full_cov(g, m, pts).matrix
+    source = exact_cov_source(g, m)
+    calls = _counting_full_cov(monkeypatch)
+    first = source(pts)
+    assert first.flags.writeable
+    first[:] = 7.0
+    second = source(pts)
+    assert calls == [12] and second.flags.writeable
+    assert second.tobytes() == want.tobytes()
+    second[:] = 8.0
+    third = source(pts[::-1])
+    assert third.tobytes() == want[::-1, ::-1].tobytes()
+    assert not np.shares_memory(first, second) and not np.shares_memory(second, third)
+
+
+def test_a_warm_memo_still_rejects_bad_points(monkeypatch):
+    g, m = gf.circle(2.0, 4), FieldModel()
+    pts = _memo_points(g, 12)
+    source = exact_cov_source(g, m)
+    source(pts)
+    end = g.edges[0].length
+    for bad in (PointOnGraph("nope", 0.1), PointOnGraph("e0", float("nan")),
+                PointOnGraph("e0", end + 1e-9), PointOnGraph("e0", -1e-9)):
+        with pytest.raises(gf.PointError):
+            source(pts[:3] + [bad])
+        with pytest.raises(gf.PointError):
+            krige(source, pts[:3], [0.1, 0.2, 0.3], 0.01, [bad])
+    # the failed requests left the slot as it was
+    calls = _counting_full_cov(monkeypatch)
+    source(pts[::-1])
+    assert calls == []
+
+
+def test_repeated_points_get_equal_rows_from_the_memo(monkeypatch):
+    g, m = gf.star([0.7, 1.0, 1.3]), FieldModel()
+    pts = _memo_points(g, 15)
+    source = exact_cov_source(g, m)
+    source(pts)
+    calls = _counting_full_cov(monkeypatch)
+    # pts[-1] repeats pts[0]
+    got = source([pts[3], pts[0], pts[3], pts[-1], pts[3]])
+    assert calls == []
+    for a, b in ((0, 2), (0, 4), (1, 3)):
+        assert got[a].tobytes() == got[b].tobytes()
+        assert got[:, a].tobytes() == got[:, b].tobytes()
+
+
+def test_memo_keys_on_the_value_of_t(monkeypatch):
+    g, m = gf.circle(2.0, 4), FieldModel()
+    pts = [PointOnGraph("e0", 0.25), PointOnGraph("e1", 0.125), PointOnGraph("e2", 0.5)]
+    source = exact_cov_source(g, m)
+    want = source(pts)
+    calls = _counting_full_cov(monkeypatch)
+    # a 0-d array is no dict key, but full_cov reads it as the same float
+    got = source([PointOnGraph("e0", np.array(0.25)), PointOnGraph("e1", np.float64(0.125)),
+                  PointOnGraph("e2", 0.5)])
+    assert calls == [] and got.tobytes() == want.tobytes()
+
+
+def test_a_leave_one_out_sweep_computes_one_covariance(monkeypatch):
+    g, m = gf.circle(2.0, 4), FieldModel(kappa=1.5)
+    pts = _memo_points(g, 40)
+    y = np.random.default_rng(2).normal(size=40)
+    splits = [(pts[:i] + pts[i + 1:], np.delete(y, i), [pts[i]]) for i in range(40)]
+    # each request on a fresh source: full_cov every time
+    want = [krige(exact_cov_source(g, m), o, yo, 0.01, p) for o, yo, p in splits]
+    source = exact_cov_source(g, m)
+    calls = _counting_full_cov(monkeypatch)
+    got = [krige(source, o, yo, 0.01, p) for o, yo, p in splits]
+    assert calls == [40]
+    for a, b in zip(got, want):
+        assert a.mean.tobytes() == b.mean.tobytes() and a.cov.tobytes() == b.cov.tobytes()
+        assert a.log_likelihood == b.log_likelihood
+
+
+def test_krige_logs_whether_it_gathered_its_covariance(unit_star, star_source, caplog):
+    obs = [unit_star.point("e0", 0.3), unit_star.point("e1", 1.0)]
+    pred = [unit_star.point("e2", 0.5)]
+    wrapped = functools.wraps(star_source)(lambda pts: star_source(pts))
+    with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
+        krige(star_source, obs, [1.0, 2.0], 0.1, pred)
+        krige(star_source, pred + obs[:1], [0.5, 1.0], 0.1, obs[1:])
+        krige(wrapped, pred, [0.5], 0.1, obs)
+        krige(star_source, obs, [1.0, 2.0], 0.1, [unit_star.point("e2", 0.7)])
+        krige(_dense(star_source), obs, [1.0, 2.0], 0.1, pred)
+    assert [r.getMessage() for r in caplog.records] == [
+        "krige: dense route, 2 points, joint covariance computed "
+        "(krige has no precision route)",
+        "krige: dense route, 2 points, joint covariance gathered from the source's memo "
+        "(krige has no precision route)",
+        "krige: dense route, 1 points, joint covariance gathered from the source's memo "
+        "(krige has no precision route)",
+        # a new point: a miss after gathers
+        "krige: dense route, 2 points, joint covariance computed "
+        "(krige has no precision route)",
+        "krige: dense route, 2 points, joint covariance from a source that is not exact "
+        "(krige has no precision route)",
+    ]
+
+
+def test_whether_a_call_gathered_is_kept_per_thread(star_source, unit_star):
+    pts = [unit_star.point("e0", 0.3), unit_star.point("e1", 1.0)]
+    star_source(pts)
+    star_source(pts[::-1])
+    assert star_source.last.gathered
+    seen = []
+
+    def other():
+        # a miss in another thread replaces the slot but not this thread's flag
+        star_source(pts + [unit_star.point("e2", 0.5)])
+        seen.append(star_source.last.gathered)
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    worker.join()
+    assert seen == [False] and star_source.last.gathered
+
+
+def test_threads_sharing_a_source_get_the_matrix_of_their_request():
+    # two point sets alternate, so threads keep replacing the slot while
+    # others build its row map or gather from it
+    g, m = gf.figure_eight(1.0, 2.0), FieldModel()
+    sets = [_memo_points(g, 12, seed) for seed in (3, 4)]
+    rng = np.random.default_rng(5)
+    requests = [[pts[i] for i in rng.permutation(12)[:k]]
+                for k in (12, 7) for pts in sets for _ in range(4)]
+    want = [exact.full_cov(g, m, req).matrix.tobytes() for req in requests]
+    source = exact_cov_source(g, m)
+    wrong = []
+
+    def work(offset):
+        for i in range(60):
+            k = (offset + i) % len(requests)
+            if source(requests[k]).tobytes() != want[k]:
+                wrong.append(k)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+
+
+def test_inference_reads_full_cov_only_through_the_exact_source():
+    # the memo is the one way inference reads an exact covariance
+    tree = ast.parse(Path(inference.__file__).read_text())
+    [memo] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_ExactSource"]
+    inside = {id(n) for n in ast.walk(memo)}
+    reads = [n for n in ast.walk(tree)
+             if "full_cov" in (getattr(n, "attr", None), getattr(n, "id", None),
+                               getattr(n, "name", None))
+             or (isinstance(n, ast.Constant) and n.value == "full_cov")]
+    assert reads and all(id(n) in inside for n in reads)
