@@ -39,6 +39,15 @@ and loosest pieces picks the form. This module is the one reader of those
 rows: ``_gram`` turns them into the triplets whose pattern
 ``sampling._spd_pattern`` analyses and ``sampling._spd_numeric`` factors.
 
+A short piece of edge, shorter than ``_CLUSTER_GAP`` times the longest
+edge at either end of its edge, has a difference row that would swamp
+every other term at its two nodes. One rule handles every such piece:
+it joins its two nodes, and each connected component of the joins (a
+cluster, of vertices, points or both) is written relative to its
+smallest node, x_i = z_0 + z_base + z_i, so the stiff row reads the
+nodes' own coordinates alone. ``_vertex_cov`` maps Cov(z) back through
+the same map.
+
 Which nodes the cut graph has and which entries its rows fill depend on
 the graph and the points alone; kappa, tau and a change only the values.
 So the layout (``_layout``: the pieces of edge, the columns of B and A,
@@ -79,6 +88,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConditioningError,
@@ -410,8 +420,10 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     precision, made of the tanh terms alone, never mixes with the coth
     terms, so the constant mode that dominates S_V at small kt L keeps full
     relative accuracy although ``sampling._spd_numeric`` forms Q, on the
-    pattern the layout at no points keeps. Solves for the identity give
-    Cov(z), and x = z_0 1 + z maps it to the vertices.
+    pattern the layout at no points keeps. Vertices joined by short edges
+    share a base there as points do (``_layout``). Solves for the identity
+    give Cov(z), and x_v = z_0 + z_base(v) + z_v maps it to the vertices
+    with index adds: the based rows and columns, then the root's.
 
     One step of iterative refinement mends the root's entry on large
     graphs at kt L of order one. z_0 couples to every vertex: its diagonal
@@ -439,7 +451,11 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
         resid[lo + diag, diag] += 1.0
         sv[:, block] += factor.solve(resid)
     sv = np.ascontiguousarray(sv)  # the solves return it F-ordered
-    sv[1:] += sv[0]  # from z back to the vertex values
+    # from z back to the vertex values, x_v = z_0 + z_base(v) + z_v
+    based = np.flatnonzero(layout.base)
+    sv[based] += sv[layout.base[based]]
+    sv[:, based] += sv[:, layout.base[based]]
+    sv[1:] += sv[0]
     sv[:, 1:] += sv[:, :1]
     _symmetrize(sv)
     ec = _edge_constants(g, m)
@@ -529,8 +545,9 @@ def _distinct_points(j, t, u, v, ell, merge: float = 0.0):
     return vertex, inner[new], rank
 
 
-#: a piece of edge shorter than this fraction of its edge puts its two
-#: nodes in one cluster of the cut graph (``_layout``)
+#: a piece of edge shorter than this fraction of the longest edge at either
+#: end of its edge joins its two nodes in one cluster of the cut graph
+#: (``_layout``)
 _CLUSTER_GAP = 1e-3
 
 
@@ -540,7 +557,10 @@ class _Layout(NamedTuple):
     of coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}.
 
     The pieces of edge: ``piece_edge``, ``piece_length``, and ``ends``, the
-    two nodes of each row of B (``_piece_values`` order). B's columns
+    two nodes of each row of B (``_piece_values`` order). ``base``, each
+    node's base in the grounding map x_i = z_0 + z_base[i] + z_i: the
+    smallest node of its cluster, 0 for none (for that node itself, a node
+    in no cluster, or one in the cluster of vertex 0). B's columns
     ``b_cols``, and ``b_pick``, each entry's place in the weights
     ``_piece_values`` lays out. A's columns and values, which hold no
     weight, and ``obs``, each observation's node. ``label``, node i's row
@@ -558,6 +578,7 @@ class _Layout(NamedTuple):
     piece_edge: np.ndarray
     piece_length: np.ndarray
     ends: np.ndarray
+    base: np.ndarray
     b_cols: np.ndarray
     b_pick: np.ndarray
     a_cols: np.ndarray
@@ -614,15 +635,19 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
 
     The coordinates are ``_vertex_cov``'s grounded ones, x = z_0 (1, ...,
     1) + (0, z_1, ...), so the constant mode keeps full accuracy at small
-    kappa. A piece shorter than ``_CLUSTER_GAP`` times its edge would do to
-    its end nodes what the constant mode does to the vertices: its
-    difference row, of weight about 1/length, swamps every other term at
-    those nodes. Such pieces join their nodes into clusters, each with one
-    base (the vertex in it, else its first point), and a point in a
-    cluster is written relative to its base, x_p = x_base + z_p, so the
-    stiff row reads z_p alone. A point within the smallest normal double
-    of a vertex or of the point before it on its edge is put at that node,
-    so no piece is shorter than that.
+    kappa. A short piece would do to its end nodes what the constant mode
+    does to the vertices: its difference row, of weight about 1/length,
+    swamps every other term at those nodes. So one rule makes clusters: a
+    piece shorter than ``_CLUSTER_GAP`` times the longest edge at either
+    end of its edge joins its two nodes, the clusters are the connected
+    components of those joins, whether they hold vertices, points or both,
+    and each is based at its smallest node, a vertex where it holds one.
+    A node in a cluster is written relative to its base, x_i = z_0 +
+    z_base + z_i, so a stiff row inside a cluster reads the two nodes' own
+    coordinates alone. Base 0 means no base, which is also right for the
+    cluster of vertex 0, whose coordinate is z_0 alone. A point within the
+    smallest normal double of a vertex or of the point before it on its
+    edge is put at that node, so no piece is shorter than that.
 
     Which nodes and which entries there are depends on the graph and the
     points alone: this is the layout, and only B's values
@@ -638,37 +663,31 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     # before it is put at that node
     vertex, first, rank = _distinct_points(j, t, u[j], v[j], ell, np.finfo(float).tiny)
     nv, k = g.vertex_count, first.size
-    pj, pt, pl, pos = j[first], t[first], ell[first], np.arange(k)
+    nodes = nv + k
+    pj, pt, pl, node = j[first], t[first], ell[first], np.arange(nv, nodes)
     # the first and the last point on each edge, in (edge, t) order
     starts = np.ones(k + 1, dtype=bool)
     starts[1:-1] = pj[1:] != pj[:-1]
     starts, ends = starts[:-1], starts[1:]
     gap_in = pt.copy()
     gap_in[1:] -= np.where(starts[1:], 0.0, pt[:-1])
-    gap_end = pl[ends] - pt[ends]
-    near_in = gap_in < _CLUSTER_GAP * pl
-    near_out = np.append(near_in[1:], False)
-    near_out[ends] = gap_end < _CLUSTER_GAP * pl[ends]
-    # each point's cluster runs from run_first to run_last along its edge
-    edge_first = np.maximum.accumulate(np.where(starts, pos, 0))
-    edge_last = np.minimum.accumulate(np.where(ends, pos, k)[::-1])[::-1]
-    run_first = np.maximum.accumulate(np.where(near_in, -1, pos))
-    run_last = np.minimum.accumulate(np.where(near_out, k, pos)[::-1])[::-1]
-    # the base: the start vertex if the cluster reaches it, else the end
-    # vertex if it reaches that, else the cluster's first point (no base
-    # for that point itself, nor for a point in no cluster)
-    base = np.zeros(nv + k, dtype=np.intp)
-    base[nv:] = np.where(
-        run_first < edge_first,
-        u[pj],
-        np.where(run_last > edge_last, v[pj], np.where(run_first == pos, 0, nv + run_first)),
-    )
     touched = np.zeros(g.edge_count, dtype=bool)
     touched[pj] = True
     free = np.flatnonzero(~touched)
-    node = nv + pos
     a = np.concatenate([np.where(starts, u[pj], node - 1), node[ends], u[free]])
     b = np.concatenate([node, v[pj[ends]], v[free]])
+    piece_edge = np.concatenate([pj, pj[ends], free])
+    piece_length = np.concatenate([gap_in, pl[ends] - pt[ends], length[free]])
+    # the clusters: the nodes joined by short pieces, each based at its
+    # smallest node (no base for that node itself, nor for a lone node)
+    longest = np.zeros(nv)
+    np.maximum.at(longest, np.concatenate([u, v]), np.concatenate([length, length]))
+    short = piece_length < _CLUSTER_GAP * np.maximum(longest[u], longest[v])[piece_edge]
+    joins = csr_array((np.ones(short.sum()), (a[short], b[short])), shape=(nodes, nodes))
+    _, smallest, cluster = np.unique(connected_components(joins, directed=False)[1],
+                                     return_index=True, return_inverse=True)
+    base = smallest[cluster]
+    base[base == np.arange(nodes)] = 0
     row_ends = np.stack([np.concatenate([a, a]), np.concatenate([b, b])], axis=1)
     b_cols, b_pick = _grounded_rows(base, *row_ends.T)
     # an observation at node i reads x_i = z_0 + z_base[i] + z_i: columns
@@ -682,7 +701,6 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     # every observation row puts weight 1 / noise on the root coordinate
     # z_0: relabelled last, it is eliminated last by the dense factor. With
     # no observation it keeps its place first, where ``_vertex_cov`` has it
-    nodes = nv + k
     label = np.arange(nodes)
     if j.size:
         label = np.roll(label, 1)
@@ -691,8 +709,7 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     # every node is its own column in its pieces' rows of B, so M's
     # entries, at the rows' two nodes, are H's too
     m_pattern = _spd_slots(pattern, *(np.concatenate([z, label]) for z in _gram(label[row_ends])))
-    out = _Layout(nodes, np.concatenate([pj, pj[ends], free]),
-                  np.concatenate([gap_in, gap_end, length[free]]), row_ends, b_cols, b_pick,
+    out = _Layout(nodes, piece_edge, piece_length, row_ends, base, b_cols, b_pick,
                   a_cols, a_vals, obs, label, pattern, m_pattern)
     for arr in (*out[1:-2], *pattern[1:], m_pattern.slot):
         if arr is not None:

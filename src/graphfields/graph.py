@@ -86,6 +86,19 @@ def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
     return x
 
 
+def _arclength(t) -> float:
+    """An arclength as a float, by ``_scalar``'s rule with strings rejected
+    too, where ``float`` would parse a numeric one: PointError for a
+    string, None, a bool or any other value that is not a finite number.
+    A float passes as it is, NaN included, to ``MetricGraph.point``'s
+    range check."""
+    if isinstance(t, float):
+        return t
+    if isinstance(t, (str, bytes)):
+        raise PointError(f"arclength must be a number, got {t!r}")
+    return _scalar(t, "arclength", -math.inf, error=PointError)
+
+
 class Edge(NamedTuple):
     id: str
     u: int
@@ -236,8 +249,10 @@ class MetricGraph:
     # -- points -----------------------------------------------------------
 
     def point(self, edge_id: str, t: float) -> PointOnGraph:
-        """Validated point; ``t`` may exceed [0, length] by a 1e-12 slack only."""
+        """Validated point; ``t`` is a number (``_arclength``) and may exceed
+        [0, length] by a 1e-12 slack only."""
         e = self.edge(edge_id)
+        t = _arclength(t)
         slack = 1e-12 * max(1.0, e.length)
         if not (-slack <= t <= e.length + slack):
             raise PointError(
@@ -306,24 +321,23 @@ def _point_arrays(g: MetricGraph, pts: Sequence[PointOnGraph]):
     """Validated points and their per-point arrays (pts, j, t, u, v, L).
 
     The points pass the checks of ``g.point`` as arrays: a known edge id,
-    and t within [0, L] up to the 1e-12 slack (NaN fails). The first point
-    that fails goes through ``g.point`` itself, so its error is the one
-    ``g.point`` raises; only points clamped onto an edge end are rebuilt.
-    j is each point's edge index, t its arclength, u and v the edge's start
-    and end vertices and L the edge length.
+    a float t (``_arclength``), and t within [0, L]. Every other point goes
+    through ``g.point`` itself, in order, so the first that fails raises the
+    error ``g.point`` raises, and one within the 1e-12 slack of an edge end,
+    or with a t of another number type, is rebuilt. j is each point's edge
+    index, t its arclength, u and v the edge's start and end vertices and L
+    the edge length.
     """
     pts = list(pts)
     n = len(pts)
     j = np.fromiter((g._index.get(p.edge, -1) for p in pts), dtype=np.intp, count=n)
-    t = np.fromiter((p.t for p in pts), dtype=float, count=n)
+    t = [p.t for p in pts]
+    if not all(map(float.__instancecheck__, t)):  # ``g.point`` reads the others below
+        t = [x if isinstance(x, float) else np.nan for x in t]
+    t = np.array(t, dtype=float)
     u, v, length = g._edge_arrays
     ell = length[j]
-    slack = 1e-12 * np.maximum(1.0, ell)
-    valid = (j >= 0) & (-slack <= t) & (t <= ell + slack)
-    if not valid.all():
-        first = pts[np.argmin(valid)]
-        g.point(first.edge, first.t)  # raises
-    for i in np.flatnonzero((t < 0.0) | (t > ell)):
+    for i in np.flatnonzero(~((j >= 0) & (0.0 <= t) & (t <= ell))):  # NaN fails too
         pts[i] = g.point(pts[i].edge, pts[i].t)
         t[i] = pts[i].t
     return pts, j, t, u[j], v[j], ell

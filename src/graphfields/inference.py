@@ -40,14 +40,13 @@ held is at most one n x n matrix per source.
 
 The DEBUG line on ``graphfields.inference``, once per call, names the
 route, and on the precision route the factor, the form and whether the
-layout was built or reused, and for ``krige`` whether the joint
-covariance was gathered from an exact source's memo or computed.
+layout was built or reused. An exact source logs one more line per call
+there, saying whether it gathered its matrix from its memo or computed it.
 """
 from __future__ import annotations
 
 import inspect
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,7 +55,7 @@ from scipy.linalg import lapack
 
 from . import exact
 from .errors import ValidationError
-from .graph import MetricGraph, PointOnGraph
+from .graph import MetricGraph, PointOnGraph, _arclength
 from .models import CovMatrix, FieldModel, _scalar
 from .sampling import safe_cholesky
 
@@ -81,28 +80,19 @@ class KrigingResult:
         return np.diag(self.cov).copy()
 
 
-class _LastCall(threading.local):
-    """Per thread, whether an exact source's last call gathered from its
-    memo."""
-
-    gathered = False
-
-
 class _ExactSource:
     """``exact.full_cov`` at the points behind a one-slot memo (see
     :func:`exact_cov_source`), keeping the graph and model for ``loglik``'s
     precision route. The slot is one tuple (points, read-only matrix, row
     map or None), read once per call and replaced in one assignment, so
     callers that share a source never see one set's rows beside another
-    set's matrix. ``last`` tells, per thread, whether that thread's last
-    call gathered, for ``krige``'s DEBUG line.
+    set's matrix. Each call logs at DEBUG whether it gathered or computed.
     """
 
-    __slots__ = ("g", "m", "last", "_slot")
+    __slots__ = ("g", "m", "_slot")
 
     def __init__(self, g: MetricGraph, m: FieldModel):
         self.g, self.m = g, m
-        self.last = _LastCall()
         self._slot = None
 
     def __call__(self, pts: Sequence[PointOnGraph]) -> np.ndarray:
@@ -111,16 +101,16 @@ class _ExactSource:
         if slot is not None:
             old, cov, index = slot
             if index is None:
-                index = {(p.edge, float(p.t)): i for i, p in enumerate(old)}
+                index = {(p.edge, _arclength(p.t)): i for i, p in enumerate(old)}
                 self._slot = (old, cov, index)
             get = index.get
-            rows = [get((p.edge, float(p.t)), -1) for p in pts]
+            rows = [get((p.edge, _arclength(p.t)), -1) for p in pts]
             if -1 not in rows:
-                self.last.gathered = True
+                _log.debug("exact source: %d points, covariance gathered from its memo", len(pts))
                 rows = np.array(rows, dtype=np.intp)
                 return cov.take(rows, 0).take(rows, 1)
         cov = exact.full_cov(self.g, self.m, pts).matrix
-        self.last.gathered = False
+        _log.debug("exact source: %d points, covariance computed", len(pts))
         cov.flags.writeable = False
         self._slot = (pts, cov, None)
         return cov.copy()
@@ -131,8 +121,9 @@ def exact_cov_source(g: MetricGraph, m: FieldModel) -> CovSource:
 
     The source keeps a one-slot memo: the last point set it computed with
     ``exact.full_cov``, that set's matrix (read-only) and, built on the
-    first lookup, a map from each of its points' ``(edge, float(t))``, as
-    given, to its row (``full_cov`` reads nothing else of a point). A
+    first lookup, a map from each of its points' ``(edge, t)``, with t as
+    ``graph._arclength`` reads it, to its row (``full_cov`` reads nothing
+    else of a point). A
     request whose every point is in the map is a gather from that matrix,
     rows then columns, with no ``full_cov`` call; any other request calls
     ``full_cov`` and takes the slot. So the requests of a leave-one-out
@@ -140,14 +131,16 @@ def exact_cov_source(g: MetricGraph, m: FieldModel) -> CovSource:
     between them. A key is in the map only because ``full_cov`` validated
     that same ``(edge, t)`` (clamped within the 1e-12 slack) on this
     immutable graph, so a point it would reject (an unknown edge, a NaN
-    ``t``, a ``t`` past the slack) always misses and raises as before, and
-    a failed request leaves the slot as it was. Gathered equals computed
+    ``t``, a ``t`` past the slack) always misses and raises as before, a
+    ``t`` that is not a number (a string, None, a bool) raises
+    ``PointError`` at the lookup, and a failed request leaves the slot as
+    it was. Gathered equals computed
     to the byte on the tested graphs (the circle, star, tadpole,
     figure-eight and a 301-vertex bouquet). The memory is one n x n matrix
     per source, for the n points it last computed, freed with the source.
     Every call returns a new writable array: a gather, or one copy of the
-    slot's matrix on a miss. ``krige``'s DEBUG line tells which its call
-    was.
+    slot's matrix on a miss. Each call's DEBUG line on
+    ``graphfields.inference`` tells which it was.
     """
     return _ExactSource(g, m)
 
@@ -235,13 +228,7 @@ def krige(
     obs_pts = list(obs_pts)
     y, noise_var = _check_obs(obs_pts, y, noise_var)
     joint, chol, jitter = _condition(cov_source, obs_pts, y, noise_var, pred_pts)
-    source = inspect.unwrap(cov_source)
-    if not isinstance(source, _ExactSource):
-        how = "from a source that is not exact"
-    else:
-        how = "gathered from the source's memo" if source.last.gathered else "computed"
-    _log.debug("krige: dense route, %d points, joint covariance %s "
-               "(krige has no precision route)", len(obs_pts), how)
+    _log.debug("krige: dense route, %d points (krige has no precision route)", len(obs_pts))
     no = len(obs_pts)
     cpo = joint[no:, :no]
     cpp = joint[no:, no:]

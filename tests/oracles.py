@@ -128,12 +128,61 @@ def circle_loglik_mp(pos, y, kappa, tau, ell, noise_var, dps=40):
             for j in range(n):
                 d = mpmath.fmod(abs(pos[i] - pos[j]), ell)
                 cov[i, j] = mpmath.cosh(k * (min(d, ell - d) - ell / 2)) / scale
-            cov[i, i] += mpmath.mpf(noise_var)
+        return gauss_loglik_mp(cov, y, noise_var, dps)
+
+
+def gauss_loglik_mp(cov, y, noise_var, dps):
+    """Gaussian log density of y under the mpmath matrix ``cov`` plus
+    ``noise_var`` I, with the Cholesky factor, the solve and the log at
+    ``dps`` significant digits, as a float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = len(y)
+        cov = cov + mpmath.mpf(noise_var) * mpmath.eye(n)
         chol = mpmath.cholesky(cov)
         z = mpmath.lu_solve(chol, mpmath.matrix([mpmath.mpf(v) for v in y]))
         quad = sum(z[i] ** 2 for i in range(n))
         logdet = 2 * sum(mpmath.log(chol[i, i]) for i in range(n))
         return float(-(quad + logdet + n * mpmath.log(2 * mpmath.pi)) / 2)
+
+
+def cut_graph_cov_mp(vertex_count, edges, points, kappa, tau=1.0, dps=100):
+    """Covariance of the unit-exponent field (a = 1) at ``points``, (edge
+    index, t) pairs, as an mpmath matrix of ``dps`` significant digits.
+
+    The field at a point has the law of the field at a degree-2 vertex
+    inserted there, so the graph is cut at the points' interior arclengths
+    and the covariance is the inverse of the cut graph's vertex precision,
+    where a piece (a, b) of length d adds tau^2 kappa [[coth x, -csch x],
+    [-csch x, coth x]] with x = kappa d. Piece lengths are differences of
+    the given doubles taken in mpmath, and nothing is rounded to doubles.
+    ``edges`` holds (id, u, v, length).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        nodes, node, pieces = vertex_count, {}, []
+        for k, (_, u, v, ell) in enumerate(edges):
+            ts = sorted({t for j, t in points if j == k and 0.0 < t < ell})
+            chain = [u, *range(nodes, nodes + len(ts)), v]
+            node.update({(k, t): nodes + i for i, t in enumerate(ts)})
+            node.update({(k, 0.0): u, (k, ell): v})
+            nodes += len(ts)
+            pos = [mpmath.mpf(x) for x in (0.0, *ts, ell)]
+            pieces += [(chain[i], chain[i + 1], pos[i + 1] - pos[i]) for i in range(len(ts) + 1)]
+        scale = mpmath.mpf(tau) ** 2 * mpmath.mpf(kappa)
+        prec = mpmath.zeros(nodes, nodes)
+        for a, b, d in pieces:
+            x = mpmath.mpf(kappa) * d
+            diag, off = scale * mpmath.coth(x), -scale * mpmath.csch(x)
+            prec[a, a] += diag
+            prec[b, b] += diag
+            prec[a, b] += off
+            prec[b, a] += off
+        cov = prec**-1
+        idx = [node[p] for p in points]
+        return mpmath.matrix([[cov[i, j] for j in idx] for i in idx])
 
 
 def _edge_sum_inverse_mp(vertex_count, edges, block, extra, dps):

@@ -36,9 +36,10 @@ from graphfields.spectral import _coefficients
 from graphfields.metrics import geodesic_distance
 from graphfields.sampling import replicate_normals, safe_cholesky
 
-from conftest import grid, random_point
+from conftest import SHORT_EDGE_SHAPES, grid, random_point, short_edge_graph, short_edge_points
 from oracles import (
     circle_cov_mp,
+    cut_graph_cov_mp,
     neumann_four_exp,
     neumann_green_oracle,
     schur_conditional,
@@ -591,17 +592,30 @@ def test_vertex_cov_matches_mpmath_at_small_kappa(g, kappa):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the cut graph gives a point near a node a base, but two vertices joined "
-    "by a short edge get none, so the edge's difference row, of weight about "
-    "1/length, swamps the other terms at both ends: 2.6e-10 of the largest "
-    "entry off at length 1e-12 (2.5e-16 at 1e-8)"))
 def test_vertex_cov_matches_mpmath_across_a_short_edge():
     g = gf.MetricGraph(4, (gf.Edge("a", 0, 1, 1.0), gf.Edge("short", 1, 2, 1e-12),
                            gf.Edge("b", 2, 0, 1.3), gf.Edge("pendant", 2, 3, 0.7)))
     got = vertex_field_cov(g, FieldModel(kappa=1.0)).matrix
     want = vertex_cov_mp(g.vertex_count, g.edges, 1.0, dps=60)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("short", [1e-8, 1e-12, 1e-14, 1e-20, 1e-40])
+@pytest.mark.parametrize("shape", SHORT_EDGE_SHAPES)
+def test_covariances_match_mpmath_across_short_edges(shape, short):
+    # the short edges' pieces join their vertices in one cluster of the cut
+    # graph, based at its smallest node
+    g = short_edge_graph(shape, short)
+    m = FieldModel(kappa=1.0, tau=0.7)
+    pts, _ = short_edge_points(g)
+    want = cut_graph_cov_mp(g.vertex_count, g.edges,
+                            [(g.edge_index(p.edge), p.t) for p in pts], 1.0, 0.7)
+    want = np.array(want.tolist(), dtype=float)
+    nv = g.vertex_count
+    got = vertex_field_cov(g, m).matrix
+    assert np.max(np.abs(got - want[:nv, :nv])) <= 1e-13 * np.max(np.abs(want))
+    got = full_cov(g, m, pts).matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_vertex_cov_root_entry_on_a_large_grid():

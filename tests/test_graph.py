@@ -525,6 +525,50 @@ def test_point_arrays_first_bad_point_decides(circle24):
     assert str(exc.value) == point_error(circle24, "nope", 0.1)
 
 
+def _warm_krige(g, m, pts, y):
+    """``krige`` on an exact source whose memo holds every point of the
+    request, with (e0, 0.2) for the one at issue."""
+    source = gf.exact_cov_source(g, m)
+    source([pts[0], g.point("e0", 0.2), pts[2]])
+    return gf.krige(source, pts[1:], y[1:], 0.1, pts[:1])
+
+
+#: every public caller of ``graph._point_arrays`` on an exact field or a
+#: metric, and ``krige`` through an exact source with a cold and a warm memo
+T_CALLERS = {
+    "full_cov": lambda g, m, pts, y: full_cov(g, m, pts),
+    "sample": lambda g, m, pts, y: gf.sample(g, m, pts, 2, 0),
+    "loglik": lambda g, m, pts, y: gf.loglik(gf.exact_cov_source(g, m), pts, y, 0.1),
+    "krige": lambda g, m, pts, y: gf.krige(gf.exact_cov_source(g, m), pts, y, 0.1, pts[:1]),
+    "krige-warm": _warm_krige,
+    "iso_cov_matrix": lambda g, m, pts, y: gf.iso_cov_matrix(
+        g, gf.IsotropicModel("resistance", gf.ExponentialKernel(sigma2=1.0, kappa=1.0)), pts),
+}
+
+
+@pytest.mark.parametrize("t", ["0.2", b"0.2", None, True, np.True_, [0.2], "abc"])
+@pytest.mark.parametrize("caller", list(T_CALLERS))
+def test_a_point_whose_t_is_not_a_number_raises_the_point_error(circle24, caller, t):
+    # g.point and _point_arrays hold t to one rule, so a numeric string is
+    # rejected as g.point rejects it, never parsed or raised as a TypeError
+    pts = [circle24.point("e1", 0.1), PointOnGraph("e0", t), circle24.point("e2", 0.4)]
+    with pytest.raises(PointError) as exc:
+        circle24.point("e0", t)
+    with pytest.raises(PointError, match="arclength must be a number"):
+        T_CALLERS[caller](circle24, gf.FieldModel(), pts, np.zeros(len(pts)))
+    assert str(exc.value).startswith("arclength must be a number")
+
+
+def test_point_arrays_read_every_number_type_of_t(circle24):
+    raw = [PointOnGraph("e0", 0), PointOnGraph("e1", np.float32(0.25)),
+           PointOnGraph("e2", np.array(0.125)), PointOnGraph("e3", np.int64(0)),
+           PointOnGraph("e0", np.float64(0.2))]
+    pts, _, t, *_ = _point_arrays(circle24, raw)
+    assert t.tolist() == [0.0, 0.25, 0.125, 0.0, 0.2]
+    assert pts == [circle24.point(p.edge, float(p.t)) for p in raw]
+    assert all(type(p.t) is float for p in pts[:4]) and pts[4] is raw[4]
+
+
 def test_point_arrays_clamp_inside_the_slack(circle24):
     raw = [
         PointOnGraph("e0", 0.5 + 2e-13),

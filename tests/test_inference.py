@@ -1,5 +1,6 @@
 import ast
 import functools
+import itertools
 import logging
 import sys
 import threading
@@ -27,8 +28,8 @@ from graphfields import (
 from graphfields.graph import CACHE_SIZE
 from graphfields.inference import exact_cov_source, krige, loglik
 
-from conftest import grid, random_point
-from oracles import circle_loglik_mp, dense_loglik
+from conftest import SHORT_EDGE_SHAPES, grid, random_point, short_edge_graph, short_edge_points
+from oracles import circle_loglik_mp, cut_graph_cov_mp, dense_loglik, gauss_loglik_mp
 
 
 @pytest.fixture
@@ -361,6 +362,48 @@ def test_precision_route_at_tiny_noise_matches_mpmath(name, kappa):
         assert _precision(source, pts, y, noise) == pytest.approx(want, rel=1e-12), noise
 
 
+@functools.lru_cache(maxsize=None)
+def _short_edge_request(shape, short):
+    """A ``short_edge_graph`` request, its y and its 100-digit covariance.
+
+    y holds one value on the short edges and at their ends, as a draw of
+    the field does to within sqrt(short), so the O(1) terms of the
+    likelihood are not lost under (y_a - y_b)^2 / short."""
+    g = short_edge_graph(shape, short)
+    pts, clustered = short_edge_points(g)
+    y = np.random.default_rng(32).normal(size=len(pts))
+    y[clustered] = y[np.argmax(clustered)]
+    cov = cut_graph_cov_mp(g.vertex_count, g.edges,
+                           [(g.edge_index(p.edge), p.t) for p in pts], 1.0, 0.7)
+    return g, pts, y, cov
+
+
+#: requests just below the form switch (``exact._SCALED_MAX``), where the
+#: scaled form's error, which grows like noise w_max^2, reads 1.7e-13,
+#: 3.5e-13, 1.2e-13 and 1.9e-13 relative; the grounded form read 1.3e-15,
+#: 9.3e-15, 2.1e-15 and 1.2e-15 on them
+_NEAR_THE_SWITCH = {(shape, 1e-12, 1e-8) for shape in ("triangle", "loop", "pendant", "root")}
+
+
+@pytest.mark.parametrize("shape, short, noise", [
+    pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=(
+        "the scaled form loses digits like noise w_max^2 just below the form switch"))
+        if case in _NEAR_THE_SWITCH else ())
+    for case in itertools.product(SHORT_EDGE_SHAPES, [1e-8, 1e-12, 1e-14, 1e-20, 1e-40],
+                                  [0.0, 1e-8, 1e-2])])
+def test_loglik_matches_mpmath_across_short_edges(shape, short, noise, caplog):
+    g, pts, y, cov = _short_edge_request(shape, short)
+    source = exact_cov_source(g, FieldModel(kappa=1.0, tau=0.7))
+    with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
+        got = loglik(source, pts, y, noise)
+    [line] = [r.getMessage() for r in caplog.records]
+    # zero noise takes the scaled form and 1e-2 the grounded one, here
+    # across pieces from 1e-40 to 1.3 long
+    assert {0.0: "scaled form", 1e-2: "grounded form"}.get(noise, "form") in line
+    want = gauss_loglik_mp(cov, y, noise, dps=100)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def _cluster_points(g, kind, rng):
     """A point inside every edge, the root vertex and the end of the last
     edge each addressed through two edge ends, then a cluster of ``kind``:
@@ -401,7 +444,7 @@ def test_precision_route_on_every_cluster_base(name, kind, kappa):
     if kind == "point":
         assert base >= g.vertex_count
     else:
-        assert base == {"start": e.u, "end": e.v, "whole": last.u}[kind]
+        assert base == {"start": e.u, "end": e.v, "whole": min(last.u, last.v)}[kind]
     source = exact_cov_source(g, m)
     got = _precision(source, pts, y, 0.01)
     assert got == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
@@ -809,8 +852,9 @@ def test_loglik_logs_its_route(unit_star, star_source, caplog):
         loglik(star_source, obs, [1.0, 2.0], 0.0)
         loglik(_dense(star_source), obs, [1.0, 2.0], 0.1)
         loglik(exact_cov_source(unit_star, FieldModel(kappa=2.0)), obs, [1.0, 2.0], 0.1)
-    assert [r.name for r in caplog.records] == ["graphfields.inference"] * 4
-    precision, zero, other, again = (r.getMessage() for r in caplog.records)
+    assert [r.name for r in caplog.records] == ["graphfields.inference"] * 5
+    # the plain callable calls the exact source, which logs its own line
+    precision, zero, other, source, again = (r.getMessage() for r in caplog.records)
     # the star's 4 vertices plus the one interior point; the second model
     # at the same points reuses the layout the first built
     assert precision == ("loglik: precision route, 2 points, 5 nodes, dense Cholesky, "
@@ -818,6 +862,7 @@ def test_loglik_logs_its_route(unit_star, star_source, caplog):
     assert zero == ("loglik: precision route, 2 points, 5 nodes, dense Cholesky, "
                     "scaled form, layout reused")
     assert other == "loglik: dense route, 2 points (source is not exact)"
+    assert source == "exact source: 2 points, covariance computed"
     assert again == ("loglik: precision route, 2 points, 5 nodes, dense Cholesky, "
                      "grounded form, layout reused")
 
@@ -1039,37 +1084,19 @@ def test_krige_logs_whether_it_gathered_its_covariance(unit_star, star_source, c
         krige(wrapped, pred, [0.5], 0.1, obs)
         krige(star_source, obs, [1.0, 2.0], 0.1, [unit_star.point("e2", 0.7)])
         krige(_dense(star_source), obs, [1.0, 2.0], 0.1, pred)
+        krige(lambda pts: np.eye(len(pts)), obs, [1.0, 2.0], 0.1, pred)
+    krige_line = "krige: dense route, {} points (krige has no precision route)"
     assert [r.getMessage() for r in caplog.records] == [
-        "krige: dense route, 2 points, joint covariance computed "
-        "(krige has no precision route)",
-        "krige: dense route, 2 points, joint covariance gathered from the source's memo "
-        "(krige has no precision route)",
-        "krige: dense route, 1 points, joint covariance gathered from the source's memo "
-        "(krige has no precision route)",
+        "exact source: 3 points, covariance computed", krige_line.format(2),
+        "exact source: 3 points, covariance gathered from its memo", krige_line.format(2),
+        # through a wrapper, the same source and its memo
+        "exact source: 3 points, covariance gathered from its memo", krige_line.format(1),
         # a new point: a miss after gathers
-        "krige: dense route, 2 points, joint covariance computed "
-        "(krige has no precision route)",
-        "krige: dense route, 2 points, joint covariance from a source that is not exact "
-        "(krige has no precision route)",
+        "exact source: 3 points, covariance computed", krige_line.format(2),
+        "exact source: 3 points, covariance computed", krige_line.format(2),
+        # a source that is not exact logs nothing of its own
+        krige_line.format(2),
     ]
-
-
-def test_whether_a_call_gathered_is_kept_per_thread(star_source, unit_star):
-    pts = [unit_star.point("e0", 0.3), unit_star.point("e1", 1.0)]
-    star_source(pts)
-    star_source(pts[::-1])
-    assert star_source.last.gathered
-    seen = []
-
-    def other():
-        # a miss in another thread replaces the slot but not this thread's flag
-        star_source(pts + [unit_star.point("e2", 0.5)])
-        seen.append(star_source.last.gathered)
-
-    worker = threading.Thread(target=other)
-    worker.start()
-    worker.join()
-    assert seen == [False] and star_source.last.gathered
 
 
 def test_threads_sharing_a_source_get_the_matrix_of_their_request():
