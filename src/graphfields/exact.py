@@ -63,14 +63,16 @@ still runs on every call. ``_vertex_cov`` reads the layout at no points
 the same way.
 
 Sampling has two paths, chosen by the number of distinct points alone. A
-small request takes the dense Cholesky factor of C. A larger one never
-forms C: add every vertex the points touch (both ends of each edge that
-holds a point), put these vertices first and the points after them,
-sorted by (edge, t). The Cholesky factor of C is then [[L_V, 0], [Phi L_V,
-blockdiag_e chol(B_e)]] with L_V = chol(S_V), B_e edge e's bridge block
-and no fill between edges, and chol(B_e) is a walk along the edge.
-``sample`` draws one standard normal per factor column and drops the
-columns of the added vertices.
+small request takes the dense Cholesky factor of C. A larger one forms
+neither C nor S_V: put every vertex first and the points after them,
+sorted by (edge, t). A factor of C is then [[T_V, 0], [Phi T_V,
+blockdiag_e chol(B_e)]] with T_V T_V' = S_V, B_e edge e's bridge block
+and no fill between edges, and chol(B_e) is a walk along the edge. T_V
+comes from the vertex precision's own factor Q = L D L': a draw is
+L'^{-1} D^{-1/2} z in grounded coordinates, mapped to the vertices as
+``_vertex_cov`` maps Cov(z) (``_vertex_factor`` gives both the same
+factor). ``sample`` draws one standard normal per factor column and
+drops the columns of vertices that are not among the points.
 
 All formulas are overflow-safe for kt * L far beyond the ~700 range where
 raw cosh/sinh overflow in double precision, and use expm1 wherever
@@ -408,6 +410,16 @@ def _gram_values(vals: np.ndarray) -> np.ndarray:
     return (vals[:, :, None] * vals[:, None, :]).ravel()
 
 
+def _vertex_factor(g: MetricGraph, m: FieldModel):
+    """The cut graph at no points, B's values there and the numeric factor
+    of the vertex precision Q = B'B in its grounded coordinates, root
+    first: what ``_vertex_cov`` solves with and ``sample`` draws from. Not
+    cached itself; the layout is."""
+    layout, _ = _layout_of(g, m, [])
+    b_vals, *_ = _piece_values(layout, g, m)
+    return layout, b_vals, _spd_numeric(layout.h_pattern, _gram_values(b_vals))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _vertex_cov(g: MetricGraph, m: FieldModel):
     """Vertex covariance S_V = Q^{-1}, the per-edge constants behind it, and
@@ -436,9 +448,7 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     ``_REFINE_BLOCK`` columns; a residual through the formed Q would carry
     the same cancellation.
     """
-    layout, _ = _layout_of(g, m, [])
-    b_vals, *_ = _piece_values(layout, g, m)
-    factor = _spd_numeric(layout.h_pattern, _gram_values(b_vals))
+    layout, b_vals, factor = _vertex_factor(g, m)
     nodes = layout.nodes
     sv = factor.solve(np.eye(nodes))
     rows, width = layout.b_cols.shape
@@ -867,26 +877,26 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
 def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:
     """Zero-boundary bridges at distinct interior points sorted by (edge, t).
 
-    Turns the normals z_k in column k of ``draws``, in place, into
-    b_k = G1(d_k) b_{k-1} + sqrt(D(d_k, d_k)) z_k with d_k = t_k - t_{k-1},
-    t_0 = 0 and b_0 = 0, G1 and D taken on the remaining sub-edge
-    [t_{k-1}, L]: the bridge is Markov, so this walk is exactly the
-    Cholesky factor of its block. One step per rank within an edge,
-    vectorised over the edges.
+    Turns the normals z_k in row k of ``draws`` (one column per replicate),
+    in place, into b_k = G1(d_k) b_{k-1} + sqrt(D(d_k, d_k)) z_k with
+    d_k = t_k - t_{k-1}, t_0 = 0 and b_0 = 0, G1 and D taken on the
+    remaining sub-edge [t_{k-1}, L]: the bridge is Markov, so this walk is
+    exactly the Cholesky factor of its block. One step per rank within an
+    edge, vectorised over the edges.
     """
     kt, length, scale = ec.kt[j], ec.length[j], ec.scale[j]
     starts = np.ones(j.size, dtype=bool)
     starts[1:] = j[1:] != j[:-1]
     prev = np.where(starts, 0.0, np.roll(t, 1))
     step, _ = _basis(kt, length - prev, t - prev)
-    draws *= np.sqrt(_dirichlet_green(kt, length - prev, scale, t - prev, t - prev))
+    draws *= np.sqrt(_dirichlet_green(kt, length - prev, scale, t - prev, t - prev))[:, None]
     pos = np.arange(j.size)
     rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
     by_rank = np.argsort(rank, kind="stable")
     bounds = np.cumsum(np.bincount(rank))
     for lo, hi in zip(bounds[:-1], bounds[1:]):  # ranks 1, 2, ... in turn
         at = by_rank[lo:hi]
-        draws[:, at] += step[at] * draws[:, at - 1]
+        draws[at] += step[at, None] * draws[at - 1]
 
 
 #: ``sample`` draws a request of up to this many distinct points from the
@@ -909,32 +919,39 @@ def sample(
 ) -> np.ndarray:
     """n zero-mean draws of the exact field at the points, (n, len(pts)).
 
-    Draws are a Cholesky factor of C times one standard normal per factor
-    column, and all points at one location read one column, so equal
-    points (a vertex addressed through any of its edge ends included) get
-    equal values. The number of distinct points alone picks the factor:
+    Draws are a factor F of the covariance (F F' = C) times one standard
+    normal per factor column, and all points at one location read one
+    column, so equal points (a vertex addressed through any of its edge
+    ends included) get equal values. The number of distinct points alone
+    picks the factor:
 
     - up to ``_DENSE_SAMPLE_MAX``, the dense Cholesky factor of
       ``full_cov`` at the distinct points in order of first occurrence;
-    - above it, the Markov factor. Every vertex the request touches (the
-      vertices among the points and both ends of every edge holding a
-      point) comes first, ascending: x_V = chol(S_V[V, V]) z_V. The distinct
-      interior points follow, sorted by (edge, t):
-      x = G1(t) x_u + G2(t) x_v + b, with the bridge b drawn one step at a
-      time along its edge (``_bridge_walk``). Given its end values an edge
-      is independent of the rest of the graph, so this is exactly the
-      factor of C in that order, with no n x n covariance. The columns of
-      touched vertices that are not among the points are dropped.
+    - above it, the Markov factor. Every vertex of the graph comes first,
+      drawn from the sparse vertex precision Q = L D L' of the cut graph at
+      no points: x = L'^{-1} D^{-1/2} z in its grounded coordinates
+      (``sampling._Factor.draw``, one triangular solve), mapped to the
+      vertices by x_v = z_0 + z_base(v) + z_v, so its covariance is
+      Q^{-1} = S_V and no |V| x |V| table is formed. The distinct interior
+      points follow, sorted by (edge, t): x = G1(t) x_u + G2(t) x_v + b,
+      with the bridge b drawn one step at a time along its edge
+      (``_bridge_walk``). Given its end values an edge is independent of
+      the rest of the graph, so this is exactly a factor of C in that
+      order, with no n x n covariance. It runs on a (point x replicate)
+      copy of the normals, so every step reads contiguous rows. The
+      columns of vertices that are not among the points are dropped.
 
     With no vertex among the points and none repeated, a request on the
     dense path draws ``replicate_normals(seed, n, len(pts)) @
-    chol(full_cov(pts)).T``. The path, the counts and the jitter that
-    ``safe_cholesky`` added are logged at DEBUG on ``graphfields.exact``.
-    Deterministic in ``seed``, an integer >= 0 (a bool, a float or None is
-    rejected). The replicates' normals are rows drawn in turn from one
-    generator, so a smaller run's normals are a byte prefix of a larger
-    run's; its draws agree with the larger run's first rows to rounding,
-    since the rounding of the factor product can depend on its row count.
+    chol(full_cov(pts)).T``. The path and the counts are logged at DEBUG
+    on ``graphfields.exact``, with the jitter that ``safe_cholesky`` added
+    on the dense path, and the vertex factor's method and smallest pivot on
+    the Markov path. Deterministic in ``seed``, an integer >= 0 (a bool, a
+    float or None is rejected). The replicates' normals are rows drawn in
+    turn from one generator, so a smaller run's normals are a byte prefix
+    of a larger run's; its draws agree with the larger run's first rows to
+    rounding, since the rounding of the factor product can depend on its
+    row count.
     """
     n = _count(n, "replicate count")
     seed = _count(seed, "seed")
@@ -945,36 +962,38 @@ def sample(
     vertex, first, rank = _distinct_points(j, t, u, v, ell)
     at_vertex = vertex >= 0
     vertices = np.unique(vertex[at_vertex])
-    touched = np.union1d(vertices, np.concatenate((u[first], v[first])))
     distinct = vertices.size + first.size
     if distinct <= _DENSE_SAMPLE_MAX:
-        route = "dense"
         key = np.where(at_vertex, vertex, g.vertex_count + rank)
         _, once, column = np.unique(key, return_index=True, return_inverse=True)
         order = np.argsort(once)  # the distinct points by first occurrence
         chol, jitter = safe_cholesky(full_cov(g, m, [pts[i] for i in once[order]]).matrix)
         z = replicate_normals(seed, n, distinct) @ chol.T
         column = np.argsort(order)[column]
-    else:
-        route = "Markov"
-        sv, ec, _ = _vertex_cov(g, m)
-        chol, jitter = safe_cholesky(sv[np.ix_(touched, touched)])
-        nv = touched.size
-        # the normals become the draws in place, one column per factor column
-        z = replicate_normals(seed, n, nv + first.size)
-        z[:, :nv] = z[:, :nv] @ chol.T
-        pj, pt = j[first], t[first]
-        bridge = z[:, nv:]
-        _bridge_walk(ec, pj, pt, bridge)
-        g1, g2 = _basis(ec.kt[pj], ec.length[pj], pt)
-        bridge += g1 * z[:, np.searchsorted(touched, u[first])]
-        bridge += g2 * z[:, np.searchsorted(touched, v[first])]
-        column = np.where(at_vertex, np.searchsorted(touched, vertex), nv + rank)
-    _log.debug("sample: %s route, %d distinct points, %d touched vertices, jitter %.3g",
-               route, distinct, touched.size, jitter)
-    if np.array_equal(column, np.arange(len(pts))):
-        return z
-    return z[:, column]
+        touched = np.union1d(vertices, np.concatenate((u[first], v[first])))
+        _log.debug("sample: dense route, %d distinct points, %d touched vertices, jitter %.3g",
+                   distinct, touched.size, jitter)
+        return z if np.array_equal(column, np.arange(len(pts))) else z[:, column]
+    layout, _, factor = _vertex_factor(g, m)
+    ec = _edge_constants(g, m)
+    nv = g.vertex_count
+    # the normals, copied once into (point x replicate) order, become the
+    # draws in place, one row per factor column
+    zt = np.ascontiguousarray(replicate_normals(seed, n, nv + first.size).T)
+    zt[:nv] = factor.draw(zt[:nv])
+    # from z back to the vertex values, x_v = z_0 + z_base(v) + z_v
+    based = np.flatnonzero(layout.base)
+    zt[based] += zt[layout.base[based]]
+    zt[1:nv] += zt[0]
+    pj, pt = j[first], t[first]
+    bridge = zt[nv:]
+    _bridge_walk(ec, pj, pt, bridge)
+    g1, g2 = _basis(ec.kt[pj], ec.length[pj], pt)
+    bridge += g1[:, None] * zt[u[first]]
+    bridge += g2[:, None] * zt[v[first]]
+    _log.debug("sample: Markov route, %d distinct points, %d vertices drawn, %s factor, "
+               "min pivot %.3g", distinct, nv, factor.method, factor.min_pivot)
+    return zt[np.where(at_vertex, vertex, nv + rank)].T
 
 
 def markov_check(cov, set_a, set_b, set_s) -> float:

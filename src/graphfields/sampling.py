@@ -16,6 +16,14 @@ numeric step; a one-off caller takes both through ``_spd_factor``. This
 module is the one home of the sparse factor: no other module calls
 ``splu`` or another sparse factor or solve.
 
+The factor (``_Factor``) of M = L D L' solves with M and draws from
+N(0, M^{-1}): ``draw`` maps standard normals z, one column per draw, to
+L'^{-1} D^{-1/2} z with one triangular solve (Rue & Held, "Gaussian Markov
+Random Fields", 2005, section 2.3), so a Gaussian Markov field is sampled
+from its sparse precision with no covariance formed. The dense branch
+solves with LAPACK ``dtrtrs`` on L'; SuperLU's U is D L', so the SuperLU
+branch solves with U on D^{1/2} z.
+
 Every dense Cholesky factor in the package comes from ``_potrf``: one
 copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
 factor L is C-contiguous, so ``L.T`` is the F-contiguous upper factor that
@@ -28,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import NotPositiveDefiniteError
 
@@ -110,12 +118,15 @@ _DENSE_MAX = 200
 
 class _Factor(NamedTuple):
     """log|M| of an SPD matrix M, a solve x -> M^{-1} x, the method and the
-    smallest pivot of M = L D L' (how close the factor came to failing)."""
+    smallest pivot of M = L D L' (how close the factor came to failing),
+    and a draw z -> L'^{-1} D^{-1/2} z, which maps standard normals to
+    draws of covariance M^{-1}."""
 
     logdet: float
     solve: Callable[[np.ndarray], np.ndarray]
     method: str
     min_pivot: float
+    draw: Callable[[np.ndarray], np.ndarray]
 
 
 class _Pattern(NamedTuple):
@@ -195,9 +206,11 @@ def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
     the pattern's other entries are explicit zeros.
 
     The data is ``np.bincount`` of the values by slot. The dense branch
-    factors it by ``_potrf`` and solves with LAPACK ``dpotrs`` on the same
-    factor. The SuperLU branch factors P'MP in its natural order and
-    permutes the solve's right-hand side in and its result out.
+    factors it by ``_potrf``, solves with LAPACK ``dpotrs`` on the same
+    factor and draws with ``dtrtrs`` on its upper half L'. The SuperLU
+    branch factors P'MP in its natural order and permutes the solve's
+    right-hand side in and its result out; its U is D L', so a draw is
+    U^{-1} D^{1/2} z, permuted out.
     """
     n = pattern.n
     slot = pattern.slot[: len(vals)]
@@ -211,6 +224,7 @@ def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
             lambda b: lapack.dpotrs(chol.T, b, lower=0)[0],
             "dense Cholesky",
             float(diag.min()) ** 2,
+            lambda z: lapack.dtrtrs(chol.T, z, lower=0)[0],
         )
     data = np.bincount(slot, vals, minlength=pattern.indices.size)
     lu = _splu(csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)), "NATURAL")
@@ -219,7 +233,9 @@ def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
         raise NotPositiveDefiniteError("precision is not positive definite")
     perm, order = pattern.perm, pattern.order
     return _Factor(float(np.sum(np.log(pivots))), lambda b: lu.solve(b[order])[perm],
-                   "SuperLU", float(pivots.min()))
+                   "SuperLU", float(pivots.min()),
+                   lambda z: spsolve_triangular(lu.U, np.sqrt(pivots)[:, None] * z,
+                                                lower=False)[perm])
 
 
 def _spd_factor(rows, cols, vals, n: int) -> _Factor:

@@ -87,6 +87,25 @@ def schur_conditional(mat, rows, cols, given):
     )
 
 
+def bridge_walk_rows(draws, first, edge, step, root_dev, g1, g2, col_u, col_v):
+    """The bridge walk and end terms of a Markov sampler, one column at a
+    time on (replicate, column) draws, in place.
+
+    Columns ``first`` onwards hold the normals of the interior points,
+    sorted by edge; the columns before them hold the vertex values. Point
+    k becomes b_k = root_dev[k] z_k, plus step[k] b_{k-1} when point k - 1
+    lies on the same edge, and then g1[k] x_u + g2[k] x_v is added, with
+    x_u, x_v the columns ``col_u[k]`` and ``col_v[k]``.
+    """
+    for k in range(len(edge)):
+        col = draws[:, first + k]
+        col *= root_dev[k]
+        if k and edge[k] == edge[k - 1]:
+            col += step[k] * draws[:, first + k - 1]
+    draws[:, first:] += g1 * draws[:, col_u]
+    draws[:, first:] += g2 * draws[:, col_v]
+
+
 def dense_loglik(cov, y):
     """Gaussian log density via explicit inverse and determinant."""
     cov = np.asarray(cov, dtype=float)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import graphfields as gf
+from graphfields import exact
 from graphfields import (
     ConditioningError,
     FieldModel,
@@ -38,6 +40,7 @@ from graphfields.sampling import replicate_normals, safe_cholesky
 
 from conftest import SHORT_EDGE_SHAPES, grid, random_point, short_edge_graph, short_edge_points
 from oracles import (
+    bridge_walk_rows,
     circle_cov_mp,
     cut_graph_cov_mp,
     neumann_four_exp,
@@ -772,10 +775,10 @@ _SAME_VERTEX = [PointOnGraph("e0", 1.0), PointOnGraph("e1", 1.0)]
     [
         (_SAME_POINT, False, 3),
         (_SAME_VERTEX, False, 3),
-        # the star's leaves 0, 1, 2 and centre 3 all touched, two interior points
+        # every vertex of the star (leaves 0, 1, 2 and centre 3), two interior points
         (_SAME_POINT, True, 6),
-        # vertices 1, 2 and 3 touched, one interior point
-        (_SAME_VERTEX, True, 4),
+        # every vertex of the star, one interior point
+        (_SAME_VERTEX, True, 5),
     ],
     ids=["same-point", "same-vertex", "same-point-markov", "same-vertex-markov"],
 )
@@ -800,10 +803,9 @@ def test_sample_duplicate_points_share_one_normal(unit_star, pts, markov, width,
 def _factor_order_points(g, pts):
     """The factor order of ``sample``, worked out point by point. Up to
     ``_DENSE_SAMPLE_MAX`` distinct points it is their order of first
-    occurrence. Above it, every vertex the points touch (those among them
-    and both ends of each edge holding one) comes first, ascending, and the
-    interior points follow by (edge, t). Returns the points in that order
-    and each input point's position, which drops the columns of touched
+    occurrence. Above it, every vertex of the graph comes first, ascending,
+    and the interior points follow by (edge, t). Returns the points in that
+    order and each input point's position, which drops the columns of
     vertices that are not among the points."""
     keys = []
     for p in pts:
@@ -811,9 +813,8 @@ def _factor_order_points(g, pts):
         keys.append(("v", w) if w is not None else ("p", g.edge_index(p.edge), p.t))
     order = list(dict.fromkeys(keys))
     if len(order) > _DENSE_SAMPLE_MAX:
-        touched = {k[1] for k in order if k[0] == "v"}
-        touched |= {w for k in order if k[0] == "p" for w in (g.edges[k[1]].u, g.edges[k[1]].v)}
-        order = [("v", w) for w in sorted(touched)] + sorted(k for k in order if k[0] == "p")
+        order = ([("v", w) for w in range(g.vertex_count)]
+                 + sorted(k for k in order if k[0] == "p"))
     points = [
         g.vertex_point(k[1]) if k[0] == "v" else PointOnGraph(g.edges[k[1]].id, k[2])
         for k in order
@@ -849,8 +850,17 @@ def test_sample_is_dense_cholesky_in_factor_order(name, kappa, drop):
         pts = [p for p in pts if g.vertex_of(p) not in gone]
     ordered, position = _factor_order_points(g, pts)
     # only the 601-point bouquet mesh is large enough for the Markov factor
-    assert (len(set(position)) > _DENSE_SAMPLE_MAX) == (name == "bouquet-40")
+    markov = len(set(position)) > _DENSE_SAMPLE_MAX
+    assert markov == (name == "bouquet-40")
     factor = np.linalg.cholesky(full_cov(g, m, ordered).matrix)
+    if markov:
+        # the Markov factor draws the vertices from the vertex precision's
+        # factor T, with T T' = S_V: the dense Cholesky factor with its
+        # vertex block L_V turned by the orthogonal L_V^{-1} T
+        nv = g.vertex_count
+        turn = scipy.linalg.solve_triangular(factor[:nv, :nv], _vertex_draw(g, m, np.eye(nv)),
+                                             lower=True)
+        factor[:, :nv] = factor[:, :nv] @ turn
     ref = (replicate_normals(5, 7, len(ordered)) @ factor.T)[:, position]
     got = sample(g, m, pts, 7, 5)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -895,14 +905,18 @@ def test_sample_at_the_dense_threshold(unit_star, extra, monkeypatch, caplog):
     n = 20000
     with caplog.at_level(logging.DEBUG, logger="graphfields.exact"):
         draws = sample(unit_star, m, pts, n, seed=7)
-    # the dense route factors C at the distinct points, the Markov route
-    # forms no covariance; both touch the centre and the three leaves
-    route = "Markov" if extra else "dense"
+    # the dense route factors C at the distinct points and touches the
+    # centre and the three leaves; the Markov route forms no covariance and
+    # draws every vertex from the vertex precision's factor
     assert calls == ([] if extra else [k])
     (record,) = caplog.records
-    assert record.getMessage() == (
-        f"sample: {route} route, {k} distinct points, 4 touched vertices, jitter 0"
-    )
+    if extra:
+        info = vertex_field_cov(unit_star, m).info
+        want = (f"sample: Markov route, {k} distinct points, 4 vertices drawn, "
+                f"{info['factor']} factor, min pivot {info['min_pivot']:.3g}")
+    else:
+        want = f"sample: dense route, {k} distinct points, 4 touched vertices, jitter 0"
+    assert record.getMessage() == want
     assert draws[:, 1].tobytes() == draws[:, 0].tobytes()
     assert draws[:, -1].tobytes() == draws[:, 2].tobytes()
     # both addresses of the centre, the point next to it, the first point
@@ -921,7 +935,7 @@ def test_sample_memory_is_far_below_one_dense_matrix():
     m = FieldModel(kappa=2.0)
     pts = gf.mesh(g, 0.1)
     assert len(pts) == 1501
-    sample(g, m, pts, 10, 1)  # the cached vertex covariance is built here
+    sample(g, m, pts, 10, 1)  # the cached layout at no points is built here
     tracemalloc.start()
     try:
         sample(g, m, pts, 10, 1)
@@ -929,6 +943,103 @@ def test_sample_memory_is_far_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < len(pts) ** 2 * 8 / 4
+
+
+def _vertex_draw(g, m, z):
+    """Draws of the vertex values from the normals z, one column per draw,
+    through the vertex precision's factor: L'^{-1} D^{-1/2} z in grounded
+    coordinates, then x_v = z_0 + z_base(v) + z_v."""
+    layout, _, factor = exact._vertex_factor(g, m)
+    x = factor.draw(z)
+    based = np.flatnonzero(layout.base)
+    x[based] += x[layout.base[based]]
+    x[1:] += x[0]
+    return x
+
+
+def _vertex_draw_error(g, m):
+    """max |X X' - S_V| / max |S_V| for the vertex draw X of the identity."""
+    x = _vertex_draw(g, m, np.eye(g.vertex_count))
+    sv = vertex_field_cov(g, m).matrix
+    return np.max(np.abs(x @ x.T - sv)) / np.max(np.abs(sv))
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("name, method", [
+    ("figure-eight", "dense Cholesky"),
+    ("bouquet-40", "dense Cholesky"),
+    ("bouquet-100", "SuperLU"),
+])
+def test_vertex_draw_has_the_vertex_covariance(name, method, kappa):
+    g = (gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99)
+         if name == "bouquet-100" else _ORACLE_GRAPHS[name]())
+    m = FieldModel(kappa=kappa, tau=0.8)
+    assert vertex_field_cov(g, m).info["factor"] == method
+    assert _vertex_draw_error(g, m) <= 1e-13
+
+
+@pytest.mark.parametrize("short", [1e-8, 1e-12, 1e-20])
+@pytest.mark.parametrize("shape", SHORT_EDGE_SHAPES)
+def test_vertex_draw_has_the_vertex_covariance_across_short_edges(shape, short):
+    # the short edges' vertices share a base, which the draw maps back
+    assert _vertex_draw_error(short_edge_graph(shape, short), FieldModel(kappa=1.0, tau=0.7)) <= 1e-13
+
+
+def test_vertex_draw_has_the_vertex_covariance_on_a_grid():
+    # 3.3e-11 here: ``vertex_field_cov`` refines the root's entry, which
+    # the factor alone keeps to about that (``_vertex_cov``); a draw does
+    # not need it
+    assert _vertex_draw_error(grid(30), FieldModel(kappa=1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [200, 20000])
+def test_markov_walk_keeps_the_bytes_of_a_row_major_walk(fig8, n, monkeypatch):
+    # every vertex is among the points, so the draws' first columns are the
+    # vertex values the walk starts from
+    monkeypatch.setattr(gf.exact, "_DENSE_SAMPLE_MAX", 0)
+    m = FieldModel(kappa=1.3, tau=0.8)
+    rng = np.random.default_rng(9)
+    inner = [random_point(fig8, rng) for _ in range(60)]
+    nv = fig8.vertex_count
+    pts = [fig8.vertex_point(w) for w in range(nv)] + inner + inner[:5]
+    got = sample(fig8, m, pts, n, 21)
+    order = sorted(range(len(inner)), key=lambda i: (fig8.edge_index(inner[i].edge), inner[i].t))
+    j = np.array([fig8.edge_index(inner[i].edge) for i in order])
+    t = np.array([inner[i].t for i in order])
+    ec = exact._edge_constants(fig8, m)
+    kt, length, scale = ec.kt[j], ec.length[j], ec.scale[j]
+    prev = np.concatenate([[0.0], t[:-1]])
+    prev[np.concatenate([[True], j[1:] != j[:-1]])] = 0.0
+    step, _ = exact._basis(kt, length - prev, t - prev)
+    root_dev = np.sqrt(exact._dirichlet_green(kt, length - prev, scale, t - prev, t - prev))
+    draws = replicate_normals(21, n, nv + len(inner))
+    draws[:, :nv] = got[:, :nv]
+    bridge_walk_rows(draws, nv, j, step, root_dev, *exact._basis(kt, length, t),
+                     ec.u[j], ec.v[j])
+    place = np.argsort(order)
+    position = list(range(nv)) + [nv + place[i] for i in range(len(inner))] + [
+        nv + place[i] for i in range(5)]
+    assert draws[:, position].tobytes() == got.tobytes()
+
+
+def test_markov_sample_on_a_large_grid_needs_no_vertex_table():
+    # 500 points on a fresh 100 x 100 grid: the Markov path builds no entry
+    # of the vertex table, whose dense S_V alone would be 763 MiB
+    import tracemalloc
+
+    g = grid(100)
+    rng = np.random.default_rng(3)
+    pts = [random_point(g, rng) for _ in range(500)]
+    misses = _vertex_cov.cache_info().misses
+    tracemalloc.start()
+    try:
+        draws = sample(g, FieldModel(kappa=1.0), pts, 200, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (200, 500)
+    assert _vertex_cov.cache_info().misses == misses
+    assert peak < 500 * 2**20
 
 
 def test_full_cov_memory_is_one_dense_matrix_and_a_little():
@@ -1118,6 +1229,10 @@ def test_exact_alone_reads_the_cut_graph():
     defined = {t.id for n in trees["exact"].body if isinstance(n, ast.Assign) for t in n.targets}
     defined |= {n.name for n in trees["exact"].body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     assert _CUT_GRAPH_NAMES <= defined
+    # the sampler draws from the vertex precision's factor, never from S_V
+    [sampler] = [n for n in trees["exact"].body
+                 if isinstance(n, ast.FunctionDef) and n.name == "sample"]
+    assert "_vertex_cov" not in set(_names(sampler))
     # inference imports nothing private from sampling and reads one private
     # name of exact, its precision route
     inference = list(ast.walk(trees["inference"]))

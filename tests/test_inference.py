@@ -267,6 +267,10 @@ def test_spd_factor_on_both_sides_of_the_crossover(n):
     assert eigs[0] * (1 - 1e-12) <= factor.min_pivot <= eigs[-1]
     b = rng.normal(size=n)
     np.testing.assert_allclose(factor.solve(b), np.linalg.solve(mat, b), rtol=1e-10)
+    # the draw of the identity is a factor of the inverse
+    draw = factor.draw(np.eye(n))
+    inverse = np.linalg.inv(mat)
+    assert np.max(np.abs(draw @ draw.T - inverse)) <= 1e-13 * np.max(np.abs(inverse))
     with pytest.raises(NotPositiveDefiniteError):
         sampling._spd_factor(rows, cols, -mat[rows, cols], n)
 
@@ -359,7 +363,8 @@ def test_precision_route_at_tiny_noise_matches_mpmath(name, kappa):
     for noise in (1e-16, 1e-8, 1e-4, 1e-2, 1.0):
         want = circle_loglik_mp(_circle_positions(g, pts), y, kappa, 0.7, g.total_length,
                                 noise, dps=60)
-        assert _precision(source, pts, y, noise) == pytest.approx(want, rel=1e-12), noise
+        got = _precision(source, pts, y, noise)
+        assert abs(got - want) <= 1e-12 * abs(want), noise
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,7 +466,7 @@ def test_precision_route_on_cluster_bases_matches_mpmath_at_small_kappa(name, ki
     y = rng.normal(size=len(pts))
     want = circle_loglik_mp(_circle_positions(g, pts), y, 1e-3, 0.7, g.total_length, 0.01)
     got = _precision(exact_cov_source(g, FieldModel(kappa=1e-3, tau=0.7)), pts, y, 0.01)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # --- the cut graph's layout, cached per set of points --------------------------
@@ -706,7 +711,7 @@ def test_loglik_matches_mpmath_from_tiny_to_large_kappa(kappa):
     g, pts, pos, y = _small_batch_circle()
     want = circle_loglik_mp(pos, y, kappa, 1.0, 2.0, 0.01)
     got = loglik(exact_cov_source(g, FieldModel(kappa=kappa)), pts, y, 0.01)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_loglik_at_tiny_noise_over_random_circles():
@@ -736,8 +741,8 @@ def test_loglik_matches_mpmath_at_noise_1e_12():
     pts = [g.point(f"e{int(p // 0.5)}", float(p % 0.5)) for p in pos]
     y = rng.standard_normal(12)
     want = circle_loglik_mp(pos, y, 1.0, 1.0, 2.0, 1e-12, dps=60)
-    assert loglik(exact_cov_source(g, FieldModel()), pts, y, 1e-12) == pytest.approx(
-        want, rel=1e-12)
+    got = loglik(exact_cov_source(g, FieldModel()), pts, y, 1e-12)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def _circle_request(n, seed=7):
@@ -763,7 +768,7 @@ def test_loglik_matches_mpmath_at_every_noise(kappa):
         for noise in noises:
             want = circle_loglik_mp(pos, y, kappa, 1.0, 2.0, noise, dps=60)
             got = loglik(source, pts, y, noise)
-            assert got == pytest.approx(want, rel=1e-12), (n, noise)
+            assert abs(got - want) <= 1e-12 * abs(want), (n, noise)
 
 
 @pytest.mark.parametrize("noise, form", [
@@ -841,7 +846,7 @@ def test_krige_likelihood_matches_mpmath_at_tiny_kappa():
     g, pts, pos, y = _small_batch_circle()
     want = circle_loglik_mp(pos, y, 1e-6, 1.0, 2.0, 0.01)
     result = krige(exact_cov_source(g, FieldModel(kappa=1e-6)), pts, y, 0.01, pts[:1])
-    assert result.log_likelihood == pytest.approx(want, rel=1e-12)
+    assert abs(result.log_likelihood - want) <= 1e-12 * abs(want)
 
 
 def test_loglik_logs_its_route(unit_star, star_source, caplog):
