@@ -45,22 +45,21 @@ every other term at its two nodes. One rule handles every such piece:
 it joins its two nodes, and each connected component of the joins (a
 cluster, of vertices, points or both) is written relative to its
 smallest node, x_i = z_0 + z_base + z_i, so the stiff row reads the
-nodes' own coordinates alone. ``_vertex_cov`` maps Cov(z) back through
-the same map.
+nodes' own coordinates alone. ``_to_nodes`` is that map: ``_vertex_cov``
+takes Cov(z) back through it and ``sample`` its draws.
 
 Which nodes the cut graph has and which entries its rows fill depend on
 the graph and the points alone; kappa, tau and a change only the values.
 So the layout (``_layout``: the pieces of edge, the columns of B and A,
-and the ``sampling._spd_pattern`` of H, with its fill-reducing order) is
-cached, ``graph.CACHE_SIZE`` entries keyed on the graph and the bytes of
-the validated points' edge indices and arclengths, with read-only arrays.
-Q and the scaled form's M are factored on H's pattern, so all three share
-one order. A model
-computes only the piece weights (``_piece_values``) and the numeric
-factors (``sampling._spd_numeric``), so a likelihood sweep over kappa at
-fixed points builds the layout and finds the order once. Every check
-still runs on every call. ``_vertex_cov`` reads the layout at no points
-the same way.
+and the ``sampling._spd_pattern`` of H and of the scaled form's M, each
+with its fill-reducing order) is cached, ``graph.CACHE_SIZE`` entries
+keyed on the graph and the bytes of the validated points' edge indices and
+arclengths, with read-only arrays. Q is factored on H's pattern, in H's
+order. A model computes only the piece weights (``_piece_values``) and
+the numeric factors (``sampling._spd_numeric``), so a likelihood sweep
+over kappa at fixed points builds the layout and finds the orders once.
+Every check still runs on every call. ``_vertex_cov`` reads the layout at
+no points the same way.
 
 Sampling has two paths, chosen by the number of distinct points alone. A
 small request takes the dense Cholesky factor of C. A larger one forms
@@ -69,10 +68,10 @@ sorted by (edge, t). A factor of C is then [[T_V, 0], [Phi T_V,
 blockdiag_e chol(B_e)]] with T_V T_V' = S_V, B_e edge e's bridge block
 and no fill between edges, and chol(B_e) is a walk along the edge. T_V
 comes from the vertex precision's own factor Q = L D L': a draw is
-L'^{-1} D^{-1/2} z in grounded coordinates, mapped to the vertices as
-``_vertex_cov`` maps Cov(z) (``_vertex_factor`` gives both the same
-factor). ``sample`` draws one standard normal per factor column and
-drops the columns of vertices that are not among the points.
+L'^{-1} D^{-1/2} z in grounded coordinates, mapped to the vertices by
+``_to_nodes`` as ``_vertex_cov`` maps Cov(z) (``_vertex_factor`` gives
+both the same factor). ``sample`` draws one standard normal per factor
+column and drops the columns of vertices that are not among the points.
 
 All formulas are overflow-safe for kt * L far beyond the ~700 range where
 raw cosh/sinh overflow in double precision, and use expm1 wherever
@@ -111,8 +110,7 @@ from .graph import (
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import (_Pattern, _spd_numeric, _spd_pattern, _spd_slots, replicate_normals,
-                       safe_cholesky)
+from .sampling import _Pattern, _spd_numeric, _spd_pattern, replicate_normals, safe_cholesky
 
 __all__ = [
     "neumann_edge_cov",
@@ -338,8 +336,7 @@ def _conditioned(sigma, constraints) -> tuple[np.ndarray, int]:
     if K.shape[0] == 0:
         return np.array(sigma, dtype=float), 0
     ks = K @ sigma
-    gram = ks @ K.T
-    gram = 0.5 * (gram + gram.T)
+    gram = _symmetrize(ks @ K.T)
     vals, vecs = np.linalg.eigh(gram)
     if not np.all(np.isfinite(vals)) or vals[-1] <= 0.0:
         raise ConditioningError("constraint Gram matrix is singular")
@@ -348,8 +345,7 @@ def _conditioned(sigma, constraints) -> tuple[np.ndarray, int]:
     _log.debug("condition_on_constraints: %d constraint rows, rank %d kept, %d dropped "
                "below rcond %.3g", K.shape[0], rank, K.shape[0] - rank, _RCOND)
     inv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
-    out = sigma - ks.T @ inv @ ks
-    return 0.5 * (out + out.T), rank
+    return _symmetrize(sigma - ks.T @ inv @ ks), rank
 
 
 def _segment_weights(kt, scale, length):
@@ -387,9 +383,13 @@ class _EdgeConstants(NamedTuple):
     scale: np.ndarray
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _edge_constants(g: MetricGraph, m: FieldModel) -> _EdgeConstants:
+    """The model's per-edge constants on the graph, cached, read-only."""
     kappa, a = m._edge_values(g.edges)
-    return _EdgeConstants(*g._edge_arrays, *_edge_scales(kappa, a, m.tau))
+    out = _EdgeConstants(*g._edge_arrays, *_edge_scales(kappa, a, m.tau))
+    out.kt.flags.writeable = out.scale.flags.writeable = False
+    return out
 
 
 #: ``_vertex_cov`` refines its solve this many columns at a time, so the
@@ -422,8 +422,8 @@ def _vertex_factor(g: MetricGraph, m: FieldModel):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _vertex_cov(g: MetricGraph, m: FieldModel):
-    """Vertex covariance S_V = Q^{-1}, the per-edge constants behind it, and
-    the factor's method and smallest pivot.
+    """Vertex covariance S_V = Q^{-1} and the factor's method and smallest
+    pivot.
 
     Q = B'B for the rows of the cut graph at no points, one pair of
     ``_segment_weights`` rows per edge, in the grounded coordinates
@@ -434,8 +434,8 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
     relative accuracy although ``sampling._spd_numeric`` forms Q, on the
     pattern the layout at no points keeps. Vertices joined by short edges
     share a base there as points do (``_layout``). Solves for the identity
-    give Cov(z), and x_v = z_0 + z_base(v) + z_v maps it to the vertices
-    with index adds: the based rows and columns, then the root's.
+    give Cov(z), and the grounding map (``_to_nodes``) takes it to the
+    vertices, on its rows and then on its columns.
 
     One step of iterative refinement mends the root's entry on large
     graphs at kt L of order one. z_0 couples to every vertex: its diagonal
@@ -461,17 +461,11 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
         resid[lo + diag, diag] += 1.0
         sv[:, block] += factor.solve(resid)
     sv = np.ascontiguousarray(sv)  # the solves return it F-ordered
-    # from z back to the vertex values, x_v = z_0 + z_base(v) + z_v
-    based = np.flatnonzero(layout.base)
-    sv[based] += sv[layout.base[based]]
-    sv[:, based] += sv[:, layout.base[based]]
-    sv[1:] += sv[0]
-    sv[:, 1:] += sv[:, :1]
+    _to_nodes(layout, sv)
+    _to_nodes(layout, sv.T)
     _symmetrize(sv)
-    ec = _edge_constants(g, m)
-    for arr in (sv, *ec):
-        arr.flags.writeable = False
-    return sv, ec, (factor.method, factor.min_pivot)
+    sv.flags.writeable = False
+    return sv, (factor.method, factor.min_pivot)
 
 
 def vertex_field_cov(g: MetricGraph, m: FieldModel) -> CovMatrix:
@@ -482,7 +476,7 @@ def vertex_field_cov(g: MetricGraph, m: FieldModel) -> CovMatrix:
     ``info`` names the vertices, the factor's method and its smallest
     pivot.
     """
-    sv, _, (method, min_pivot) = _vertex_cov(g, m)
+    sv, (method, min_pivot) = _vertex_cov(g, m)
     points = tuple(g.vertex_point(v) for v in range(g.vertex_count))
     info = {"vertices": tuple(range(g.vertex_count)), "factor": method,
             "min_pivot": min_pivot}
@@ -513,12 +507,12 @@ def full_cov(
     """
     _require_alpha_one(m)
     pts, j, t, *_ = _point_arrays(g, pts)
+    ec = _edge_constants(g, m)
     if constraints is None:
-        ends, ec, (method, min_pivot) = _vertex_cov(g, m)
+        ends, (method, min_pivot) = _vertex_cov(g, m)
         col_u, col_v = ec.u, ec.v
         info = {"route": "vertex", "factor": method, "min_pivot": min_pivot}
     else:
-        ec = _edge_constants(g, m)
         ends, rank = _conditioned(endpoint_prior_cov(g, m), constraints)
         info = {"route": "constraints", "constraint_rank": rank}
         col_u = 2 * np.arange(g.edge_count)
@@ -533,18 +527,21 @@ def full_cov(
     return CovMatrix(C, tuple(pts), "exact", info=info)
 
 
-def _distinct_points(j, t, u, v, ell, merge: float = 0.0):
-    """The distinct locations among points given as ``_point_arrays`` arrays.
+def _distinct_points(j, t, u, v, ell):
+    """The distinct locations among points given as ``_point_arrays`` arrays,
+    the one rule ``sample`` and ``_layout`` share.
 
     Returns (vertex, first, rank): ``vertex`` is each point's vertex, or -1
     inside an edge; ``first`` holds, for each distinct interior (edge, t)
     sorted by (edge, t), the input index of its first point; ``rank`` maps
     every interior point to its position in ``first`` (0 at vertices).
-    A point no farther than ``merge`` from an end of its edge is at that
-    end's vertex, and one no farther than ``merge`` from the point before
-    it on its edge is at that point's location; the default, 0, merges
-    equal arclengths only.
+    A point within the smallest normal double of an end of its edge is at
+    that end's vertex, and one within it of the point before it on its edge
+    is at that point's location. A piece of edge shorter than that would
+    have a difference weight whose square, about tau^2 a / length,
+    overflows at tau^2 a of order one (``_segment_weights``).
     """
+    merge = np.finfo(float).tiny
     vertex = np.where(t <= merge, u, np.where(ell - t <= merge, v, -1))
     inner = np.flatnonzero(vertex < 0)
     inner = inner[np.lexsort((t[inner], j[inner]))]  # stable: ties keep input order
@@ -580,8 +577,9 @@ class _Layout(NamedTuple):
     order is found once per layout. Q's triplets are the first
     ``b_cols.size * b_cols.shape[1]`` of H's, so Q is factored on H's
     pattern with A's entries as explicit zeros, in the same order. And
-    ``m_pattern``, H's pattern with the slots of M's triplets, which lie
-    in it.
+    ``m_pattern``, the ``sampling._spd_pattern`` of M's own triplets, in
+    ``label`` order too: the Gram triplets of the rows at ``ends``, then
+    one per node on the diagonal.
     """
 
     nodes: int
@@ -597,6 +595,16 @@ class _Layout(NamedTuple):
     label: np.ndarray
     h_pattern: _Pattern
     m_pattern: _Pattern
+
+
+def _to_nodes(layout: _Layout, arr: np.ndarray) -> np.ndarray:
+    """The grounding map x_i = z_0 + z_base[i] + z_i along axis 0 of
+    ``arr``, in place: the based rows first, then the root's. Returns
+    ``arr``."""
+    based = np.flatnonzero(layout.base)
+    arr[based] += arr[layout.base[based]]
+    arr[1:] += arr[0]
+    return arr
 
 
 def _grounded_rows(base, a, b):
@@ -667,11 +675,7 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     t = np.frombuffer(t_key, dtype=float)
     u, v, length = g._edge_arrays
     ell = length[j]
-    # a piece of length d has a difference weight whose square is about
-    # tau^2 a / d, which overflows for d below the smallest normal double
-    # at tau^2 a of order one: a point that near the vertex or the point
-    # before it is put at that node
-    vertex, first, rank = _distinct_points(j, t, u[j], v[j], ell, np.finfo(float).tiny)
+    vertex, first, rank = _distinct_points(j, t, u[j], v[j], ell)
     nv, k = g.vertex_count, first.size
     nodes = nv + k
     pj, pt, pl, node = j[first], t[first], ell[first], np.arange(nv, nodes)
@@ -716,12 +720,11 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
         label = np.roll(label, 1)
     h_rows, h_cols = (np.concatenate(z) for z in zip(_gram(label[b_cols]), _gram(label[a_cols])))
     pattern = _spd_pattern(h_rows, h_cols, nodes)
-    # every node is its own column in its pieces' rows of B, so M's
-    # entries, at the rows' two nodes, are H's too
-    m_pattern = _spd_slots(pattern, *(np.concatenate([z, label]) for z in _gram(label[row_ends])))
+    m_rows, m_cols = (np.concatenate([z, label]) for z in _gram(label[row_ends]))
+    m_pattern = _spd_pattern(m_rows, m_cols, nodes)
     out = _Layout(nodes, piece_edge, piece_length, row_ends, base, b_cols, b_pick,
                   a_cols, a_vals, obs, label, pattern, m_pattern)
-    for arr in (*out[1:-2], *pattern[1:], m_pattern.slot):
+    for arr in (*out[1:-2], *pattern[1:], *m_pattern[1:]):
         if arr is not None:
             arr.flags.writeable = False
     return out
@@ -825,8 +828,8 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
 
     where log|Q| comes from Q's factor in grounded coordinates (the
     grounding map has determinant 1) and F is the second matrix of one of
-    two forms, both factored in the layout's ``label`` order on its one
-    pattern. The scaled form (``_scaled_form``) pins each observed node
+    two forms, both factored in the layout's ``label`` order, each on its
+    own pattern. The scaled form (``_scaled_form``) pins each observed node
     and factors M, with no 1 / noise_var. The grounded form factors
     H = Q + A'A / noise_var in grounded coordinates, so n log noise_var +
     log|H| = log|F|; with b = A'y / noise_var and mu = H^{-1} b, the
@@ -903,10 +906,12 @@ def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:
 #: dense Cholesky factor of its covariance, and a larger one from the
 #: vertex factor and the per-edge bridge walks. The crossover grows with the
 #: replicate count. On random figure-eight requests (single-thread BLAS on
-#: a 2-core Xeon) the bridge walks were 1.9x faster than the dense factor
-#: at 384 points and 200 replicates, within 10% of it from 384 to 768
-#: points at 2,000 replicates (22% faster at 1,024), and 2.0-2.5x slower up
-#: to 768 points at 20,000 replicates.
+#: a shared 2-core Xeon, best of 3-5) the Markov path was 2.2x faster than
+#: the dense factor at 384 points and 200 replicates (1.4x at 256); at
+#: 2,000 replicates the two were within 2% from 256 to 384 points and the
+#: Markov path 1.2-1.9x faster from 512 to 1,024; at 20,000 replicates it
+#: was 1.5x slower at 256 points, 1.2x slower at 384, even at 768 and 1.2x
+#: faster at 1,024.
 _DENSE_SAMPLE_MAX = 384
 
 
@@ -931,7 +936,7 @@ def sample(
       drawn from the sparse vertex precision Q = L D L' of the cut graph at
       no points: x = L'^{-1} D^{-1/2} z in its grounded coordinates
       (``sampling._Factor.draw``, one triangular solve), mapped to the
-      vertices by x_v = z_0 + z_base(v) + z_v, so its covariance is
+      vertices by the grounding map (``_to_nodes``), so its covariance is
       Q^{-1} = S_V and no |V| x |V| table is formed. The distinct interior
       points follow, sorted by (edge, t): x = G1(t) x_u + G2(t) x_v + b,
       with the bridge b drawn one step at a time along its edge
@@ -980,11 +985,7 @@ def sample(
     # the normals, copied once into (point x replicate) order, become the
     # draws in place, one row per factor column
     zt = np.ascontiguousarray(replicate_normals(seed, n, nv + first.size).T)
-    zt[:nv] = factor.draw(zt[:nv])
-    # from z back to the vertex values, x_v = z_0 + z_base(v) + z_v
-    based = np.flatnonzero(layout.base)
-    zt[based] += zt[layout.base[based]]
-    zt[1:nv] += zt[0]
+    zt[:nv] = _to_nodes(layout, factor.draw(zt[:nv]))
     pj, pt = j[first], t[first]
     bridge = zt[nv:]
     _bridge_walk(ec, pj, pt, bridge)

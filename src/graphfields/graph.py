@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import dijkstra, shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     DanglingEndpointError,
@@ -82,21 +82,25 @@ def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
         raise error(f"{name} must be a number, got {value!r}") from None
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
         op = ">" if strict else ">="
-        raise error(f"{name} must be finite and {op} {low:g}, got {x}")
+        rule = "positive and finite" if strict and low == 0.0 else f"finite and {op} {low:g}"
+        raise error(f"{name} must be {rule}, got {x}")
     return x
 
 
+def _point_scalar(value, name: str, low: float) -> float:
+    """A number that places points (an arclength, a mesh spacing) as a
+    float, by ``_scalar``'s rule with strings rejected too, where ``float``
+    would parse a numeric one: PointError for a string, None, a bool or any
+    other value that is not a finite number above ``low``."""
+    if isinstance(value, (str, bytes)):
+        raise PointError(f"{name} must be a number, got {value!r}")
+    return _scalar(value, name, low, error=PointError)
+
+
 def _arclength(t) -> float:
-    """An arclength as a float, by ``_scalar``'s rule with strings rejected
-    too, where ``float`` would parse a numeric one: PointError for a
-    string, None, a bool or any other value that is not a finite number.
-    A float passes as it is, NaN included, to ``MetricGraph.point``'s
-    range check."""
-    if isinstance(t, float):
-        return t
-    if isinstance(t, (str, bytes)):
-        raise PointError(f"arclength must be a number, got {t!r}")
-    return _scalar(t, "arclength", -math.inf, error=PointError)
+    """An arclength as a float (``_point_scalar``). A float passes as it
+    is, NaN included, to ``MetricGraph.point``'s range check."""
+    return t if isinstance(t, float) else _point_scalar(t, "arclength", -math.inf)
 
 
 class Edge(NamedTuple):
@@ -419,22 +423,28 @@ def _sandwich(table: np.ndarray, u, v, w_u, w_v) -> np.ndarray:
 # -- vertex distances (used by classification and the metrics module) ------
 
 
+def _adjacency(g: MetricGraph) -> csr_matrix:
+    """The vertices' adjacency for an undirected ``dijkstra``: each pair of
+    distinct vertices joined by an edge, once (lower index first), at the
+    length of its shortest edge. Loops are left out: they never shorten a
+    vertex-to-vertex path."""
+    u, v, length = g._edge_arrays
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((length, hi, lo))  # each pair's shortest edge first
+    lo, hi, length = lo[order], hi[order], length[order]
+    keep = lo != hi
+    keep[1:] &= (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    n = g.vertex_count
+    return csr_matrix((length[keep], (lo[keep], hi[keep])), shape=(n, n))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def vertex_distance_matrix(g: MetricGraph) -> np.ndarray:
-    """All-pairs geodesic distances between vertices (read-only array).
-
-    Parallel edges collapse to their minimum length; loops never shorten a
-    vertex-to-vertex path.
+    """All-pairs geodesic distances between vertices (read-only array), by
+    Dijkstra on ``_adjacency``: parallel edges collapse to their minimum
+    length, and loops never shorten a vertex-to-vertex path.
     """
-    n = g.vertex_count
-    w = np.full((n, n), np.inf)
-    for e in g.edges:
-        if e.u != e.v:
-            w[e.u, e.v] = min(w[e.u, e.v], e.length)
-            w[e.v, e.u] = w[e.u, e.v]
-    w[~np.isfinite(w)] = 0.0
-    dist = shortest_path(csr_matrix(w), method="D", directed=False)
-    np.fill_diagonal(dist, 0.0)
+    dist = dijkstra(_adjacency(g), directed=False)
     dist.flags.writeable = False
     return dist
 
@@ -452,8 +462,7 @@ def _edges_are_geodesics(g: MetricGraph) -> bool:
     and never forms the all-pairs table.
     """
     u, v, length = g._edge_arrays
-    n = g.vertex_count
-    adjacency = csr_matrix((length, (u, v)), shape=(n, n))
+    adjacency = _adjacency(g)
     sources, row = np.unique(u, return_inverse=True)
     limit = length.max()
     for lo in range(0, sources.size, _DIJKSTRA_BLOCK):
@@ -655,10 +664,9 @@ def _mesh(g: MetricGraph, h: float) -> _Mesh:
     Edge e gets nel = ceil(length / h) elements and its node k sits at
     t = length * (k / nel), so the ends land exactly on 0 and length. Nodes
     0 .. vertex_count-1 are the vertices, each at ``g.vertex_point(v)``;
-    the interior nodes follow edge by edge. Arrays are read-only.
+    the interior nodes follow edge by edge. Arrays are read-only. ``h`` is
+    a float that :func:`mesh` or ``spectral.assemble`` has checked.
     """
-    if not h > 0:
-        raise PointError(f"mesh spacing must be positive, got {h}")
     edge_nodes: list[tuple[int, ...]] = []
     points = [g.vertex_point(v) for v in range(g.vertex_count)]
     n_dof = g.vertex_count
@@ -684,9 +692,11 @@ def mesh(g: MetricGraph, h: float) -> list[PointOnGraph]:
 
     Every edge contributes nodes at t = length * (k / ceil(length / h)); an
     endpoint is emitted only the first time its vertex appears (edge order,
-    then t ascending), so each vertex shows up exactly once.
+    then t ascending), so each vertex shows up exactly once. ``h`` is read
+    by ``_point_scalar`` first: a finite number > 0, never a bool or a
+    string, else ``PointError``.
     """
-    m = _mesh(g, h)
+    m = _mesh(g, _point_scalar(h, "mesh spacing", 0.0))
     walk = dict.fromkeys(dof for nodes in m.edge_nodes for dof in nodes)
     return [m.node_points[dof] for dof in walk]
 

@@ -21,9 +21,9 @@ zero included: the field at the vertices and the observation points is a
 Gaussian Markov field with a sparse precision, which ``exact`` builds and
 factors beside its rows, and neither the n x n covariance nor the
 |V| x |V| vertex table is formed. Its layout depends on the graph and the
-points alone and is cached with the sparse pattern of the precisions and
-its fill-reducing order, which all its matrices share, so a sweep over the
-model at fixed points recomputes only the weights and the numeric factors.
+points alone and is cached with the sparse patterns of its precisions and
+their fill-reducing orders, so a sweep over the model at fixed points
+recomputes only the weights and the numeric factors.
 That route picks one of two forms by one rule (see ``loglik``) and keeps
 full accuracy at small kappa, where a Cholesky of C + noise I loses the
 O(1) part of C under its 1/(kappa^2 |Gamma|) constant mode. Nothing falls
@@ -55,7 +55,7 @@ from scipy.linalg import lapack
 
 from . import exact
 from .errors import ValidationError
-from .graph import MetricGraph, PointOnGraph, _arclength
+from .graph import MetricGraph, PointOnGraph, _arclength, _symmetrize
 from .models import CovMatrix, FieldModel, _scalar
 from .sampling import safe_cholesky
 
@@ -235,11 +235,9 @@ def krige(
     alpha = _tri_solve(chol, y)
     mean = cpo @ _tri_solve(chol, alpha, trans=0)
     half = _tri_solve(chol, cpo.T)
-    cov = cpp - half.T @ half
-    cov = 0.5 * (cov + cov.T)
     return KrigingResult(
         mean=mean,
-        cov=cov,
+        cov=_symmetrize(cpp - half.T @ half),
         log_likelihood=_gauss_loglik(chol, alpha),
         jitter=jitter,
     )

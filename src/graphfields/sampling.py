@@ -8,11 +8,10 @@ The sparse factor has two steps. The pattern step (``_spd_pattern``) reads
 the triplets' rows and columns alone: the dense or SuperLU branch, each
 triplet's slot in the assembled data, and on the SuperLU branch the
 fill-reducing order and the CSC pattern permuted by it. The numeric step
-(``_spd_numeric``) sums the values into their slots and factors.
-``_spd_slots`` places the triplets of a second matrix whose entries lie in
-a pattern, so it is factored in the same order. ``exact`` keeps the
-patterns of a cut graph in its cached layout, so a new model pays only the
-numeric step; a one-off caller takes both through ``_spd_factor``. This
+(``_spd_numeric``) sums the values into their slots and factors. Each
+matrix is analysed on its own triplets, once: ``exact`` keeps the patterns
+of a cut graph in its cached layout, so a new model pays only the numeric
+step; a one-off caller takes both through ``_spd_factor``. This
 module is the one home of the sparse factor: no other module calls
 ``splu`` or another sparse factor or solve.
 
@@ -184,20 +183,6 @@ def _spd_pattern(rows, cols, n: int) -> _Pattern:
     np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
     return _Pattern(n, place[slot], perm, np.argsort(perm), indptr,
                     r[by_column].astype(np.intc))
-
-
-def _spd_slots(pattern: _Pattern, rows, cols) -> _Pattern:
-    """``pattern`` with the slots of the triplets (rows, cols) in place of
-    its own, for a second matrix whose entries all lie in the pattern: it
-    is factored in the same order, with the pattern's other entries as
-    explicit zeros. On the SuperLU branch the data is sorted by (column,
-    row) of P'MP, so a triplet's slot is found by bisection."""
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    n = pattern.n
-    if pattern.perm is None:
-        return pattern._replace(slot=rows * n + cols)
-    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
-    return pattern._replace(slot=np.searchsorted(keys, pattern.perm[cols] * n + pattern.perm[rows]))
 
 
 def _spd_numeric(pattern: _Pattern, vals) -> _Factor:

@@ -53,7 +53,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import PointError, UnsupportedAlphaError
-from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _mesh, _Mesh
+from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _mesh, _Mesh, _point_scalar
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
@@ -237,8 +237,11 @@ def assemble(
 
     Per-edge constants kappa, a are taken from the model (constant on each
     edge, so the element integrals are exact). ``n_modes`` limits the number
-    of computed eigenpairs; default is the full spectrum.
+    of computed eigenpairs; default is the full spectrum. ``h`` is read as
+    :func:`graph.mesh` reads it: a finite number > 0, never a bool or a
+    string, else ``PointError``; ``op.h`` holds it as a float.
     """
+    h = _point_scalar(h, "mesh spacing", 0.0)
     mesh = _mesh(g, h)
     if n_modes is None:
         n_modes = mesh.n_dof

@@ -421,6 +421,23 @@ def test_mesh_rejects_bad_spacing(h):
         gf.mesh(gf.interval(1.0), h)
 
 
+@pytest.mark.parametrize("h", [True, np.bool_(True), "0.1", None, float("nan"), float("inf"),
+                               0, -1])
+def test_mesh_spacing_goes_through_the_scalar_check(h):
+    # both readers of a spacing check it before the cached mesh: a bool is
+    # not 1, a string is not parsed, and an infinite spacing is no mesh
+    g = gf.interval(1.0)
+    with pytest.raises(PointError, match="mesh spacing"):
+        gf.mesh(g, h)
+    with pytest.raises(PointError, match="mesh spacing"):
+        gf.assemble(g, gf.FieldModel(), h)
+
+
+def test_operator_keeps_its_spacing_as_a_float():
+    op = gf.assemble(gf.interval(1.0), gf.FieldModel(), 1)
+    assert type(op.h) is float and op.h == 1.0
+
+
 def test_equal_graphs_compare_and_hash_equal(fig8):
     rebuilt = gf.figure_eight(1.0, 2.0)
     assert rebuilt is not fig8

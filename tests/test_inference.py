@@ -304,10 +304,11 @@ def test_a_kappa_sweep_orders_its_pattern_once(side, monkeypatch):
     values = [_precision(exact_cov_source(g, FieldModel(kappa=kappa)), pts, y, 0.01)
               for kappa in (0.3, 0.7, 1.0, 2.5, 6.0)]
     if side == "SuperLU":
-        # one minimum-degree order for the layout; Q and H of every kappa
-        # are factored in it, with the fill of the order's own factor (the
-        # pattern permuted by the inverse order would fill several times more)
-        assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 10
+        # two minimum-degree orders for the layout, H's and M's, and none per
+        # kappa; Q and H of every kappa are factored in H's, with the fill of
+        # the order's own factor (the pattern permuted by the inverse order
+        # would fill several times more)
+        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 10
         assert set(fill) == {fill[0]}
     else:
         assert orders == []
@@ -816,8 +817,8 @@ def test_loglik_raises_where_the_density_underflows():
 
 @pytest.mark.parametrize("side", ["dense Cholesky", "SuperLU"])
 def test_scaled_form_factors_its_matrix_on_the_layout_pattern(side):
-    # M's triplets, placed by the slots ``sampling._spd_slots`` found in H's
-    # pattern, assemble the same matrix as the triplets summed directly
+    # M's triplets, placed by the slots of their own pattern, assemble the
+    # same matrix as the triplets summed directly
     g, pts, _ = _bouquet_request(side)
     layout, _ = exact._layout_of(g, FieldModel(), pts)
     pattern, n = layout.m_pattern, layout.nodes
@@ -847,6 +848,30 @@ def test_krige_likelihood_matches_mpmath_at_tiny_kappa():
     want = circle_loglik_mp(pos, y, 1e-6, 1.0, 2.0, 0.01)
     result = krige(exact_cov_source(g, FieldModel(kappa=1e-6)), pts, y, 0.01, pts[:1])
     assert abs(result.log_likelihood - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND: the two loglik forms do not overlap when piece lengths differ "
+    "by many orders; just above the switch the grounded form reads about "
+    "eps w_max / w_min (4.3e-11 here)"))
+def test_loglik_matches_mpmath_just_above_the_form_switch():
+    # a point 1e-14 from vertex 1 makes the stiffest piece's difference
+    # weight 5e6 times the loosest's; the noise is twice the switch, on the
+    # grounded side
+    g, m = gf.circle(2.0, 4), FieldModel(kappa=1.0)
+    rng = np.random.default_rng(1)
+    pts = [g.point("e1", 1e-14)] + [g.point(e.id, float(rng.uniform(0.0, e.length)))
+                                    for e in (g.edges[i] for i in rng.integers(4, size=12))]
+    y = rng.normal(size=len(pts))
+    layout, _ = exact._layout_of(g, m, pts)
+    w_a = exact._piece_values(layout, g, m)[1]
+    w_diff = w_a[w_a.size // 2:]
+    noise = 2.0 * exact._SCALED_MAX / (w_diff.max() * w_diff.min())
+    cov = cut_graph_cov_mp(g.vertex_count, g.edges, [(g.edge_index(p.edge), p.t) for p in pts],
+                           1.0, dps=50)
+    want = gauss_loglik_mp(cov, y, noise, dps=50)
+    got = loglik(exact_cov_source(g, m), pts, y, noise)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_loglik_logs_its_route(unit_star, star_source, caplog):
