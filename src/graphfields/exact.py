@@ -579,7 +579,8 @@ class _Layout(NamedTuple):
     pattern with A's entries as explicit zeros, in the same order. And
     ``m_pattern``, the ``sampling._spd_pattern`` of M's own triplets, in
     ``label`` order too: the Gram triplets of the rows at ``ends``, then
-    one per node on the diagonal.
+    one per node on the diagonal; None at no points, where nothing factors
+    M.
     """
 
     nodes: int
@@ -594,7 +595,7 @@ class _Layout(NamedTuple):
     obs: np.ndarray
     label: np.ndarray
     h_pattern: _Pattern
-    m_pattern: _Pattern
+    m_pattern: _Pattern | None
 
 
 def _to_nodes(layout: _Layout, arr: np.ndarray) -> np.ndarray:
@@ -720,11 +721,14 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
         label = np.roll(label, 1)
     h_rows, h_cols = (np.concatenate(z) for z in zip(_gram(label[b_cols]), _gram(label[a_cols])))
     pattern = _spd_pattern(h_rows, h_cols, nodes)
-    m_rows, m_cols = (np.concatenate([z, label]) for z in _gram(label[row_ends]))
-    m_pattern = _spd_pattern(m_rows, m_cols, nodes)
+    # M is factored only for observations: at no points it is not analysed
+    m_pattern = None
+    if j.size:
+        m_rows, m_cols = (np.concatenate([z, label]) for z in _gram(label[row_ends]))
+        m_pattern = _spd_pattern(m_rows, m_cols, nodes)
     out = _Layout(nodes, piece_edge, piece_length, row_ends, base, b_cols, b_pick,
                   a_cols, a_vals, obs, label, pattern, m_pattern)
-    for arr in (*out[1:-2], *pattern[1:], *m_pattern[1:]):
+    for arr in (*out[1:-2], *pattern[1:], *(m_pattern or ())[1:]):
         if arr is not None:
             arr.flags.writeable = False
     return out
@@ -848,11 +852,14 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     not finite.
     """
     layout, built = _layout_of(g, m, obs)
+    how = "built" if built else "reused"
+    n = len(y)
+    if not n:  # no observation has density 1, in no form and with no factor
+        return 0.0, layout.nodes, "no factor", "no", how
     b_vals, w_a, w_b = _piece_values(layout, g, m)
     q_vals = _gram_values(b_vals)
     q_logdet = _spd_numeric(layout.h_pattern, q_vals).logdet
     w_diff = w_a[w_a.size // 2:]
-    n = len(y)
     if noise_var * w_diff.max() * w_diff.min() <= _SCALED_MAX:
         form, (quad, logdet, method) = "scaled", _scaled_form(layout, w_a, w_b, y, noise_var)
     else:
@@ -869,12 +876,11 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
         quad = float(resid @ resid) / noise_var + float(prior @ prior)
         logdet, method = n * np.log(noise_var) + h_factor.logdet, h_factor.method
     logdet -= q_logdet
-    # no observation has density 1, which log|M| - log|Q| gives to rounding
-    value = -0.5 * (quad + logdet + n * np.log(2.0 * np.pi)) if n else 0.0
+    value = -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))
     if not np.isfinite(value):
         raise NumericalError(f"log-likelihood is not finite ({form} form): quadratic form "
                              f"{quad:.3g}, log-determinant {logdet:.3g}")
-    return value, layout.nodes, method, form, "built" if built else "reused"
+    return value, layout.nodes, method, form, how
 
 
 def _bridge_walk(ec: _EdgeConstants, j, t, draws) -> None:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
@@ -371,9 +371,11 @@ def _symmetrize(C: np.ndarray) -> np.ndarray:
 
     Row block i..j reads its columns of C below the diagonal before any
     block writes there, then mirrors its finished rows into them, so the
-    result is exactly symmetric.
+    result is exactly symmetric. A block of the last row alone would only
+    rewrite its diagonal entry, so none starts there (nor at all for a
+    1 x 1 matrix).
     """
-    for i in range(0, C.shape[0], 32):
+    for i in range(0, C.shape[0] - 1, 32):
         j = i + 32
         C[i:j, i:] = 0.5 * (C[i:j, i:] + C[i:, i:j].T)
         C[j:, i:j] = C[i:j, j:].T
@@ -391,39 +393,46 @@ def _symmetrize(C: np.ndarray) -> np.ndarray:
 _DENSE_PHI_MAX = 20
 
 
-def _sandwich(table: np.ndarray, u, v, w_u, w_v) -> np.ndarray:
-    """Phi T Phi' for a symmetric table T and row i of Phi = w_u[i] e_u[i]
-    + w_v[i] e_v[i].
+def _phi(order: int, u, v, w_u, w_v):
+    """Phi with row i = w_u[i] e_u[i] + w_v[i] e_v[i] and ``order`` columns.
 
-    Up to ``_DENSE_PHI_MAX`` table rows Phi is a dense n x |V| array, at
-    most as large as the n x n result once n exceeds the constant; a loop's
-    (u == v) two weights add in its one entry. Above it Phi is built in
-    CSR form directly, two entries per row with the weights interleaved,
-    so a loop's two weights stay two entries and no COO conversion runs.
-    The result is not symmetrized.
+    Up to ``_DENSE_PHI_MAX`` columns Phi is a dense n x ``order`` array, at
+    most as large as the n x n product ``_sandwich`` forms once n exceeds
+    the constant; a loop's (u == v) two weights add in its one entry. Above
+    it Phi is built in CSR form directly, two entries per row with the
+    weights interleaved, so a loop's two weights stay two entries and no
+    COO conversion runs.
     """
     n = len(u)
-    if table.shape[0] <= _DENSE_PHI_MAX:
-        phi = np.zeros((n, table.shape[0]))
+    if order <= _DENSE_PHI_MAX:
+        phi = np.zeros((n, order))
         rows = np.arange(n)
         phi[rows, u] = w_u
         phi[rows, v] += w_v
-    else:
-        phi = csr_array(
-            (
-                np.column_stack((w_u, w_v)).ravel(),
-                np.column_stack((u, v)).ravel(),
-                np.arange(0, 2 * n + 1, 2),
-            ),
-            shape=(n, table.shape[0]),
-        )
+        return phi
+    return csr_array(
+        (
+            np.column_stack((w_u, w_v)).ravel(),
+            np.column_stack((u, v)).ravel(),
+            np.arange(0, 2 * n + 1, 2),
+        ),
+        shape=(n, order),
+    )
+
+
+def _sandwich(table: np.ndarray, u, v, w_u, w_v) -> np.ndarray:
+    """Phi T Phi' for a symmetric table T and Phi = ``_phi`` of its order,
+    dense up to ``_DENSE_PHI_MAX`` table rows and CSR above. The result is
+    not symmetrized.
+    """
+    phi = _phi(table.shape[0], u, v, w_u, w_v)
     return phi @ (phi @ table).T
 
 
 # -- vertex distances (used by classification and the metrics module) ------
 
 
-def _adjacency(g: MetricGraph) -> csr_matrix:
+def _adjacency(g: MetricGraph) -> csr_array:
     """The vertices' adjacency for an undirected ``dijkstra``: each pair of
     distinct vertices joined by an edge, once (lower index first), at the
     length of its shortest edge. Loops are left out: they never shorten a
@@ -435,7 +444,7 @@ def _adjacency(g: MetricGraph) -> csr_matrix:
     keep = lo != hi
     keep[1:] &= (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     n = g.vertex_count
-    return csr_matrix((length[keep], (lo[keep], hi[keep])), shape=(n, n))
+    return csr_array((length[keep], (lo[keep], hi[keep])), shape=(n, n))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

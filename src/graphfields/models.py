@@ -11,7 +11,6 @@ comparisons, so every parameter is held to the same rule.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Edge, _count, _scalar
-from .sampling import _PSD_TOL
+from .sampling import _PSD_TOL, _min_eigenvalue
 
 __all__ = ["FieldModel", "CovMatrix"]
 
@@ -125,11 +124,12 @@ class CovMatrix:
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue, cached in ``info``; inf for a 0 x 0 matrix
-        (the minimum over no eigenvalues), so an empty matrix is PSD."""
+        (the minimum over no eigenvalues), so an empty matrix is PSD. It is
+        ``sampling._min_eigenvalue``'s: LAPACK computes that one eigenvalue,
+        from the lower triangle, and no other."""
         key = "min_eigenvalue"
         if key not in self.info:
-            vals = np.linalg.eigvalsh(self.matrix)
-            self.info[key] = float(vals[0]) if vals.size else math.inf
+            self.info[key] = _min_eigenvalue(self.matrix)
         return self.info[key]
 
     def is_psd(self) -> bool:

@@ -27,9 +27,19 @@ Every dense Cholesky factor in the package comes from ``_potrf``: one
 copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
 factor L is C-contiguous, so ``L.T`` is the F-contiguous upper factor that
 LAPACK's triangular solves (``dtrtrs``, ``dpotrs``) read without a copy;
-``inference`` and ``_spd_factor`` solve with it that way."""
+``inference`` and ``_spd_factor`` solve with it that way. A PSD-up-to-
+rounding matrix goes through ``safe_cholesky`` (``_jittered_cholesky``
+with a diagonal shift, for ``inference``'s C_oo + noise I): a matrix that
+factors costs that one copy and nothing more, and only a failed factor
+takes the trace, checks the smallest eigenvalue and escalates a jitter.
+
+Each dense kernel asks LAPACK for what its caller returns: the one route
+to a smallest eigenvalue, ``_min_eigenvalue`` (the PSD report of
+``CovMatrix`` and the check on ``safe_cholesky``'s failure path), asks
+``dsyevr`` for that one eigenvalue and no vectors."""
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,38 +82,72 @@ def _potrf(mat: np.ndarray, shift: float = 0.0) -> np.ndarray | None:
     return upper.T if info == 0 else None
 
 
+def _min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric matrix whose lower triangle is
+    that of ``mat`` (the triangle numpy's ``eigvalsh`` reads); inf for a
+    0 x 0 matrix, the minimum over no eigenvalues.
+
+    LAPACK ``dsyevr`` is asked for that one eigenvalue (``range="I"``,
+    ``il = iu = 1``) and no vectors. ``mat`` is passed as it is: the
+    wrapper makes the one working copy that the reduction overwrites.
+    Raises ``LinAlgError`` where the eigensolver does not converge, as
+    ``eigvalsh`` does.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.size == 0:
+        return math.inf
+    w, _, _, _, info = lapack.dsyevr(mat, compute_v=0, range="I", lower=1, il=1, iu=1)
+    if info < 0:
+        raise ValueError(f"dsyevr: illegal value in argument {-info}")
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return float(w[0])
+
+
 #: a matrix whose least eigenvalue is at least -_PSD_TOL times its trace
 #: is PSD up to rounding (``safe_cholesky``, ``CovMatrix.is_psd``)
 _PSD_TOL = 1e-10
 
 
-def safe_cholesky(mat: np.ndarray):
-    """Cholesky factor of a PSD-up-to-rounding matrix.
-
-    Escalates a diagonal jitter of (1e-12, 1e-10, 1e-8) * trace/n before
-    giving up. Returns (lower factor, jitter used); the factor is
-    ``_potrf``'s, C-contiguous with exact zeros above the diagonal, and
-    ``mat`` is not written on any attempt. Raises NotPositiveDefiniteError
-    if the matrix is indefinite beyond ``_PSD_TOL * trace`` or no jitter
-    level succeeds.
-    """
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    scale = float(np.trace(mat)) / max(n, 1)
-    chol = _potrf(mat)
+def _jittered_cholesky(mat: np.ndarray, shift: float = 0.0):
+    """``safe_cholesky`` of ``mat`` + ``shift`` I, with ``mat`` read, never
+    written: ``_potrf`` makes the one copy, with the shift on its diagonal,
+    and a factorable matrix costs nothing more. Only when that factor fails
+    is the shifted matrix formed, its trace taken, its smallest eigenvalue
+    checked and the jitter escalated, each level on a fresh copy."""
+    chol = _potrf(mat, shift)
     if chol is not None:
         return chol, 0.0
-    min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < -_PSD_TOL * float(np.trace(mat)):
+    mat = np.array(mat, dtype=float)
+    mat.flat[:: mat.shape[0] + 1] += shift
+    trace = float(np.trace(mat))
+    min_eig = _min_eigenvalue(mat)
+    if min_eig < -_PSD_TOL * trace:
         raise NotPositiveDefiniteError(
             f"matrix is not PSD within tolerance (min eigenvalue {min_eig:.3e})"
         )
+    scale = trace / max(mat.shape[0], 1)
     for rel in (1e-12, 1e-10, 1e-8):
         jitter = rel * scale
         chol = _potrf(mat, jitter)
         if chol is not None:
             return chol, jitter
     raise NotPositiveDefiniteError("Cholesky failed at every jitter level")
+
+
+def safe_cholesky(mat: np.ndarray):
+    """Cholesky factor of a PSD-up-to-rounding matrix.
+
+    Factors one copy of ``mat`` by ``_potrf``. Only if that fails does it
+    take the trace, check the smallest eigenvalue (``_min_eigenvalue``) and
+    escalate a diagonal jitter of (1e-12, 1e-10, 1e-8) * trace/n before
+    giving up. Returns (lower factor, jitter used); the factor is
+    ``_potrf``'s, C-contiguous with exact zeros above the diagonal, and
+    ``mat`` is not written on any attempt. Raises NotPositiveDefiniteError
+    if the matrix is indefinite beyond ``_PSD_TOL * trace`` or no jitter
+    level succeeds.
+    """
+    return _jittered_cholesky(mat)
 
 
 #: ``_spd_factor`` factors a dense matrix up to this order and uses SuperLU

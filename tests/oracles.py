@@ -116,6 +116,20 @@ def dense_loglik(cov, y):
     return -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))
 
 
+def dense_posterior(joint, n_obs, y, noise_var):
+    """Posterior mean and covariance at the points after the first ``n_obs``
+    of the joint covariance, given y at those first points with noise
+    variance ``noise_var``, and the log density of y: by explicit inverse
+    (the blunt way), with no Cholesky factor."""
+    joint = np.asarray(joint, dtype=float)
+    obs, pred = slice(0, n_obs), slice(n_obs, None)
+    sigma = joint[obs, obs] + noise_var * np.eye(n_obs)
+    inv = np.linalg.inv(sigma)
+    mean = joint[pred, obs] @ inv @ np.asarray(y, dtype=float)
+    cov = joint[pred, pred] - joint[pred, obs] @ inv @ joint[obs, pred]
+    return mean, cov, dense_loglik(sigma, y)
+
+
 def circle_cov_mp(d, kappa, tau, ell, dps=40):
     """Circle Markov covariance cosh(kappa (d - ell/2)) / (2 kappa tau^2
     sinh(kappa ell / 2)) at ``dps`` significant digits, as a float."""

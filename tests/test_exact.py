@@ -1259,11 +1259,12 @@ def test_exact_alone_reads_the_cut_graph():
     [sampler] = [n for n in trees["exact"].body
                  if isinstance(n, ast.FunctionDef) and n.name == "sample"]
     assert "_vertex_cov" not in set(_names(sampler))
-    # inference imports nothing private from sampling and reads one private
-    # name of exact, its precision route
+    # inference imports one private name from sampling, the dense factor of
+    # C_oo + noise I, and reads one private name of exact, its precision route
     inference = list(ast.walk(trees["inference"]))
-    assert not [a.name for n in inference if isinstance(n, ast.ImportFrom)
-                and n.module == "sampling" for a in n.names if a.name.startswith("_")]
+    assert [a.name for n in inference if isinstance(n, ast.ImportFrom)
+            and n.module == "sampling" for a in n.names
+            if a.name.startswith("_")] == ["_jittered_cholesky"]
     private = {(n.value.id, n.attr) for n in inference if isinstance(n, ast.Attribute)
                and isinstance(n.value, ast.Name) and n.value.id in trees
                and n.attr.startswith("_")}

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
+from scipy.sparse import issparse
 
 import graphfields as gf
 from graphfields import (
@@ -629,17 +629,22 @@ def test_sandwich_matches_a_dense_phi(n):
 
 
 def test_sandwich_builds_csr_only_above_the_dense_order(monkeypatch):
+    # counts the Phi builds themselves, so other sparse arrays built in
+    # ``graph`` (the vertex adjacency) do not read as sandwiches
     built = []
+    phi = graph_module._phi
 
-    def spy(*args, **kwargs):
-        built.append(kwargs["shape"])
-        return csr_array(*args, **kwargs)
+    def spy(*args):
+        out = phi(*args)
+        if issparse(out):
+            built.append(out.shape)
+        return out
 
     bouquet = gf.one_sum([gf.circle(1.4, 4) for _ in range(100)], [(0, 0)] * 99)
     rng = np.random.default_rng(5)
     m = gf.FieldModel(kappa=1.5)
     iso = gf.IsotropicModel("resistance", gf.ExponentialKernel(1.0, 1.5))
-    monkeypatch.setattr(graph_module, "csr_array", spy)
+    monkeypatch.setattr(graph_module, "_phi", spy)
     small = (gf.circle(2.0, 4), gf.star([0.7, 1.0, 1.3]), gf.tadpole(2.0, 1.0),
              gf.figure_eight(1.0, 2.0))
     for g in small:
@@ -653,6 +658,20 @@ def test_sandwich_builds_csr_only_above_the_dense_order(monkeypatch):
     full_cov(bouquet, m, pts)
     gf.iso_cov_matrix(bouquet, iso, pts)
     assert built == [(25, 301)] * 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, 65, 100])
+def test_symmetrize_averages_the_two_triangles_in_place(n):
+    mat = np.random.default_rng(n).standard_normal((n, n))
+    want = 0.5 * (mat + mat.T)
+    got = graph_module._symmetrize(mat)
+    assert got is mat
+    np.testing.assert_array_equal(got, want)
+
+
+def test_symmetrize_leaves_a_one_by_one_matrix_as_it_is():
+    big = np.full((1, 1), 1.5e308)  # c + c would overflow
+    assert graph_module._symmetrize(big)[0, 0] == 1.5e308
 
 
 def _same_edge_pairs_unique(j):

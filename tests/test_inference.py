@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,8 @@ from graphfields.graph import CACHE_SIZE
 from graphfields.inference import exact_cov_source, krige, loglik
 
 from conftest import SHORT_EDGE_SHAPES, grid, random_point, short_edge_graph, short_edge_points
-from oracles import circle_loglik_mp, cut_graph_cov_mp, dense_loglik, gauss_loglik_mp
+from oracles import (circle_loglik_mp, cut_graph_cov_mp, dense_loglik, dense_posterior,
+                     gauss_loglik_mp)
 
 
 @pytest.fixture
@@ -148,6 +150,114 @@ def test_jitter_reported_for_near_singular_systems(unit_star, star_source):
     well_posed = krige(star_source, [p], [1.0], 0.0,
                        [unit_star.point("e1", 0.4)])
     assert well_posed.jitter == 0.0
+
+
+def _star_request(g, kind):
+    """Observations, data, noise and predictions on the unit star for one
+    case of the dense route: zero noise, zero noise with no predictions, or
+    repeated predictions (one of them an observed point) under noise."""
+    rng = np.random.default_rng(31)
+    obs = [g.point(f"e{j}", t) for j, t in ((0, 0.2), (0, 0.7), (1, 0.4), (2, 0.1), (2, 0.9))]
+    pred = [g.point("e0", 0.45), g.point("e1", 0.95), g.point("e2", 0.5)]
+    y, noise = rng.normal(size=len(obs)), 0.0
+    if kind == "no predictions":
+        pred = []
+    elif kind == "repeated predictions":
+        pred = [pred[0], pred[1], pred[0], obs[2], pred[0]]
+        noise = 0.05
+    return obs, y, noise, pred
+
+
+def _low_rank_request(g):
+    """A source of rank 3 on the unit star, the field sum_k C(., a_k) z_k
+    for three anchors a_k and standard normals z_k, with five observations
+    (so C_oo is singular, with distinct rows), data the field could take
+    and three predictions."""
+    star = exact_cov_source(g, FieldModel())
+    anchors = [g.point("e0", 0.5), g.point("e1", 0.3), g.point("e2", 0.8)]
+
+    def source(pts):
+        pts = list(pts)
+        phi = star(pts + anchors)[: len(pts), len(pts):]
+        return phi @ phi.T
+
+    obs, _, _, pred = _star_request(g, "zero noise")
+    phi = star(obs + anchors)[: len(obs), len(obs):]
+    return source, obs, phi @ np.random.default_rng(31).normal(size=3), pred
+
+
+@pytest.mark.parametrize("kind", ["zero noise", "no predictions", "repeated predictions"])
+@pytest.mark.parametrize("exact_source", [True, False])
+def test_dense_route_matches_the_dense_posterior(unit_star, star_source, kind, exact_source):
+    obs, y, noise, pred = _star_request(unit_star, kind)
+    source = star_source if exact_source else _dense(star_source)
+    result = krige(source, obs, y, noise, pred)
+    assert result.jitter == 0.0
+    mean, cov, value = dense_posterior(star_source(obs + pred), len(obs), y, noise)
+    scale = np.max(np.abs(star_source(pred)), initial=0.0)
+    assert np.max(np.abs(result.mean - mean), initial=0.0) <= 1e-12 * np.max(np.abs(y))
+    assert np.max(np.abs(result.cov - cov), initial=0.0) <= 1e-12 * scale
+    np.testing.assert_array_equal(result.cov, result.cov.T)
+    assert result.log_likelihood == pytest.approx(value, rel=1e-12)
+    if not exact_source:  # loglik's dense route
+        assert loglik(source, obs, y, noise) == pytest.approx(value, rel=1e-12)
+
+
+def _count_dense_steps(monkeypatch):
+    """Count ``sampling._potrf`` copies, LAPACK ``dtrtrs`` solves in
+    ``inference`` and smallest-eigenvalue reports while the test runs: the
+    counts, and each call's name and arguments in order."""
+    calls = {"potrf": 0, "dtrtrs": 0, "min_eigenvalue": 0}
+    seen = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            seen.append((key, args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sampling, "_potrf", counted("potrf", sampling._potrf))
+    monkeypatch.setattr(sampling, "_min_eigenvalue",
+                        counted("min_eigenvalue", sampling._min_eigenvalue))
+    monkeypatch.setattr(inference, "lapack", SimpleNamespace(
+        dtrtrs=counted("dtrtrs", inference.lapack.dtrtrs)))
+    return calls, seen
+
+
+def test_a_factorable_request_makes_one_copy_and_one_solve(unit_star, star_source,
+                                                           monkeypatch):
+    obs, y, noise, pred = _star_request(unit_star, "repeated predictions")
+    calls, seen = _count_dense_steps(monkeypatch)
+    assert krige(star_source, obs, y, noise, pred).jitter == 0.0
+    assert calls == {"potrf": 1, "dtrtrs": 1, "min_eigenvalue": 0}
+    # _potrf reads C_oo in place in the joint matrix: its copy is the only one
+    assert [key for key, _ in seen] == ["potrf", "dtrtrs"]
+    coo, shift = seen[0][1]
+    assert not coo.flags.owndata and shift == noise
+    calls.update(potrf=0, dtrtrs=0)
+    loglik(_dense(star_source), obs, y, noise)
+    assert calls == {"potrf": 1, "dtrtrs": 1, "min_eigenvalue": 0}
+
+
+def test_a_jittered_request_reports_its_jitter(unit_star, monkeypatch):
+    source, obs, y, pred = _low_rank_request(unit_star)
+    calls, _ = _count_dense_steps(monkeypatch)
+    result = krige(source, obs, y, 0.0, pred)
+    coo = source(obs)
+    rel = result.jitter / (np.trace(coo) / len(obs))
+    assert any(rel == pytest.approx(level) for level in (1e-12, 1e-10, 1e-8))
+    # the failed factor, then one per jitter level up to the first that holds
+    assert calls["min_eigenvalue"] == 1 and calls["dtrtrs"] == 1
+    assert 2 <= calls["potrf"] <= 4
+    # the jitter leaves C_oo's condition near 1 / level, and any solve with
+    # it, the oracle's too, is good to about eps times that condition
+    tol = np.finfo(float).eps * np.linalg.cond(coo + result.jitter * np.eye(len(obs)))
+    mean, cov, value = dense_posterior(source(obs + pred), len(obs), y, result.jitter)
+    assert np.max(np.abs(result.mean - mean)) <= tol * np.max(np.abs(y))
+    assert np.max(np.abs(result.cov - cov)) <= tol * np.max(np.abs(source(pred)))
+    assert result.log_likelihood == pytest.approx(value, rel=tol)
+    assert loglik(_dense(source), obs, y, 0.0) == result.log_likelihood
 
 
 def test_shape_validation(unit_star, star_source):
@@ -792,7 +902,7 @@ def test_loglik_on_an_exact_source_takes_no_dense_step(noise, form, monkeypatch,
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((inference, "_condition"), (inference, "safe_cholesky"),
+    for module, name in ((inference, "_condition"), (inference, "_jittered_cholesky"),
                          (sampling, "safe_cholesky"), (exact, "safe_cholesky"),
                          (exact, "full_cov")):
         spy(module, name)
@@ -927,6 +1037,20 @@ def test_no_observations_give_the_prior(unit_star, star_source):
     assert loglik(_dense(star_source), [], [], 0.0) == 0.0
     for noise in (0.0, 0.1):  # both forms of the precision route
         assert loglik(star_source, [], [], noise) == 0.0
+
+
+@pytest.mark.parametrize("scaled_max", [np.inf, -1.0])  # either side of the form switch
+def test_no_observations_pick_no_form(scaled_max, monkeypatch, caplog):
+    # the layout at no points analyses no M, which nothing there factors,
+    # and loglik of no observations is 0 before any form is picked
+    g = ROUTE_GRAPHS["double-edge"]()
+    layout, _ = exact._layout_of(g, FieldModel(), [])
+    assert layout.m_pattern is None and layout.h_pattern is not None
+    monkeypatch.setattr(exact, "_SCALED_MAX", scaled_max)
+    with caplog.at_level(logging.DEBUG, logger="graphfields.inference"):
+        for noise in (0.0, 0.1):
+            assert loglik(exact_cov_source(g, FieldModel(kappa=0.7)), [], [], noise) == 0.0
+    assert all("no factor, no form" in r.getMessage() for r in caplog.records)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -1,6 +1,8 @@
 import ast
+import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,6 +69,92 @@ def test_potrf_shift_and_failure():
     assert sampling._potrf(-mat) is None
 
 
+def _agrees_with_eigvalsh(mat) -> bool:
+    """``_min_eigenvalue`` is ``eigvalsh``'s least eigenvalue to 1e-13 of
+    the largest in magnitude."""
+    vals = np.linalg.eigvalsh(mat)
+    return abs(sampling._min_eigenvalue(mat) - vals[0]) <= 1e-13 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 200, 500])
+def test_min_eigenvalue_matches_eigvalsh(n):
+    rng = np.random.default_rng(n)
+    root = rng.standard_normal((n, n))
+    assert _agrees_with_eigvalsh(root + root.T)  # indefinite
+    assert _agrees_with_eigvalsh(_spd(n, n))
+    assert _agrees_with_eigvalsh(root @ root.T)  # PSD, the least eigenvalue near 0
+
+
+def test_min_eigenvalue_of_an_indefinite_isotropic_matrix():
+    # the geodesic exponential kernel on three parallel unit edges is not
+    # PSD at kappa = 0.5: the graph is no 1-sum of trees and cycles
+    edges = tuple(graphfields.Edge(k, 0, 1, 1.0) for k in "abc")
+    g = graphfields.MetricGraph(2, edges)
+    model = graphfields.IsotropicModel("geodesic", graphfields.ExponentialKernel(1.0, 0.5))
+    cov = graphfields.iso_cov_matrix(g, model, graphfields.mesh(g, 0.1))
+    assert _agrees_with_eigvalsh(cov.matrix)
+    assert cov.info["min_eigenvalue"] == sampling._min_eigenvalue(cov.matrix) < -0.05
+    assert not cov.is_psd()
+
+
+def test_min_eigenvalue_reads_the_lower_triangle():
+    mat = _spd(40, 7)
+    mat[np.triu_indices(40, 1)] += 0.5  # the upper triangle alone moves
+    assert _agrees_with_eigvalsh(mat)
+    upper = np.linalg.eigvalsh(mat, UPLO="U")[0]
+    assert abs(sampling._min_eigenvalue(mat) - upper) > 1e-3
+    # a strided view reads the same triangle of the same matrix
+    big = np.zeros((80, 80))
+    big[::2, ::2] = mat
+    assert sampling._min_eigenvalue(big[::2, ::2]) == sampling._min_eigenvalue(mat)
+
+
+def test_min_eigenvalue_of_nothing_and_lapack_failures(monkeypatch):
+    assert sampling._min_eigenvalue(np.zeros((0, 0))) == math.inf
+
+    def failing(info):
+        def dsyevr(a, **kwargs):
+            return np.zeros(len(a)), np.zeros((0, 0)), 0, np.zeros(0, np.intc), info
+        return dsyevr
+
+    monkeypatch.setattr(sampling, "lapack", SimpleNamespace(dsyevr=failing(3)))
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        sampling._min_eigenvalue(_spd(5))
+    monkeypatch.setattr(sampling, "lapack", SimpleNamespace(dsyevr=failing(-1)))
+    with pytest.raises(ValueError, match="illegal value in argument 1"):
+        sampling._min_eigenvalue(_spd(5))
+
+
+def test_safe_cholesky_asks_for_the_eigenvalue_only_when_the_factor_fails(monkeypatch):
+    calls = []
+    real = sampling._min_eigenvalue
+    monkeypatch.setattr(sampling, "_min_eigenvalue", lambda mat: calls.append(1) or real(mat))
+    assert safe_cholesky(_spd(30))[1] == 0.0
+    assert calls == []
+    root = np.random.default_rng(2).standard_normal((30, 27))
+    assert safe_cholesky(root @ root.T)[1] > 0.0  # singular PSD: jittered
+    assert calls == [1]
+    mat = _spd(30)
+    mat[0, 0] = -1.0
+    with pytest.raises(NotPositiveDefiniteError, match="not PSD within tolerance"):
+        safe_cholesky(mat)
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("rank", [30, 27])
+def test_a_shifted_factor_is_the_factor_of_the_formed_matrix(rank):
+    # one copy with the shift on its diagonal gives the bytes of the factor
+    # of C + shift I formed first, on the jitter path too
+    root = np.random.default_rng(rank).standard_normal((30, rank))
+    mat = root @ root.T
+    for shift in (0.0, 1e-30, 0.25):
+        formed = mat.copy()
+        formed.flat[::31] += shift
+        chol, jitter = sampling._jittered_cholesky(mat, shift)
+        want, want_jitter = safe_cholesky(formed)
+        assert chol.tobytes() == want.tobytes() and jitter == want_jitter
+
+
 @pytest.mark.parametrize("n", [225, 226])
 def test_spd_factor_branches_agree(n, monkeypatch):
     # a tridiagonal SPD matrix given as triplets, repeated pairs adding
@@ -121,17 +209,19 @@ _SPARSE_FACTORS = {"splu", "spsolve", "factorized", "spilu"}
 
 
 def _uses(names, skip=()):
-    """Every call or ``from`` import of one of ``names`` in the package's
-    modules other than ``skip``, as "file:line name"."""
+    """Every mention of one of ``names`` in the package's modules other
+    than ``skip``, called or not: a name, an attribute or a ``from``
+    import, as "file:line name"."""
     src = Path(graphfields.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
         if path.stem in skip:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
             elif isinstance(node, ast.ImportFrom):
                 name = next((a.name for a in node.names if a.name in names), None)
             else:
@@ -149,3 +239,11 @@ def test_no_sparse_factor_outside_the_kernel():
     assert not _uses(_SPARSE_FACTORS, skip={"sampling"})
     # the check sees the kernel's own import and calls
     assert any(f.startswith("sampling.py") for f in _uses(_SPARSE_FACTORS))
+
+
+def test_one_route_to_a_smallest_eigenvalue():
+    # ``sampling._min_eigenvalue`` asks LAPACK for one eigenvalue; no module
+    # computes them all to keep one (``exact`` keeps its full ``eigh``,
+    # which needs the vectors)
+    assert not _uses({"eigvalsh"})
+    assert [f.split(":")[0] for f in _uses({"dsyevr"})] == ["sampling.py"]
