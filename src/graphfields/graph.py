@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DanglingEndpointError,
@@ -72,10 +72,12 @@ def _count(value, name: str, low: int = 0, high: float = math.inf, *,
 def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
             error: type = ValidationError) -> float:
     """``value`` as a finite float above ``low`` (at or above it when not
-    ``strict``); bools are rejected. The one check every scalar parameter
-    goes through (edge lengths included, so it lives below ``models``)."""
+    ``strict``); bools and strings are rejected, where ``float`` would take
+    True or parse "1.5". The one check every scalar parameter goes through
+    (edge lengths, arclengths and mesh spacings included, so it lives below
+    ``models``)."""
     try:
-        if isinstance(value, (bool, np.bool_)):
+        if isinstance(value, (bool, np.bool_, str, bytes)):
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):
@@ -87,20 +89,10 @@ def _scalar(value, name: str, low: float = 0.0, *, strict: bool = True,
     return x
 
 
-def _point_scalar(value, name: str, low: float) -> float:
-    """A number that places points (an arclength, a mesh spacing) as a
-    float, by ``_scalar``'s rule with strings rejected too, where ``float``
-    would parse a numeric one: PointError for a string, None, a bool or any
-    other value that is not a finite number above ``low``."""
-    if isinstance(value, (str, bytes)):
-        raise PointError(f"{name} must be a number, got {value!r}")
-    return _scalar(value, name, low, error=PointError)
-
-
 def _arclength(t) -> float:
-    """An arclength as a float (``_point_scalar``). A float passes as it
-    is, NaN included, to ``MetricGraph.point``'s range check."""
-    return t if isinstance(t, float) else _point_scalar(t, "arclength", -math.inf)
+    """An arclength as a float (``_scalar``, PointError). A float passes as
+    it is, NaN included, to ``MetricGraph.point``'s range check."""
+    return t if isinstance(t, float) else _scalar(t, "arclength", -math.inf, error=PointError)
 
 
 class Edge(NamedTuple):
@@ -203,21 +195,14 @@ class MetricGraph:
         return (MetricGraph, (self.vertex_count, self.edges))
 
     def _check_connected(self) -> None:
-        """Walk the incidence table from vertex 0; every vertex must be
-        reached (an isolated vertex is never reached: a one-vertex graph
+        """Every vertex must lie in vertex 0's connected component of
+        ``_adjacency`` (an isolated vertex never does: a one-vertex graph
         carries only loops)."""
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            for j, end in self._incident[frontier.pop()]:
-                e = self.edges[j]
-                nb = e.u if end else e.v
-                if nb not in reached:
-                    reached.add(nb)
-                    frontier.append(nb)
-        if len(reached) != self.vertex_count:
+        labels = connected_components(_adjacency(self), directed=False)[1]
+        reached = np.count_nonzero(labels == labels[0])
+        if reached != self.vertex_count:
             raise DisconnectedGraphError(
-                f"graph is disconnected: reached {len(reached)} of "
+                f"graph is disconnected: reached {reached} of "
                 f"{self.vertex_count} vertices"
             )
 
@@ -433,10 +418,11 @@ def _sandwich(table: np.ndarray, u, v, w_u, w_v) -> np.ndarray:
 
 
 def _adjacency(g: MetricGraph) -> csr_array:
-    """The vertices' adjacency for an undirected ``dijkstra``: each pair of
-    distinct vertices joined by an edge, once (lower index first), at the
-    length of its shortest edge. Loops are left out: they never shorten a
-    vertex-to-vertex path."""
+    """The vertices' adjacency, for an undirected ``dijkstra`` and for
+    ``MetricGraph``'s connectivity check: each pair of distinct vertices
+    joined by an edge, once (lower index first), at the length of its
+    shortest edge. Loops are left out: they never shorten a
+    vertex-to-vertex path, nor join anything."""
     u, v, length = g._edge_arrays
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((length, hi, lo))  # each pair's shortest edge first
@@ -702,10 +688,10 @@ def mesh(g: MetricGraph, h: float) -> list[PointOnGraph]:
     Every edge contributes nodes at t = length * (k / ceil(length / h)); an
     endpoint is emitted only the first time its vertex appears (edge order,
     then t ascending), so each vertex shows up exactly once. ``h`` is read
-    by ``_point_scalar`` first: a finite number > 0, never a bool or a
-    string, else ``PointError``.
+    by ``_scalar`` first: a finite number > 0, never a bool or a string,
+    else ``PointError``.
     """
-    m = _mesh(g, _point_scalar(h, "mesh spacing", 0.0))
+    m = _mesh(g, _scalar(h, "mesh spacing", error=PointError))
     walk = dict.fromkeys(dof for nodes in m.edge_nodes for dof in nodes)
     return [m.node_points[dof] for dof in walk]
 

@@ -1,8 +1,9 @@
 """Deterministic Gaussian sampling helpers and the factors they rest on:
 the jittered dense Cholesky of a covariance, and the SPD factor of a sparse
-precision given as triplets (``_spd_factor``, for ``exact``'s cut-graph
-precisions and ``metrics``' grounded Laplacian, each of which builds its
-own triplets).
+precision given as triplets, in two steps (``_spd_pattern`` and
+``_spd_numeric``, for ``exact``'s cut-graph precisions) or in one call
+(``_spd_factor``, for ``metrics``' grounded Laplacian); each caller builds
+its own triplets.
 
 The sparse factor has two steps. The pattern step (``_spd_pattern``) reads
 the triplets' rows and columns alone: the dense or SuperLU branch, each

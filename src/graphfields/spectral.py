@@ -53,7 +53,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import PointError, UnsupportedAlphaError
-from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _mesh, _Mesh, _point_scalar
+from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _arclength, _mesh, _Mesh
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
@@ -137,15 +137,18 @@ class DiscreteOperator:
 
     def node_index(self, p: PointOnGraph) -> int:
         """Index of the mesh node at the given point, or within
-        ``_NODE_TOL`` edge lengths of it (absolute below length 1)."""
+        ``_NODE_TOL`` edge lengths of it (absolute below length 1). The
+        arclength is read by ``graph._arclength``, so one that is not a
+        number raises ``PointError``."""
         j = self.graph.edge_index(p.edge)
+        t = _arclength(p.t)
         length = self.graph.edges[j].length
         idx = self.edge_nodes[j]
         nel = len(idx) - 1
-        k = min(max(round(p.t / length * nel), 0), nel) if math.isfinite(p.t) else 0
-        t = length * (k / nel)
-        if not abs(t - p.t) <= _NODE_TOL * max(1.0, length):
-            raise PointError(f"no mesh node at {p} (closest t = {t})")
+        k = min(max(round(t / length * nel), 0), nel) if math.isfinite(t) else 0
+        closest = length * (k / nel)
+        if not abs(closest - t) <= _NODE_TOL * max(1.0, length):
+            raise PointError(f"no mesh node at {p} (closest t = {closest})")
         return idx[k]
 
 
@@ -241,7 +244,7 @@ def assemble(
     :func:`graph.mesh` reads it: a finite number > 0, never a bool or a
     string, else ``PointError``; ``op.h`` holds it as a float.
     """
-    h = _point_scalar(h, "mesh spacing", 0.0)
+    h = _scalar(h, "mesh spacing", error=PointError)
     mesh = _mesh(g, h)
     if n_modes is None:
         n_modes = mesh.n_dof

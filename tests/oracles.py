@@ -87,23 +87,21 @@ def schur_conditional(mat, rows, cols, given):
     )
 
 
-def bridge_walk_rows(draws, first, edge, step, root_dev, g1, g2, col_u, col_v):
-    """The bridge walk and end terms of a Markov sampler, one column at a
-    time on (replicate, column) draws, in place.
+def field_walk_rows(draws, first, prev, end, g1, g2, dev):
+    """The field walk of a Markov sampler, one column at a time on
+    (replicate, column) draws, in place.
 
     Columns ``first`` onwards hold the normals of the interior points,
-    sorted by edge; the columns before them hold the vertex values. Point
-    k becomes b_k = root_dev[k] z_k, plus step[k] b_{k-1} when point k - 1
-    lies on the same edge, and then g1[k] x_u + g2[k] x_v is added, with
-    x_u, x_v the columns ``col_u[k]`` and ``col_v[k]``.
+    sorted by edge and arclength; the columns before them hold the vertex
+    values. Point k becomes dev[k] z_k + g2[k] x_end + g1[k] x_prev, with
+    x_end the column ``end[k]`` and x_prev the column ``prev[k]``: its
+    edge's start vertex, or the point before it on its edge.
     """
-    for k in range(len(edge)):
+    for k in range(len(prev)):
         col = draws[:, first + k]
-        col *= root_dev[k]
-        if k and edge[k] == edge[k - 1]:
-            col += step[k] * draws[:, first + k - 1]
-    draws[:, first:] += g1 * draws[:, col_u]
-    draws[:, first:] += g2 * draws[:, col_v]
+        col *= dev[k]
+        col += g2[k] * draws[:, end[k]]
+        col += g1[k] * draws[:, prev[k]]
 
 
 def dense_loglik(cov, y):

@@ -419,6 +419,7 @@ def test_malformed_csv_exits_2(tmp_path, capsys, command, how):
 @pytest.mark.parametrize("argv", [
     ["cov", "--mesh-h", "0.5", "--kappa", "inf"],
     ["cov", "--mesh-h", "0.5", "--kappa", '{"e0": "x"}'],
+    ["cov", "--mesh-h", "0.5", "--kappa", '{"e0": "1.5", "e1": 1, "e2": 1}'],
     ["cov", "--mesh-h", "0.5", "--tau", "nan"],
     ["iso-cov", "--mesh-h", "0.5", "--kappa", "inf"],
     ["krige", "--obs", "{obs}", "--pred", "{points}", "--noise", "nan"],
@@ -426,8 +427,8 @@ def test_malformed_csv_exits_2(tmp_path, capsys, command, how):
     ["nonexistence-demo", "two-cycles", "1", "2", "--grid", "-5"],
     ["nonexistence-demo", "two-cycles", "1", "2", "--kappa", "inf"],
     ["sample", "--n", "2", "--seed", "-1", "--points", "{points}"],
-], ids=["cov-kappa-inf", "cov-kappa-json-text", "cov-tau-nan", "iso-cov-kappa-inf",
-        "krige-noise-nan", "demo-grid-0", "demo-grid-minus-5", "demo-kappa-inf",
+], ids=["cov-kappa-inf", "cov-kappa-json-text", "cov-kappa-json-numeric-text", "cov-tau-nan",
+        "iso-cov-kappa-inf", "krige-noise-nan", "demo-grid-0", "demo-grid-minus-5", "demo-kappa-inf",
         "sample-seed-minus-1"])
 def test_malformed_option_exits_2(tmp_path, capsys, argv):
     good = {k: write_csv(tmp_path / f"{k}.csv", *v) for k, v in _CSVS.items()}

@@ -40,7 +40,7 @@ from graphfields.sampling import replicate_normals, safe_cholesky
 
 from conftest import SHORT_EDGE_SHAPES, grid, random_point, short_edge_graph, short_edge_points
 from oracles import (
-    bridge_walk_rows,
+    field_walk_rows,
     circle_cov_mp,
     cut_graph_cov_mp,
     neumann_four_exp,
@@ -826,23 +826,42 @@ def test_sample_duplicate_points_share_one_normal(unit_star, pts, markov, width,
     assert widths == [width]
 
 
+@pytest.mark.parametrize("markov", [False, True], ids=["dense", "markov"])
+def test_sample_permuting_the_points_permutes_the_columns(markov):
+    # both paths draw in node order, so the order the points are listed in
+    # moves the columns and nothing else, byte for byte
+    g = _ORACLE_GRAPHS["bouquet-40"]()
+    m = FieldModel(kappa=1.3, tau=0.8)
+    rng = np.random.default_rng(11)
+    inner = [random_point(g, rng) for _ in range(20)]
+    # vertex 0 through two of its edges, and a repeated point
+    pts = [g.point("p0.e0", 0.0), g.point("p1.e3", g.edge("p1.e3").length)] + inner + inner[:1]
+    if markov:
+        pts += gf.mesh(g, 0.1)
+    assert (len({(p.edge, p.t) for p in pts}) > _DENSE_SAMPLE_MAX) == markov
+    perm = rng.permutation(len(pts))
+    draws = sample(g, m, pts, 30, 3)
+    assert sample(g, m, [pts[i] for i in perm], 30, 3).tobytes() == draws[:, perm].tobytes()
+    assert draws[:, 1].tobytes() == draws[:, 0].tobytes()
+
+
 def _factor_order_points(g, pts):
-    """The factor order of ``sample``, worked out point by point. Up to
-    ``_DENSE_SAMPLE_MAX`` distinct points it is their order of first
-    occurrence. Above it, every vertex of the graph comes first, ascending,
-    and the interior points follow by (edge, t). Returns the points in that
-    order and each input point's position, which drops the columns of
-    vertices that are not among the points."""
+    """The factor order of ``sample``, worked out point by point: node
+    order on both paths. The vertices come first, ascending, and the
+    interior points follow by (edge, t). Up to ``_DENSE_SAMPLE_MAX``
+    distinct points the vertices are those among the points; above it,
+    every vertex of the graph. Returns the points in that order and each
+    input point's position, which drops the columns of vertices that are
+    not among the points."""
     keys = []
     for p in pts:
         w = g.vertex_of(p)
-        keys.append(("v", w) if w is not None else ("p", g.edge_index(p.edge), p.t))
-    order = list(dict.fromkeys(keys))
+        keys.append((0, w) if w is not None else (1, g.edge_index(p.edge), p.t))
+    order = sorted(set(keys))
     if len(order) > _DENSE_SAMPLE_MAX:
-        order = ([("v", w) for w in range(g.vertex_count)]
-                 + sorted(k for k in order if k[0] == "p"))
+        order = [(0, w) for w in range(g.vertex_count)] + [k for k in order if k[0]]
     points = [
-        g.vertex_point(k[1]) if k[0] == "v" else PointOnGraph(g.edges[k[1]].id, k[2])
+        g.vertex_point(k[1]) if k[0] == 0 else PointOnGraph(g.edges[k[1]].id, k[2])
         for k in order
     ]
     position = {k: i for i, k in enumerate(order)}
@@ -895,14 +914,16 @@ def test_sample_is_dense_cholesky_in_factor_order(name, kappa, drop):
 @pytest.mark.parametrize("name", ["figure-eight", "star", "bouquet-40"])
 def test_sample_without_vertices_keeps_dense_stream(name):
     # no vertex among the points and none repeated: up to the dense
-    # threshold the factor is the dense Cholesky in the input order
+    # threshold the factor is the dense Cholesky in node order, the points
+    # by (edge, t), and the columns go back to the input order
     g = _ORACLE_GRAPHS[name]()
     rng = np.random.default_rng(4)
     m = FieldModel(kappa=1.3, tau=0.8)
     for k in (25, _DENSE_SAMPLE_MAX):
         pts = [random_point(g, rng) for _ in range(k)]
-        chol, _ = safe_cholesky(full_cov(g, m, pts).matrix)
-        ref = replicate_normals(17, 40, k) @ chol.T
+        order = sorted(range(k), key=lambda i: (g.edge_index(pts[i].edge), pts[i].t))
+        chol, _ = safe_cholesky(full_cov(g, m, [pts[i] for i in order]).matrix)
+        ref = (replicate_normals(17, 40, k) @ chol.T)[:, np.argsort(order)]
         assert sample(g, m, pts, 40, 17).tobytes() == ref.tobytes()
 
 
@@ -1034,14 +1055,14 @@ def test_markov_walk_keeps_the_bytes_of_a_row_major_walk(fig8, n, monkeypatch):
     t = np.array([inner[i].t for i in order])
     ec = exact._edge_constants(fig8, m)
     kt, length, scale = ec.kt[j], ec.length[j], ec.scale[j]
-    prev = np.concatenate([[0.0], t[:-1]])
-    prev[np.concatenate([[True], j[1:] != j[:-1]])] = 0.0
-    step, _ = exact._basis(kt, length - prev, t - prev)
-    root_dev = np.sqrt(exact._dirichlet_green(kt, length - prev, scale, t - prev, t - prev))
+    starts = np.concatenate([[True], j[1:] != j[:-1]])
+    prev = np.where(starts, ec.u[j], nv + np.arange(len(j)) - 1)
+    gap = t - np.where(starts, 0.0, np.concatenate([[0.0], t[:-1]]))
+    rest = length - t + gap
+    dev = np.sqrt(exact._dirichlet_green(kt, rest, scale, gap, gap))
     draws = replicate_normals(21, n, nv + len(inner))
     draws[:, :nv] = got[:, :nv]
-    bridge_walk_rows(draws, nv, j, step, root_dev, *exact._basis(kt, length, t),
-                     ec.u[j], ec.v[j])
+    field_walk_rows(draws, nv, prev, ec.v[j], *exact._basis(kt, rest, gap), dev)
     place = np.argsort(order)
     position = list(range(nv)) + [nv + place[i] for i in range(len(inner))] + [
         nv + place[i] for i in range(5)]

@@ -53,13 +53,14 @@ def test_build_preserves_edge_order_and_ids():
 
 
 @pytest.mark.parametrize("length, stored", [
-    ("1.0", 1.0), (1, 1.0), (np.float32(1.0), 1.0), (np.int64(2), 2.0), (0.5, 0.5),
+    ("1.0", None), (1, 1.0), (np.float32(1.0), 1.0), (np.int64(2), 2.0), (0.5, 0.5),
     (None, None), (True, None), (np.True_, None), ("abc", None), ([1.0], None),
     (0.0, None), (-1.0, None), (float("nan"), None), (float("inf"), None),
 ])
 def test_edge_lengths_go_through_the_scalar_check(length, stored):
     # every length is read through graph._scalar: stored as a Python float,
-    # or rejected with a GraphValidationError subclass, never a bare TypeError
+    # or rejected with a GraphValidationError subclass, never a bare
+    # TypeError; a string is not parsed, though float() would parse "1.0"
     if stored is None:
         with pytest.raises(NonPositiveLengthError):
             MetricGraph(2, [("e", 0, 1, length)])
@@ -78,6 +79,33 @@ def test_edge_lengths_go_through_the_scalar_check(length, stored):
 def test_scalar_rejects_bools(make):
     with pytest.raises(gf.ValidationError, match="must be a number"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gf.FieldModel(kappa="1.5"), lambda: gf.FieldModel(a={"e0": b"2"}),
+    lambda: gf.circle("2.0"), lambda: gf.build_graph(
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "length": "1.0"}]}),
+])
+def test_scalar_rejects_strings(make):
+    # float() would parse a numeric string; the scalar check does not
+    with pytest.raises(gf.ValidationError, match="must be a number"):
+        make()
+
+
+@pytest.mark.parametrize("nv, edges, reached", [
+    # one vertex carrying only loops
+    (1, [("a", 0, 0, 1.0), ("b", 0, 0, 2.0)], None),
+    # joined only through multi-edges, one of them reversed
+    (3, [("a", 0, 1, 1.0), ("b", 0, 1, 2.0), ("c", 1, 2, 1.0), ("d", 2, 1, 3.0)], None),
+    (4, [("a", 0, 1, 1.0), ("b", 1, 0, 2.0), ("c", 2, 3, 1.0), ("d", 3, 3, 1.0)], 2),
+    (3, [("a", 1, 2, 1.0), ("b", 2, 1, 2.0)], 1),
+])
+def test_connectivity_is_read_from_the_vertex_adjacency(nv, edges, reached):
+    if reached is None:
+        assert MetricGraph(nv, edges).vertex_count == nv
+        return
+    with pytest.raises(DisconnectedGraphError, match=f"reached {reached} of {nv} vertices"):
+        MetricGraph(nv, edges)
 
 
 def test_build_three_cycle_distance_consistency():

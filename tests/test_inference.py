@@ -984,6 +984,19 @@ def test_loglik_matches_mpmath_just_above_the_form_switch():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.xfail(strict=True, raises=NotPositiveDefiniteError, reason=(
+    "CHANGES.md FOUND: _precision_loglik fails to factor Q where a point sits "
+    "1.4e-251 from a vertex, a normal double kept as its own node, while the "
+    "dense route answers"))
+def test_loglik_at_a_point_a_normal_double_from_a_vertex():
+    # the case the layout-cache sweep finds when this file runs alone
+    g = MetricGraph(2, (Edge("e0", 0, 1, 16.0), Edge("e1", 1, 0, 0.015625)))
+    pts, y = [PointOnGraph("e1", 1.379789217739289e-251)], [0.3]
+    src = exact_cov_source(g, FieldModel())
+    want = krige(src, pts, y, 1e-4, pts).log_likelihood
+    assert loglik(src, pts, y, 1e-4) == pytest.approx(want, rel=1e-12)
+
+
 def test_loglik_logs_its_route(unit_star, star_source, caplog):
     obs = [unit_star.point("e0", 0.3), unit_star.point("e1", 1.0)]
     exact._layout.cache_clear()

@@ -386,6 +386,19 @@ def test_fractional_alpha_breaks_markov_property(unit_star):
     assert value_frac >= 1e-3
 
 
+@pytest.mark.parametrize("t", [True, np.True_, "0.5", b"0.5", None, [0.5]])
+def test_node_index_reads_the_arclength_through_the_scalar_check(unit_star, t):
+    # a bool is not 1 and a string is not parsed: PointError, never a node
+    # and never a bare TypeError
+    op = assemble(unit_star, FieldModel(), 0.25)
+    with pytest.raises(gf.PointError, match="arclength"):
+        op.node_index(gf.PointOnGraph("e0", t))
+    # another number type is read as its float
+    assert op.node_index(gf.PointOnGraph("e0", 1)) == 3
+    assert op.node_index(gf.PointOnGraph("e0", np.float32(0.25))) == op.node_index(
+        gf.PointOnGraph("e0", 0.25))
+
+
 def test_node_index_lookup(unit_star):
     op = assemble(unit_star, FieldModel(), 0.25)
     assert op.node_index(unit_star.point("e0", 0.0)) == 0
