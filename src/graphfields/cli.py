@@ -254,7 +254,7 @@ def _cmd_markov_check(args) -> int:
     idx_b = range(na, na + nb)
     idx_s = range(na + nb, len(pts))
     if args.spectral:
-        op = spectral.assemble(g, m, 0.01 if args.mesh_h is None else args.mesh_h)
+        op = spectral.assemble(g, m, args.mesh_h)
         nodes = [op.node_index(p) for p in pts]
         cov = spectral.spectral_cov(op, m.alpha, m.tau, nodes=nodes)
     else:
@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", required=True, help="CSV with columns set,edge,t")
     p.add_argument("--spectral", action="store_true",
                    help="use the spectral covariance (for fractional alpha)")
-    p.add_argument("--mesh-h", type=float, help="mesh spacing for --spectral")
+    p.add_argument("--mesh-h", type=float, default=0.01,
+                   help="mesh spacing for --spectral (default: %(default)s)")
     p.set_defaults(fn=_cmd_markov_check)
 
     p = sub.add_parser("krige", help="posterior mean/variance at prediction points")

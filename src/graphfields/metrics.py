@@ -44,12 +44,15 @@ R_V comes from G, the Green's function grounded at the root (zero in its
 row and column), and never from L^{-1} = 1 + G, whose constant 1 would
 cancel in the variogram only after rounding at that size. G is the inverse
 of the Laplacian with the root's row and column deleted, by solves with
-its sparse factor (``sampling._spd_factor``).
+its sparse factor (``sampling._spd_factor``), and R_V is formed over G in
+place. R_V is the one |V| x |V| table a cached ``ResistanceStructure``
+holds; its public ``conductance``, ``laplacian`` and ``linv`` are built on
+first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -85,28 +88,74 @@ class ResistanceStructure:
     -c(v1, v2), where c(v1, v2) = 1/length for adjacent vertices; it is
     strictly positive definite and ``linv`` is its inverse, the covariance
     of the auxiliary vertex field.
+
+    Only the vertex resistances R_V, which the metric matrices read, are
+    built with the structure. ``conductance``, ``laplacian`` and ``linv``
+    are read-only |V| x |V| tables built from the graph and root on first
+    read and kept on the instance, so a structure that is never asked for
+    them holds one table, not four.
     """
 
     root: int
-    conductance: np.ndarray
-    laplacian: np.ndarray
-    linv: np.ndarray
+    _graph: MetricGraph = field(repr=False)
     # the vertex resistances R_V, read by the metric matrices
-    _r_v: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _r_v: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def conductance(self) -> np.ndarray:
+        u, v, length = self._graph._edge_arrays
+        n = self._graph.vertex_count
+        c = np.zeros((n, n))
+        c[u, v] = c[v, u] = 1.0 / length
+        return _read_only(c)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        c = self.conductance
+        lap = np.diag(c.sum(axis=1)) - c
+        lap[self.root, self.root] += 1.0
+        return _read_only(lap)
+
+    @cached_property
+    def linv(self) -> np.ndarray:
+        green = _green(self._graph, self.root)
+        green += 1.0
+        return _read_only(green)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _green(g: MetricGraph, v0: int) -> np.ndarray:
+    """G, the Green's function grounded at v0, as a new |V| x |V| array.
+
+    The Laplacian with row and column v0 deleted, given the identity's row
+    and column v0 instead, is factored by ``sampling._spd_factor``; its
+    inverse with 0 at (v0, v0), made exactly symmetric, is G.
+    """
+    n = g.vertex_count
+    u, v, length = g._edge_arrays
+    w = 1.0 / length
+    rows, cols, vals = np.r_[u, v, u, v], np.r_[u, v, v, u], np.r_[w, w, -w, -w]
+    off = (rows != v0) & (cols != v0)  # row and column v0 become those of I
+    factor = _spd_factor(np.r_[rows[off], v0], np.r_[cols[off], v0],
+                         np.r_[vals[off], 1.0], n)
+    green = factor.solve(np.eye(n))
+    green[v0, v0] = 0.0
+    return _symmetrize(green)
 
 
 def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
-    """Build the grounded vertex Laplacian, its inverse and R_V.
+    """Build R_V, the vertex resistances grounded at ``v0``.
 
     Only graphs with Euclidean edges are supported (the conductance
-    construction assumes no loops or multi-edges). The Laplacian with row
-    and column v0 deleted, given the identity's row and column v0 instead,
-    is factored by ``sampling._spd_factor``, the sparse factor behind the
-    exact field's vertex covariance; its inverse with 0 at (v0, v0) is G,
-    the Green's function grounded at v0 (zero in row and column v0).
-    Then ``linv`` = 1 + G is exactly the inverse of the Laplacian with +1
-    at v0, and R_V = diag(G) + diag(G)' - 2 G never passes through that
-    constant 1.
+    construction assumes no loops or multi-edges). R_V = diag(G) +
+    diag(G)' - 2 G, with G the Green's function grounded at v0 (zero in
+    row and column v0, ``_green``), is formed over G in place and never
+    passes through the constant 1 of ``linv`` = 1 + G, which is exactly
+    the inverse of the Laplacian with +1 at v0.
 
     ``v0`` is checked as a count on every call (True or 1.0 is rejected),
     and the structure is cached on (g, int v0), so ``(g)``, ``(g, 0)`` and
@@ -124,25 +173,11 @@ def _resistance_structure(g: MetricGraph, v0: int) -> ResistanceStructure:
         raise UnsupportedGraphError(
             "resistance metric requires a graph with Euclidean edges"
         )
-    n = g.vertex_count
-    u, v, length = g._edge_arrays
-    w = 1.0 / length
-    c = np.zeros((n, n))
-    c[u, v] = c[v, u] = w
-    lap = np.diag(c.sum(axis=1)) - c
-    lap[v0, v0] += 1.0
-    rows, cols, vals = np.r_[u, v, u, v], np.r_[u, v, v, u], np.r_[w, w, -w, -w]
-    off = (rows != v0) & (cols != v0)  # row and column v0 become those of I
-    factor = _spd_factor(np.r_[rows[off], v0], np.r_[cols[off], v0],
-                         np.r_[vals[off], 1.0], n)
-    green = factor.solve(np.eye(n))
-    green[v0, v0] = 0.0
-    _symmetrize(green)
-    r_v = np.add.outer(np.diag(green), np.diag(green)) - 2.0 * green
-    linv = 1.0 + green
-    for arr in (c, lap, linv, r_v):
-        arr.flags.writeable = False
-    return ResistanceStructure(v0, c, lap, linv, r_v)
+    r_v = _green(g, v0)
+    d = np.diag(r_v).copy()
+    r_v *= -2.0
+    r_v += np.add.outer(d, d)
+    return ResistanceStructure(v0, g, _read_only(r_v))
 
 
 resistance_structure.cache_info = _resistance_structure.cache_info

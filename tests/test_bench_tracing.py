@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 import graphfields as gf
-from graphfields import FieldModel, exact, graph, inference
+from graphfields import FieldModel, exact, graph, inference, metrics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracing import Tracer  # noqa: E402
@@ -50,6 +50,25 @@ def test_tracer_wraps_exact_layer_and_restores_everything():
     assert tracer.calls["exact.full_cov"] > 0
     assert tracer.calls["exact.condition"] > 0
     assert tracer.per_layer()["exact.full_cov_calls"][0] > 0
+
+
+def test_tracer_counts_the_resistance_structure_cache():
+    # the bench reads the structure cache's hits, misses and size, and the
+    # three call forms of one root are one entry
+    g = gf.star([0.4, 0.9, 1.7])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rs = metrics.resistance_structure(g)
+        assert metrics.resistance_structure(g, 0) is rs
+        assert metrics.resistance_structure(g, v0=0) is rs
+    finally:
+        tracer.remove()
+    layer = tracer.per_layer()
+    assert layer["metrics.resistance_structure_misses"] == (1, "count")
+    assert layer["metrics.resistance_structure_hits"] == (2, "count")
+    info = metrics.resistance_structure.cache_info()
+    assert 1 <= tracer.counts["metrics.resistance_structure_entries"] == info.currsize
 
 
 def test_traced_sample_factors_only_the_vertex_block():

@@ -476,3 +476,19 @@ def test_zero_mesh_spacing_is_rejected_not_replaced(tmp_path, capsys, argv):
     good = {k: write_csv(tmp_path / f"{k}.csv", *v) for k, v in _CSVS.items()}
     argv = _fill(argv, good) + ["--canonical", "star:1,1,1"]
     assert "spacing must be positive" in _assert_one_error_line(argv, capsys)
+
+
+def test_markov_check_mesh_spacing_default_is_declared(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["markov-check", "--help"])
+    assert exit_.value.code == 0
+    assert "(default: 0.01)" in " ".join(capsys.readouterr().out.split())
+    sets = write_csv(tmp_path / "sets.csv", ["set", "edge", "t"],
+                     [["A", "e0", 0.3], ["B", "e1", 0.4], ["S", "e0", 1.0]])
+    argv = ["markov-check", "--canonical", "star:1,1,1", "--sets", sets,
+            "--spectral", "--alpha", "0.75"]
+    outs = []
+    for extra in ([], ["--mesh-h", "0.01"]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("max_conditional_cov")
