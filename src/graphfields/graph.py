@@ -422,7 +422,9 @@ def _adjacency(g: MetricGraph) -> csr_array:
     ``MetricGraph``'s connectivity check: each pair of distinct vertices
     joined by an edge, once (lower index first), at the length of its
     shortest edge. Loops are left out: they never shorten a
-    vertex-to-vertex path, nor join anything."""
+    vertex-to-vertex path, nor join anything. The pairs are sorted and
+    distinct, so the CSR arrays are built directly (row pointers from a
+    count of the lower ends), with no COO conversion."""
     u, v, length = g._edge_arrays
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((length, hi, lo))  # each pair's shortest edge first
@@ -430,7 +432,9 @@ def _adjacency(g: MetricGraph) -> csr_array:
     keep = lo != hi
     keep[1:] &= (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     n = g.vertex_count
-    return csr_array((length[keep], (lo[keep], hi[keep])), shape=(n, n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo[keep], minlength=n), out=indptr[1:])
+    return csr_array((length[keep], hi[keep], indptr), shape=(n, n))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

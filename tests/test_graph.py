@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, issparse
 
 import graphfields as gf
 from graphfields import (
@@ -106,6 +106,34 @@ def test_connectivity_is_read_from_the_vertex_adjacency(nv, edges, reached):
         return
     with pytest.raises(DisconnectedGraphError, match=f"reached {reached} of {nv} vertices"):
         MetricGraph(nv, edges)
+
+
+def _coo_adjacency(g):
+    """The vertex adjacency by a COO build: each pair of distinct vertices
+    once, lower index first, at its shortest edge (the reference)."""
+    u, v, length = g._edge_arrays
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((length, hi, lo))
+    lo, hi, length = lo[order], hi[order], length[order]
+    keep = lo != hi
+    keep[1:] &= (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    n = g.vertex_count
+    return csr_array((length[keep], (lo[keep], hi[keep])), shape=(n, n))
+
+
+@pytest.mark.parametrize("g", [
+    # a loop, and the shortest of three (and of two) multi-edges, some reversed
+    MetricGraph(3, [("a", 0, 1, 2.0), ("b", 1, 0, 1.0), ("c", 1, 1, 0.5),
+                    ("d", 0, 1, 1.5), ("e", 2, 1, 3.0), ("f", 1, 2, 2.5)]),
+    grid(30),
+    gf.figure_eight(1.0, 2.0),
+], ids=["loop-and-multi-edges", "grid30", "figure-eight"])
+def test_adjacency_arrays_match_a_coo_build(g):
+    got, want = graph_module._adjacency(g), _coo_adjacency(g)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b)
 
 
 def test_build_three_cycle_distance_consistency():

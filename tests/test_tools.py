@@ -1,14 +1,23 @@
 import ast
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+ab = _load("ab")
 
 #: 9 code lines: the two imports, the two lines of X, both ``def`` lines,
 #: the class line and the two ``return`` lines
@@ -124,3 +133,67 @@ def test_every_cited_private_name_exists():
                 missing.append(f"{where}: {module + '.' if module else ''}{name}")
     assert cited > 100  # the scan reads the citations, not nothing
     assert not missing
+
+
+# --- paired A/B statistics (tools/ab.py), on synthetic runs ------------------
+
+BASE = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
+
+
+def test_ab_pairs_alternate_which_side_runs_first():
+    assert [ab.base_first(pair) for pair in range(1, 7)] == [True, False] * 3
+    assert ab.seed_list("401-404,9") == [401, 402, 403, 404, 9]
+
+
+def test_ab_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
+    lower = [b - 1.0 for b in BASE]
+    s = ab.compare(BASE, lower, "lower", 0.25)
+    assert (s["change_wins"], s["base_wins"], s["pairs"]) == (10, 0, 10)
+    assert s["base_median"] == 10.05 and s["change_median"] == 9.05
+    assert s["relative_change"] == pytest.approx(9.05 / 10.05 - 1)
+    q1, q3 = s["base_quartiles"]
+    assert (q1, q3) == pytest.approx((9.975, 10.2)) and s["base_quartile_spread"] == q3 - q1
+    assert s["verdict"] == "gain"
+    # two pairs lost: 8 of 10 is below nine tenths
+    assert ab.compare(BASE, lower[:8] + [b + 1 for b in BASE[8:]], "lower", 0.25)["verdict"] \
+        == "within bound"
+    # 10 of 10 won, but by less than the base's quartile spread
+    assert ab.compare(BASE, [b - 0.01 for b in BASE], "lower", 0.25)["verdict"] == "within bound"
+    # a metric where higher is better wins by being higher
+    s = ab.compare(BASE, [b + 1.0 for b in BASE], "higher", 0.25)
+    assert (s["change_wins"], s["verdict"]) == (10, "gain")
+
+
+def test_ab_ties_count_for_neither_side():
+    change = BASE[:2] + [b - 1.0 for b in BASE[2:]]  # two ties, eight wins
+    s = ab.compare(BASE, change, "lower", 0.25)
+    assert (s["change_wins"], s["base_wins"], s["verdict"]) == (8, 0, "within bound")
+    assert ab.compare(BASE, BASE, "lower", 0.25)["change_wins"] == 0
+
+
+def test_ab_worse_is_beyond_the_bound_and_unresolved_beyond_the_spread():
+    assert ab.compare(BASE, [b * 1.2 for b in BASE], "lower", 0.1)["verdict"] == "worse"
+    assert ab.compare(BASE, [b * 1.05 for b in BASE], "lower", 0.1)["verdict"] == "within bound"
+    assert ab.compare(BASE, [b * 0.8 for b in BASE], "higher", 0.1)["verdict"] == "worse"
+    # the base's own runs spread wider than the bound: a small move is unresolved
+    wide = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+    assert ab.compare(wide, [w * 1.02 for w in wide], "lower", 0.1)["verdict"] == "unresolved"
+    # unless every run of the change beats every run of the base
+    assert ab.compare(wide, [0.9] * 10, "lower", 0.1)["verdict"] == "within bound"
+    with pytest.raises(ValueError):
+        ab.compare([1.0], [1.0], "lower", 0.1)
+
+
+def test_ab_summarizes_every_end_to_end_metric_of_the_benchmark():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+
+    def line(scale):
+        return {"correct": True, "attempted": 5, "failed": 0,
+                "metrics": {n: {"value": scale * (i + 1), "unit": "s"} for i, n in enumerate(names)}}
+
+    runs = [{"base": line(b), "change": line(b * 0.5)} for b in BASE]
+    summary = ab.summarize(runs, spec)
+    assert list(summary) == names
+    assert all(s["verdict"] == "gain" and s["change_wins"] == 10 for s in summary.values())
+    assert [s["bound"] for s in summary.values()] == [m["bound"] for m in spec["end_to_end"]]
