@@ -59,7 +59,10 @@ order. A model computes only the piece weights (``_piece_values``) and
 the numeric factors (``sampling._spd_numeric``), so a likelihood sweep
 over kappa at fixed points builds the layout and finds the orders once.
 Every check still runs on every call. ``_vertex_cov`` reads the layout at
-no points the same way.
+no points the same way, and so does the resistance metric
+(``_conductance_green``): the difference rows alone, at weight
+1/sqrt(length), are the conductance Laplacian, so one pattern per graph
+serves the vertex covariance, the Markov sampler and the metric.
 
 Sampling has two paths, chosen by the number of distinct points alone,
 and both draw in the cut graph's node order (``_chain``, the chain of
@@ -424,6 +427,31 @@ def _vertex_factor(g: MetricGraph, m: FieldModel):
     layout, _ = _layout_of(g, m, [])
     b_vals, *_ = _piece_values(layout, g, m)
     return layout, b_vals, _spd_numeric(layout.h_pattern, _gram_values(b_vals))
+
+
+def _conductance_green(g: MetricGraph) -> np.ndarray:
+    """G, the conductance Laplacian's Green's function grounded at vertex 0,
+    as a new |V| x |V| array, from the cut graph at no points (the layout
+    ``_vertex_factor`` reads).
+
+    The Laplacian is the Gram matrix of the difference rows alone, each at
+    weight piece_length ** -0.5, in grounded coordinates; column 0 of the
+    first row, a sum row and so otherwise zero, is set to 1: z_0's own row,
+    the +1 at vertex 0. No difference row reads z_0, so the inverse is
+    block-diagonal, and zeroing z_0's row and column leaves Cov(z) given
+    z_0 = 0 exactly. A short edge joins a cluster (``_layout``), so its
+    stiff row reads one coordinate. The grounding map takes the inverse to
+    the vertices, on its rows and then on its columns.
+    """
+    layout = _layout(g, b"", b"")
+    w_a = np.concatenate([np.zeros(layout.piece_length.size), layout.piece_length ** -0.5])
+    b_vals = np.concatenate([[0.0], w_a, -w_a, np.zeros_like(w_a)])[layout.b_pick]
+    b_vals[0, 0] = 1.0
+    green = _spd_numeric(layout.h_pattern, _gram_values(b_vals)).solve(np.eye(layout.nodes))
+    green[0] = green[:, 0] = 0.0
+    _to_nodes(layout, green)
+    _to_nodes(layout, green.T)
+    return _symmetrize(green)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -40,14 +40,18 @@ ms -> 3.4-4.4 ms at the 1,501-point mesh of a 301-vertex bouquet. At that
 mesh the sandwich peaks at 1.4 n^2 doubles (the result and two n x |V|
 products), the gathers at 3.0 n^2.
 
-R_V comes from G, the Green's function grounded at the root (zero in its
+R_V comes from G, the Green's function grounded at vertex 0 (zero in its
 row and column), and never from L^{-1} = 1 + G, whose constant 1 would
-cancel in the variogram only after rounding at that size. G is the inverse
-of the Laplacian with the root's row and column deleted, by solves with
-its sparse factor (``sampling._spd_factor``), and R_V is formed over G in
-place. R_V is the one |V| x |V| table a cached ``ResistanceStructure``
-holds; its public ``conductance``, ``laplacian`` and ``linv`` are built on
-first read.
+cancel in the variogram only after rounding at that size. G comes from the
+cut graph of the unit-exponent field at no points (``exact``): the
+conductance Laplacian is the Gram matrix of its difference rows at weight
+1/sqrt(length), in the coordinates where a short edge's row reads one
+coordinate, factored on the pattern the field's vertex covariance and
+Markov sampler factor on. R_V is formed over G in place, and is the same
+table, byte for byte, for every root. It is the one |V| x |V| table a
+cached ``ResistanceStructure`` holds; its public ``conductance``,
+``laplacian`` and ``linv`` are built on first read, ``linv`` from G
+regrounded at the root.
 """
 from __future__ import annotations
 
@@ -58,6 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnsupportedGraphError
+from .exact import _conductance_green
 from .graph import (
     CACHE_SIZE,
     MetricGraph,
@@ -70,7 +75,6 @@ from .graph import (
     classify,
     vertex_distance_matrix,
 )
-from .sampling import _spd_factor
 
 __all__ = [
     "geodesic_distance",
@@ -90,10 +94,13 @@ class ResistanceStructure:
     of the auxiliary vertex field.
 
     Only the vertex resistances R_V, which the metric matrices read, are
-    built with the structure. ``conductance``, ``laplacian`` and ``linv``
-    are read-only |V| x |V| tables built from the graph and root on first
-    read and kept on the instance, so a structure that is never asked for
-    them holds one table, not four.
+    built with the structure; they do not depend on the root.
+    ``conductance``, ``laplacian`` and ``linv`` are read-only |V| x |V|
+    tables built from the graph and root on first read and kept on the
+    instance, so a structure that is never asked for them holds one table,
+    not four. ``linv`` is 1 + G_r, with G_r = G - G[:, r] - G[r, :] +
+    G[r, r] the Green's function G grounded at vertex 0 regrounded at the
+    root r: exactly 1 in row and column r, and exactly symmetric.
     """
 
     root: int
@@ -118,9 +125,13 @@ class ResistanceStructure:
 
     @cached_property
     def linv(self) -> np.ndarray:
-        green = _green(self._graph, self.root)
-        green += 1.0
-        return _read_only(green)
+        green, v0 = _conductance_green(self._graph), self.root
+        at_root = green[v0].copy()  # 1 + G regrounded at the root
+        green -= at_root
+        green -= at_root[:, None]
+        green += 1.0 + at_root[v0]
+        green[v0] = green[:, v0] = 1.0
+        return _read_only(_symmetrize(green))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -128,34 +139,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _green(g: MetricGraph, v0: int) -> np.ndarray:
-    """G, the Green's function grounded at v0, as a new |V| x |V| array.
-
-    The Laplacian with row and column v0 deleted, given the identity's row
-    and column v0 instead, is factored by ``sampling._spd_factor``; its
-    inverse with 0 at (v0, v0), made exactly symmetric, is G.
-    """
-    n = g.vertex_count
-    u, v, length = g._edge_arrays
-    w = 1.0 / length
-    rows, cols, vals = np.r_[u, v, u, v], np.r_[u, v, v, u], np.r_[w, w, -w, -w]
-    off = (rows != v0) & (cols != v0)  # row and column v0 become those of I
-    factor = _spd_factor(np.r_[rows[off], v0], np.r_[cols[off], v0],
-                         np.r_[vals[off], 1.0], n)
-    green = factor.solve(np.eye(n))
-    green[v0, v0] = 0.0
-    return _symmetrize(green)
-
-
 def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
-    """Build R_V, the vertex resistances grounded at ``v0``.
+    """Build R_V, the vertex resistances, with ``v0`` the root of ``linv``.
 
     Only graphs with Euclidean edges are supported (the conductance
     construction assumes no loops or multi-edges). R_V = diag(G) +
-    diag(G)' - 2 G, with G the Green's function grounded at v0 (zero in
-    row and column v0, ``_green``), is formed over G in place and never
-    passes through the constant 1 of ``linv`` = 1 + G, which is exactly
-    the inverse of the Laplacian with +1 at v0.
+    diag(G)' - 2 G, with G the Green's function grounded at vertex 0 (zero
+    in row and column 0, ``exact._conductance_green``), is formed over G
+    in place and never passes through the constant 1 of ``linv``, the
+    inverse of the Laplacian with +1 at v0. R_V has the same bytes for
+    every ``v0``.
 
     ``v0`` is checked as a count on every call (True or 1.0 is rejected),
     and the structure is cached on (g, int v0), so ``(g)``, ``(g, 0)`` and
@@ -170,10 +163,8 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
 def _resistance_structure(g: MetricGraph, v0: int) -> ResistanceStructure:
     """``resistance_structure`` for a root already checked as a count."""
     if not classify(g).euclidean_edges:
-        raise UnsupportedGraphError(
-            "resistance metric requires a graph with Euclidean edges"
-        )
-    r_v = _green(g, v0)
+        raise UnsupportedGraphError("resistance metric requires a graph with Euclidean edges")
+    r_v = _conductance_green(g)
     d = np.diag(r_v).copy()
     r_v *= -2.0
     r_v += np.add.outer(d, d)

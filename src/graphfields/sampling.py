@@ -1,20 +1,19 @@
 """Deterministic Gaussian sampling helpers and the factors they rest on:
 the jittered dense Cholesky of a covariance, and the SPD factor of a sparse
-precision given as triplets, in two steps (``_spd_pattern`` and
-``_spd_numeric``, for ``exact``'s cut-graph precisions) or in one call
-(``_spd_factor``, for ``metrics``' grounded Laplacian); each caller builds
-its own triplets.
+precision given as triplets, in two steps, ``_spd_pattern`` and
+``_spd_numeric``, for the precisions of ``exact``'s cut graph, which
+builds the triplets.
 
-The sparse factor has two steps. The pattern step (``_spd_pattern``) reads
-the triplets' rows and columns alone: the dense or SuperLU branch, each
-triplet's slot in the assembled data, and on the SuperLU branch the
-fill-reducing order and the CSC pattern permuted by it. The numeric step
-(``_spd_numeric``) sums the values into their slots and factors. Each
-matrix is analysed on its own triplets, once: ``exact`` keeps the patterns
-of a cut graph in its cached layout, so a new model pays only the numeric
-step; a one-off caller takes both through ``_spd_factor``. This
-module is the one home of the sparse factor: no other module calls
-``splu`` or another sparse factor or solve.
+The pattern step (``_spd_pattern``) reads the triplets' rows and columns
+alone: the dense or SuperLU branch, each triplet's slot in the assembled
+data, and on the SuperLU branch the fill-reducing order and the CSC
+pattern permuted by it. The numeric step (``_spd_numeric``) sums the
+values into their slots and factors. ``exact`` analyses each pattern once,
+in its cached layout of a cut graph, so a new model pays only the numeric
+step; the layout at no points serves the vertex covariance, the Markov
+sampler and the resistance metric alike. This module is the one home of
+the sparse factor: no other module calls ``splu`` or another sparse factor
+or solve.
 
 The factor (``_Factor``) of M = L D L' solves with M and draws from
 N(0, M^{-1}): ``draw`` maps standard normals z, one column per draw, to
@@ -28,7 +27,7 @@ Every dense Cholesky factor in the package comes from ``_potrf``: one
 copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
 factor L is C-contiguous, so ``L.T`` is the F-contiguous upper factor that
 LAPACK's triangular solves (``dtrtrs``, ``dpotrs``) read without a copy;
-``inference`` and ``_spd_factor`` solve with it that way. A PSD-up-to-
+``inference`` and ``_spd_numeric`` solve with it that way. A PSD-up-to-
 rounding matrix goes through ``safe_cholesky`` (``_jittered_cholesky``
 with a diagonal shift, for ``inference``'s C_oo + noise I): a matrix that
 factors costs that one copy and nothing more, and only a failed factor
@@ -151,7 +150,7 @@ def safe_cholesky(mat: np.ndarray):
     return _jittered_cholesky(mat)
 
 
-#: ``_spd_factor`` factors a dense matrix up to this order and uses SuperLU
+#: ``_spd_pattern`` takes the dense branch up to this order and SuperLU
 #: above it. In the likelihood of cut graphs at a new kappa, with the
 #: pattern and its order cached (figure-eight, 20- and 8-cycle bouquets;
 #: single-thread BLAS on a 2-core Xeon), the two took equal time between
@@ -174,8 +173,8 @@ class _Factor(NamedTuple):
 
 
 class _Pattern(NamedTuple):
-    """What ``_spd_factor`` takes from the triplets' rows and columns alone
-    (``_spd_pattern``), for any values: ``slot``, each triplet's place in
+    """What ``_spd_pattern`` takes from the triplets' rows and columns
+    alone, for any values: ``slot``, each triplet's place in
     the assembled data. The dense branch's data is the n x n matrix in C
     order. The SuperLU branch's is the CSC data of P'MP, whose pattern is
     ``indptr`` and ``indices``, with ``perm[i]`` the new place of row and
@@ -197,10 +196,12 @@ def _splu(mat, permc_spec: str):
 
 
 def _spd_pattern(rows, cols, n: int) -> _Pattern:
-    """The pattern step of ``_spd_factor`` for the n x n matrix with the
-    triplet rows and columns (rows, cols) and a symmetric pattern.
+    """The pattern step of the sparse factor, for the n x n matrix with the
+    triplet rows and columns (rows, cols) and a symmetric pattern; repeated
+    (row, col) pairs share a slot, so their values add.
 
-    Up to ``_DENSE_MAX`` it is each triplet's flat place. Above it,
+    Up to ``_DENSE_MAX`` it is each triplet's flat place: at that size a
+    dense factor is cheaper than any sparse set-up. Above it,
     SuperLU's minimum-degree order of M + M' is found once, from a
     stand-in SPD matrix with the same pattern (-1 off the diagonal, one
     more than the row's off-diagonal count on it): the order reads the
@@ -231,16 +232,20 @@ def _spd_pattern(rows, cols, n: int) -> _Pattern:
 
 
 def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
-    """The numeric step of ``_spd_factor``: factor the SPD matrix of the
-    first ``len(vals)`` triplets of ``pattern`` with the values ``vals``;
-    the pattern's other entries are explicit zeros.
+    """The numeric step of the sparse factor: factor the SPD matrix of the
+    first ``len(vals)`` triplets of ``pattern`` (``_spd_pattern``) with the
+    values ``vals``; the pattern's other entries are explicit zeros.
 
     The data is ``np.bincount`` of the values by slot. The dense branch
     factors it by ``_potrf``, solves with LAPACK ``dpotrs`` on the same
     factor and draws with ``dtrtrs`` on its upper half L'. The SuperLU
-    branch factors P'MP in its natural order and permutes the solve's
-    right-hand side in and its result out; its U is D L', so a draw is
-    U^{-1} D^{1/2} z, permuted out.
+    branch factors P'MP = L D L' in its natural order with no off-diagonal
+    pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``), and permutes the
+    solve's right-hand side in and its result out; its U is D L', so a draw
+    is U^{-1} D^{1/2} z, permuted out. log|M| is the sum of log D, and the
+    smallest pivot the least D, or the least squared Cholesky diagonal on
+    the dense branch. Raises NotPositiveDefiniteError on a pivot that is
+    not positive.
     """
     n = pattern.n
     slot = pattern.slot[: len(vals)]
@@ -267,20 +272,3 @@ def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
                    lambda z: spsolve_triangular(lu.U, np.sqrt(pivots)[:, None] * z,
                                                 lower=False)[perm])
 
-
-def _spd_factor(rows, cols, vals, n: int) -> _Factor:
-    """Factor the n x n SPD matrix sum of triplets (rows, cols, vals), with
-    a symmetric pattern: ``_spd_pattern``, then ``_spd_numeric``.
-
-    Repeated (row, col) pairs add. Up to ``_DENSE_MAX`` the matrix is
-    assembled with ``np.bincount`` and factored by ``_potrf``, which at
-    that size is cheaper than any sparse set-up. Above it,
-    ``scipy.sparse.linalg.splu`` factors it as P'MP = L D L' with no
-    off-diagonal pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``) and
-    a minimum-degree ordering of M + M', and log|M| is the sum of log D.
-    The smallest pivot is the least D, or the least squared Cholesky
-    diagonal on the dense branch. Raises NotPositiveDefiniteError on a
-    pivot that is not positive. A caller that factors many matrices of one
-    pattern keeps the pattern and calls ``_spd_numeric`` alone.
-    """
-    return _spd_numeric(_spd_pattern(rows, cols, n), vals)

@@ -1294,3 +1294,23 @@ def test_exact_alone_reads_the_cut_graph():
     # and no floating-point warning is silenced
     assert not [n for n in inference if isinstance(n, ast.Try)]
     assert "errstate" not in set(_names(trees["inference"]))
+
+
+def test_metrics_reads_the_cut_graph_through_one_name():
+    src = Path(gf.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
+    # one pattern step per layout: outside sampling, only exact's layout
+    # analyses a pattern
+    assert [mod for mod, tree in trees.items() if mod != "sampling"
+            and "_spd_pattern" in set(_names(tree))] == ["exact"]
+    assert [n.name for n in trees["exact"].body if isinstance(n, ast.FunctionDef)
+            and "_spd_pattern" in set(_names(n))] == ["_layout"]
+    # the metric takes its Green's function from exact, and nothing private
+    # from sampling
+    metrics = list(ast.walk(trees["metrics"]))
+    private = {(n.module, a.name) for n in metrics if isinstance(n, ast.ImportFrom)
+               for a in n.names if a.name.startswith("_")}
+    private |= {(n.value.id, n.attr) for n in metrics if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.attr.startswith("_")}
+    assert {name for mod, name in private if mod == "exact"} == {"_conductance_green"}
+    assert not {name for mod, name in private if mod == "sampling"}

@@ -362,14 +362,15 @@ def test_precision_route_on_both_sides_of_the_factor_crossover(side, caplog):
 
 
 @pytest.mark.parametrize("n", [12, sampling._DENSE_MAX + 20])
-def test_spd_factor_on_both_sides_of_the_crossover(n):
+def test_spd_numeric_on_both_sides_of_the_crossover(n):
     rng = np.random.default_rng(n)
     root = rng.normal(size=(n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
     mat = root @ root.T
     rows, cols = np.nonzero(np.ones((n, n)))
     # every entry given as two triplets that add up to it
     half = 0.5 * mat[rows, cols]
-    factor = sampling._spd_factor(np.tile(rows, 2), np.tile(cols, 2), np.tile(half, 2), n)
+    pattern = sampling._spd_pattern(np.tile(rows, 2), np.tile(cols, 2), n)
+    factor = sampling._spd_numeric(pattern, np.tile(half, 2))
     assert factor.method == ("dense Cholesky" if n <= sampling._DENSE_MAX else "SuperLU")
     assert factor.logdet == pytest.approx(np.linalg.slogdet(mat)[1], rel=1e-12)
     # every pivot of an SPD matrix lies between its extreme eigenvalues
@@ -382,7 +383,7 @@ def test_spd_factor_on_both_sides_of_the_crossover(n):
     inverse = np.linalg.inv(mat)
     assert np.max(np.abs(draw @ draw.T - inverse)) <= 1e-13 * np.max(np.abs(inverse))
     with pytest.raises(NotPositiveDefiniteError):
-        sampling._spd_factor(rows, cols, -mat[rows, cols], n)
+        sampling._spd_numeric(sampling._spd_pattern(rows, cols, n), -mat[rows, cols])
 
 
 def _bouquet_request(side):

@@ -10,7 +10,7 @@ import pytest
 import graphfields
 from graphfields import NotPositiveDefiniteError, ValidationError, sampling
 from graphfields.models import _check_indices
-from graphfields.sampling import _spd_factor, safe_cholesky
+from graphfields.sampling import _spd_numeric, _spd_pattern, safe_cholesky
 
 
 def _spd(n: int, seed: int = 0) -> np.ndarray:
@@ -156,7 +156,7 @@ def test_a_shifted_factor_is_the_factor_of_the_formed_matrix(rank):
 
 
 @pytest.mark.parametrize("n", [225, 226])
-def test_spd_factor_branches_agree(n, monkeypatch):
+def test_spd_pattern_branches_agree(n, monkeypatch):
     # a tridiagonal SPD matrix given as triplets, repeated pairs adding
     rng = np.random.default_rng(n)
     off = rng.uniform(-1.0, 1.0, n - 1)
@@ -169,7 +169,7 @@ def test_spd_factor_branches_agree(n, monkeypatch):
     factors = {}
     for limit in (n, n - 1):
         monkeypatch.setattr(sampling, "_DENSE_MAX", limit)
-        factors[limit] = _spd_factor(rows, cols, vals, n)
+        factors[limit] = _spd_numeric(_spd_pattern(rows, cols, n), vals)
     dense, sparse = factors[n], factors[n - 1]
     assert (dense.method, sparse.method) == ("dense Cholesky", "SuperLU")
     assert dense.logdet == pytest.approx(sparse.logdet, rel=1e-13)
@@ -204,7 +204,8 @@ def test_check_indices_rejects_at_the_first_bad_entry(indices, bad):
 # ``sampling._potrf`` and LAPACK's own triangular solves.
 _FORBIDDEN = {"cholesky", "cho_factor", "cho_solve", "solve_triangular"}
 
-# Sparse factors and solves: ``sampling._spd_factor`` is the one kernel.
+# Sparse factors and solves: ``sampling._spd_pattern`` and ``_spd_numeric``
+# are the one kernel.
 _SPARSE_FACTORS = {"splu", "spsolve", "factorized", "spilu"}
 
 

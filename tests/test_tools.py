@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,42 @@ def test_package_total_is_the_sum_of_its_modules(tmp_path, capsys):
     assert total.split() == ["total", str(sum(counts.values()))]
     (tmp_path / "fixture.py").write_text(FIXTURE)
     assert code_lines.count_files([tmp_path]) == {f"{tmp_path.name}/fixture.py": 9}
+
+
+def _tree(root):
+    """Every file below ``root`` and its bytes."""
+    return {f: f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def test_counts_against_a_git_revision_without_writing(tmp_path, capsys):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(FIXTURE)
+    (package / "gone.py").write_text("x = 1\ny = 2\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (package / "a.py").write_text(FIXTURE + "Z = 3\n")
+    (package / "gone.py").unlink()
+    (package / "new.py").write_text("import os\n")
+    before = _tree(tmp_path)
+    assert code_lines.count_files_at("HEAD", [package]) == {"pkg/a.py": 9, "pkg/gone.py": 2}
+    code_lines.main(["--base", "HEAD", str(package)])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["base", "now", "change"]
+    assert [r.split() for r in rows] == [["pkg/a.py", "9", "10", "+1"],
+                                         ["pkg/gone.py", "2", "0", "-2"],
+                                         ["pkg/new.py", "0", "1", "+1"],
+                                         ["total", "11", "11", "+0"]]
+    # one file, named as given, at the revision and now
+    code_lines.main(["--base", "HEAD", str(package / "a.py")])
+    *_, total = capsys.readouterr().out.splitlines()
+    assert total.split() == ["total", "9", "10", "+1"]
+    assert _tree(tmp_path) == before  # nothing written, in .git or outside it
 
 
 # --- private names cited in the documents ------------------------------------

@@ -7,14 +7,19 @@ line it covers. ``tokenize`` finds the tokens and ``ast`` the docstrings.
 
     python tools/code_lines.py                 # src/graphfields, per module
     python tools/code_lines.py path/to/pkg a.py
+    python tools/code_lines.py --base REV      # at the git revision REV too
 
-Prints one line per file, then the total over all of them.
+Prints one line per file, then the total over all of them. With ``--base``
+each line gives the file's code lines at REV, in the working tree and the
+net change (a file missing on one side counts 0 there). REV is read with
+``git ls-tree`` and ``git show``, so nothing is written to the repository.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import io
-import sys
+import subprocess
 import tokenize
 from pathlib import Path
 
@@ -57,13 +62,48 @@ def count_files(paths) -> dict[str, int]:
     return counts
 
 
+def _git(where: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=where, check=True, capture_output=True,
+                          encoding="utf-8").stdout
+
+
+def count_files_at(rev: str, paths) -> dict[str, int]:
+    """``count_files`` of the same paths at the git revision ``rev``, with
+    the same names; a path need not exist in the working tree."""
+    counts = {}
+    for path in map(Path, paths):
+        full = path.resolve()
+        top = Path(_git(next(p for p in (full, *full.parents) if p.is_dir()),
+                        "rev-parse", "--show-toplevel").strip())
+        rel = full.relative_to(top).as_posix()
+        for f in sorted(filter(None, _git(top, "ls-tree", "-r", "-z", "--name-only", rev,
+                                          "--", rel).split("\0"))):
+            if f == rel or f.endswith(".py"):
+                name = str(path) if f == rel else str(Path(f).relative_to(Path(rel).parent))
+                counts[name] = count(_git(top, "show", f"{rev}:{f}"))
+    return counts
+
+
 def main(argv=None) -> int:
-    paths = (sys.argv[1:] if argv is None else argv) or [Path(__file__).parents[1] / "src" / "graphfields"]
-    counts = count_files(paths)
-    width = max(map(len, counts), default=0)
-    for name, n in counts.items():
-        print(f"{name:<{width}}  {n:>6}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>6}")
+    parser = argparse.ArgumentParser(description="Count the code lines of Python sources.")
+    parser.add_argument("paths", nargs="*",
+                        default=[Path(__file__).parents[1] / "src" / "graphfields"])
+    parser.add_argument("--base", metavar="REV", help="also count at this git revision")
+    args = parser.parse_args(argv)
+    counts = count_files(args.paths)
+    if args.base is None:
+        width = max(map(len, counts), default=0)
+        for name, n in counts.items():
+            print(f"{name:<{width}}  {n:>6}")
+        print(f"{'total':<{width}}  {sum(counts.values()):>6}")
+        return 0
+    base = count_files_at(args.base, args.paths)
+    names = sorted(set(base) | set(counts))
+    width = max(map(len, names + ["total"]))
+    print(f"{'':<{width}}  {'base':>6}  {'now':>6}  {'change':>6}")
+    for name, was, now in [(n, base.get(n, 0), counts.get(n, 0)) for n in names] + [
+            ("total", sum(base.values()), sum(counts.values()))]:
+        print(f"{name:<{width}}  {was:>6}  {now:>6}  {now - was:>+6}")
     return 0
 
 
