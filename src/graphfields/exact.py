@@ -51,13 +51,14 @@ takes Cov(z) back through it and ``sample`` its draws.
 Which nodes the cut graph has and which entries its rows fill depend on
 the graph and the points alone; kappa, tau and a change only the values.
 So the layout (``_layout``: the pieces of edge, the columns of B and A,
-and the ``sampling._spd_pattern`` of H and of the scaled form's M, each
-with its fill-reducing order) is cached, ``graph.CACHE_SIZE`` entries
-keyed on the graph and the bytes of the validated points' edge indices and
-arclengths, with read-only arrays. Q is factored on H's pattern, in H's
-order. A model computes only the piece weights (``_piece_values``) and
-the numeric factors (``sampling._spd_numeric``), so a likelihood sweep
-over kappa at fixed points builds the layout and finds the orders once.
+and one ``sampling._spd_pattern`` with its fill-reducing order) is
+cached, ``graph.CACHE_SIZE`` entries keyed on the graph and the bytes of
+the validated points' edge indices and arclengths, with read-only arrays.
+The analysis is H's, and Q and the scaled form's M, whose entries are all
+H's, are factored on it in H's order, each reading its own slots. A model
+computes only the piece weights (``_piece_values``) and the numeric
+factors (``sampling._spd_numeric``), so a likelihood sweep over kappa at
+fixed points builds the layout and finds its order once.
 Every check still runs on every call. ``_vertex_cov`` reads the layout at
 no points the same way, and so does the resistance metric
 (``_conductance_green``): the difference rows alone, at weight
@@ -628,15 +629,19 @@ class _Layout(NamedTuple):
     ``_piece_values`` lays out. A's columns and values, which hold no
     weight, and ``obs``, each observation's node. ``label``, node i's row
     and column in Q, H = Q + A'A / noise and M (``_scaled_form``): the root
-    is relabelled last when there are observations. ``h_pattern``, the
-    ``sampling._spd_pattern`` of H's Gram triplets, so its fill-reducing
-    order is found once per layout. Q's triplets are the first
-    ``b_cols.size * b_cols.shape[1]`` of H's, so Q is factored on H's
-    pattern with A's entries as explicit zeros, in the same order. And
-    ``m_pattern``, the ``sampling._spd_pattern`` of M's own triplets, in
-    ``label`` order too: the Gram triplets of the rows at ``ends``, then
-    one per node on the diagonal; None at no points, where nothing factors
-    M.
+    is relabelled last when there are observations. One
+    ``sampling._spd_pattern`` per layout, of H's Gram triplets followed by
+    M's, so one fill-reducing order is found. M's triplets, in ``label``
+    order too, are the Gram triplets of the rows at ``ends``, then one per
+    node on the diagonal; each of their entries is one of H's, so H's
+    slots and order are those of H's triplets alone. ``h_pattern`` is that
+    analysis with its slots cut to H's, and Q's triplets are the first
+    ``b_cols.size * b_cols.shape[1]`` of them, so Q is factored on H's
+    pattern with A's entries as explicit zeros, in the same order.
+    ``m_pattern`` is the same analysis with M's slots, sharing ``perm``,
+    ``order``, ``indptr`` and ``indices`` with ``h_pattern``, H's entries
+    outside M being explicit zeros; None at no points, where nothing
+    factors M and M's triplets are left out of the analysis.
     """
 
     nodes: int
@@ -772,19 +777,22 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     label = np.arange(nodes)
     if j.size:
         label = np.roll(label, 1)
-    h_rows, h_cols = (np.concatenate(z) for z in zip(_gram(label[b_cols]), _gram(label[a_cols])))
-    pattern = _spd_pattern(h_rows, h_cols, nodes)
-    # M is factored only for observations: at no points it is not analysed
-    m_pattern = None
+    # H's triplets, then M's, whose entries are all H's, so one analysis
+    # serves both. M is factored only for observations: at no points it is
+    # left out
+    parts = [_gram(label[b_cols]), _gram(label[a_cols])]
+    h_size = sum(rows.size for rows, _ in parts)
     if j.size:
-        m_rows, m_cols = (np.concatenate([z, label]) for z in _gram(label[row_ends]))
-        m_pattern = _spd_pattern(m_rows, m_cols, nodes)
+        parts += [_gram(label[row_ends]), (label, label)]
+    pattern = _spd_pattern(*(np.concatenate(z) for z in zip(*parts)), nodes)
     out = _Layout(nodes, piece_edge, piece_length, row_ends, base, b_cols, b_pick,
-                  a_cols, a_vals, obs, label, pattern, m_pattern)
-    for arr in (*out[1:-2], *pattern[1:], *(m_pattern or ())[1:]):
+                  a_cols, a_vals, obs, label, pattern, None)
+    for arr in (*out[1:-2], *pattern[1:]):
         if arr is not None:
             arr.flags.writeable = False
-    return out
+    # the slot views are taken after the freeze, so they are read-only too
+    return out._replace(h_pattern=pattern._replace(slot=pattern.slot[:h_size]), m_pattern=(
+        pattern._replace(slot=pattern.slot[h_size:]) if j.size else None))
 
 
 def _layout_of(g: MetricGraph, m: FieldModel, pts) -> tuple[_Layout, bool]:
@@ -843,7 +851,8 @@ def _scaled_form(layout: _Layout, w_a, w_b, y, noise_var: float):
 
     where M = [[Q_UU, Q_UO S], [S Q_OU, S Q_OO S + I]]: at zero noise
     Q_UU + I, and no 1 / noise_var appears. M's triplets are those of the
-    rows R at ``ends``, then one per node on the diagonal (``m_pattern``).
+    rows R at ``ends``, then one per node on the diagonal, factored on H's
+    analysis and in H's order (``m_pattern``).
     Each repeated location adds its spread about ybar_i over noise_var,
     (k_i - 1) log noise_var and log k_i. At zero noise a location observed
     twice is rejected.
@@ -885,8 +894,8 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
 
     where log|Q| comes from Q's factor in grounded coordinates (the
     grounding map has determinant 1) and F is the second matrix of one of
-    two forms, both factored in the layout's ``label`` order, each on its
-    own pattern. The scaled form (``_scaled_form``) pins each observed node
+    two forms, both factored in the layout's ``label`` order, on its one
+    analysis. The scaled form (``_scaled_form``) pins each observed node
     and factors M, with no 1 / noise_var. The grounded form factors
     H = Q + A'A / noise_var in grounded coordinates, so n log noise_var +
     log|H| = log|F|; with b = A'y / noise_var and mu = H^{-1} b, the

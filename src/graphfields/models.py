@@ -55,8 +55,9 @@ class FieldModel:
 
     ``kappa`` (range) and ``a`` (conductivity) are constant per edge: either
     one float for the whole graph or a mapping from edge id to value.
-    ``tau`` scales the field as 1/tau, and ``alpha`` is the smoothness
-    exponent (> 1/2; the exact construction additionally needs alpha = 1).
+    ``tau``, one float for the whole graph, scales the field as 1/tau, and
+    ``alpha`` is the smoothness exponent (> 1/2; the exact construction
+    additionally needs alpha = 1).
     """
 
     kappa: float | Mapping[str, float] = 1.0
@@ -67,7 +68,7 @@ class FieldModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", _normalize(self.kappa, "kappa"))
         object.__setattr__(self, "a", _normalize(self.a, "a"))
-        object.__setattr__(self, "tau", _normalize(self.tau, "tau"))
+        object.__setattr__(self, "tau", _scalar(self.tau, "tau"))
         object.__setattr__(self, "alpha", _scalar(self.alpha, "alpha", 0.5))
 
     @staticmethod

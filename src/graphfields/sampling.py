@@ -8,12 +8,12 @@ The pattern step (``_spd_pattern``) reads the triplets' rows and columns
 alone: the dense or SuperLU branch, each triplet's slot in the assembled
 data, and on the SuperLU branch the fill-reducing order and the CSC
 pattern permuted by it. The numeric step (``_spd_numeric``) sums the
-values into their slots and factors. ``exact`` analyses each pattern once,
-in its cached layout of a cut graph, so a new model pays only the numeric
-step; the layout at no points serves the vertex covariance, the Markov
-sampler and the resistance metric alike. This module is the one home of
-the sparse factor: no other module calls ``splu`` or another sparse factor
-or solve.
+values into their slots and factors. ``exact`` makes one analysis per
+cached layout of a cut graph, on which each of its matrices is factored,
+so a new model pays only the numeric step; the layout at no points
+serves the vertex covariance, the Markov sampler and the resistance metric
+alike. This module is the one home of the sparse factor: no other module
+calls ``splu`` or another sparse factor or solve.
 
 The factor (``_Factor``) of M = L D L' solves with M and draws from
 N(0, M^{-1}): ``draw`` maps standard normals z, one column per draw, to

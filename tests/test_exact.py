@@ -381,7 +381,7 @@ def test_constant_mapping_resolves_like_a_scalar(fig8):
 @pytest.mark.parametrize("kwargs", [
     {"kappa": np.inf}, {"kappa": -1.0}, {"a": np.nan}, {"tau": np.inf},
     {"kappa": {"e0": np.inf}}, {"a": {"e0": 0.0}}, {"kappa": {"e0": "x"}},
-    {"kappa": {"e0": None}}, {"alpha": np.inf}, {"alpha": 0.5},
+    {"kappa": {"e0": None}}, {"tau": {"e0": 1.0}}, {"alpha": np.inf}, {"alpha": 0.5},
 ])
 def test_field_model_rejects_bad_parameters(kwargs):
     with pytest.raises(ValidationError):
@@ -1305,6 +1305,9 @@ def test_metrics_reads_the_cut_graph_through_one_name():
             and "_spd_pattern" in set(_names(tree))] == ["exact"]
     assert [n.name for n in trees["exact"].body if isinstance(n, ast.FunctionDef)
             and "_spd_pattern" in set(_names(n))] == ["_layout"]
+    # and one analysis per layout: a single call, which H and M share
+    assert len([n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and "_spd_pattern" in set(_names(n.func))]) == 1
     # the metric takes its Green's function from exact, and nothing private
     # from sampling
     metrics = list(ast.walk(trees["metrics"]))

@@ -415,11 +415,11 @@ def test_a_kappa_sweep_orders_its_pattern_once(side, monkeypatch):
     values = [_precision(exact_cov_source(g, FieldModel(kappa=kappa)), pts, y, 0.01)
               for kappa in (0.3, 0.7, 1.0, 2.5, 6.0)]
     if side == "SuperLU":
-        # two minimum-degree orders for the layout, H's and M's, and none per
-        # kappa; Q and H of every kappa are factored in H's, with the fill of
-        # the order's own factor (the pattern permuted by the inverse order
-        # would fill several times more)
-        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 10
+        # one minimum-degree order for the layout, H's, which M's entries
+        # share, and none per kappa; Q and H of every kappa are factored in
+        # it, with the fill of the order's own factor (the pattern permuted
+        # by the inverse order would fill several times more)
+        assert orders == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 10
         assert set(fill) == {fill[0]}
     else:
         assert orders == []
@@ -427,6 +427,27 @@ def test_a_kappa_sweep_orders_its_pattern_once(side, monkeypatch):
     for kappa, value in zip((0.3, 6.0), (values[0], values[-1])):
         source = exact_cov_source(g, FieldModel(kappa=kappa))
         assert value == pytest.approx(loglik(_dense(source), pts, y, 0.01), rel=1e-12)
+
+
+def _check_one_analysis(layout):
+    """M's entries lie in H's, and H's and M's slots are read-only views
+    of one analysis, H's the analysis of H's triplets alone; no M at no
+    points."""
+    h, m, label = layout.h_pattern, layout.m_pattern, layout.label
+    h_rows, h_cols = (np.concatenate(z) for z in zip(exact._gram(label[layout.b_cols]),
+                                                     exact._gram(label[layout.a_cols])))
+    alone = sampling._spd_pattern(h_rows, h_cols, layout.nodes)
+    for got, want in zip(h, alone):
+        assert (got is None and want is None) or np.array_equal(got, want)
+    assert not h.slot.flags.writeable
+    if not layout.obs.size:
+        assert m is None
+        return
+    m_rows, m_cols = (np.concatenate([z, label]) for z in exact._gram(label[layout.ends]))
+    assert set(zip(m_rows.tolist(), m_cols.tolist())) <= set(zip(h_rows.tolist(), h_cols.tolist()))
+    assert m.n == h.n and m.slot.size == m_rows.size and not m.slot.flags.writeable
+    assert all(getattr(m, name) is getattr(h, name)
+               for name in ("perm", "order", "indptr", "indices"))
 
 
 def test_layout_keeps_one_index_array_per_triplet():
@@ -440,6 +461,8 @@ def test_layout_keeps_one_index_array_per_triplet():
         assert pattern.slot.size == triplets
         assert not any(x.flags.writeable for x in arrays)
         assert (pattern.perm is None) == (side == "dense Cholesky")
+        for at in (pts, []):
+            _check_one_analysis(exact._layout_of(g, FieldModel(), at)[0])
 
 
 @pytest.mark.parametrize("side, n, kappa", [(20, 500, 0.05), (20, 500, 1.3), (30, 800, 3.0)])
@@ -806,6 +829,38 @@ def test_layout_cache_keeps_the_bytes_on_random_graphs(case):
             scaled, grounded = (_in_form(form, g, m, pts, y, noise)
                                 for form in ("scaled", "grounded"))
             assert scaled == pytest.approx(grounded, rel=1e-12)
+
+
+# on a failure, hypothesis writes a patch with libcst, whose import warns
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_graphs_with_points())
+def test_scaled_form_reads_the_analysis_of_h_on_random_graphs(case):
+    g, pts, *_ = case
+    for at in (pts, []):
+        _check_one_analysis(exact._layout_of(g, FieldModel(), at)[0])
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 6.0])
+def test_scaled_form_on_superlu_matches_the_dense_branch(kappa, monkeypatch):
+    # M factored on H's order against the dense factor of the same layout,
+    # built outside the cache, and the scaled loglik against the dense route
+    g, pts, y = _bouquet_request("SuperLU")
+    m = FieldModel(kappa=kappa)
+    layout, _ = exact._layout_of(g, m, pts)
+    _, j, t, *_ = gf.graph._point_arrays(g, pts)
+    monkeypatch.setattr(sampling, "_DENSE_MAX", layout.nodes)
+    dense = exact._layout.__wrapped__(g, j.tobytes(), t.tobytes())
+    monkeypatch.undo()
+    assert dense.m_pattern.perm is None and layout.m_pattern.perm is not None
+    _, w_a, w_b = exact._piece_values(layout, g, m)
+    for noise in (0.0, 1e-12, 1e-8):
+        *got, method = exact._scaled_form(layout, w_a, w_b, y, noise)
+        *want, _ = exact._scaled_form(dense, w_a, w_b, y, noise)
+        assert method == "SuperLU"
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        route = loglik(_dense(exact_cov_source(g, m)), pts, y, noise)
+        assert _in_form("scaled", g, m, pts, y, noise) == pytest.approx(route, rel=1e-12)
 
 
 def _small_batch_circle():
