@@ -45,8 +45,10 @@ every other term at its two nodes. One rule handles every such piece:
 it joins its two nodes, and each connected component of the joins (a
 cluster, of vertices, points or both) is written relative to its
 smallest node, x_i = z_0 + z_base + z_i, so the stiff row reads the
-nodes' own coordinates alone. ``_to_nodes`` is that map: ``_vertex_cov``
-takes Cov(z) back through it and ``sample`` its draws.
+nodes' own coordinates alone. Two functions read that map:
+``_grounded_rows`` lays out every row in it, B's and A's alike, and
+``_to_nodes`` maps back, Cov(z) for ``_vertex_cov`` and the metric
+(``_cov_to_nodes``) and draws for ``sample``.
 
 Which nodes the cut graph has and which entries its rows fill depend on
 the graph and the points alone; kappa, tau and a change only the values.
@@ -54,6 +56,9 @@ So the layout (``_layout``: the pieces of edge, the columns of B and A,
 and one ``sampling._spd_pattern`` with its fill-reducing order) is
 cached, ``graph.CACHE_SIZE`` entries keyed on the graph and the bytes of
 the validated points' edge indices and arclengths, with read-only arrays.
+It numbers the coordinates once, in the order the factors use (the
+root's last when there are observations), and stores every index in that
+numbering, so no solve relabels its right-hand side or its result.
 The analysis is H's, and Q and the scaled form's M, whose entries are all
 H's, are factored on it in H's order, each reading its own slots. A model
 computes only the piece weights (``_piece_values``) and the numeric
@@ -446,13 +451,11 @@ def _conductance_green(g: MetricGraph) -> np.ndarray:
     """
     layout = _layout(g, b"", b"")
     w_a = np.concatenate([np.zeros(layout.piece_length.size), layout.piece_length ** -0.5])
-    b_vals = np.concatenate([[0.0], w_a, -w_a, np.zeros_like(w_a)])[layout.b_pick]
+    b_vals = _row_values(layout.b_pick, w_a, -w_a)
     b_vals[0, 0] = 1.0
     green = _spd_numeric(layout.h_pattern, _gram_values(b_vals)).solve(np.eye(layout.nodes))
     green[0] = green[:, 0] = 0.0
-    _to_nodes(layout, green)
-    _to_nodes(layout, green.T)
-    return _symmetrize(green)
+    return _cov_to_nodes(layout, green)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -495,10 +498,7 @@ def _vertex_cov(g: MetricGraph, m: FieldModel):
         diag = np.arange(resid.shape[1])
         resid[lo + diag, diag] += 1.0
         sv[:, block] += factor.solve(resid)
-    sv = np.ascontiguousarray(sv)  # the solves return it F-ordered
-    _to_nodes(layout, sv)
-    _to_nodes(layout, sv.T)
-    _symmetrize(sv)
+    sv = _cov_to_nodes(layout, np.ascontiguousarray(sv))  # the solves return it F-ordered
     sv.flags.writeable = False
     return sv, (factor.method, factor.min_pivot)
 
@@ -620,22 +620,28 @@ class _Layout(NamedTuple):
     model (``_layout``). Every array is read-only. ``nodes`` is the number
     of coordinates. Row r of B (of A) is sum_s vals[r, s] e_{cols[r, s]}.
 
+    The coordinates are numbered once, in the order the factors of Q,
+    H = Q + A'A / noise and M (``_scaled_form``) use: the vertices but the
+    root, then the distinct points in ``_chain`` order, then z_0, the
+    root's, last when there are observations; at no points the root keeps
+    its place first and the numbering is the nodes' own. ``ends``,
+    ``b_cols``, ``a_cols`` and ``obs`` are in that numbering, so every
+    factor solves in place, with no relabelling.
+
     The pieces of edge: ``piece_edge``, ``piece_length``, and ``ends``, the
-    two nodes of each row of B (``_piece_values`` order). ``base``, each
-    node's base in the grounding map x_i = z_0 + z_base[i] + z_i: the
-    smallest node of its cluster, 0 for none (for that node itself, a node
-    in no cluster, or one in the cluster of vertex 0). B's columns
-    ``b_cols``, and ``b_pick``, each entry's place in the weights
-    ``_piece_values`` lays out. A's columns and values, which hold no
-    weight, and ``obs``, each observation's node. ``label``, node i's row
-    and column in Q, H = Q + A'A / noise and M (``_scaled_form``): the root
-    is relabelled last when there are observations. One
-    ``sampling._spd_pattern`` per layout, of H's Gram triplets followed by
-    M's, so one fill-reducing order is found. M's triplets, in ``label``
-    order too, are the Gram triplets of the rows at ``ends``, then one per
-    node on the diagonal; each of their entries is one of H's, so H's
-    slots and order are those of H's triplets alone. ``h_pattern`` is that
-    analysis with its slots cut to H's, and Q's triplets are the first
+    two coordinates of each row of B (``_piece_values`` order). ``base``,
+    each node's base in the grounding map x_i = z_0 + z_base[i] + z_i, in
+    node numbering: the smallest node of its cluster, 0 for none (for that
+    node itself, a node in no cluster, or one in the cluster of vertex 0);
+    only ``_to_nodes`` reads it, at no points. B's columns ``b_cols``, and
+    ``b_pick``, each entry's place in the weights ``_piece_values`` lays
+    out. A's columns and values, which hold no weight, and ``obs``, each
+    observation's coordinate. One ``sampling._spd_pattern`` per layout, of
+    H's Gram triplets followed by M's, so one fill-reducing order is found.
+    M's triplets are the Gram triplets of the rows at ``ends``, then one
+    per coordinate on the diagonal; each of their entries is one of H's, so
+    H's slots and order are those of H's triplets alone. ``h_pattern`` is
+    that analysis with its slots cut to H's, and Q's triplets are the first
     ``b_cols.size * b_cols.shape[1]`` of them, so Q is factored on H's
     pattern with A's entries as explicit zeros, in the same order.
     ``m_pattern`` is the same analysis with M's slots, sharing ``perm``,
@@ -654,7 +660,6 @@ class _Layout(NamedTuple):
     a_cols: np.ndarray
     a_vals: np.ndarray
     obs: np.ndarray
-    label: np.ndarray
     h_pattern: _Pattern
     m_pattern: _Pattern | None
 
@@ -662,11 +667,19 @@ class _Layout(NamedTuple):
 def _to_nodes(layout: _Layout, arr: np.ndarray) -> np.ndarray:
     """The grounding map x_i = z_0 + z_base[i] + z_i along axis 0 of
     ``arr``, in place: the based rows first, then the root's. Returns
-    ``arr``."""
+    ``arr``. Read at no points, where the coordinates are in node order."""
     based = np.flatnonzero(layout.base)
     arr[based] += arr[layout.base[based]]
     arr[1:] += arr[0]
     return arr
+
+
+def _cov_to_nodes(layout: _Layout, cov: np.ndarray) -> np.ndarray:
+    """Cov(x) from Cov(z), in place: the grounding map (``_to_nodes``) on
+    the rows, then on the columns, then ``_symmetrize``. Returns ``cov``."""
+    _to_nodes(layout, cov)
+    _to_nodes(layout, cov.T)
+    return _symmetrize(cov)
 
 
 def _grounded_rows(base, a, b):
@@ -678,10 +691,11 @@ def _grounded_rows(base, a, b):
     carries every row's sum and a difference row none of it. Equal columns
     within a row are added, so a difference row across a node and its base
     loses that column exactly. A node is never its own base and a row's two
-    nodes differ unless it is a loop's, so no slot takes more than one
-    other, and every entry is 0, w_a, w_b or w_a + w_b. Returns (cols,
-    pick) with one column per slot that is ever non-zero: pick indexes the
-    entries in [0, w_a, w_b, w_a + w_b] (``_piece_values``).
+    nodes differ unless it is a loop's or an observation's (the row x_a at
+    a = b and weights (1, 0)), so no slot takes more than one other, and
+    every entry is 0, w_a, w_b or w_a + w_b. Returns (cols, pick), in node
+    numbering, with one column per slot that is ever non-zero: pick indexes
+    the entries in [0, w_a, w_b, w_a + w_b] (``_row_values``).
     """
     r = a.size
     cols = np.stack([np.zeros_like(a), base[a], a, base[b], b], axis=1)
@@ -698,6 +712,12 @@ def _grounded_rows(base, a, b):
     return cols[:, live], pick[:, live]
 
 
+def _row_values(pick: np.ndarray, w_a, w_b) -> np.ndarray:
+    """The values of the rows that ``_grounded_rows`` laid out as ``pick``,
+    at the weights ``w_a`` and ``w_b``, one of each per row."""
+    return np.concatenate([[0.0], w_a, w_b, w_a + w_b])[pick]
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     """The cut graph of ``g`` at the points whose validated edge indices
@@ -705,7 +725,10 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     ``t_key``: the field at the vertices and the distinct points as a
     Markov field, with precision Q = B'B and observations A x, both in
     grounded coordinates. B has two rows per piece of edge, and A one row
-    per input point: its node's row of the grounding map.
+    per input point: its node's row of the grounding map. Both are laid
+    out by ``_grounded_rows`` in node numbering, then stored, with the
+    pieces' ends and the observations' nodes, in the coordinates' factor
+    order (``_Layout``).
 
     Cutting every edge at the points leaves pieces of edge whose laws given
     their ends do not depend on the rest of the graph, so each piece adds
@@ -763,30 +786,27 @@ def _layout(g: MetricGraph, j_key: bytes, t_key: bytes) -> _Layout:
     base[base == np.arange(nodes)] = 0
     row_ends = np.stack([np.concatenate([a, a]), np.concatenate([b, b])], axis=1)
     b_cols, b_pick = _grounded_rows(base, *row_ends.T)
-    # an observation at node i reads x_i = z_0 + z_base[i] + z_i: columns
-    # (0, base[i], i) with weights (1, base[i] != 0, i != 0), and a column
-    # that is 0 in every row dropped as in ``_grounded_rows``
-    obs = chain.node
-    a_cols = np.stack([np.zeros_like(obs), base[obs], obs], axis=1)
-    a_cols = a_cols[:, a_cols.any(axis=0) | [True, False, False]]
-    a_vals = (a_cols != 0).astype(float)
-    a_vals[:, 0] = 1.0
-    # every observation row puts weight 1 / noise on the root coordinate
-    # z_0: relabelled last, it is eliminated last by the dense factor. With
-    # no observation it keeps its place first, where ``_vertex_cov`` has it
-    label = np.arange(nodes)
-    if j.size:
-        label = np.roll(label, 1)
+    # an observation reads its node's row of the grounding map: the row
+    # x_i at weights (1, 0)
+    a_cols, a_pick = _grounded_rows(base, chain.node, chain.node)
+    a_vals = _row_values(a_pick, np.ones(j.size), np.zeros(j.size))
+    # the coordinates in factor order: every observation row puts weight
+    # 1 / noise on the root coordinate z_0, so with observations it goes
+    # last and the dense factor eliminates it last. With none it keeps its
+    # place first, and the coordinates are the nodes' own order, which
+    # ``_to_nodes`` reads
+    coord = np.roll(np.arange(nodes), 1) if j.size else np.arange(nodes)
+    ends, b_cols, a_cols, obs = (coord[x] for x in (row_ends, b_cols, a_cols, chain.node))
     # H's triplets, then M's, whose entries are all H's, so one analysis
     # serves both. M is factored only for observations: at no points it is
     # left out
-    parts = [_gram(label[b_cols]), _gram(label[a_cols])]
+    parts = [_gram(b_cols), _gram(a_cols)]
     h_size = sum(rows.size for rows, _ in parts)
     if j.size:
-        parts += [_gram(label[row_ends]), (label, label)]
+        parts += [_gram(ends), (np.arange(nodes),) * 2]
     pattern = _spd_pattern(*(np.concatenate(z) for z in zip(*parts)), nodes)
-    out = _Layout(nodes, piece_edge, piece_length, row_ends, base, b_cols, b_pick,
-                  a_cols, a_vals, obs, label, pattern, None)
+    out = _Layout(nodes, piece_edge, piece_length, ends, base, b_cols, b_pick,
+                  a_cols, a_vals, obs, pattern, None)
     for arr in (*out[1:-2], *pattern[1:]):
         if arr is not None:
             arr.flags.writeable = False
@@ -818,7 +838,7 @@ def _piece_values(layout: _Layout, g: MetricGraph, m: FieldModel):
     w_sum, w_diff = _segment_weights(ec.kt[e], ec.scale[e], layout.piece_length)
     w_a = np.concatenate([w_sum, w_diff])
     w_b = np.concatenate([w_sum, -w_diff])
-    return np.concatenate([[0.0], w_a, w_b, w_a + w_b])[layout.b_pick], w_a, w_b
+    return _row_values(layout.b_pick, w_a, w_b), w_a, w_b
 
 
 #: ``_precision_loglik`` takes the scaled form where the noise variance is
@@ -852,12 +872,13 @@ def _scaled_form(layout: _Layout, w_a, w_b, y, noise_var: float):
     where M = [[Q_UU, Q_UO S], [S Q_OU, S Q_OO S + I]]: at zero noise
     Q_UU + I, and no 1 / noise_var appears. M's triplets are those of the
     rows R at ``ends``, then one per node on the diagonal, factored on H's
-    analysis and in H's order (``m_pattern``).
+    analysis and in H's order (``m_pattern``). ``ends`` and ``obs`` number
+    the nodes in that order, so the right-hand side and u are too.
     Each repeated location adds its spread about ybar_i over noise_var,
     (k_i - 1) log noise_var and log k_i. At zero noise a location observed
     twice is rejected.
     """
-    nodes, obs, ends, label = layout.nodes, layout.obs, layout.ends, layout.label
+    nodes, obs, ends = layout.nodes, layout.obs, layout.ends
     count = np.bincount(obs, minlength=nodes)
     if noise_var == 0.0 and count.max() > 1:
         raise ValidationError("duplicate observation points need positive noise variance")
@@ -866,9 +887,8 @@ def _scaled_form(layout: _Layout, w_a, w_b, y, noise_var: float):
     rows = np.stack([w_a, w_b], axis=1) * np.where(seen, np.sqrt(noise_var / k), 1.0)[ends]
     offset = w_a * pin[ends[:, 0]] + w_b * pin[ends[:, 1]]
     factor = _spd_numeric(layout.m_pattern, np.concatenate([_gram_values(rows), seen * 1.0]))
-    rhs = np.empty(nodes)
-    rhs[label] = -np.bincount(ends.ravel(), (rows * offset[:, None]).ravel(), minlength=nodes)
-    u = factor.solve(rhs)[label]
+    u = factor.solve(-np.bincount(ends.ravel(), (rows * offset[:, None]).ravel(),
+                                  minlength=nodes))
     resid = np.sum(rows * u[ends], axis=1) + offset
     quad = float(resid @ resid) + float(u[seen] @ u[seen])
     logdet = factor.logdet + float(np.sum(np.log(k)))
@@ -894,9 +914,11 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
 
     where log|Q| comes from Q's factor in grounded coordinates (the
     grounding map has determinant 1) and F is the second matrix of one of
-    two forms, both factored in the layout's ``label`` order, on its one
-    analysis. The scaled form (``_scaled_form``) pins each observed node
-    and factors M, with no 1 / noise_var. The grounded form factors
+    two forms, both factored on the layout's one analysis in the order of
+    its coordinates, the numbering of its every index (``_Layout``), so
+    each solve reads and returns that order. The scaled form
+    (``_scaled_form``) pins each observed node and factors M, with no
+    1 / noise_var. The grounded form factors
     H = Q + A'A / noise_var in grounded coordinates, so n log noise_var +
     log|H| = log|F|; with b = A'y / noise_var and mu = H^{-1} b, the
     posterior mean at the nodes, the quadratic form is |y - A mu|^2 /
@@ -925,14 +947,12 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     if noise_var * w_diff.max() * w_diff.min() <= _SCALED_MAX:
         form, (quad, logdet, method) = "scaled", _scaled_form(layout, w_a, w_b, y, noise_var)
     else:
-        form, nodes, label = "grounded", layout.nodes, layout.label
+        form = "grounded"
         h_factor = _spd_numeric(layout.h_pattern, np.concatenate(
             [q_vals, (1.0 / noise_var) * _gram_values(layout.a_vals)]))
         b = np.bincount(layout.a_cols.ravel(), (layout.a_vals * y[:, None]).ravel(),
-                        minlength=nodes)
-        rhs = np.empty(nodes)
-        rhs[label] = b / noise_var
-        mu = h_factor.solve(rhs)[label]
+                        minlength=layout.nodes)
+        mu = h_factor.solve(b / noise_var)
         resid = y - np.sum(layout.a_vals * mu[layout.a_cols], axis=1)
         prior = np.sum(b_vals * mu[layout.b_cols], axis=1)
         quad = float(resid @ resid) / noise_var + float(prior @ prior)

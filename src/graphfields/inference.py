@@ -32,7 +32,7 @@ other source, and ``krige`` on any source, take the dense route through
 the joint covariance.
 
 The dense route reads C_oo in place in the joint matrix and factors one
-private copy of C_oo + noise I (``sampling._jittered_cholesky``); the trace
+private copy of C_oo + noise I (``sampling.safe_cholesky``); the trace
 and the jitter are computed only if that factor fails. ``krige`` then makes
 one LAPACK ``dtrtrs`` on the stacked F-ordered right-hand side [y | C_op],
 which gives alpha = L^{-1} y and V = L^{-1} C_op together: the mean is
@@ -66,7 +66,7 @@ from . import exact
 from .errors import ValidationError
 from .graph import MetricGraph, PointOnGraph, _arclength, _symmetrize
 from .models import CovMatrix, FieldModel, _scalar
-from .sampling import _jittered_cholesky
+from .sampling import safe_cholesky
 
 __all__ = ["KrigingResult", "krige", "loglik", "exact_cov_source"]
 
@@ -186,7 +186,7 @@ def _condition(cov_source: CovSource, obs, y, noise_var, pred=()) -> tuple:
     ``_check_obs``.
 
     C_oo is read in place from the joint matrix, and
-    ``sampling._jittered_cholesky`` factors one private copy of it with
+    ``sampling.safe_cholesky`` factors one private copy of it with
     noise_var on the diagonal; the trace and the jitter are computed only
     if that factor fails.
 
@@ -202,11 +202,11 @@ def _condition(cov_source: CovSource, obs, y, noise_var, pred=()) -> tuple:
         raise ValidationError(
             "duplicate observation points need positive noise variance"
         )
-    return joint, *_jittered_cholesky(coo, noise_var)
+    return joint, *safe_cholesky(coo, noise_var)
 
 
 def _tri_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} b for the lower factor L of ``_jittered_cholesky``, by one
+    """L^{-1} b for the lower factor L of ``safe_cholesky``, by one
     LAPACK ``dtrtrs`` on the F-contiguous upper factor ``chol.T``. ``b``
     must be the caller's own: an F-ordered ``b`` is overwritten with the
     result, not copied."""

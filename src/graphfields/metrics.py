@@ -47,9 +47,9 @@ cut graph of the unit-exponent field at no points (``exact``): the
 conductance Laplacian is the Gram matrix of its difference rows at weight
 1/sqrt(length), in the coordinates where a short edge's row reads one
 coordinate, factored on the pattern the field's vertex covariance and
-Markov sampler factor on. R_V is formed over G in place, and is the same
-table, byte for byte, for every root. It is the one |V| x |V| table a
-cached ``ResistanceStructure`` holds; its public ``conductance``,
+Markov sampler factor on. R_V is formed over G in place, once per graph:
+the structure at any root holds root 0's table. It is the one |V| x |V|
+table a cached ``ResistanceStructure`` holds; its public ``conductance``,
 ``laplacian`` and ``linv`` are built on first read, ``linv`` from G
 regrounded at the root.
 """
@@ -94,7 +94,8 @@ class ResistanceStructure:
     of the auxiliary vertex field.
 
     Only the vertex resistances R_V, which the metric matrices read, are
-    built with the structure; they do not depend on the root.
+    built with the structure; they do not depend on the root, and every
+    root's structure holds the one table of root 0's.
     ``conductance``, ``laplacian`` and ``linv`` are read-only |V| x |V|
     tables built from the graph and root on first read and kept on the
     instance, so a structure that is never asked for them holds one table,
@@ -147,8 +148,9 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
     diag(G)' - 2 G, with G the Green's function grounded at vertex 0 (zero
     in row and column 0, ``exact._conductance_green``), is formed over G
     in place and never passes through the constant 1 of ``linv``, the
-    inverse of the Laplacian with +1 at v0. R_V has the same bytes for
-    every ``v0``.
+    inverse of the Laplacian with +1 at v0. R_V does not depend on ``v0``:
+    the structure at any other root holds root 0's table itself, building
+    root 0's structure first if it is not cached.
 
     ``v0`` is checked as a count on every call (True or 1.0 is rejected),
     and the structure is cached on (g, int v0), so ``(g)``, ``(g, 0)`` and
@@ -161,7 +163,10 @@ def resistance_structure(g: MetricGraph, v0: int = 0) -> ResistanceStructure:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _resistance_structure(g: MetricGraph, v0: int) -> ResistanceStructure:
-    """``resistance_structure`` for a root already checked as a count."""
+    """``resistance_structure`` for a root already checked as a count. Any
+    other root shares root 0's R_V, so a graph has one table."""
+    if v0:
+        return ResistanceStructure(v0, g, _resistance_structure(g, 0)._r_v)
     if not classify(g).euclidean_edges:
         raise UnsupportedGraphError("resistance metric requires a graph with Euclidean edges")
     r_v = _conductance_green(g)

@@ -28,10 +28,10 @@ copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
 factor L is C-contiguous, so ``L.T`` is the F-contiguous upper factor that
 LAPACK's triangular solves (``dtrtrs``, ``dpotrs``) read without a copy;
 ``inference`` and ``_spd_numeric`` solve with it that way. A PSD-up-to-
-rounding matrix goes through ``safe_cholesky`` (``_jittered_cholesky``
-with a diagonal shift, for ``inference``'s C_oo + noise I): a matrix that
-factors costs that one copy and nothing more, and only a failed factor
-takes the trace, checks the smallest eigenvalue and escalates a jitter.
+rounding matrix goes through ``safe_cholesky``, with a diagonal shift for
+``inference``'s C_oo + noise I: a matrix that factors costs that one copy
+and nothing more, and only a failed factor takes the trace, checks the
+smallest eigenvalue and escalates a jitter.
 
 Each dense kernel asks LAPACK for what its caller returns: the one route
 to a smallest eigenvalue, ``_min_eigenvalue`` (the PSD report of
@@ -109,12 +109,20 @@ def _min_eigenvalue(mat: np.ndarray) -> float:
 _PSD_TOL = 1e-10
 
 
-def _jittered_cholesky(mat: np.ndarray, shift: float = 0.0):
-    """``safe_cholesky`` of ``mat`` + ``shift`` I, with ``mat`` read, never
-    written: ``_potrf`` makes the one copy, with the shift on its diagonal,
-    and a factorable matrix costs nothing more. Only when that factor fails
-    is the shifted matrix formed, its trace taken, its smallest eigenvalue
-    checked and the jitter escalated, each level on a fresh copy."""
+def safe_cholesky(mat: np.ndarray, shift: float = 0.0):
+    """Cholesky factor of a PSD-up-to-rounding matrix ``mat`` + ``shift`` I.
+
+    Factors one copy of ``mat`` by ``_potrf``, with the shift on the
+    copy's diagonal: a matrix that factors costs nothing more. Only if that
+    fails is the shifted matrix formed, its trace taken, its smallest
+    eigenvalue checked (``_min_eigenvalue``) and a diagonal jitter of
+    (1e-12, 1e-10, 1e-8) * trace/n escalated, each level on a fresh copy,
+    before giving up. Returns (lower factor, jitter used); the factor is
+    ``_potrf``'s, C-contiguous with exact zeros above the diagonal, and
+    ``mat`` is not written on any attempt. Raises NotPositiveDefiniteError
+    if the shifted matrix is indefinite beyond ``_PSD_TOL * trace`` or no
+    jitter level succeeds.
+    """
     chol = _potrf(mat, shift)
     if chol is not None:
         return chol, 0.0
@@ -133,21 +141,6 @@ def _jittered_cholesky(mat: np.ndarray, shift: float = 0.0):
         if chol is not None:
             return chol, jitter
     raise NotPositiveDefiniteError("Cholesky failed at every jitter level")
-
-
-def safe_cholesky(mat: np.ndarray):
-    """Cholesky factor of a PSD-up-to-rounding matrix.
-
-    Factors one copy of ``mat`` by ``_potrf``. Only if that fails does it
-    take the trace, check the smallest eigenvalue (``_min_eigenvalue``) and
-    escalate a diagonal jitter of (1e-12, 1e-10, 1e-8) * trace/n before
-    giving up. Returns (lower factor, jitter used); the factor is
-    ``_potrf``'s, C-contiguous with exact zeros above the diagonal, and
-    ``mat`` is not written on any attempt. Raises NotPositiveDefiniteError
-    if the matrix is indefinite beyond ``_PSD_TOL * trace`` or no jitter
-    level succeeds.
-    """
-    return _jittered_cholesky(mat)
 
 
 #: ``_spd_pattern`` takes the dense branch up to this order and SuperLU

@@ -162,6 +162,14 @@ def test_edge_basis_unit_case_closed_form():
     )
 
 
+def test_edge_basis_call_is_its_matrix():
+    basis = EdgeBasis(kappa=1.7, a=0.6, length=2.0)
+    for x in (0.0, 0.7, np.linspace(0.0, 2.0, 9), np.full((2, 3), 1.3)):
+        got = basis(x)
+        assert got.shape == np.shape(x) + (2,)
+        assert got.tobytes() == basis.matrix(x).tobytes()
+
+
 def test_edge_basis_solves_boundary_system():
     # independent construction: solve the 2x2 system in a cosh/sinh basis
     kappa, a, ell = 1.4, 0.9, 1.8
@@ -1280,12 +1288,11 @@ def test_exact_alone_reads_the_cut_graph():
     [sampler] = [n for n in trees["exact"].body
                  if isinstance(n, ast.FunctionDef) and n.name == "sample"]
     assert "_vertex_cov" not in set(_names(sampler))
-    # inference imports one private name from sampling, the dense factor of
+    # inference imports one name from sampling, the public dense factor of
     # C_oo + noise I, and reads one private name of exact, its precision route
     inference = list(ast.walk(trees["inference"]))
     assert [a.name for n in inference if isinstance(n, ast.ImportFrom)
-            and n.module == "sampling" for a in n.names
-            if a.name.startswith("_")] == ["_jittered_cholesky"]
+            and n.module == "sampling" for a in n.names] == ["safe_cholesky"]
     private = {(n.value.id, n.attr) for n in inference if isinstance(n, ast.Attribute)
                and isinstance(n.value, ast.Name) and n.value.id in trees
                and n.attr.startswith("_")}
@@ -1294,6 +1301,27 @@ def test_exact_alone_reads_the_cut_graph():
     # and no floating-point warning is silenced
     assert not [n for n in inference if isinstance(n, ast.Try)]
     assert "errstate" not in set(_names(trees["inference"]))
+
+
+def test_the_cut_graph_has_one_numbering_and_one_grounding_map():
+    tree = ast.parse(Path(exact.__file__).read_text(), exact.__file__)
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    # the grounding map's bases are read where they are built (_layout),
+    # where rows are laid out in them and where draws and covariances go
+    # back through them, and nowhere else
+    assert sorted(f.name for f in functions if "base" in set(_names(f))) == [
+        "_grounded_rows", "_layout", "_to_nodes"]
+    # one numbering: the layout keeps no relabelling of its coordinates
+    [fields] = [[n.target.id for n in c.body if isinstance(n, ast.AnnAssign)]
+                for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Layout"]
+    assert "base" in fields and "label" not in fields
+    assert "label" not in set(_names(tree))
+    # and B's rows and A's rows are both laid out by _grounded_rows
+    [layout] = [f for f in functions if f.name == "_layout"]
+    laid_out = {n.targets[0].elts[0].id for n in ast.walk(layout)
+                if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                and "_grounded_rows" in set(_names(n.value.func))}
+    assert laid_out == {"b_cols", "a_cols"}
 
 
 def test_metrics_reads_the_cut_graph_through_one_name():

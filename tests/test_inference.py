@@ -433,9 +433,9 @@ def _check_one_analysis(layout):
     """M's entries lie in H's, and H's and M's slots are read-only views
     of one analysis, H's the analysis of H's triplets alone; no M at no
     points."""
-    h, m, label = layout.h_pattern, layout.m_pattern, layout.label
-    h_rows, h_cols = (np.concatenate(z) for z in zip(exact._gram(label[layout.b_cols]),
-                                                     exact._gram(label[layout.a_cols])))
+    h, m = layout.h_pattern, layout.m_pattern
+    h_rows, h_cols = (np.concatenate(z) for z in zip(exact._gram(layout.b_cols),
+                                                     exact._gram(layout.a_cols)))
     alone = sampling._spd_pattern(h_rows, h_cols, layout.nodes)
     for got, want in zip(h, alone):
         assert (got is None and want is None) or np.array_equal(got, want)
@@ -443,7 +443,8 @@ def _check_one_analysis(layout):
     if not layout.obs.size:
         assert m is None
         return
-    m_rows, m_cols = (np.concatenate([z, label]) for z in exact._gram(label[layout.ends]))
+    diag = np.arange(layout.nodes)
+    m_rows, m_cols = (np.concatenate([z, diag]) for z in exact._gram(layout.ends))
     assert set(zip(m_rows.tolist(), m_cols.tolist())) <= set(zip(h_rows.tolist(), h_cols.tolist()))
     assert m.n == h.n and m.slot.size == m_rows.size and not m.slot.flags.writeable
     assert all(getattr(m, name) is getattr(h, name)
@@ -562,9 +563,13 @@ def _cluster_points(g, kind, rng):
 
 
 def _last_base(g, m, pts):
-    """The base of the last point's node in the cut graph, 0 for none."""
-    cols = exact._layout_of(g, m, pts)[0].a_cols[-1]
-    return cols[1] if cols.size == 3 else 0
+    """The base of the last point's node in the cut graph, 0 for none. A's
+    columns are coordinates, which number node i as i - 1 and the root
+    last, so the base's node is one more than its column, modulo the
+    coordinate count (the root's column, in a row with no base, is 0)."""
+    layout = exact._layout_of(g, m, pts)[0]
+    cols = layout.a_cols[-1]
+    return (cols[1] + 1) % layout.nodes if cols.size == 3 else 0
 
 
 CLUSTER_KINDS = ["start", "end", "point", "whole"]
@@ -958,7 +963,7 @@ def test_loglik_on_an_exact_source_takes_no_dense_step(noise, form, monkeypatch,
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((inference, "_condition"), (inference, "_jittered_cholesky"),
+    for module, name in ((inference, "_condition"), (inference, "safe_cholesky"),
                          (sampling, "safe_cholesky"), (exact, "safe_cholesky"),
                          (exact, "full_cov")):
         spy(module, name)
@@ -991,8 +996,7 @@ def test_scaled_form_factors_its_matrix_on_the_layout_pattern(side):
     assert (pattern.perm is None) == (side == "dense Cholesky")
     rng = np.random.default_rng(3)
     vals = rng.uniform(0.5, 1.5, pattern.slot.size)
-    label = np.roll(np.arange(n), 1)  # the root last
-    rows, cols = (np.concatenate([z, label]) for z in exact._gram(label[layout.ends]))
+    rows, cols = (np.concatenate([z, np.arange(n)]) for z in exact._gram(layout.ends))
     want = np.zeros((n, n))
     np.add.at(want, (rows, cols), vals)
     if pattern.perm is None:
@@ -1004,6 +1008,32 @@ def test_scaled_form_factors_its_matrix_on_the_layout_pattern(side):
         permuted[pattern.indices, col] = data
         got = permuted[np.ix_(pattern.perm, pattern.perm)]
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_a_source_returning_a_cov_matrix_reads_as_its_array(noise):
+    # a covariance source may return a CovMatrix, as exact.full_cov does:
+    # the joint covariance is its matrix, so krige and loglik read the
+    # same bytes as from the plain array
+    g = gf.figure_eight(1.0, 2.0)
+    m = FieldModel(kappa=1.3, tau=0.8)
+    rng = np.random.default_rng(21)
+    pts = [random_point(g, rng) for _ in range(9)]
+    obs, pred = pts[:6], pts[6:]
+    y = rng.normal(size=len(obs))
+
+    def wrapped(at):
+        return gf.full_cov(g, m, at)
+
+    def plain(at):
+        return gf.full_cov(g, m, at).matrix
+
+    assert isinstance(wrapped(obs), gf.CovMatrix)
+    got, want = krige(wrapped, obs, y, noise, pred), krige(plain, obs, y, noise, pred)
+    for name in ("mean", "cov"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.log_likelihood, got.jitter) == (want.log_likelihood, want.jitter)
+    assert loglik(wrapped, obs, y, noise) == loglik(plain, obs, y, noise)
 
 
 @pytest.mark.xfail(strict=True, reason=(

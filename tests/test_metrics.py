@@ -412,9 +412,11 @@ def test_resistance_tables_are_built_on_first_read(g):
 def test_a_cold_resistance_structure_keeps_one_table():
     import tracemalloc
 
-    g = grid(30)
-    assert g.vertex_count == 900
-    resistance_structure(g, 0)  # the graph's own caches are built here
+    # a 30 x 30 grid of 1.25-long edges, whose structures no other test
+    # caches, so both roots below are cold
+    g = gf.MetricGraph(900, tuple(gf.Edge(e.id, e.u, e.v, 1.25) for e in grid(30).edges))
+    gf.classify(g)
+    exact._layout(g, b"", b"")  # the graph's own caches are built here
     misses = resistance_structure.cache_info().misses
     tracemalloc.start()
     try:
@@ -422,9 +424,12 @@ def test_a_cold_resistance_structure_keeps_one_table():
         grown = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert resistance_structure.cache_info().misses == misses + 1
+    # root 451 builds root 0's structure and holds its table
+    assert resistance_structure.cache_info().misses == misses + 2
+    assert rs._r_v is resistance_structure(g, 0)._r_v
     assert rs._r_v.nbytes == 8 * 900**2
-    # four tables before the other three were built on first read
+    # four tables before the other three were built on first read, and
+    # two R_V tables before the roots shared one
     assert grown < 1.5 * 8 * 900**2
 
 
@@ -433,10 +438,10 @@ def test_a_cold_resistance_structure_keeps_one_table():
                          ids=["figure-eight", "grid-30"])
 def test_vertex_resistances_are_the_same_for_every_root(g, roots):
     # the figure-eight factors densely and grid(30) by SuperLU; R_V comes
-    # from G grounded at vertex 0 whatever the root (450, not the 451 that
-    # the cold-table test needs uncached)
+    # from G grounded at vertex 0 whatever the root, and every root holds
+    # root 0's table itself
     tables = [resistance_structure(g, v0)._r_v for v0 in roots]
-    assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
+    assert all(t is tables[0] for t in tables[1:])
 
 
 @pytest.mark.parametrize("short", [1e-6, 1e-9])
@@ -469,8 +474,8 @@ def test_the_metric_reads_the_field_layout_at_no_points(monkeypatch):
     monkeypatch.setattr(exact, "_spd_pattern", spy)
     monkeypatch.setattr(sampling, "_spd_pattern", spy)
     layouts, structures = exact._layout.cache_info(), resistance_structure.cache_info()
-    resistance_structure(g, 2)
-    assert resistance_structure.cache_info().misses == structures.misses + 1
+    resistance_structure(g, 2)  # a cold root 2 builds root 0's structure too
+    assert resistance_structure.cache_info().misses == structures.misses + 2
     after = exact._layout.cache_info()
     assert (after.hits - layouts.hits, after.misses - layouts.misses) == (1, 0)
     assert not analysed

@@ -150,7 +150,7 @@ def test_a_shifted_factor_is_the_factor_of_the_formed_matrix(rank):
     for shift in (0.0, 1e-30, 0.25):
         formed = mat.copy()
         formed.flat[::31] += shift
-        chol, jitter = sampling._jittered_cholesky(mat, shift)
+        chol, jitter = safe_cholesky(mat, shift)
         want, want_jitter = safe_cholesky(formed)
         assert chol.tobytes() == want.tobytes() and jitter == want_jitter
 
