@@ -86,7 +86,11 @@ with d the piece's length and r the rest of the edge. Given its two ends
 a piece is independent of the rest of the graph, so this is exactly a
 factor of C, with no fill between edges. ``sample`` draws one standard
 normal per factor column and drops the columns of vertices that are not
-among the points.
+among the points. Both paths fill one (point x replicate) output block by
+block from one generator (``sampling._replicate_blocks``), so a call holds
+its output and one block of replicates. The dense factor and the walk's
+weights (``_walk``) are made once per call and the vertex factor once per
+graph and model (cached, as the layout is), all outside the blocks.
 
 All formulas are overflow-safe for kt * L far beyond the ~700 range where
 raw cosh/sinh overflow in double precision, and use expm1 wherever
@@ -125,7 +129,14 @@ from .graph import (
     _symmetrize,
 )
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
-from .sampling import _Pattern, _spd_numeric, _spd_pattern, replicate_normals, safe_cholesky
+from .sampling import (
+    _Pattern,
+    _replicate_blocks,
+    _spd_numeric,
+    _spd_pattern,
+    replicate_normals,
+    safe_cholesky,
+)
 
 __all__ = [
     "neumann_edge_cov",
@@ -425,13 +436,16 @@ def _gram_values(vals: np.ndarray) -> np.ndarray:
     return (vals[:, :, None] * vals[:, None, :]).ravel()
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _vertex_factor(g: MetricGraph, m: FieldModel):
-    """The cut graph at no points, B's values there and the numeric factor
-    of the vertex precision Q = B'B in its grounded coordinates, root
-    first: what ``_vertex_cov`` solves with and ``sample`` draws from. Not
-    cached itself; the layout is."""
+    """The cut graph at no points, B's values there (read-only) and the
+    numeric factor of the vertex precision Q = B'B in its grounded
+    coordinates, root first: what ``_vertex_cov`` solves with and
+    ``sample`` draws from. Cached, ``graph.CACHE_SIZE`` entries keyed on
+    the graph and the model, as the layout it reads is."""
     layout, _ = _layout_of(g, m, [])
     b_vals, *_ = _piece_values(layout, g, m)
+    b_vals.flags.writeable = False
     return layout, b_vals, _spd_numeric(layout.h_pattern, _gram_values(b_vals))
 
 
@@ -965,46 +979,88 @@ def _precision_loglik(g: MetricGraph, m: FieldModel, obs, y, noise_var: float):
     return value, layout.nodes, method, form, how
 
 
-def _field_walk(ec: _EdgeConstants, chain: _Chain, j, t, x) -> None:
-    """The field at the chain's points, in place on the rows of ``x`` in
+class _Walk(NamedTuple):
+    """The weights of the field walk (``_field_walk``) at a chain's points,
+    in ``_chain`` order: ``dev`` = sqrt(D(d, d; r)), ``g2`` = G2(d; r) and
+    ``end``, the end vertex of each point's edge, and ``ranks``: for the
+    first point on every edge, then the next, and so on, the points of that
+    rank with the nodes before them and their G1(d; r). The weights are
+    columns, one row per point."""
+
+    dev: np.ndarray
+    g2: np.ndarray
+    end: np.ndarray
+    ranks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _walk(ec: _EdgeConstants, chain: _Chain, j, t) -> _Walk:
+    """The field walk's weights at the chain's points, for every block of
+    replicates: d is each point's ``gap`` from the node before it, and
+    G1, G2 and D are taken on the rest of its edge, [t_prev, L], of length
+    r = L - t_prev."""
+    pj = j[chain.first]
+    kt, gap = ec.kt[pj], chain.gap
+    rest = ec.length[pj] - t[chain.first] + gap
+    g1, g2 = _basis(kt, rest, gap)
+    ranks = []
+    at = np.flatnonzero(chain.starts)  # the first point on every edge, then the next, ...
+    while at.size:
+        ranks.append((at, chain.prev[at], g1[at, None]))
+        at = at[at + 1 < pj.size] + 1
+        at = at[~chain.starts[at]]
+    dev = np.sqrt(_dirichlet_green(kt, rest, ec.scale[pj], gap, gap))
+    return _Walk(dev[:, None], g2[:, None], ec.v[pj], ranks)
+
+
+def _field_walk(walk: _Walk, x) -> None:
+    """The field at the walk's points, in place on the rows of ``x`` in
     node order (one column per replicate): the vertex rows hold the vertex
     values, and row |V| + k the normal z_k of point k, which becomes
 
         x_k = G1(d; r) x_prev + G2(d; r) x_v + sqrt(D(d, d; r)) z_k,
 
-    with d the ``gap`` from the node before it and G1, G2 and D taken on
-    the rest of its edge, [t_prev, L], of length r = L - t_prev and with
-    end vertex v. Given its values at t_prev and at v, the rest of the
-    edge does not depend on anything drawn before, so this walk along the
-    cut graph's pieces is exactly a factor of the points' covariance given
-    the vertices. One step per rank within an edge, vectorised over the
-    edges.
+    with the weights of ``_walk``: d the gap from the node before it, and
+    r the rest of its edge, with end vertex v. Given its values at t_prev
+    and at v, the rest of the edge does not depend on anything drawn
+    before, so this walk along the cut graph's pieces is exactly a factor
+    of the points' covariance given the vertices. One step per rank within
+    an edge, vectorised over the edges.
     """
-    pj = j[chain.first]
-    kt, gap = ec.kt[pj], chain.gap
-    rest = ec.length[pj] - t[chain.first] + gap
-    g1, g2 = _basis(kt, rest, gap)
-    inner = x[x.shape[0] - pj.size:]
-    inner *= np.sqrt(_dirichlet_green(kt, rest, ec.scale[pj], gap, gap))[:, None]
-    inner += g2[:, None] * x[ec.v[pj]]
-    at = np.flatnonzero(chain.starts)  # the first point on every edge, then the next, ...
-    while at.size:
-        inner[at] += g1[at, None] * x[chain.prev[at]]
-        at = at[at + 1 < pj.size] + 1
-        at = at[~chain.starts[at]]
+    inner = x[x.shape[0] - walk.end.size:]
+    inner *= walk.dev
+    inner += walk.g2 * x[walk.end]
+    for at, prev, g1 in walk.ranks:
+        inner[at] += g1 * x[prev]
 
 
 #: ``sample`` draws a request of up to this many distinct points from the
 #: dense Cholesky factor of its covariance, and a larger one from the
 #: vertex factor and the field walk (``_field_walk``). The crossover grows
 #: with the replicate count. On random figure-eight requests (single-thread
-#: BLAS on a shared 2-core Xeon, best of 3-5) the Markov path was 2.2x
-#: faster than the dense factor at 384 points and 200 replicates (1.4x at
-#: 256); at 2,000 replicates the two were within 2% from 256 to 384 points
-#: and the Markov path 1.2-1.9x faster from 512 to 1,024; at 20,000
-#: replicates it was 1.5x slower at 256 points, 1.2x slower at 384, even at
-#: 768 and 1.2x faster at 1,024.
+#: BLAS on a shared 2-core Xeon, best of 3-5 with the vertex factor cached,
+#: two runs) the Markov path was 1.6-1.8x faster than the dense factor at
+#: 384 points and 200 replicates, 1.6-1.7x at 256 and 4.4-4.6x at 1,024;
+#: at 2,000 replicates the two were within 3% at 256 points and the Markov
+#: path 1.2-1.3x faster at 384, 1.3-1.4x at 512 and 1.8-2.4x from 768 to
+#: 1,024; at 20,000 replicates they were within 2% at 256 points and the
+#: Markov path 1.2-1.4x faster at 384 and 512 and 1.2-1.8x from 768 to
+#: 1,024. A third run read the two within 7% at 192 points and the dense
+#: path 1.1-1.2x faster at 128, at 2,000 and 20,000 replicates. So the
+#: crossover is near 256 points at large replicate counts.
 _DENSE_SAMPLE_MAX = 384
+
+#: ``sample`` draws its replicates in blocks of this many bytes, sized on
+#: the wider of a block's normals and its columns of the output, and turns
+#: each block into its columns of the output. Against 256 KiB, on the
+#: bench's requests (the 1,501-point bouquet mesh at 200 replicates on the
+#: Markov path, 10 points at 20,000 on the dense path; 40 shuffled rounds
+#: in one process, single-thread BLAS, shared 2-core Xeon), 64 KiB blocks
+#: took 1.50x and 1.05x the median time and 128 KiB 1.16x and 1.04x;
+#: 512 KiB took 0.92x and 1.01x, 1 MiB 0.98x and 1.07x, and 4 MiB 1.21x
+#: and 1.29x. The peak traced memory over the output grew with the block:
+#: 1.38 and 1.50 at 256 KiB, 1.67 and 1.99 at 512 KiB, 2.24 and 2.97 at
+#: 1 MiB.
+_SAMPLE_BLOCK_BYTES = 256 << 10
 
 
 def sample(
@@ -1032,23 +1088,36 @@ def sample(
     - above it, the Markov factor. Every vertex of the graph comes first,
       drawn from the sparse vertex precision Q = L D L' of the cut graph at
       no points: x = L'^{-1} D^{-1/2} z in its grounded coordinates
-      (``sampling._Factor.draw``, one triangular solve), mapped to the
-      vertices by the grounding map (``_to_nodes``), so its covariance is
-      Q^{-1} = S_V and no |V| x |V| table is formed. The distinct interior
-      points follow, each drawn from the node before it on its edge and
-      the edge's end vertex (``_field_walk``). Given its end values a piece
-      of edge is independent of the rest of the graph, so this is exactly
-      a factor of C in node order, with no n x n covariance. It runs on a
-      (node x replicate) copy of the normals, so every step reads
-      contiguous rows. The columns of vertices that are not among the
-      points are dropped.
+      (``sampling._Factor.draw``), mapped to the vertices by the grounding
+      map (``_to_nodes``), so its covariance is Q^{-1} = S_V and no
+      |V| x |V| table is formed. The distinct interior points follow, each
+      drawn from the node before it on its edge and the edge's end vertex
+      (``_field_walk``). Given its end values a piece of edge is
+      independent of the rest of the graph, so this is exactly a factor of
+      C in node order, with no n x n covariance. Each block
+      runs on a (node x replicate) copy of its normals, so every step
+      reads contiguous rows. The columns of vertices that are not among
+      the points are dropped.
 
-    Both paths build the draws as a (node x replicate) array and return
-    its rows at the points' nodes, transposed. With no vertex among the
-    points and none repeated, a request on the dense path draws
+    Both paths allocate the (point x replicate) output once and fill it
+    block by block (``sampling._replicate_blocks``): each block of
+    replicates' normals, of at most ``_SAMPLE_BLOCK_BYTES``, is turned into
+    draws in (node x replicate) order and its rows at the points' nodes
+    are written into its columns of the output. So the sampler holds its
+    output and one block, with no copy of the whole run's normals; the
+    result is that output, transposed. Everything that does not depend on
+    the normals is made once per call: the dense factor, or the vertex
+    factor (``_vertex_factor``, cached per graph and model) and the walk's
+    weights (``_walk``). With no vertex among the points and none
+    repeated, a request on the dense path draws
     ``replicate_normals(seed, n, len(pts)) @ chol(full_cov(sorted_pts)).T``,
     its columns put back in input order, with ``sorted_pts`` the points by
-    (edge, t). The path and the counts
+    (edge, t). The walk acts on each replicate alone, so the blocks leave
+    its bytes as they are; a dense block is the same product on fewer
+    rows, which kept the bytes of one product on every bench request.
+    Drawing the vertices through SuperLU's own solve (``_spd_numeric``)
+    moved the Markov draws by rounding only: at most 4.4e-16 on the
+    bench's bouquet draws, whose largest is 2.3. The path and the counts
     are logged at DEBUG on ``graphfields.exact``, with the jitter that
     ``safe_cholesky`` added on the dense path, and the vertex factor's
     method and smallest pivot on the Markov path. Deterministic in
@@ -1067,28 +1136,38 @@ def sample(
     chain = _chain(g, j, t)
     nv = g.vertex_count
     used, column = np.unique(chain.node, return_inverse=True)
-    if used.size <= _DENSE_SAMPLE_MAX:
+    out = np.empty((len(pts), n))  # (point x replicate), filled block by block
+    # one normal per factor column: the distinct points on the dense path,
+    # every vertex and the distinct interior points on the Markov path. A
+    # block's normals and its columns of the output each fit in the budget
+    dense = used.size <= _DENSE_SAMPLE_MAX
+    k = used.size if dense else nv + chain.first.size
+    step = max(1, _SAMPLE_BLOCK_BYTES // (8 * max(k, len(pts))))
+    if dense:
         vertices = used[used < nv]
         at = [g.vertex_point(w) for w in vertices] + [pts[i] for i in chain.first]
         chol, jitter = safe_cholesky(full_cov(g, m, at).matrix)
-        # (node x replicate), as on the Markov path, so the gather copies rows.
-        # The normals stay referenced until the return: freed before the
-        # gather, small-batch's 20,000 x 10 request read about 0.5 ms slower
-        normals = replicate_normals(seed, n, used.size)
-        xt = chol @ normals.T
+        for lo, z in _replicate_blocks(replicate_normals, seed, n, k, step):
+            out[:, lo:lo + len(z)] = (chol @ z.T)[column]
+            del z  # so that the next block is drawn with this one freed
         touched = np.union1d(vertices, np.concatenate((u[chain.first], v[chain.first])))
         _log.debug("sample: dense route, %d distinct points, %d touched vertices, jitter %.3g",
                    used.size, touched.size, jitter)
-        return xt[column].T
+        return out.T
     layout, _, factor = _vertex_factor(g, m)
-    # the normals, copied once into (node x replicate) order, become the
-    # draws in place, one row per factor column
-    zt = np.ascontiguousarray(replicate_normals(seed, n, nv + chain.first.size).T)
-    zt[:nv] = _to_nodes(layout, factor.draw(zt[:nv]))
-    _field_walk(_edge_constants(g, m), chain, j, t, zt)
+    walk = _walk(_edge_constants(g, m), chain, j, t)
+    for lo, z in _replicate_blocks(replicate_normals, seed, n, k, step):
+        # the block's normals, copied once into (node x replicate) order,
+        # become its draws in place, one row per factor column
+        zt = np.ascontiguousarray(z.T)
+        del z
+        zt[:nv] = _to_nodes(layout, factor.draw(zt[:nv]))
+        _field_walk(walk, zt)
+        out[:, lo:lo + zt.shape[1]] = zt[chain.node]
+        del zt
     _log.debug("sample: Markov route, %d distinct points, %d vertices drawn, %s factor, "
                "min pivot %.3g", used.size, nv, factor.method, factor.min_pivot)
-    return zt[chain.node].T
+    return out.T
 
 
 def markov_check(cov, set_a, set_b, set_s) -> float:

@@ -17,11 +17,19 @@ calls ``splu`` or another sparse factor or solve.
 
 The factor (``_Factor``) of M = L D L' solves with M and draws from
 N(0, M^{-1}): ``draw`` maps standard normals z, one column per draw, to
-L'^{-1} D^{-1/2} z with one triangular solve (Rue & Held, "Gaussian Markov
-Random Fields", 2005, section 2.3), so a Gaussian Markov field is sampled
-from its sparse precision with no covariance formed. The dense branch
-solves with LAPACK ``dtrtrs`` on L'; SuperLU's U is D L', so the SuperLU
-branch solves with U on D^{1/2} z.
+L'^{-1} D^{-1/2} z (Rue & Held, "Gaussian Markov Random Fields", 2005,
+section 2.3), so a Gaussian Markov field is sampled from its sparse
+precision with no covariance formed. The dense branch solves with LAPACK
+``dtrtrs`` on L'. The SuperLU branch uses SuperLU's own solve, which
+applies (L D L')^{-1}, on L D^{1/2} z: (L D L')^{-1} L D^{1/2} z =
+L'^{-1} D^{-1/2} z, with no conversion of the factor per call, so a
+sampler that draws block by block pays the set-up once.
+
+Every normal comes from ``replicate_normals``, row by row from one
+generator. ``_replicate_blocks`` draws a run's normals a block of
+replicates at a time from one generator, keeping the stream of one call
+byte for byte, so ``exact.sample`` and ``spectral.kl_sample`` hold their
+output and one block.
 
 Every dense Cholesky factor in the package comes from ``_potrf``: one
 copy of the matrix, factored in place by LAPACK ``dpotrf``. Its lower
@@ -45,20 +53,39 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse.linalg import splu
 
 from .errors import NotPositiveDefiniteError
 
 __all__ = ["replicate_normals", "safe_cholesky"]
 
 
-def replicate_normals(seed: int, n: int, k: int) -> np.ndarray:
+def replicate_normals(seed: int | np.random.Generator, n: int, k: int) -> np.ndarray:
     """(n, k) standard normals drawn row by row from one generator of ``seed``.
 
     Row r holds replicate r, so the first m rows of a larger run at the same
-    seed and width coincide with a run of m replicates.
+    seed and width coincide with a run of m replicates. ``seed`` is an
+    integer or a ``numpy.random.Generator``; a Generator is used as it is
+    and continues its stream, so blocks of rows drawn in turn from one
+    generator of a seed are the rows of one call at that seed, byte for byte
+    (``_replicate_blocks``).
     """
     return np.random.default_rng(seed).standard_normal((n, k))
+
+
+def _replicate_blocks(normals, seed: int, n: int, k: int, step: int):
+    """The rows of ``replicate_normals(seed, n, k)`` in blocks of ``step``
+    rows (the last may be shorter), as pairs (first row, block) in turn:
+    each block is ``normals(rng, rows, k)`` on one generator of ``seed``, so
+    the blocks concatenate to the one call's normals byte for byte. The
+    caller holds one block at a time if it drops each block before the loop
+    asks for the next. ``normals`` is the caller's own
+    ``replicate_normals``, so that a wrapper put on the caller's module
+    sees every block.
+    """
+    rng = np.random.default_rng(seed)
+    for lo in range(0, n, step):
+        yield lo, normals(rng, min(step, n - lo), k)
 
 
 def _potrf(mat: np.ndarray, shift: float = 0.0) -> np.ndarray | None:
@@ -156,7 +183,8 @@ class _Factor(NamedTuple):
     """log|M| of an SPD matrix M, a solve x -> M^{-1} x, the method and the
     smallest pivot of M = L D L' (how close the factor came to failing),
     and a draw z -> L'^{-1} D^{-1/2} z, which maps standard normals to
-    draws of covariance M^{-1}."""
+    draws of covariance M^{-1}: a triangular solve with L' on the dense
+    branch, the full solve of M on L D^{1/2} z on the SuperLU branch."""
 
     logdet: float
     solve: Callable[[np.ndarray], np.ndarray]
@@ -234,11 +262,13 @@ def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
     factor and draws with ``dtrtrs`` on its upper half L'. The SuperLU
     branch factors P'MP = L D L' in its natural order with no off-diagonal
     pivoting (``SymmetricMode``, ``diag_pivot_thresh=0``), and permutes the
-    solve's right-hand side in and its result out; its U is D L', so a draw
-    is U^{-1} D^{1/2} z, permuted out. log|M| is the sum of log D, and the
-    smallest pivot the least D, or the least squared Cholesky diagonal on
-    the dense branch. Raises NotPositiveDefiniteError on a pivot that is
-    not positive.
+    solve's right-hand side in and its result out. A draw is that solve on
+    L D^{1/2} z, permuted out: SuperLU's L is unit lower and its U is D L',
+    so it is L'^{-1} D^{-1/2} z. The draw reads ``lu.L`` when it runs, so a
+    factor that never draws never forms it (SuperLU keeps it after the
+    first read). log|M| is the sum of log D, and the smallest pivot the
+    least D, or the least squared Cholesky diagonal on the dense branch.
+    Raises NotPositiveDefiniteError on a pivot that is not positive.
     """
     n = pattern.n
     slot = pattern.slot[: len(vals)]
@@ -262,6 +292,5 @@ def _spd_numeric(pattern: _Pattern, vals) -> _Factor:
     perm, order = pattern.perm, pattern.order
     return _Factor(float(np.sum(np.log(pivots))), lambda b: lu.solve(b[order])[perm],
                    "SuperLU", float(pivots.min()),
-                   lambda z: spsolve_triangular(lu.U, np.sqrt(pivots)[:, None] * z,
-                                                lower=False)[perm])
+                   lambda z: lu.solve(lu.L @ (np.sqrt(pivots)[:, None] * z))[perm])
 

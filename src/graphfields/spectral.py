@@ -55,17 +55,18 @@ import scipy.sparse
 from .errors import PointError, UnsupportedAlphaError
 from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _arclength, _mesh, _Mesh
 from .models import CovMatrix, FieldModel, _check_indices, _count, _scalar
+from .sampling import _replicate_blocks, replicate_normals
 
 __all__ = ["DiscreteOperator", "assemble", "spectral_cov", "kl_sample"]
 
 _log = logging.getLogger(__name__)
 
 #: ``kl_sample`` draws this many bytes of normals per block of replicates
-#: (437 rows at 1,199 modes: seven blocks for 3,000 replicates), in one
-#: buffer. Each block's product packs the basis again, so small blocks cost
-#: time: on 3,000 replicates at 1,199 modes, the median per-round ratio to
-#: 16-MiB blocks read +8.3% at 1 MiB and +3.9% at 2 MiB, and within 2.1% at
-#: 4, 8 and 64 MiB (30 rounds in shuffled order, one process, single-thread
+#: (437 rows at 1,199 modes: seven blocks for 3,000 replicates). Each
+#: block's product packs the basis again, so small blocks cost time: on
+#: 3,000 replicates at 1,199 modes, the median per-round ratio to 16-MiB
+#: blocks read +8.3% at 1 MiB and +3.9% at 2 MiB, and within 2.1% at 4, 8
+#: and 64 MiB (30 rounds in shuffled order, one process, single-thread
 #: BLAS, 2-core Xeon)
 _KL_BLOCK_BYTES = 4 << 20
 
@@ -374,28 +375,25 @@ def kl_sample(
     longer run's first rows to rounding. Every mode is used, so the draws
     carry the covariance ``spectral_cov`` gives at its default k.
 
-    The normals are drawn into one buffer of ``_KL_BLOCK_BYTES`` (the rows
-    of one block of replicates), scaled there in place by lambda^{-alpha/2}
-    / tau and multiplied by the read-only V', each product written straight
-    into the output. So the sampler holds its output and one block of
-    normals, and no scaled copy of the basis: a run of at most one block is
-    the single product ``(xi * s) @ V'``, with s the scale.
+    The normals are drawn in blocks of ``_KL_BLOCK_BYTES`` (the rows of
+    one block of replicates, by ``sampling._replicate_blocks``), each scaled
+    in place by lambda^{-alpha/2} / tau and multiplied by the read-only V',
+    the product written straight into the output. So the sampler holds its
+    output and one block of normals, and no scaled copy of the basis: a run
+    of at most one block is the single product ``(xi * s) @ V'``, with s
+    the scale.
     """
     alpha, tau, k = _spectral_params(op, alpha, tau)
     n, seed = _count(n, "replicate count"), _count(seed, "seed")
     scale = op.eigenvalues[:k] ** (-alpha / 2.0) / tau
     basis_t = op.eigenvectors[:, :k].T
-    # one generator, rows in turn: the stream of ``replicate_normals``
-    rng = np.random.default_rng(seed)
-    step = max(1, _KL_BLOCK_BYTES // (8 * k))
-    buf = np.empty((min(step, n), k))
     draws = np.empty((n, op.n_dof))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        xi = buf[:hi - lo]
-        rng.standard_normal(out=xi)
+    step = max(1, _KL_BLOCK_BYTES // (8 * k))
+    for lo, xi in _replicate_blocks(replicate_normals, seed, n, k, step):
         xi *= scale
-        np.matmul(xi, basis_t, out=draws[lo:hi])
+        np.matmul(xi, basis_t, out=draws[lo:lo + len(xi)])
+        del xi  # so that the next block is drawn with this one freed
     _log.debug("kl_sample: %d replicates, %d modes, %d rows per block, %d block(s), "
-               "tail estimate %.3g", n, k, len(buf), -(-n // step), _tail_estimate(op, alpha, k))
+               "tail estimate %.3g", n, k, min(step, n), -(-n // step),
+               _tail_estimate(op, alpha, k))
     return draws

@@ -743,17 +743,30 @@ def test_sample_seed_determinism_and_prefix(unit_star):
         assert not np.array_equal(a, c)
 
 
-def test_sample_prefix_at_scale(fig8):
-    # the dense path: the normals of a shorter run are a byte prefix of a
-    # longer run's, and the draws agree with its first rows to rounding
+def test_sample_prefix_at_scale(fig8, monkeypatch):
+    # on both paths the normals of a shorter run are a byte prefix of a
+    # longer run's, and the draws agree with its first rows to rounding,
+    # also where the shorter run ends at a block edge
     pts = gf.mesh(fig8, 0.05)
     assert len(pts) == 59
-    long = sample(fig8, FieldModel(), pts, 2000, 5)
-    long_xi = replicate_normals(5, 2000, len(pts))
-    for n in (1, 3):
-        np.testing.assert_array_equal(replicate_normals(5, n, len(pts)), long_xi[:n])
-        short = sample(fig8, FieldModel(), pts, n, 5)
-        assert np.max(np.abs(short - long[:n])) <= 1e-13 * np.max(np.abs(long))
+    # the mesh holds every vertex, so both paths draw one normal per point
+    assert {fig8.vertex_of(p) for p in pts} >= set(range(fig8.vertex_count))
+    k = len(pts)
+    step = exact._SAMPLE_BLOCK_BYTES // (8 * k)
+    n_long = max(2000, 2 * step + 2)
+    long_xi = replicate_normals(5, n_long, k)
+    # blocks drawn in turn from one generator are the rows of one call
+    rng = np.random.default_rng(5)
+    blocks = [replicate_normals(rng, rows, k) for rows in (step - 1, 1, step, n_long - 2 * step)]
+    assert np.concatenate(blocks).tobytes() == long_xi.tobytes()
+    for markov in (False, True):
+        if markov:
+            monkeypatch.setattr(gf.exact, "_DENSE_SAMPLE_MAX", 0)
+        long = sample(fig8, FieldModel(), pts, n_long, 5)
+        for n in (1, 3, step - 1, step, step + 1, 2 * step + 1):
+            np.testing.assert_array_equal(replicate_normals(5, n, k), long_xi[:n])
+            short = sample(fig8, FieldModel(), pts, n, 5)
+            assert np.max(np.abs(short - long[:n])) <= 1e-13 * np.max(np.abs(long))
 
 
 def test_sample_covariance_monte_carlo(unit_star):
@@ -998,6 +1011,33 @@ def test_sample_memory_is_far_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < len(pts) ** 2 * 8 / 4
+
+
+@pytest.mark.parametrize("markov", [False, True], ids=["dense", "markov"])
+def test_sample_memory_is_output_and_one_block(markov):
+    # the draws are filled in place block by block: the sampler holds its
+    # output and one block of normals, not the whole run's normals and
+    # their copies (2.6 to 3.0 times the output before)
+    import tracemalloc
+
+    if markov:
+        g, n = _ORACLE_GRAPHS["bouquet-40"](), 1000
+        pts = gf.mesh(g, 0.1)  # 601 distinct points: the Markov path
+    else:
+        g, n = _ORACLE_GRAPHS["figure-eight"](), 50000
+        rng = np.random.default_rng(6)
+        inner = [random_point(g, rng) for _ in range(8)]
+        pts = inner + inner[:4]  # a repeated point widens the output, not the normals
+    m = FieldModel(kappa=1.3)
+    sample(g, m, pts, 1, 1)  # the cached layout and factor are built here
+    tracemalloc.start()
+    try:
+        draws = sample(g, m, pts, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.nbytes > 4 * exact._SAMPLE_BLOCK_BYTES  # several blocks
+    assert peak < draws.nbytes + exact._SAMPLE_BLOCK_BYTES + (1 << 20)
 
 
 def _vertex_draw(g, m, z):

@@ -248,3 +248,13 @@ def test_one_route_to_a_smallest_eigenvalue():
     # which needs the vectors)
     assert not _uses({"eigvalsh"})
     assert [f.split(":")[0] for f in _uses({"dsyevr"})] == ["sampling.py"]
+
+
+def test_every_normal_comes_from_replicate_normals():
+    # only ``sampling`` makes a generator or draws a normal, so every
+    # normal the samplers use passes through ``replicate_normals``
+    assert not _uses({"default_rng", "standard_normal"}, skip={"sampling"})
+    assert any(f.startswith("sampling.py") for f in _uses({"default_rng"}))
+    # the sparse draw is SuperLU's own solve, with no triangular solve
+    # that converts its factor on every call
+    assert not _uses({"spsolve_triangular"})
