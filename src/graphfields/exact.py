@@ -1047,7 +1047,7 @@ def _field_walk(walk: _Walk, x) -> None:
 #: 1,024. A third run read the two within 7% at 192 points and the dense
 #: path 1.1-1.2x faster at 128, at 2,000 and 20,000 replicates. So the
 #: crossover is near 256 points at large replicate counts.
-_DENSE_SAMPLE_MAX = 384
+_DENSE_SAMPLE_MAX = 256
 
 #: ``sample`` draws its replicates in blocks of this many bytes, sized on
 #: the wider of a block's normals and its columns of the output, and turns

@@ -28,18 +28,17 @@ lambda_0 = kappa^2 exact. Bases are kept read-only in an LRU cache of
 An operator holds its graph, model and mesh spacing, the mesh's node
 layout (``graph._mesh``, as ``graph.mesh`` has it), the shifted
 eigenvalues, and, shared with every operator on its basis, the
-eigenvectors, the sparse mass matrix (CSR, one build over all elements)
-and one private slot. The eigenvectors are C-ordered, so the rows of a
-set of nodes are one contiguous gather. Nothing else is assembled per
-model: a dense n_dof^2 array is formed only where the math needs one,
-namely the pencil that the eigensolve factors, once per basis and freed
+eigenvectors and one private slot. The eigenvectors are C-ordered, so the
+rows of a set of nodes are one contiguous gather. Nothing is assembled
+per model. A dense n_dof^2 array is formed only where the math needs
+one: the pencil that the eigensolve factors, once per basis and freed
 after it; the eigenvectors; the covariance memo; the Karhunen-Loeve
-draws; and the public dense ``mass`` (kept in the slot) and
-``stiffness`` (built from the mesh and the model), each built on first
-read. So a full-spectrum entry holds two n_dof^2 arrays of 8-byte floats
-(23 MB at 1,199 dof): the eigenvectors and a one-slot memo of the last
-whole-mesh covariance that ``spectral_cov`` formed, plus a third, the
-dense mass, once ``mass`` is read.
+draws; and the public ``mass`` (kept in the slot) and ``stiffness``,
+each built from the mesh (and the model) on first read. So a
+full-spectrum entry holds mu, V and the slot: two n_dof^2 arrays of
+8-byte floats (23 MB at 1,199 dof), the eigenvectors and a one-slot memo
+of the last whole-mesh covariance that ``spectral_cov`` formed, plus a
+third, the mass, once ``mass`` is read.
 """
 from __future__ import annotations
 
@@ -50,7 +49,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import PointError, UnsupportedAlphaError
 from .graph import CACHE_SIZE, MetricGraph, PointOnGraph, _arclength, _mesh, _Mesh
@@ -84,13 +82,12 @@ class DiscreteOperator:
     mass-orthonormal eigenvector with eigenvalue ``eigenvalues[k]``
     (ascending); the array is C-ordered, one row per node. Immutable: the
     fields cannot be rebound and the arrays are read-only, since operators
-    on one mesh share one cached basis. The mass matrix is held sparse
-    (CSR, private, the basis's own); the dense ``mass`` and ``stiffness``
-    are built on first read, the stiffness from the mesh and the model, so
-    no per-model matrix is assembled.
+    on one mesh share one cached basis. ``mass`` (from the mesh) and
+    ``stiffness`` (from the mesh and the model) are built on first read,
+    so no per-model matrix is assembled.
     Operators from :func:`assemble` on one basis also share that basis's
     private slot, which holds the one-slot covariance memo (see
-    :func:`spectral_cov`) and the dense mass once read; an operator built
+    :func:`spectral_cov`) and the mass once read; an operator built
     by hand gets a slot of its own. The slot's entries are replaced by
     single assignments, so the operator stays safe for concurrent reads.
     Equality is identity (its fields hold arrays), so operators hash.
@@ -103,28 +100,33 @@ class DiscreteOperator:
     eigenvectors: np.ndarray
     node_points: tuple[PointOnGraph, ...]
     edge_nodes: tuple[tuple[int, ...], ...]
-    _mass_csr: scipy.sparse.csr_array = field(repr=False)
     _cov_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def mass(self) -> np.ndarray:
-        """Dense mass matrix, read-only, built on first read and kept in
-        the basis's shared slot (so operators on one basis share it)."""
-        dense = self._cov_memo.get("mass")
-        if dense is None:
-            dense = self._cov_memo["mass"] = _dense(self._mass_csr)
-        return dense
+        """Mass matrix, read-only, built on first read from the mesh and
+        kept in the basis's shared slot (so operators on one basis share
+        it)."""
+        mass = self._cov_memo.get("mass")
+        if mass is None:
+            mesh = _mesh(self.graph, self.h)
+            mass = _p1_matrix(mesh, mesh.he / 3.0, mesh.he / 6.0)
+            mass.flags.writeable = False
+            self._cov_memo["mass"] = mass
+        return mass
 
     @cached_property
     def stiffness(self) -> np.ndarray:
-        """Dense stiffness-plus-reaction matrix A + R + kappa_min^2 M,
-        read-only, built on first read from the mesh and the model."""
+        """Stiffness-plus-reaction matrix A + R + kappa_min^2 M, read-only,
+        built on first read from the mesh and the model."""
         coeffs, kappa2_min = _coefficients(self.graph, self.model)
-        return _dense(_stiffness(_mesh(self.graph, self.h), coeffs, kappa2_min))
+        stiffness = _stiffness(_mesh(self.graph, self.h), coeffs, kappa2_min)
+        stiffness.flags.writeable = False
+        return stiffness
 
     @property
     def n_dof(self) -> int:
-        return self._mass_csr.shape[0]
+        return len(self.node_points)
 
     @property
     def n_modes(self) -> int:
@@ -154,31 +156,20 @@ class DiscreteOperator:
         return idx[k]
 
 
-def _dense(mat: scipy.sparse.csr_array) -> np.ndarray:
-    arr = mat.toarray()
-    arr.flags.writeable = False
-    return arr
-
-
-def _p1_matrix(mesh: _Mesh, diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csr_array:
+def _p1_matrix(mesh: _Mesh, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Sum of the element matrices [[diag, off], [off, diag]] over all
-    elements, as a CSR matrix with sorted column indices and read-only
-    arrays. The entries at one (row, col) add up in the order of the
-    element list, as a dense COO build adds them, so ``toarray()`` has the
-    bytes of that build."""
+    elements, as a new C-ordered n_dof^2 array. The entries at one
+    (row, col) add up in the order of the element list, as a COO build
+    adds them, so the array has that build's bytes and is exactly
+    symmetric."""
     n = mesh.n_dof
     rows = np.concatenate((mesh.i0, mesh.i1, mesh.i0, mesh.i1))
     cols = np.concatenate((mesh.i0, mesh.i1, mesh.i1, mesh.i0))
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    vals = np.bincount(slot, np.concatenate((diag, diag, off, off)), minlength=len(keys))
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    mat = scipy.sparse.csr_array((vals, keys % n, indptr), shape=(n, n))
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
+    vals = np.concatenate((diag, diag, off, off))
+    return np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
 
 
-def _stiffness(mesh: _Mesh, coeffs, shift: float) -> scipy.sparse.csr_array:
+def _stiffness(mesh: _Mesh, coeffs, shift: float) -> np.ndarray:
     """A + R + shift * M, summed per element: the a/h stiffness plus the
     reaction (kappa_e^2 - kappa_min^2 + shift) times the element mass."""
     a, r = (np.repeat(col, mesh.nel) for col in np.array(coeffs).T)
@@ -197,19 +188,22 @@ def _coefficients(g: MetricGraph, m: FieldModel):
 @lru_cache(maxsize=CACHE_SIZE)
 def _eigenbasis(
     g: MetricGraph, h: float, n_modes: int, coeffs: tuple[tuple[float, float], ...]
-) -> tuple[np.ndarray, np.ndarray, scipy.sparse.csr_array, dict]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """Read-only lowest ``n_modes`` eigenpairs (mu, V) of the kappa-free
-    pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`, the
-    CSR mass matrix M they are orthonormal in, and the empty slot that
-    every operator on this basis shares. The eigenvectors are C-ordered.
+    pencil (A + R, M), with ``coeffs`` as from :func:`_coefficients`, and
+    the empty slot that every operator on this basis shares. The
+    eigenvectors are C-ordered and M-orthonormal.
     """
     mesh = _mesh(g, h)
     mass = _p1_matrix(mesh, mesh.he / 3.0, mesh.he / 6.0)
+    # 1'M, read before the solve overwrites M
+    mass_ones = mass.sum(axis=0)
     subset = None if n_modes == mesh.n_dof else [0, n_modes - 1]
-    # the dense pencil exists only for the solve, which factors it in place
+    # the pencil exists only for the solve, which factors it in place: the
+    # transposes are the same symmetric matrices, F-ordered, so no copy
     mu, vecs = scipy.linalg.eigh(
-        _stiffness(mesh, coeffs, 0.0).toarray(order="F"),
-        mass.toarray(order="F"),
+        _stiffness(mesh, coeffs, 0.0).T,
+        mass.T,
         subset_by_index=subset,
         overwrite_a=True,
         overwrite_b=True,
@@ -219,7 +213,6 @@ def _eigenbasis(
         # so that lambda_0 = kappa^2 holds exactly after the shift, and take
         # the pinned constant out of the other modes (they are M-orthogonal
         # to it in exact arithmetic, and only to rounding as computed)
-        mass_ones = np.bincount(mass.indices, mass.data, minlength=mesh.n_dof)
         c = math.copysign(1.0 / math.sqrt(mass_ones.sum()), vecs[:, 0].sum())
         mu[0] = 0.0
         vecs[:, 0] = c
@@ -229,16 +222,15 @@ def _eigenbasis(
     vecs = np.ascontiguousarray(vecs)
     for arr in (mu, vecs):
         arr.flags.writeable = False
-    return mu, vecs, mass, {}
+    return mu, vecs, {}
 
 
 def assemble(
     g: MetricGraph, m: FieldModel, h: float, n_modes: int | None = None
 ) -> DiscreteOperator:
     """The operator on a mesh of spacing <= h, with the generalized
-    eigenpairs and the sparse mass matrix taken from the mesh's cached
-    kappa-free basis. Once that basis is cached, nothing is assembled: no
-    matrix is built, sparse or dense.
+    eigenpairs taken from the mesh's cached kappa-free basis. Once that
+    basis is cached, nothing is assembled: no matrix is built.
 
     Per-edge constants kappa, a are taken from the model (constant on each
     edge, so the element integrals are exact). ``n_modes`` limits the number
@@ -252,7 +244,7 @@ def assemble(
         n_modes = mesh.n_dof
     n_modes = _count(n_modes, "n_modes", 1, mesh.n_dof)
     coeffs, kappa2_min = _coefficients(g, m)
-    mu, vecs, mass, memo = _eigenbasis(g, h, n_modes, coeffs)
+    mu, vecs, memo = _eigenbasis(g, h, n_modes, coeffs)
     vals = mu + kappa2_min
     vals.flags.writeable = False
     return DiscreteOperator(
@@ -263,7 +255,6 @@ def assemble(
         eigenvectors=vecs,
         node_points=mesh.node_points,
         edge_nodes=mesh.edge_nodes,
-        _mass_csr=mass,
         _cov_memo=memo,
     )
 

@@ -1385,3 +1385,23 @@ def test_metrics_reads_the_cut_graph_through_one_name():
                 and isinstance(n.value, ast.Name) and n.attr.startswith("_")}
     assert {name for mod, name in private if mod == "exact"} == {"_conductance_green"}
     assert not {name for mod, name in private if mod == "sampling"}
+
+
+def _imports_scipy_sparse(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["scipy", "sparse"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")[:2]
+        return module == ["scipy", "sparse"] or (
+            module == ["scipy"] and any(a.name == "sparse" for a in node.names))
+    return False
+
+
+def test_only_the_graph_and_its_vertex_factors_import_scipy_sparse():
+    # the spectral pencil is dense for eigh, so only the graph's adjacency,
+    # the cut graph and its sparse factor read scipy.sparse
+    src = Path(gf.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
+    importers = {mod for mod, tree in trees.items()
+                 if any(_imports_scipy_sparse(n) for n in ast.walk(tree))}
+    assert importers <= {"graph", "exact", "sampling"}

@@ -52,12 +52,19 @@ def test_circle_spectrum_double_multiplicity(circle24):
     assert op.eigenvalues[1] == pytest.approx(op.eigenvalues[2], rel=1e-6)
 
 
-def test_constant_function_is_ground_mode(unit_star):
+def test_constant_function_is_ground_mode(unit_star, fig8):
     kappa = 1.7
     op = assemble(unit_star, FieldModel(kappa=kappa), 0.02)
     assert op.eigenvalues[0] == pytest.approx(kappa**2, rel=1e-10)
     e0 = op.eigenvectors[:, 0]
     assert np.max(np.abs(e0 - e0[0])) <= 1e-8 * abs(e0[0])
+    # at constant kappa the null pair is pinned: exactly constant, and
+    # M-normalized by the 1'M read from the mass before the solve
+    for g in (unit_star, fig8):
+        op = assemble(g, FieldModel(kappa=kappa), 0.02)
+        e0 = op.eigenvectors[:, 0]
+        assert np.all(e0 == e0[0])
+        assert abs(e0[0] ** 2 * op.mass.sum() - 1.0) <= 1e-14
 
 
 def test_lowest_eigenvalue_dominated_by_min_kappa(fig8):
